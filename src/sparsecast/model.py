@@ -7,9 +7,11 @@ expert mixture (or a dense gated FFN in the ablation variant), and per-horizon
 linear heads read multi-step forecasts off every position.
 
 Bias terms exist only on the attention QKV projections; every other linear
-map is bias-free. Packed batches carry a per-token sequence id and attention
-never crosses an id boundary; rotary positions restart at each boundary so a
-packed sequence computes exactly what it would alone.
+map is bias-free. Packed batches carry a per-token sequence id, each
+sequence one contiguous run of its id. Attention never crosses an id
+boundary and rotary positions restart at each boundary, so a packed sequence
+computes exactly what it would alone. Forecaster.forward derives the segment
+bounds and positions once and hands them to every layer.
 """
 
 from __future__ import annotations
@@ -230,17 +232,35 @@ def rope_apply(qk: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tens
     return T.rope(qk, positions, base)
 
 
+def segment_bounds(seq_ids: np.ndarray) -> np.ndarray:
+    """[0, b_1, ..., T]: the start of every maximal run of equal ids, then T.
+
+    Each packed sequence must occupy one contiguous run; an id that comes
+    back after a different one raises DataError.
+    """
+    ids = np.asarray(seq_ids)
+    if ids.ndim != 1 or len(ids) < 1:
+        raise DataError(f"sequence ids must be a non-empty 1-D array, got shape {ids.shape}")
+    starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    bounds = np.concatenate(([0], starts, [len(ids)]))
+    run_ids = ids[bounds[:-1]]
+    if len(np.unique(run_ids)) != len(run_ids):
+        raise DataError("sequence ids must form contiguous runs; an id reappears after another")
+    return bounds
+
+
 def packing_positions(seq_ids: np.ndarray) -> np.ndarray:
     """Rotary positions restarting from 0 at every sequence boundary."""
-    seq_ids = np.asarray(seq_ids)
-    positions = np.zeros(len(seq_ids), dtype=np.int64)
-    for i in range(1, len(seq_ids)):
-        positions[i] = positions[i - 1] + 1 if seq_ids[i] == seq_ids[i - 1] else 0
-    return positions
+    bounds = segment_bounds(seq_ids)
+    return np.arange(bounds[-1]) - np.repeat(bounds[:-1], np.diff(bounds))
 
 
 def attention_bias(seq_ids: np.ndarray) -> np.ndarray:
-    """[T, T] additive mask: 0 where key <= query within one sequence, else -inf."""
+    """[T, T] additive mask: 0 where key <= query within one sequence, else -inf.
+
+    The forward pass never builds it (attention is blocked by segment); it is
+    the mask of the dense reference kernel the tests compare against.
+    """
     t = len(seq_ids)
     ids = np.asarray(seq_ids)
     allowed = (np.arange(t)[None, :] <= np.arange(t)[:, None]) & (ids[None, :] == ids[:, None])
@@ -249,31 +269,39 @@ def attention_bias(seq_ids: np.ndarray) -> np.ndarray:
 
 
 def causal_self_attention(x: Tensor, params: AttentionParams, config: ModelConfig,
-                          seq_ids: np.ndarray, positions: np.ndarray | None = None) -> Tensor:
-    """Multi-head causal attention over a packed row x[T, D]."""
+                          seq_ids: np.ndarray, positions: np.ndarray | None = None,
+                          bounds: np.ndarray | None = None) -> Tensor:
+    """Multi-head causal attention over a packed row x[T, D].
+
+    positions and bounds default to packing_positions / segment_bounds of
+    seq_ids; Forecaster.forward computes them once for all layers.
+    """
     t, d = x.shape
     heads = config.num_heads
     head_dim = d // heads
     if positions is None:
         positions = packing_positions(seq_ids)
+    if bounds is None:
+        bounds = segment_bounds(seq_ids)
     q = T.reshape(T.add(T.matmul(x, T.transpose(params.wq)), params.bq), (t, heads, head_dim))
     k = T.reshape(T.add(T.matmul(x, T.transpose(params.wk)), params.bk), (t, heads, head_dim))
     v = T.reshape(T.add(T.matmul(x, T.transpose(params.wv)), params.bv), (t, heads, head_dim))
     q = rope_apply(q, positions, config.rope_base)
     k = rope_apply(k, positions, config.rope_base)
-    attended = T.masked_attention(q, k, v, attention_bias(seq_ids))
+    attended = T.masked_attention(q, k, v, bounds)
     return T.matmul(T.reshape(attended, (t, d)), T.transpose(params.wo))
 
 
 def block_forward(h: HiddenState, params: BlockParams, config: ModelConfig,
-                  positions: np.ndarray | None = None) -> tuple:
+                  positions: np.ndarray | None = None,
+                  bounds: np.ndarray | None = None) -> tuple:
     """One pre-norm residual block; returns the next state and, when the
     mixture is active, its routing decisions."""
     if h.layer_index >= config.num_layers:
         raise ConfigError(f"layer index {h.layer_index} beyond {config.num_layers} layers")
     x = h.values
     u = T.add(causal_self_attention(rmsnorm(x, params.attn_norm), params.attn,
-                                    config, h.seq_ids, positions), x)
+                                    config, h.seq_ids, positions, bounds), x)
     u_norm = rmsnorm(u, params.ffn_norm)
     routing = None
     if params.moe is not None:
@@ -327,12 +355,13 @@ class Forecaster:
             raise DataError(f"context {t} exceeds max_context {self.config.max_context}")
         if seq_ids is None:
             seq_ids = np.zeros(t, dtype=np.int64)
+        bounds = segment_bounds(seq_ids)
         positions = packing_positions(seq_ids)
         state = HiddenState(values=embed_points(x, self.params.embed_w, self.params.embed_v),
                             layer_index=0, seq_ids=np.asarray(seq_ids))
         routing = []
         for block in self.params.blocks:
-            state, routed = block_forward(state, block, self.config, positions)
+            state, routed = block_forward(state, block, self.config, positions, bounds)
             if routed is not None:
                 routing.append(routed)
         hidden = rmsnorm(state.values, self.params.final_norm)

@@ -5,6 +5,15 @@ elementwise arithmetic, the gated activations, row-stochastic softmax,
 fused norm/rotation/attention kernels with analytic adjoints, and the
 gather/scatter primitives used for sparse expert dispatch.
 
+Attention is blocked by segment. A packed row of T tokens is cut into
+segments given by their bounds [0, b_1, ..., T]; tokens attend causally
+within their own segment only, and each segment is computed on its own
+[heads, n, d_head] slice with batched matmul. A row therefore costs the sum
+of n^2 over its segments, not T^2, no [T, T] mask is ever built, and a
+segment packed into a row computes bit for bit what it computes alone. The
+softmax weights of one call live in a single [heads, T, T] workspace, as
+views of its diagonal blocks, and the backward pass reads them from there.
+
 Shape discipline is strict: elementwise ops accept equal shapes, a
 trailing-dimension vector, or a scalar — nothing else. Anything fancier
 (per-row scaling, column slicing) is its own named op. Every op checks its
@@ -443,31 +452,66 @@ def rope(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
     return _finish("rope", rotate(x.data, cos, sin), (x,), vjp)
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray) -> Tensor:
-    """Scaled dot-product attention over [T, heads, d_head] with an additive mask.
+def _segment_spans(segments, t: int) -> list:
+    """(start, stop) pairs of the segment bounds [0, b_1, ..., T], checked."""
+    bounds = np.asarray(segments)
+    if (bounds.ndim != 1 or len(bounds) < 2 or not np.issubdtype(bounds.dtype, np.integer)
+            or bounds[0] != 0 or bounds[-1] != t or np.any(np.diff(bounds) <= 0)):
+        raise ShapeError(f"segments must be strictly ascending integer bounds from 0 to {t}")
+    bounds = bounds.tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
 
-    bias is a constant [T, T] array of 0 / -inf; -inf entries are unreachable
-    (the causal/packing mask always admits the diagonal).
+
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
+    """Causal scaled dot-product attention over [T, heads, d_head], blocked by segment.
+
+    segments are the bounds [0, b_1, ..., T] of the packed segments: a token
+    in [b_i, b_i+1) attends to itself and the earlier tokens of its own
+    segment, never across a bound. Each segment runs on its own
+    [heads, n, d_head] slice with batched matmul, so a packed segment gives
+    bit for bit what it gives alone, and a row costs sum n^2 rather than T^2.
+
+    The softmax weights of one call live in a single [heads, T, T] workspace,
+    as views of its diagonal blocks; the off-diagonal blocks are never
+    written or read. The vjp keeps that workspace and the inputs, no copies.
     """
     if q.data.ndim != 3 or q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(f"attention expects matching [T, heads, d_head], got {q.shape}, {k.shape}, {v.shape}")
-    t, _, d_head = q.shape
-    if bias.shape != (t, t):
-        raise ShapeError(f"attention mask must be [T, T], got {bias.shape}")
-    bias = bias.astype(q.data.dtype, copy=False)
+    t, heads, d_head = q.shape
+    spans = _segment_spans(segments, t)
+    k, v = _as_operand(k, q), _as_operand(v, q)
     scale = float(1.0 / np.sqrt(d_head))
-    scores = np.einsum("ihd,jhd->ihj", q.data, k.data) * scale + bias[:, None, :]
-    w = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    w = w / w.sum(axis=-1, keepdims=True)
-    out = np.einsum("ihj,jhd->ihd", w, v.data)
-    q_data, k_data, v_data = q.data, k.data, v.data
+    # [heads, T, d_head] views of the [T, heads, d_head] operands.
+    qh, kh, vh = (x.data.transpose(1, 0, 2) for x in (q, k, v))
+    out = np.empty_like(q.data)
+    oh = out.transpose(1, 0, 2)
+    w = np.empty((heads, t, t), dtype=q.data.dtype)
+    for a, b in spans:
+        ws = w[:, a:b, a:b]
+        np.matmul(qh[:, a:b], kh[:, a:b].transpose(0, 2, 1), out=ws)
+        ws *= scale
+        np.copyto(ws, -np.inf, where=~np.tri(b - a, dtype=bool))
+        ws -= ws.max(axis=-1, keepdims=True)
+        np.exp(ws, out=ws)
+        ws /= ws.sum(axis=-1, keepdims=True)
+        np.matmul(ws, vh[:, a:b], out=oh[:, a:b])
 
     def vjp(g):
-        gw = np.einsum("ihd,jhd->ihj", g, v_data)
-        gs = w * (gw - (w * gw).sum(axis=-1, keepdims=True))
-        gq = scale * np.einsum("ihj,jhd->ihd", gs, k_data)
-        gk = scale * np.einsum("ihj,ihd->jhd", gs, q_data)
-        gv = np.einsum("ihj,ihd->jhd", w, g)
+        gh = g.transpose(1, 0, 2)
+        gq, gk, gv = (np.empty_like(g) for _ in range(3))
+        gqh, gkh, gvh = (x.transpose(1, 0, 2) for x in (gq, gk, gv))
+        for a, b in spans:
+            ws = w[:, a:b, a:b]
+            go = gh[:, a:b]
+            np.matmul(ws.transpose(0, 2, 1), go, out=gvh[:, a:b])
+            # d(scores) = w * (g v^T - rowsum(w * g v^T)), and that row sum is g . out.
+            gw = np.matmul(go, vh[:, a:b].transpose(0, 2, 1))
+            gw -= (go * oh[:, a:b]).sum(axis=-1, keepdims=True)
+            gw *= ws
+            np.matmul(gw, kh[:, a:b], out=gqh[:, a:b])
+            np.matmul(gw.transpose(0, 2, 1), qh[:, a:b], out=gkh[:, a:b])
+        gq *= scale
+        gk *= scale
         return gq, gk, gv
 
     return _finish("attention", out, (q, k, v), vjp)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import PackedBatch, SequenceStore, sample_batch
-from .model import Forecaster, ModelConfig
+from .model import ConfigError, Forecaster, ModelConfig
 from .moe import merge_stats
 from .tensor import Graph, Tensor
 
@@ -113,8 +113,14 @@ def lr_at_step(step: int, warmup: int, total_steps: int, peak_lr: float) -> floa
 
 def head_targets(tokens: np.ndarray, seq_ids: np.ndarray, pad_mask: np.ndarray,
                  horizon: int) -> tuple:
-    """(targets [L, p], valid [L]) for one packed row and one head horizon."""
+    """(targets [L, p], valid [L]) for one packed row and one head horizon.
+
+    A row shorter than the horizon cannot hold one target window: ConfigError.
+    """
     length = len(tokens)
+    if horizon > length:
+        raise ConfigError(f"training context {length} is shorter than head horizon {horizon}; "
+                          f"use a context of at least {horizon}")
     run_end = np.empty(length, dtype=np.int64)
     end = length
     for t in range(length - 1, -1, -1):
@@ -368,18 +374,25 @@ def _write_block(f, name: str, arr: np.ndarray) -> None:
     f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def _read_exact(f, size: int, what: str) -> bytes:
+    """Exactly size bytes from f, or CheckpointError naming what was cut off."""
+    raw = f.read(size)
+    if len(raw) != size:
+        raise CheckpointError(f"truncated checkpoint ({what})")
+    return raw
+
+
+def _read_struct(f, fmt: str, what: str) -> tuple:
+    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), what))
+
+
 def _read_block(f) -> tuple:
-    raw = f.read(4)
-    if len(raw) != 4:
-        raise CheckpointError("truncated checkpoint (block header)")
-    (name_len,) = struct.unpack("<I", raw)
-    name = f.read(name_len).decode("utf-8")
-    (rank,) = struct.unpack("<I", f.read(4))
-    dims = struct.unpack(f"<{rank}Q", f.read(8 * rank))
+    (name_len,) = _read_struct(f, "<I", "block header")
+    name = _read_exact(f, name_len, "block name").decode("utf-8")
+    (rank,) = _read_struct(f, "<I", f"rank of {name}")
+    dims = _read_struct(f, f"<{rank}Q", f"shape of {name}")
     count = int(np.prod(dims)) if rank else 1
-    payload = f.read(4 * count)
-    if len(payload) != 4 * count:
-        raise CheckpointError(f"truncated checkpoint (tensor {name})")
+    payload = _read_exact(f, 4 * count, f"tensor {name}")
     return name, np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
 
 
@@ -413,21 +426,22 @@ def load_checkpoint(path) -> tuple:
     if not path.exists():
         raise CheckpointError(f"no such checkpoint: {path}")
     with open(path, "rb") as f:
-        if f.read(4) != CHECKPOINT_MAGIC:
+        if _read_exact(f, 4, "magic") != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = _read_struct(f, "<I", "version")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (config_len,) = struct.unpack("<I", f.read(4))
-        config = ModelConfig.from_dict(json.loads(f.read(config_len).decode("utf-8")))
-        (step,) = struct.unpack("<Q", f.read(8))
-        (n_params,) = struct.unpack("<I", f.read(4))
+        (config_len,) = _read_struct(f, "<I", "config length")
+        config_doc = _read_exact(f, config_len, "config")
+        config = ModelConfig.from_dict(json.loads(config_doc.decode("utf-8")))
+        (step,) = _read_struct(f, "<Q", "step")
+        (n_params,) = _read_struct(f, "<I", "parameter count")
         tensors = dict(_read_block(f) for _ in range(n_params))
-        (has_opt,) = struct.unpack("<B", f.read(1))
+        (has_opt,) = _read_struct(f, "<B", "optimizer flag")
         opt_state = None
         if has_opt:
-            (t,) = struct.unpack("<Q", f.read(8))
-            (n_slots,) = struct.unpack("<I", f.read(4))
+            (t,) = _read_struct(f, "<Q", "optimizer step")
+            (n_slots,) = _read_struct(f, "<I", "optimizer slot count")
             slots = dict(_read_block(f) for _ in range(n_slots))
             opt_state = {
                 "t": t,

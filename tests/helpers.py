@@ -1,8 +1,9 @@
-"""Shared verification utilities: finite differences and error metrics."""
+"""Shared verification utilities: finite differences, error metrics and
+slow reference kernels that fast paths are checked against."""
 
 import numpy as np
 
-from sparsecast.tensor import Graph
+from sparsecast.tensor import Graph, ShapeError, Tensor, _finish
 
 
 def central_diff_grad(forward, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -52,3 +53,34 @@ def check_against_fd(leaves: dict, forward, h: float = 1e-4, tol: float = 1e-4,
         fd = central_diff_grad(lambda: forward().item(), t.data, h=h)
         err = max_rel_err(ad, fd, floor=floor)
         assert err < tol, f"leaf {name}: autodiff vs finite differences rel err {err:.3g}"
+
+
+def reference_attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray) -> Tensor:
+    """Scaled dot-product attention over [T, heads, d_head] with an additive mask.
+
+    bias is a constant [T, T] array of 0 / -inf; -inf entries are unreachable
+    (the causal/packing mask always admits the diagonal). This is the dense
+    einsum kernel that segment-blocked attention replaced, kept as its oracle.
+    """
+    if q.data.ndim != 3 or q.shape != k.shape or q.shape != v.shape:
+        raise ShapeError(f"attention expects matching [T, heads, d_head], got {q.shape}, {k.shape}, {v.shape}")
+    t, _, d_head = q.shape
+    if bias.shape != (t, t):
+        raise ShapeError(f"attention mask must be [T, T], got {bias.shape}")
+    bias = bias.astype(q.data.dtype, copy=False)
+    scale = float(1.0 / np.sqrt(d_head))
+    scores = np.einsum("ihd,jhd->ihj", q.data, k.data) * scale + bias[:, None, :]
+    w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = w / w.sum(axis=-1, keepdims=True)
+    out = np.einsum("ihj,jhd->ihd", w, v.data)
+    q_data, k_data, v_data = q.data, k.data, v.data
+
+    def vjp(g):
+        gw = np.einsum("ihd,jhd->ihj", g, v_data)
+        gs = w * (gw - (w * gw).sum(axis=-1, keepdims=True))
+        gq = scale * np.einsum("ihj,jhd->ihd", gs, k_data)
+        gk = scale * np.einsum("ihj,ihd->jhd", gs, q_data)
+        gv = np.einsum("ihj,ihd->jhd", w, g)
+        return gq, gk, gv
+
+    return _finish("attention", out, (q, k, v), vjp)

@@ -22,6 +22,7 @@ from sparsecast.model import (
     packing_positions,
     rmsnorm,
     rope_apply,
+    segment_bounds,
 )
 from sparsecast.tensor import Tensor
 
@@ -132,6 +133,27 @@ def test_rope_apply_rejects_odd_dim():
 def test_packing_positions_restart_per_sequence():
     ids = np.array([0, 0, 0, 1, 1, 2])
     np.testing.assert_array_equal(packing_positions(ids), [0, 1, 2, 0, 1, 0])
+
+
+def test_packing_positions_match_loop_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        ids = np.cumsum(rng.random(int(rng.integers(1, 40))) < 0.2)
+        expect = np.zeros(len(ids), dtype=np.int64)
+        for i in range(1, len(ids)):
+            expect[i] = expect[i - 1] + 1 if ids[i] == ids[i - 1] else 0
+        np.testing.assert_array_equal(packing_positions(ids), expect)
+        bounds = segment_bounds(ids)
+        np.testing.assert_array_equal(bounds, np.append(np.flatnonzero(expect == 0), len(ids)))
+
+
+@pytest.mark.parametrize("ids", [[0, 0, 1, 1, 0], [3, 1, 3], [0, 1, 0, 1]])
+def test_non_contiguous_sequence_ids_rejected(ids):
+    with pytest.raises(DataError):
+        packing_positions(ids)
+    model = Forecaster.init(tiny_config(), seed=0)
+    with pytest.raises(DataError):
+        model.forward(np.zeros(len(ids), dtype=np.float32), seq_ids=np.array(ids))
 
 
 # --- attention ----------------------------------------------------------------------

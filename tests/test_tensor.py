@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import check_against_fd, max_rel_err
+from helpers import check_against_fd, max_rel_err, reference_attention
+from sparsecast.model import attention_bias
 from sparsecast.tensor import (
     Graph,
     NumericError,
@@ -351,10 +352,10 @@ def _(rng):
 @op_case("attention")
 def _(rng):
     leaves = _leafify(rng, {"q": (4, 2, 4), "k": (4, 2, 4), "v": (4, 2, 4)})
-    bias = np.triu(np.full((4, 4), -np.inf), k=1)
+    segments = np.array([0, 1, 4])
     w = constant(_rand(rng, (4, 2, 4)), np.float64)
     return leaves, lambda: sum_all(
-        mul(masked_attention(leaves["q"], leaves["k"], leaves["v"], bias), w)
+        mul(masked_attention(leaves["q"], leaves["k"], leaves["v"], segments), w)
     )
 
 
@@ -419,6 +420,42 @@ def test_gradients_match_finite_differences(name):
     rng = np.random.default_rng(hash(name) % (2**32))
     leaves, forward = OP_CASES[name](rng)
     check_against_fd(leaves, forward, h=1e-4, tol=1e-4)
+
+
+# --- segment-blocked attention against the dense oracle -------------------------------
+
+
+def _attention_and_grads(kernel, q, k, v, w, mask):
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in (q, k, v)]
+    with Graph() as g:
+        out = kernel(*leaves, mask)
+        loss = sum_all(mul(out, constant(w, w.dtype)))
+    g.backward(loss)
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+@pytest.mark.parametrize("segments", [[0, 1], [0, 9], [0, 4, 9], [0, 1, 4, 5, 6, 11]],
+                         ids=["T1", "one", "two", "five"])
+def test_attention_matches_dense_oracle(segments, dtype, tol):
+    segments = np.array(segments)
+    t = int(segments[-1])
+    ids = np.repeat(np.arange(len(segments) - 1), np.diff(segments))
+    rng = np.random.default_rng(t)
+    q, k, v, w = (rng.normal(size=(t, 3, 4)).astype(dtype) for _ in range(4))
+    got = _attention_and_grads(masked_attention, q, k, v, w, segments)
+    want = _attention_and_grads(reference_attention, q, k, v, w, attention_bias(ids))
+    for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
+        assert a.dtype == dtype, name
+        np.testing.assert_allclose(a, b, rtol=tol, atol=tol, err_msg=name)
+
+
+@pytest.mark.parametrize("segments", [[0, 3], [1, 4], [0, 2, 2, 4], [0, 3, 2, 4], [0, 4.0],
+                                      [[0, 4]]])
+def test_attention_rejects_malformed_segments(segments):
+    x = Tensor(np.zeros((4, 1, 2), dtype=np.float32))
+    with pytest.raises(ShapeError):
+        masked_attention(x, x, x, np.array(segments))
 
 
 # --- rope geometry ----------------------------------------------------------------

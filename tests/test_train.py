@@ -8,7 +8,7 @@ import pytest
 from helpers import check_against_fd, max_rel_err
 from sparsecast import tensor as T
 from sparsecast.data import CleanSeries, SequenceStore, sample_batch
-from sparsecast.model import Forecaster, ModelConfig
+from sparsecast.model import ConfigError, Forecaster, ModelConfig
 from sparsecast.synthetic import build_tone_store, multi_tone
 from sparsecast.tensor import Graph, Tensor
 from sparsecast.train import (
@@ -203,6 +203,23 @@ def test_head_targets_mask_respects_boundaries():
     assert not valid[7]  # window 8,9,10 runs off the row
 
 
+def test_head_targets_reject_context_below_horizon():
+    tokens = np.zeros(8, dtype=np.float32)
+    ids = np.zeros(8, dtype=np.int64)
+    pad = np.zeros(8, dtype=bool)
+    with pytest.raises(ConfigError, match=r"context 8 .* horizon 9"):
+        head_targets(tokens, ids, pad, horizon=9)
+    _, valid = head_targets(tokens, ids, pad, horizon=8)  # context == horizon is legal
+    assert not valid.any()
+
+
+def test_train_loop_context_below_largest_horizon_is_config_error(tmp_path):
+    store = build_tone_store(tmp_path, np.random.default_rng(0), num_sequences=2, length=64)
+    model = Forecaster.init(toy_config(head_horizons=(1, 16)), seed=0)
+    with pytest.raises(ConfigError, match="horizon 16"):
+        train_loop(model, store, toy_train(context=8, steps=1))
+
+
 def test_head_targets_exclude_padding():
     tokens = np.zeros(8, dtype=np.float32)
     seq_ids = np.array([0, 0, 0, 0, 1, 1, 1, 1])
@@ -387,6 +404,22 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(path)
+
+
+def test_truncated_checkpoint_is_checkpoint_error_at_every_offset(tmp_path):
+    model = Forecaster.init(toy_config(num_experts=1, top_k=1, d_model=4, d_expert=2,
+                                       head_horizons=(1, 2)), seed=16)
+    opt = AdamW(model, toy_train())
+    path = tmp_path / "small.ckpt"
+    save_checkpoint(path, model, opt, step=3)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for offset in range(len(blob)):
+        cut.write_bytes(blob[:offset])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(cut)
+    cut.write_bytes(blob)
+    assert load_checkpoint(cut)[2] == 3
 
 
 def test_checkpoint_rejects_float64_model(tmp_path):
