@@ -21,7 +21,8 @@ for h in (1, 7, 96, 100, 337, 720):
     trace = " + ".join(str(p) for p in plan)
     print(f"  H={h:>4} -> {len(plan):>3} picks: {trace}")
 
-print("\nrollout honors the schedule (model forwards == plan length):")
+print("\nrollout honors the schedule (model forwards == plan length); the context")
+print("is prefilled once, then only the points just predicted are pushed through:")
 config = ModelConfig(num_layers=1, num_heads=2, num_experts=2, top_k=1, d_model=16,
                      d_ff=32, d_expert=16, head_horizons=HORIZONS, max_context=512)
 model = Forecaster.init(config, seed=0)
@@ -30,9 +31,9 @@ calls = []
 inner = model.forward
 
 
-def counting(values, seq_ids=None):
+def counting(values, seq_ids=None, cache=None):
     calls.append(len(np.asarray(values).reshape(-1)))
-    return inner(values, seq_ids)
+    return inner(values, seq_ids, cache)
 
 
 model.forward = counting
@@ -40,4 +41,4 @@ context = np.sin(2 * np.pi * np.arange(64) / 16)
 for h in (64, 96, 100):
     calls.clear()
     out = autoregressive_forecast(model, context, h)
-    print(f"  H={h:>3}: {len(calls)} forward passes, forecast length {len(out)}")
+    print(f"  H={h:>3}: {len(calls)} forward passes, tokens {calls}, forecast length {len(out)}")

@@ -5,6 +5,14 @@ request H is served by greedily picking the largest head that still fits the
 remaining length, appending its prediction to the context, and repeating;
 since the smallest head is always 1, every H is reachable. Multivariate
 inputs are forecast channel by channel and never mix.
+
+The rollout decodes with a KV cache: the context is prefilled once, and
+each later pick pushes only the p values just predicted, at the rotary
+positions that continue the cache. Each forward reads the heads at the last
+position only. When the cache plus the next p values would exceed
+max_context, the window slides and positions restart from 0, so the cache
+is dropped and the slid window is prefilled afresh: the same inputs, pick
+for pick, as recomputing the whole window every time.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError
+from .model import ConfigError, KVCache
 
 
 @dataclass
@@ -54,9 +62,13 @@ def plan_horizons(h: int, horizons) -> ForecastPlan:
 def autoregressive_forecast(model, context, h: int, ensemble: bool = False) -> np.ndarray:
     """Forecast h future points of a univariate context.
 
-    Per plan pick p: run the model on the current context, read head p's
-    prediction at the last position, and append those p values. The context
-    slides (oldest points dropped) whenever it would exceed max_context.
+    Per plan pick p: read head p's prediction at the last position and
+    append those p values. The first pick prefills a KV cache with the
+    context; every later pick runs model.forward on just the previous
+    pick's values, continuing that cache. The window (context plus
+    predictions) keeps at most max_context points: when the cache plus the
+    next values would pass it, the oldest points are dropped, the cache is
+    discarded and the slid window is prefilled again from position 0.
 
     With ensemble=True each predicted offset is averaged over every head
     whose horizon reaches it, instead of trusting the scheduled head alone.
@@ -64,26 +76,29 @@ def autoregressive_forecast(model, context, h: int, ensemble: bool = False) -> n
     context = np.asarray(context, dtype=np.float64).reshape(-1)
     if context.size < 1:
         raise ValueError("cannot forecast from an empty context")
-    horizons = model.config.head_horizons
+    config = model.config
+    horizons = config.head_horizons
     plan = plan_horizons(h, horizons)
-    window = np.array(context, copy=True)
-    out = np.empty(0, dtype=np.float64)
+    window = context
+    pending = context  # points the cache has not seen yet
+    cache = KVCache.empty(config.num_layers)
+    steps = []
     for p in plan:
-        if window.size > model.config.max_context:
-            window = window[-model.config.max_context:]
-        result = model.forward(window)
-        head_idx = horizons.index(p)
+        if cache.length + pending.size > config.max_context:
+            window = window[-config.max_context:]
+            pending = window
+            cache = KVCache.empty(config.num_layers)
+        result = model.forward(pending, cache=cache)
         if ensemble:
-            votes = []
-            for j, pj in enumerate(horizons):
-                if pj >= p:
-                    votes.append(result.head_outputs[j].data[-1, :p])
+            votes = [result.head_outputs[j].data[-1, :p]
+                     for j, pj in enumerate(horizons) if pj >= p]
             step = np.mean(votes, axis=0)
         else:
-            step = result.head_outputs[head_idx].data[-1, :]
-        step = np.asarray(step, dtype=np.float64)
-        window = np.concatenate([window, step])
-        out = np.concatenate([out, step])
+            step = result.head_outputs[horizons.index(p)].data[-1, :]
+        pending = np.asarray(step, dtype=np.float64)
+        window = np.concatenate([window, pending])
+        steps.append(pending)
+    out = np.concatenate(steps)
     assert out.size == h
     return out
 

@@ -12,6 +12,10 @@ sequence one contiguous run of its id. Attention never crosses an id
 boundary and rotary positions restart at each boundary, so a packed sequence
 computes exactly what it would alone. Forecaster.forward derives the segment
 bounds and positions once and hands them to every layer.
+
+For decoding, Forecaster.forward takes a KVCache: each block appends the
+row's post-rotary keys and values and attends over everything cached, and
+the final block, final norm and heads run on the last row only.
 """
 
 from __future__ import annotations
@@ -137,6 +141,33 @@ class ForwardResult:
     routing: list  # one RouterOutput per layer when the mixture is active
 
 
+@dataclass
+class KVCache:
+    """Decode state of one unpacked sequence, for Forecaster.forward(cache=...).
+
+    keys[i] and values[i] hold layer i's post-rotary keys and values,
+    [length, heads, d_head], of every token pushed through so far; length
+    is also the rotary position of the next token. A forward that raises
+    leaves the cache part-extended, so drop it then.
+    """
+
+    keys: list
+    values: list
+    length: int = 0
+
+    @classmethod
+    def empty(cls, num_layers: int) -> "KVCache":
+        return cls(keys=[None] * num_layers, values=[None] * num_layers)
+
+    def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple:
+        """Append one layer's new keys and values; return those of every cached token."""
+        if self.keys[layer] is not None:
+            k = T.concat_rows([T.constant(self.keys[layer], k.dtype), k])
+            v = T.concat_rows([T.constant(self.values[layer], v.dtype), v])
+        self.keys[layer], self.values[layer] = k.data, v.data
+        return k, v
+
+
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD,
                  dtype=np.float32) -> np.ndarray:
     """Normal(0, std) resampled until within two standard deviations."""
@@ -149,7 +180,8 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD,
 
 
 def _param(rng, shape, dtype, std=INIT_STD) -> Tensor:
-    return Tensor(trunc_normal(rng, shape, std, dtype), requires_grad=True)
+    data = np.zeros(shape, dtype=dtype) if rng is None else trunc_normal(rng, shape, std, dtype)
+    return Tensor(data, requires_grad=True)
 
 
 def _zeros(shape, dtype) -> Tensor:
@@ -177,7 +209,10 @@ class ModelParams:
     heads: list  # one [p_j, D] projection per configured horizon
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> ModelParams:
+def init_params(config: ModelConfig, rng: np.random.Generator | None,
+                dtype=np.float32) -> ModelParams:
+    """Fresh parameters; with rng None the weight matrices are zero placeholders
+    (norm gains one, biases zero) for a loader to replace, and nothing is drawn."""
     d = config.d_model
     blocks = []
     for _ in range(config.num_layers):
@@ -270,11 +305,16 @@ def attention_bias(seq_ids: np.ndarray) -> np.ndarray:
 
 def causal_self_attention(x: Tensor, params: AttentionParams, config: ModelConfig,
                           seq_ids: np.ndarray, positions: np.ndarray | None = None,
-                          bounds: np.ndarray | None = None) -> Tensor:
+                          bounds: np.ndarray | None = None, cache: KVCache | None = None,
+                          layer: int = 0, last_row: bool = False) -> Tensor:
     """Multi-head causal attention over a packed row x[T, D].
 
     positions and bounds default to packing_positions / segment_bounds of
-    seq_ids; Forecaster.forward computes them once for all layers.
+    seq_ids; Forecaster.forward computes them once for all layers. With a
+    cache, the row's keys and values are appended to cache entry `layer`
+    and the queries attend over every cached token too (bounds then span
+    the cache and the row). last_row computes the query, and so the
+    output, for the row's last token only: [1, D].
     """
     t, d = x.shape
     heads = config.num_heads
@@ -283,25 +323,37 @@ def causal_self_attention(x: Tensor, params: AttentionParams, config: ModelConfi
         positions = packing_positions(seq_ids)
     if bounds is None:
         bounds = segment_bounds(seq_ids)
-    q = T.reshape(T.add(T.matmul(x, T.transpose(params.wq)), params.bq), (t, heads, head_dim))
+    x_q = T.gather_rows(x, [t - 1]) if last_row else x
+    n_q = x_q.shape[0]
+    q = T.reshape(T.add(T.matmul(x_q, T.transpose(params.wq)), params.bq), (n_q, heads, head_dim))
     k = T.reshape(T.add(T.matmul(x, T.transpose(params.wk)), params.bk), (t, heads, head_dim))
     v = T.reshape(T.add(T.matmul(x, T.transpose(params.wv)), params.bv), (t, heads, head_dim))
-    q = rope_apply(q, positions, config.rope_base)
+    q = rope_apply(q, positions[t - n_q:], config.rope_base)
     k = rope_apply(k, positions, config.rope_base)
+    if cache is not None:
+        k, v = cache.extend(layer, k, v)
     attended = T.masked_attention(q, k, v, bounds)
-    return T.matmul(T.reshape(attended, (t, d)), T.transpose(params.wo))
+    return T.matmul(T.reshape(attended, (n_q, d)), T.transpose(params.wo))
 
 
 def block_forward(h: HiddenState, params: BlockParams, config: ModelConfig,
                   positions: np.ndarray | None = None,
-                  bounds: np.ndarray | None = None) -> tuple:
+                  bounds: np.ndarray | None = None, cache: KVCache | None = None) -> tuple:
     """One pre-norm residual block; returns the next state and, when the
-    mixture is active, its routing decisions."""
+    mixture is active, its routing decisions.
+
+    With a cache the final block carries the last row only: its keys and
+    values are cached for every row, but only the last row is read out.
+    """
     if h.layer_index >= config.num_layers:
         raise ConfigError(f"layer index {h.layer_index} beyond {config.num_layers} layers")
     x = h.values
-    u = T.add(causal_self_attention(rmsnorm(x, params.attn_norm), params.attn,
-                                    config, h.seq_ids, positions, bounds), x)
+    last_row = cache is not None and h.layer_index == config.num_layers - 1
+    attended = causal_self_attention(rmsnorm(x, params.attn_norm), params.attn, config,
+                                     h.seq_ids, positions, bounds, cache, h.layer_index, last_row)
+    if last_row:
+        x = T.gather_rows(x, [x.shape[0] - 1])
+    u = T.add(attended, x)
     u_norm = rmsnorm(u, params.ffn_norm)
     routing = None
     if params.moe is not None:
@@ -339,8 +391,19 @@ class Forecaster:
     def dtype(self):
         return self.params.embed_w.dtype
 
-    def forward(self, values, seq_ids: np.ndarray | None = None) -> ForwardResult:
-        """Run a packed token row [T] or [T, 1] through the full stack."""
+    def forward(self, values, seq_ids: np.ndarray | None = None,
+                cache: KVCache | None = None) -> ForwardResult:
+        """Run a packed token row [T] or [T, 1] through the full stack.
+
+        Without a cache every position is computed and head j's output is
+        [T, p_j]. With a cache (KVCache.empty for a prefill) the row
+        continues the one sequence already cached: seq_ids must be None,
+        rotary positions start at cache.length, and every block attends over
+        the cached keys and values and appends the row's own. The final
+        block, the final norm and the heads then run on the last row only,
+        so hidden is [1, D] and head j's output [1, p_j]. The cache and the
+        row together may not exceed max_context.
+        """
         if isinstance(values, Tensor):
             x = values
         else:
@@ -351,19 +414,29 @@ class Forecaster:
         t = x.shape[0]
         if t < 1:
             raise DataError("empty input")
-        if t > self.config.max_context:
-            raise DataError(f"context {t} exceeds max_context {self.config.max_context}")
-        if seq_ids is None:
+        start = 0 if cache is None else cache.length
+        if start + t > self.config.max_context:
+            raise DataError(f"context {start + t} exceeds max_context {self.config.max_context}")
+        if cache is not None:
+            if seq_ids is not None:
+                raise DataError("a cached forward continues one sequence; seq_ids must be None")
+            bounds = np.array([0, start + t])
+            positions = np.arange(start, start + t)
             seq_ids = np.zeros(t, dtype=np.int64)
-        bounds = segment_bounds(seq_ids)
-        positions = packing_positions(seq_ids)
+        else:
+            if seq_ids is None:
+                seq_ids = np.zeros(t, dtype=np.int64)
+            bounds = segment_bounds(seq_ids)
+            positions = packing_positions(seq_ids)
         state = HiddenState(values=embed_points(x, self.params.embed_w, self.params.embed_v),
                             layer_index=0, seq_ids=np.asarray(seq_ids))
         routing = []
         for block in self.params.blocks:
-            state, routed = block_forward(state, block, self.config, positions, bounds)
+            state, routed = block_forward(state, block, self.config, positions, bounds, cache)
             if routed is not None:
                 routing.append(routed)
+        if cache is not None:
+            cache.length += t
         hidden = rmsnorm(state.values, self.params.final_norm)
         return ForwardResult(hidden=hidden,
                              head_outputs=head_forward(hidden, self.params.heads),

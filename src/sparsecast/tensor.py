@@ -13,6 +13,9 @@ of n^2 over its segments, not T^2, no [T, T] mask is ever built, and a
 segment packed into a row computes bit for bit what it computes alone. The
 softmax weights of one call live in a single [heads, T, T] workspace, as
 views of its diagonal blocks, and the backward pass reads them from there.
+The same kernel serves cached decoding: keys and values may be longer than
+the queries by a cached prefix, the queries being the last key positions,
+and the workspace is then [heads, n_q, n_k].
 
 Shape discipline is strict: elementwise ops accept equal shapes, a
 trailing-dimension vector, or a scalar — nothing else. Anything fancier
@@ -463,53 +466,72 @@ def _segment_spans(segments, t: int) -> list:
 
 
 def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
-    """Causal scaled dot-product attention over [T, heads, d_head], blocked by segment.
+    """Causal scaled dot-product attention, blocked by segment.
 
-    segments are the bounds [0, b_1, ..., T] of the packed segments: a token
-    in [b_i, b_i+1) attends to itself and the earlier tokens of its own
-    segment, never across a bound. Each segment runs on its own
-    [heads, n, d_head] slice with batched matmul, so a packed segment gives
-    bit for bit what it gives alone, and a row costs sum n^2 rather than T^2.
+    k and v are [n_k, heads, d_head]; q is [n_q, heads, d_head] with
+    n_q <= n_k, and its rows are the last n_q key positions: query i sits at
+    key position n_k - n_q + i. n_q == n_k is the training case; n_q < n_k
+    is a decode step whose first n_k - n_q keys and values come from a cache.
 
-    The softmax weights of one call live in a single [heads, T, T] workspace,
-    as views of its diagonal blocks; the off-diagonal blocks are never
-    written or read. The vjp keeps that workspace and the inputs, no copies.
+    segments are the bounds [0, b_1, ..., n_k] of the packed segments over
+    key positions: a token in [b_i, b_i+1) attends to itself and the earlier
+    tokens of its own segment, never across a bound. Each segment runs on
+    its own [heads, n, d_head] slice with batched matmul, masked by
+    np.tri(n_q, n_k, k=n_k - n_q) for its n_q queries and n_k keys, so a
+    packed segment gives bit for bit what it gives alone, and a row costs
+    sum n_q * n_k rather than T^2. A segment that ends inside the cached
+    prefix holds no query and is skipped.
+
+    The softmax weights of one call live in a single [heads, n_q, n_k]
+    workspace, as views of its diagonal blocks; the off-diagonal blocks are
+    never written or read. The vjp keeps that workspace and the inputs, no
+    copies.
     """
-    if q.data.ndim != 3 or q.shape != k.shape or q.shape != v.shape:
-        raise ShapeError(f"attention expects matching [T, heads, d_head], got {q.shape}, {k.shape}, {v.shape}")
-    t, heads, d_head = q.shape
-    spans = _segment_spans(segments, t)
+    if (q.data.ndim != 3 or k.shape != v.shape or k.data.ndim != 3
+            or q.shape[1:] != k.shape[1:] or q.shape[0] > k.shape[0]):
+        raise ShapeError(f"attention expects q [n_q, heads, d_head] and k, v [n_k >= n_q, heads, "
+                         f"d_head], got {q.shape}, {k.shape}, {v.shape}")
+    n_q, heads, d_head = q.shape
+    n_k = k.shape[0]
+    prefix = n_k - n_q
+    # (first query row, first key, end key) per segment that holds a query.
+    blocks = [(max(a, prefix) - prefix, a, b) for a, b in _segment_spans(segments, n_k)
+              if b > prefix]
     k, v = _as_operand(k, q), _as_operand(v, q)
     scale = float(1.0 / np.sqrt(d_head))
     # [heads, T, d_head] views of the [T, heads, d_head] operands.
     qh, kh, vh = (x.data.transpose(1, 0, 2) for x in (q, k, v))
     out = np.empty_like(q.data)
     oh = out.transpose(1, 0, 2)
-    w = np.empty((heads, t, t), dtype=q.data.dtype)
-    for a, b in spans:
-        ws = w[:, a:b, a:b]
-        np.matmul(qh[:, a:b], kh[:, a:b].transpose(0, 2, 1), out=ws)
+    w = np.empty((heads, n_q, n_k), dtype=q.data.dtype)
+    for s, a, b in blocks:
+        e = b - prefix
+        ws = w[:, s:e, a:b]
+        np.matmul(qh[:, s:e], kh[:, a:b].transpose(0, 2, 1), out=ws)
         ws *= scale
-        np.copyto(ws, -np.inf, where=~np.tri(b - a, dtype=bool))
+        np.copyto(ws, -np.inf, where=~np.tri(e - s, b - a, k=b - a - (e - s), dtype=bool))
         ws -= ws.max(axis=-1, keepdims=True)
         np.exp(ws, out=ws)
         ws /= ws.sum(axis=-1, keepdims=True)
-        np.matmul(ws, vh[:, a:b], out=oh[:, a:b])
+        np.matmul(ws, vh[:, a:b], out=oh[:, s:e])
 
     def vjp(g):
         gh = g.transpose(1, 0, 2)
-        gq, gk, gv = (np.empty_like(g) for _ in range(3))
+        # Behind a cached prefix, keys of segments with no query get no gradient.
+        new = np.zeros_like if prefix else np.empty_like
+        gq, gk, gv = np.empty_like(g), new(k.data), new(v.data)
         gqh, gkh, gvh = (x.transpose(1, 0, 2) for x in (gq, gk, gv))
-        for a, b in spans:
-            ws = w[:, a:b, a:b]
-            go = gh[:, a:b]
+        for s, a, b in blocks:
+            e = b - prefix
+            ws = w[:, s:e, a:b]
+            go = gh[:, s:e]
             np.matmul(ws.transpose(0, 2, 1), go, out=gvh[:, a:b])
             # d(scores) = w * (g v^T - rowsum(w * g v^T)), and that row sum is g . out.
             gw = np.matmul(go, vh[:, a:b].transpose(0, 2, 1))
-            gw -= (go * oh[:, a:b]).sum(axis=-1, keepdims=True)
+            gw -= (go * oh[:, s:e]).sum(axis=-1, keepdims=True)
             gw *= ws
-            np.matmul(gw, kh[:, a:b], out=gqh[:, a:b])
-            np.matmul(gw.transpose(0, 2, 1), qh[:, a:b], out=gkh[:, a:b])
+            np.matmul(gw, kh[:, a:b], out=gqh[:, s:e])
+            np.matmul(gw.transpose(0, 2, 1), qh[:, s:e], out=gkh[:, a:b])
         gq *= scale
         gk *= scale
         return gq, gk, gv

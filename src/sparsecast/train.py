@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import PackedBatch, SequenceStore, sample_batch
-from .model import ConfigError, Forecaster, ModelConfig
+from .model import ConfigError, Forecaster, ModelConfig, init_params, segment_bounds
 from .moe import merge_stats
 from .tensor import Graph, Tensor
 
@@ -121,17 +121,15 @@ def head_targets(tokens: np.ndarray, seq_ids: np.ndarray, pad_mask: np.ndarray,
     if horizon > length:
         raise ConfigError(f"training context {length} is shorter than head horizon {horizon}; "
                           f"use a context of at least {horizon}")
-    run_end = np.empty(length, dtype=np.int64)
-    end = length
-    for t in range(length - 1, -1, -1):
-        if t + 1 < length and seq_ids[t + 1] != seq_ids[t]:
-            end = t + 1
-        run_end[t] = end
+    bounds = segment_bounds(seq_ids)
+    run_end = np.repeat(bounds[1:], np.diff(bounds))
     remaining = run_end - np.arange(length)
     valid = (~pad_mask) & (remaining > horizon)
+    # Row t holds tokens t+1 .. t+horizon; the last `horizon` rows run off the
+    # row, so they are never valid and stay zero.
     targets = np.zeros((length, horizon), dtype=tokens.dtype)
-    for o in range(horizon):
-        targets[: length - (o + 1), o] = tokens[o + 1:]
+    if horizon < length:
+        targets[:length - horizon] = np.lib.stride_tricks.sliding_window_view(tokens[1:], horizon)
     targets[~valid] = 0.0
     return targets, valid
 
@@ -448,7 +446,8 @@ def load_checkpoint(path) -> tuple:
                 "m": {k[2:]: v for k, v in slots.items() if k.startswith("m.")},
                 "v": {k[2:]: v for k, v in slots.items() if k.startswith("v.")},
             }
-    model = Forecaster.init(config, seed=0, dtype=np.float32)
+    # Placeholder tensors, no random draws: each one takes the file's array.
+    model = Forecaster(config, init_params(config, rng=None))
     expected = {name for name, _, _ in model.named_parameters()}
     if set(tensors) != expected:
         raise CheckpointError("checkpoint parameters do not match the configuration")
@@ -456,5 +455,5 @@ def load_checkpoint(path) -> tuple:
         if tensors[name].shape != tensor.data.shape:
             raise CheckpointError(f"shape mismatch for {name}: "
                                   f"{tensors[name].shape} vs {tensor.data.shape}")
-        tensor.data[...] = tensors[name]
+        tensor.data = tensors[name].astype(np.float32, copy=False)
     return model, opt_state, step

@@ -3,6 +3,7 @@ slow reference kernels that fast paths are checked against."""
 
 import numpy as np
 
+from sparsecast.heads import plan_horizons
 from sparsecast.tensor import Graph, ShapeError, Tensor, _finish
 
 
@@ -84,3 +85,64 @@ def reference_attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray) -> Te
         return gq, gk, gv
 
     return _finish("attention", out, (q, k, v), vjp)
+
+
+def reference_rollout(model, context, h: int, ensemble: bool = False) -> np.ndarray:
+    """Forecast h future points of a univariate context.
+
+    Per plan pick p: run the model on the current context, read head p's
+    prediction at the last position, and append those p values. The context
+    slides (oldest points dropped) whenever it would exceed max_context.
+
+    With ensemble=True each predicted offset is averaged over every head
+    whose horizon reaches it, instead of trusting the scheduled head alone.
+
+    This is the full-recompute rollout that the KV-cached one replaced,
+    kept as its oracle.
+    """
+    context = np.asarray(context, dtype=np.float64).reshape(-1)
+    if context.size < 1:
+        raise ValueError("cannot forecast from an empty context")
+    horizons = model.config.head_horizons
+    plan = plan_horizons(h, horizons)
+    window = np.array(context, copy=True)
+    out = np.empty(0, dtype=np.float64)
+    for p in plan:
+        if window.size > model.config.max_context:
+            window = window[-model.config.max_context:]
+        result = model.forward(window)
+        head_idx = horizons.index(p)
+        if ensemble:
+            votes = []
+            for j, pj in enumerate(horizons):
+                if pj >= p:
+                    votes.append(result.head_outputs[j].data[-1, :p])
+            step = np.mean(votes, axis=0)
+        else:
+            step = result.head_outputs[head_idx].data[-1, :]
+        step = np.asarray(step, dtype=np.float64)
+        window = np.concatenate([window, step])
+        out = np.concatenate([out, step])
+    assert out.size == h
+    return out
+
+
+def reference_head_targets(tokens: np.ndarray, seq_ids: np.ndarray, pad_mask: np.ndarray,
+                           horizon: int) -> tuple:
+    """(targets [L, p], valid [L]) by walking every position for its run end and
+    filling targets one offset at a time: the loop that train.head_targets
+    replaced, kept as its oracle."""
+    length = len(tokens)
+    run_end = np.empty(length, dtype=np.int64)
+    end = length
+    for t in range(length - 1, -1, -1):
+        if t + 1 < length and seq_ids[t + 1] != seq_ids[t]:
+            end = t + 1
+        run_end[t] = end
+    remaining = run_end - np.arange(length)
+    valid = (~pad_mask) & (remaining > horizon)
+    targets = np.zeros((length, horizon), dtype=tokens.dtype)
+    for o in range(horizon):
+        targets[: length - (o + 1), o] = tokens[o + 1:]
+    targets[~valid] = 0.0
+    return targets, valid

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import reference_rollout
 from sparsecast.heads import ForecastPlan, autoregressive_forecast, forecast_multivariate, plan_horizons
 from sparsecast.model import ConfigError, Forecaster, ModelConfig, head_forward
 from sparsecast.tensor import Tensor
@@ -26,14 +27,18 @@ class ConstantModel:
                                   d_model=8, d_ff=16, d_expert=8,
                                   head_horizons=horizons, max_context=max_context)
 
-    def forward(self, values, seq_ids=None):
+    def forward(self, values, seq_ids=None, cache=None):
         t = np.asarray(values).reshape(-1).shape[0]
+        rows = t
+        if cache is not None:  # a cached forward reads out the last row only
+            cache.length += t
+            rows = 1
 
         class R:
             pass
 
         r = R()
-        r.head_outputs = [Tensor(np.full((t, p), self.value, dtype=np.float32))
+        r.head_outputs = [Tensor(np.full((rows, p), self.value, dtype=np.float32))
                           for p in self.config.head_horizons]
         return r
 
@@ -111,9 +116,9 @@ def test_single_pick_means_single_forward():
     calls = []
     inner = model.forward
 
-    def counting(values, seq_ids=None):
+    def counting(values, seq_ids=None, cache=None):
         calls.append(len(np.asarray(values).reshape(-1)))
-        return inner(values, seq_ids)
+        return inner(values, seq_ids, cache)
 
     model.forward = counting
     out = autoregressive_forecast(model, np.random.default_rng(3).normal(size=32), 64)
@@ -161,6 +166,63 @@ def test_ensemble_flag_stays_finite_and_sized():
     out = autoregressive_forecast(model, ctx, 40, ensemble=True)
     assert out.shape == (40,)
     assert np.all(np.isfinite(out))
+
+
+def record_cached_forwards(model) -> list:
+    """Log (tokens pushed, cache length before) for every forward of model."""
+    calls = []
+    inner = model.forward
+
+    def counting(values, seq_ids=None, cache=None):
+        calls.append((len(np.asarray(values).reshape(-1)), cache.length))
+        return inner(values, seq_ids, cache)
+
+    model.forward = counting
+    return calls
+
+
+def test_rollout_prefills_once_then_pushes_only_new_points():
+    model = tiny_model(num_layers=2)
+    calls = record_cached_forwards(model)
+    autoregressive_forecast(model, np.random.default_rng(11).normal(size=40), 100)
+    # plan 64 + 32 + 1 + 1 + 1 + 1: each forward continues the cache.
+    assert calls == [(40, 0), (64, 40), (32, 104), (1, 136), (1, 137), (1, 138)]
+
+
+def test_rollout_restarts_the_cache_when_the_window_slides():
+    model = tiny_model(num_layers=2, max_context=48)
+    calls = record_cached_forwards(model)
+    autoregressive_forecast(model, np.random.default_rng(12).normal(size=30), 10)
+    # plan 8 + 1 + 1 ends at 39 points, inside max_context 48: no slide.
+    assert calls == [(30, 0), (8, 30), (1, 38)]
+    calls.clear()
+    autoregressive_forecast(model, np.random.default_rng(12).normal(size=30), 40)
+    # plan 32 + 8: 30 + 32 passes 48, so the slid 48-point window is prefilled.
+    assert calls == [(30, 0), (48, 0)]
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+@pytest.mark.parametrize("ensemble", [False, True])
+@pytest.mark.parametrize("h", [1, 7, 64, 96, 100, 720])
+def test_cached_rollout_matches_full_recompute(h, ensemble, dtype, tol):
+    config = tiny_model(num_layers=2).config
+    model = Forecaster.init(config, seed=1, dtype=dtype)
+    ctx = np.random.default_rng(h).normal(size=40)
+    got = autoregressive_forecast(model, ctx, h, ensemble=ensemble)
+    want = reference_rollout(model, ctx, h, ensemble=ensemble)
+    np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+@pytest.mark.parametrize("ensemble", [False, True])
+@pytest.mark.parametrize("context", [48, 100], ids=["at-max", "beyond-max"])
+def test_cached_rollout_matches_full_recompute_when_sliding(context, ensemble, dtype, tol):
+    config = tiny_model(num_layers=2, max_context=48).config
+    model = Forecaster.init(config, seed=2, dtype=dtype)
+    ctx = np.random.default_rng(context).normal(size=context)
+    got = autoregressive_forecast(model, ctx, 70, ensemble=ensemble)
+    want = reference_rollout(model, ctx, 70, ensemble=ensemble)
+    np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
 
 
 # --- channel independence ------------------------------------------------------------------

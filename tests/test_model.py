@@ -12,6 +12,7 @@ from sparsecast.model import (
     DataError,
     Forecaster,
     HiddenState,
+    KVCache,
     ModelConfig,
     attention_bias,
     block_forward,
@@ -341,6 +342,36 @@ def test_forward_packing_isolation_full_model():
 
 
 # --- parameter accounting ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_cached_forward_matches_last_row_of_full_forward(dtype, tol):
+    model = Forecaster.init(tiny_config(), seed=3, dtype=dtype)
+    x = np.random.default_rng(13).normal(size=50)
+    full = model.forward(x)
+    cache = KVCache.empty(model.config.num_layers)
+    for a, b in ((0, 30), (30, 37), (37, 38), (38, 50)):
+        out = model.forward(x[a:b], cache=cache)
+        assert cache.length == b
+        assert [k.shape for k in cache.keys] == [(b, 2, 4)] * 2
+        assert out.hidden.shape == (1, 8)
+        assert [o.shape for o in out.head_outputs] == [(1, 1), (1, 8), (1, 32), (1, 64)]
+        prefix = model.forward(x[:b])
+        for got, want in zip(out.head_outputs, prefix.head_outputs):
+            np.testing.assert_allclose(got.data[0], want.data[-1], rtol=tol, atol=tol)
+    np.testing.assert_allclose(out.hidden.data[0], full.hidden.data[-1], rtol=tol, atol=tol)
+
+
+def test_cached_forward_rejects_seq_ids_and_overflow():
+    model = Forecaster.init(tiny_config(max_context=16), seed=0)
+    cache = KVCache.empty(model.config.num_layers)
+    with pytest.raises(DataError):
+        model.forward(np.zeros(4), seq_ids=np.zeros(4, dtype=np.int64), cache=cache)
+    model.forward(np.zeros(12), cache=cache)
+    with pytest.raises(DataError):
+        model.forward(np.zeros(5), cache=cache)
+    model.forward(np.zeros(4), cache=cache)
+    assert cache.length == 16
 
 
 def test_count_params_hand_enumeration():

@@ -1,6 +1,7 @@
 """Autodiff core: op semantics, stability, and gradient correctness."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -417,7 +418,7 @@ def _(rng):
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_gradients_match_finite_differences(name):
-    rng = np.random.default_rng(hash(name) % (2**32))
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     leaves, forward = OP_CASES[name](rng)
     check_against_fd(leaves, forward, h=1e-4, tol=1e-4)
 
@@ -448,6 +449,35 @@ def test_attention_matches_dense_oracle(segments, dtype, tol):
     for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
         assert a.dtype == dtype, name
         np.testing.assert_allclose(a, b, rtol=tol, atol=tol, err_msg=name)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+@pytest.mark.parametrize("segments, n_q", [([0, 9], 1), ([0, 9], 4), ([0, 4, 9], 5),
+                                           ([0, 4, 9], 7), ([0, 1, 4, 5, 6, 11], 8)],
+                         ids=["one-last", "one-4", "two-skip-first", "two-7", "five-8"])
+def test_attention_with_kv_prefix_matches_last_rows_of_full_call(segments, n_q, dtype, tol):
+    # Queries for the last n_q key positions only: the output and dq are the
+    # last n_q rows of the full call's, and dk, dv are the full call's when
+    # only those rows reach the loss.
+    segments = np.array(segments)
+    t = int(segments[-1])
+    rng = np.random.default_rng([t, n_q])
+    q, k, v, w = (rng.normal(size=(t, 3, 4)).astype(dtype) for _ in range(4))
+    w[:t - n_q] = 0.0
+    full = _attention_and_grads(masked_attention, q, k, v, w, segments)
+    cached = _attention_and_grads(masked_attention, q[t - n_q:], k, v, w[t - n_q:], segments)
+    for name, a, b in zip(("out", "dq"), cached[:2], full[:2]):
+        assert a.shape == (n_q, 3, 4), name
+        np.testing.assert_allclose(a, b[t - n_q:], rtol=tol, atol=tol, err_msg=name)
+    for name, a, b in zip(("dk", "dv"), cached[2:], full[2:]):
+        np.testing.assert_allclose(a, b, rtol=tol, atol=tol, err_msg=name)
+
+
+def test_attention_rejects_more_queries_than_keys():
+    x = Tensor(np.zeros((4, 1, 2), dtype=np.float32))
+    with pytest.raises(ShapeError):
+        masked_attention(x, Tensor(np.zeros((3, 1, 2), dtype=np.float32)),
+                         Tensor(np.zeros((3, 1, 2), dtype=np.float32)), np.array([0, 3]))
 
 
 @pytest.mark.parametrize("segments", [[0, 3], [1, 4], [0, 2, 2, 4], [0, 3, 2, 4], [0, 4.0],

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import check_against_fd, max_rel_err
+from helpers import check_against_fd, max_rel_err, reference_head_targets
+from sparsecast import model as model_module
 from sparsecast import tensor as T
 from sparsecast.data import CleanSeries, SequenceStore, sample_batch
 from sparsecast.model import ConfigError, Forecaster, ModelConfig
@@ -220,6 +221,23 @@ def test_train_loop_context_below_largest_horizon_is_config_error(tmp_path):
         train_loop(model, store, toy_train(context=8, steps=1))
 
 
+@pytest.mark.parametrize("lengths, pad", [([24], 0), ([1, 5, 1, 1, 9, 2], 0),
+                                          ([3, 1, 8], 5), ([1] * 12, 4), ([6], 6)],
+                         ids=["one", "packed-len1", "packed-pad", "all-len1", "half-pad"])
+@pytest.mark.parametrize("horizon", [1, 2, 4, 8, 12])
+def test_head_targets_match_loop_oracle(lengths, pad, horizon):
+    # Padding comes last under its own id, as sample_batch packs it.
+    ids = np.repeat(np.arange(len(lengths) + (pad > 0)), lengths + ([pad] if pad else []))
+    pad_mask = np.zeros(len(ids), dtype=bool)
+    pad_mask[len(ids) - pad:] = True
+    tokens = np.random.default_rng(len(ids)).normal(size=len(ids)).astype(np.float32)
+    targets, valid = head_targets(tokens, ids, pad_mask, horizon)
+    want_targets, want_valid = reference_head_targets(tokens, ids, pad_mask, horizon)
+    assert targets.dtype == want_targets.dtype
+    assert targets.tobytes() == want_targets.tobytes()
+    np.testing.assert_array_equal(valid, want_valid)
+
+
 def test_head_targets_exclude_padding():
     tokens = np.zeros(8, dtype=np.float32)
     seq_ids = np.array([0, 0, 0, 0, 1, 1, 1, 1])
@@ -389,6 +407,21 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     for name in opt.m:
         assert opt_state["m"][name].tobytes() == opt.m[name].tobytes()
         assert opt_state["v"][name].tobytes() == opt.v[name].tobytes()
+
+
+def test_checkpoint_load_draws_no_random_init(tmp_path, monkeypatch):
+    model = Forecaster.init(toy_config(), seed=17)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a random initialisation")
+
+    monkeypatch.setattr(model_module, "trunc_normal", no_draws)
+    restored, _, _ = load_checkpoint(path)
+    for (name, a, _), (_, b, _) in zip(model.named_parameters(), restored.named_parameters()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+        assert b.data.dtype == np.float32 and b.data.flags.writeable, name
 
 
 def test_checkpoint_without_optimizer(tmp_path):
