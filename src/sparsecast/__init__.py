@@ -36,7 +36,7 @@ from .evaluate import (
 from .heads import ForecastPlan, autoregressive_forecast, forecast_multivariate, plan_horizons
 from .model import ConfigError, DataError, Forecaster, ModelConfig, count_params
 from .moe import ExpertFFN, MoeParams, RouterOutput, load_stats, moe_forward, route_topk
-from .tensor import Graph, NumericError, ShapeError, Tensor, backward
+from .tensor import Graph, NumericError, ShapeError, Tensor
 from .train import (
     AdamW,
     CheckpointError,
@@ -47,7 +47,6 @@ from .train import (
     load_checkpoint,
     lr_at_step,
     save_checkpoint,
-    total_loss,
     train_loop,
 )
 

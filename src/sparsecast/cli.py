@@ -53,9 +53,12 @@ def _read_json(path: Path) -> dict:
     if not path.exists():
         raise FormatError(f"no such file: {path}")
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: invalid JSON ({e})") from e
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object, got a JSON {type(doc).__name__}")
+    return doc
 
 
 def cmd_clean(args) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import CsvSchema, load_csv, PackedBatch
 from .heads import autoregressive_forecast
-from .model import Forecaster, ModelConfig, count_params
+from .model import ConfigCodec, Forecaster, ModelConfig, count_params
 from .train import AdamW, TrainConfig, batch_loss, train_loop
 from .tensor import Graph
 
@@ -90,7 +90,7 @@ def _forecast(model, context: np.ndarray, h: int) -> np.ndarray:
 
 
 @dataclass
-class EvalSpec:
+class EvalSpec(ConfigCodec):
     """What to evaluate: dataset, paired (horizon, context) lists, and mode."""
 
     dataset: str
@@ -105,25 +105,13 @@ class EvalSpec:
     def __post_init__(self):
         self.horizons = tuple(int(h) for h in self.horizons)
         self.contexts = tuple(int(c) for c in self.contexts)
+        self.splits = tuple(self.splits)
         if len(self.horizons) != len(self.contexts):
             raise ValueError("horizons and contexts must pair up one-to-one")
         if self.mode not in ("zero_shot", "fine_tune"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {"dataset": self.dataset, "horizons": list(self.horizons),
-                "contexts": list(self.contexts), "mode": self.mode,
-                "standardize": self.standardize, "splits": list(self.splits),
-                "columns": self.columns, "stride": self.stride}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EvalSpec":
-        doc = dict(doc)
-        if "splits" in doc:
-            doc["splits"] = tuple(doc["splits"])
-        return cls(**doc)
 
 
 def iter_eval_windows(n_rows: int, splits: tuple, context: int, horizon: int,

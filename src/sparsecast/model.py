@@ -11,7 +11,8 @@ map is bias-free. Packed batches carry a per-token sequence id, each
 sequence one contiguous run of its id. Attention never crosses an id
 boundary and rotary positions restart at each boundary, so a packed sequence
 computes exactly what it would alone. Forecaster.forward derives the segment
-bounds and positions once and hands them to every layer.
+bounds and positions once and hands them to every layer:
+block_forward(x, params, config, layer, positions, bounds, cache) -> (x, routing).
 
 For decoding, Forecaster.forward takes a KVCache: each block appends the
 row's post-rotary keys and values and attends over everything cached, and
@@ -20,7 +21,7 @@ the final block, final norm and heads run on the last row only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,8 +41,25 @@ class DataError(ValueError):
     """Model input contains values the forward pass cannot accept."""
 
 
+class ConfigCodec:
+    """Plain-dict codec of a dataclass config. to_dict is asdict in field
+    order, with tuple fields as lists, so the dict equals its own JSON round
+    trip; from_dict builds cls(**doc), so an unknown or missing field, or a
+    wrongly typed value that breaks validation, is a ConfigError."""
+
+    def to_dict(self) -> dict:
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        try:
+            return cls(**doc)
+        except TypeError as e:
+            raise ConfigError(f"invalid {cls.__name__}: {e}") from e
+
+
 @dataclass
-class ModelConfig:
+class ModelConfig(ConfigCodec):
     """Architecture hyperparameters.
 
     num_experts is the routed-expert count N (a shared expert is always added
@@ -81,29 +99,6 @@ class ModelConfig:
         if self.rope_base <= 0:
             raise ConfigError("rope_base must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "num_experts": self.num_experts,
-            "top_k": self.top_k,
-            "d_model": self.d_model,
-            "d_ff": self.d_ff,
-            "d_expert": self.d_expert,
-            "head_horizons": list(self.head_horizons),
-            "max_context": self.max_context,
-            "rope_base": self.rope_base,
-            "use_moe": self.use_moe,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
-        if extra:
-            raise ConfigError(f"unknown config fields: {sorted(extra)}")
-        return cls(**doc)
-
 
 @dataclass
 class AttentionParams:
@@ -123,15 +118,6 @@ class BlockParams:
     ffn_norm: Tensor
     moe: MoeParams | None = None
     ffn: ExpertFFN | None = None
-
-
-@dataclass
-class HiddenState:
-    """Per-layer activation carrier for a (possibly packed) token row."""
-
-    values: Tensor
-    layer_index: int
-    seq_ids: np.ndarray
 
 
 @dataclass
@@ -255,18 +241,6 @@ def embed_points(x: Tensor, w: Tensor, v: Tensor) -> Tensor:
     return T.mul(T.silu(T.matmul(x, T.transpose(w))), T.matmul(x, T.transpose(v)))
 
 
-def rmsnorm(x: Tensor, weight: Tensor) -> Tensor:
-    return T.rmsnorm(x, weight, eps=RMSNORM_EPS)
-
-
-def rope_apply(qk: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
-    """Rotate [T, heads, d_head] query/key vectors by their positions."""
-    head_dim = qk.shape[-1]
-    if head_dim % 2 != 0:
-        raise ConfigError(f"rotary positions need an even head dim, got {head_dim}")
-    return T.rope(qk, positions, base)
-
-
 def segment_bounds(seq_ids: np.ndarray) -> np.ndarray:
     """[0, b_1, ..., T]: the start of every maximal run of equal ids, then T.
 
@@ -304,66 +278,58 @@ def attention_bias(seq_ids: np.ndarray) -> np.ndarray:
 
 
 def causal_self_attention(x: Tensor, params: AttentionParams, config: ModelConfig,
-                          seq_ids: np.ndarray, positions: np.ndarray | None = None,
-                          bounds: np.ndarray | None = None, cache: KVCache | None = None,
-                          layer: int = 0, last_row: bool = False) -> Tensor:
+                          positions: np.ndarray, bounds: np.ndarray,
+                          cache: KVCache | None = None, layer: int = 0,
+                          last_row: bool = False) -> Tensor:
     """Multi-head causal attention over a packed row x[T, D].
 
-    positions and bounds default to packing_positions / segment_bounds of
-    seq_ids; Forecaster.forward computes them once for all layers. With a
-    cache, the row's keys and values are appended to cache entry `layer`
-    and the queries attend over every cached token too (bounds then span
-    the cache and the row). last_row computes the query, and so the
+    positions are the rotary positions of the row's tokens and bounds the
+    segment bounds (packing_positions / segment_bounds of the sequence ids).
+    With a cache, the row's keys and values are appended to cache entry
+    `layer` and the queries attend over every cached token too (bounds then
+    span the cache and the row). last_row computes the query, and so the
     output, for the row's last token only: [1, D].
     """
     t, d = x.shape
     heads = config.num_heads
     head_dim = d // heads
-    if positions is None:
-        positions = packing_positions(seq_ids)
-    if bounds is None:
-        bounds = segment_bounds(seq_ids)
     x_q = T.gather_rows(x, [t - 1]) if last_row else x
     n_q = x_q.shape[0]
     q = T.reshape(T.add(T.matmul(x_q, T.transpose(params.wq)), params.bq), (n_q, heads, head_dim))
     k = T.reshape(T.add(T.matmul(x, T.transpose(params.wk)), params.bk), (t, heads, head_dim))
     v = T.reshape(T.add(T.matmul(x, T.transpose(params.wv)), params.bv), (t, heads, head_dim))
-    q = rope_apply(q, positions[t - n_q:], config.rope_base)
-    k = rope_apply(k, positions, config.rope_base)
+    q = T.rope(q, positions[t - n_q:], config.rope_base)
+    k = T.rope(k, positions, config.rope_base)
     if cache is not None:
         k, v = cache.extend(layer, k, v)
     attended = T.masked_attention(q, k, v, bounds)
     return T.matmul(T.reshape(attended, (n_q, d)), T.transpose(params.wo))
 
 
-def block_forward(h: HiddenState, params: BlockParams, config: ModelConfig,
-                  positions: np.ndarray | None = None,
-                  bounds: np.ndarray | None = None, cache: KVCache | None = None) -> tuple:
-    """One pre-norm residual block; returns the next state and, when the
-    mixture is active, its routing decisions.
+def block_forward(x: Tensor, params: BlockParams, config: ModelConfig, layer: int,
+                  positions: np.ndarray, bounds: np.ndarray,
+                  cache: KVCache | None = None) -> tuple:
+    """One pre-norm residual block over the rows x[T, D] of layer `layer`;
+    returns (next rows, routing decisions or None for the dense FFN).
 
     With a cache the final block carries the last row only: its keys and
     values are cached for every row, but only the last row is read out.
     """
-    if h.layer_index >= config.num_layers:
-        raise ConfigError(f"layer index {h.layer_index} beyond {config.num_layers} layers")
-    x = h.values
-    last_row = cache is not None and h.layer_index == config.num_layers - 1
-    attended = causal_self_attention(rmsnorm(x, params.attn_norm), params.attn, config,
-                                     h.seq_ids, positions, bounds, cache, h.layer_index, last_row)
+    last_row = cache is not None and layer == config.num_layers - 1
+    attended = causal_self_attention(T.rmsnorm(x, params.attn_norm, eps=RMSNORM_EPS),
+                                     params.attn, config, positions, bounds, cache, layer,
+                                     last_row)
     if last_row:
         x = T.gather_rows(x, [x.shape[0] - 1])
     u = T.add(attended, x)
-    u_norm = rmsnorm(u, params.ffn_norm)
+    u_norm = T.rmsnorm(u, params.ffn_norm, eps=RMSNORM_EPS)
     routing = None
     if params.moe is not None:
         routing = route_topk(u_norm, params.moe, config.top_k)
         mixed = moe_forward(u_norm, params.moe, routing)
     else:
         mixed = expert_ffn(u_norm, params.ffn)
-    out = HiddenState(values=T.add(mixed, u), layer_index=h.layer_index + 1,
-                      seq_ids=h.seq_ids)
-    return out, routing
+    return T.add(mixed, u), routing
 
 
 def head_forward(hidden: Tensor, heads: list) -> list:
@@ -404,40 +370,33 @@ class Forecaster:
         so hidden is [1, D] and head j's output [1, p_j]. The cache and the
         row together may not exceed max_context.
         """
-        if isinstance(values, Tensor):
-            x = values
-        else:
-            arr = np.asarray(values, dtype=self.dtype)
-            if arr.ndim == 1:
-                arr = arr[:, None]
-            x = T.constant(arr, self.dtype)
+        arr = np.asarray(values, dtype=self.dtype)
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        x = T.constant(arr, self.dtype)
         t = x.shape[0]
         if t < 1:
             raise DataError("empty input")
         start = 0 if cache is None else cache.length
         if start + t > self.config.max_context:
             raise DataError(f"context {start + t} exceeds max_context {self.config.max_context}")
-        if cache is not None:
-            if seq_ids is not None:
-                raise DataError("a cached forward continues one sequence; seq_ids must be None")
+        if seq_ids is None:
             bounds = np.array([0, start + t])
             positions = np.arange(start, start + t)
-            seq_ids = np.zeros(t, dtype=np.int64)
+        elif cache is not None:
+            raise DataError("a cached forward continues one sequence; seq_ids must be None")
         else:
-            if seq_ids is None:
-                seq_ids = np.zeros(t, dtype=np.int64)
             bounds = segment_bounds(seq_ids)
             positions = packing_positions(seq_ids)
-        state = HiddenState(values=embed_points(x, self.params.embed_w, self.params.embed_v),
-                            layer_index=0, seq_ids=np.asarray(seq_ids))
+        x = embed_points(x, self.params.embed_w, self.params.embed_v)
         routing = []
-        for block in self.params.blocks:
-            state, routed = block_forward(state, block, self.config, positions, bounds, cache)
+        for layer, block in enumerate(self.params.blocks):
+            x, routed = block_forward(x, block, self.config, layer, positions, bounds, cache)
             if routed is not None:
                 routing.append(routed)
         if cache is not None:
             cache.length += t
-        hidden = rmsnorm(state.values, self.params.final_norm)
+        hidden = T.rmsnorm(x, self.params.final_norm, eps=RMSNORM_EPS)
         return ForwardResult(hidden=hidden,
                              head_outputs=head_forward(hidden, self.params.heads),
                              routing=routing)

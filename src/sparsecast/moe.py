@@ -111,12 +111,10 @@ def load_stats(selected: np.ndarray, scores: np.ndarray, k: int) -> tuple:
     return f, r
 
 
-def merge_stats(routings: list) -> tuple:
-    """Aggregate (f, r) across several RouterOutputs, weighting by token count."""
+def merge_stats(routings: list) -> np.ndarray:
+    """The selection fraction f across several RouterOutputs, weighting by token count."""
     total = sum(r.scores.shape[0] for r in routings)
-    f = sum(r.f * (r.scores.shape[0] / total) for r in routings)
-    r_ = sum(r.r * (r.scores.shape[0] / total) for r in routings)
-    return f, r_
+    return sum(r.f * (r.scores.shape[0] / total) for r in routings)
 
 
 def moe_forward(u_norm: Tensor, params: MoeParams, routing: RouterOutput) -> Tensor:

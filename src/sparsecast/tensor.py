@@ -3,7 +3,9 @@
 The op set is exactly what the forecaster's math needs: matmul, explicit
 elementwise arithmetic, the gated activations, row-stochastic softmax,
 fused norm/rotation/attention kernels with analytic adjoints, and the
-gather/scatter primitives used for sparse expert dispatch.
+gather/scatter primitives used for sparse expert dispatch. Ops are plain
+functions, with no operator overloading on Tensor, and Graph.backward is
+the one way to backpropagate.
 
 Attention is blocked by segment. A packed row of T tokens is cut into
 segments given by their bounds [0, b_1, ..., T]; tokens attend causally
@@ -48,9 +50,9 @@ class NumericError(ArithmeticError):
 class Tensor:
     """N-dimensional array of float32/float64 values, optionally carrying a gradient.
 
-    `data` is a row-major numpy array; `grad`, once backward() has run, is an
-    array of the same shape. Tensors created while a Graph is active and
-    derived from a requires_grad input participate in backpropagation.
+    `data` is a row-major numpy array; `grad`, once Graph.backward has run,
+    is an array of the same shape. Tensors created while a Graph is active
+    and derived from a requires_grad input participate in backpropagation.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -89,44 +91,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def zero_grad(self):
-        self.grad = None
-
-    # operator sugar ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other if isinstance(other, Tensor) else constant(other, self.dtype), -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self):
-        return sum_all(self)
-
-    def mean(self):
-        return mean_all(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -207,10 +171,6 @@ class Graph:
             g = g.reshape(tensor.data.shape)
             tensor.grad = g if tensor.grad is None else tensor.grad + g
         self._nodes.clear()
-
-
-def backward(loss: Tensor, graph: Graph) -> None:
-    graph.backward(loss)
 
 
 def _finish(op: str, out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:

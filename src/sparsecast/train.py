@@ -1,12 +1,13 @@
-"""Training: composite multi-horizon loss, AdamW, warmup-cosine schedule,
-the step loop over packed batches, and binary checkpoints.
+"""Training: the multi-horizon loss, AdamW, warmup-cosine schedule, the
+step loop over packed batches, and binary checkpoints.
 
-The loss averages a masked robust (Huber) term per forecast head — over all
-valid anchor positions and over the head's horizon elements, so long heads
-are not overweighted — then averages across heads and adds alpha times the
-expert-balance penalty, itself averaged over mixture layers. An anchor is
-valid for a head of horizon p when the p following tokens exist, stay inside
-the anchor's packed sequence, and are not padding.
+batch_loss is the one loss. It averages a masked robust (Huber) term per
+forecast head — over all valid anchor positions and over the head's horizon
+elements, so long heads are not overweighted — then averages across heads
+and adds alpha times the expert-balance penalty, itself averaged over
+mixture layers. An anchor is valid for a head of horizon p when the p
+following tokens exist, stay inside the anchor's packed sequence, and are
+not padding.
 
 Checkpoints are a seekable little-endian binary format: magic "TMOE",
 a version word, the JSON-encoded model configuration, the training step,
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import PackedBatch, SequenceStore, sample_batch
-from .model import ConfigError, Forecaster, ModelConfig, init_params, segment_bounds
+from .model import ConfigCodec, ConfigError, Forecaster, ModelConfig, init_params, segment_bounds
 from .moe import merge_stats
 from .tensor import Graph, Tensor
 
@@ -43,7 +44,7 @@ class CheckpointError(RuntimeError):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(ConfigCodec):
     steps: int = 1000
     batch: int = 8
     context: int = 256
@@ -68,16 +69,6 @@ class TrainConfig:
                 raise ValueError("betas must lie in (0, 1)")
         if self.steps < 1 or self.batch < 1 or self.context < 2:
             raise ValueError("steps and batch must be >= 1, context >= 2")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown training config fields: {sorted(unknown)}")
-        return cls(**doc)
 
 
 # --- loss pieces -----------------------------------------------------------------
@@ -156,7 +147,7 @@ def balance_loss_tensor(per_layer_routings: list) -> tuple:
     for routings in per_layer_routings:
         scores = T.concat_rows([r.scores for r in routings])
         total, n = scores.shape
-        f, _ = merge_stats(routings)
+        f = merge_stats(routings)
         f_layers.append(f)
         ones = T.constant(np.full((1, total), 1.0 / total), scores.dtype)
         r_mean = T.matmul(ones, scores)  # [1, N]
@@ -169,38 +160,14 @@ def balance_loss_tensor(per_layer_routings: list) -> tuple:
     return T.mul(acc, 1.0 / len(terms)), mean_f
 
 
-def total_loss(head_predictions: list, targets: list, valid_masks: list,
-               routings: list, alpha: float, delta: float = 1.0) -> Tensor:
-    """Composite loss for one packed row.
-
-    (1/P) * sum_j of the masked mean Huber of head j, plus alpha times the
-    balance penalty averaged over mixture layers. Heads whose mask is empty
-    are dropped from the average; if every head is empty the batch is
-    degenerate and training cannot use it.
-    """
-    parts = []
-    for pred, tgt, mask in zip(head_predictions, targets, valid_masks):
-        head_sum, count = masked_head_loss(pred, tgt, mask, delta)
-        if count:
-            parts.append(T.mul(head_sum, 1.0 / count))
-    if not parts:
-        raise TrainingError("degenerate batch: every position is masked for every head")
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = T.add(acc, part)
-    loss = T.mul(acc, 1.0 / len(parts))
-    if routings and alpha > 0:
-        balance, _ = balance_loss_tensor([[r] for r in routings])
-        loss = T.add(loss, T.mul(balance, alpha))
-    return loss
-
-
 def batch_loss(model: Forecaster, batch: PackedBatch, config: TrainConfig) -> tuple:
     """Forward every packed row and combine into one scalar loss.
 
     Head sums and counts aggregate across rows before averaging, so every
-    valid position in the batch carries equal weight. Returns (loss tensor,
-    info dict of float diagnostics).
+    valid position in the batch carries equal weight. A head with no valid
+    cell in the batch drops out of the head average; when every head is
+    empty the batch is degenerate and raises TrainingError. Returns (loss
+    tensor, info dict of float diagnostics).
     """
     horizons = model.config.head_horizons
     sums = [None] * len(horizons)

@@ -1,13 +1,19 @@
 """Command-line surface: every subcommand and its failure modes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsecast
 from sparsecast.cli import main
 from sparsecast.data import SequenceStore, write_csv
-from sparsecast.train import load_checkpoint
+from sparsecast.model import Forecaster, ModelConfig
+from sparsecast.train import load_checkpoint, save_checkpoint
 
 
 def run(capsys, *argv):
@@ -179,3 +185,79 @@ def test_bad_checkpoint_reported(tmp_path, capsys):
                        "--horizon", "4")
     assert code == 1
     assert "error:" in err
+
+
+# --- bad config files: a typed error on stderr, exit 1, no traceback ----------------
+
+SRC = str(Path(sparsecast.__file__).resolve().parent.parent)
+
+
+def run_process(*argv):
+    """Run the CLI in its own interpreter, so an uncaught exception shows as a traceback."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-m", "sparsecast.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+def assert_clean_failure(code, err, mentions):
+    assert code == 1, err
+    assert any(line.startswith("error:") and mentions in line for line in err.splitlines()), err
+    assert "Traceback" not in err
+
+
+BAD_MODEL_DOCS = {
+    "unknown_key": ({"model": model_doc(bogus=1)}, "ModelConfig"),
+    "string_number": ({"model": {"num_layers": "2"}}, "ModelConfig"),
+    "json_array": ([1, 2], "JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODEL_DOCS))
+def test_params_bad_config_is_a_typed_error(tmp_path, case):
+    doc, mentions = BAD_MODEL_DOCS[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert_clean_failure(*run_process("params", "--config", str(config)), mentions)
+
+
+BAD_TRAIN_DOCS = {
+    **BAD_MODEL_DOCS,
+    "unknown_train_key": ({"model": model_doc(), "train": {"bogus": 1}}, "TrainConfig"),
+    "string_train_number": ({"model": model_doc(), "train": {"steps": "2"}}, "TrainConfig"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRAIN_DOCS))
+def test_train_bad_config_is_a_typed_error(tmp_path, case):
+    doc, mentions = BAD_TRAIN_DOCS[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    # The store does not exist: a config error must be reported before it is opened.
+    code, err = run_process("train", "--config", str(config), "--store",
+                            str(tmp_path / "store"), "--out", str(tmp_path / "m.ckpt"))
+    assert_clean_failure(code, err, mentions)
+
+
+def bad_eval_docs(dataset):
+    spec = {"dataset": dataset, "horizons": [4], "contexts": [16], "splits": [360, 120, 120]}
+    return {
+        "unknown_key": ({**spec, "bogus": 1}, "EvalSpec"),
+        "missing_dataset": ({k: v for k, v in spec.items() if k != "dataset"}, "EvalSpec"),
+        "string_stride": ({**spec, "stride": "2"}, "EvalSpec"),
+        "json_array": ([spec], "JSON object"),
+        "unknown_fine_tune_key": ({**spec, "mode": "fine_tune", "fine_tune": {"bogus": 1}},
+                                  "TrainConfig"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(bad_eval_docs("")))
+def test_eval_bad_spec_is_a_typed_error(tmp_path, case):
+    raw = noisy_csv(tmp_path / "raw.csv", rows=600)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, Forecaster.init(ModelConfig(**model_doc()), seed=0))
+    doc, mentions = bad_eval_docs(str(raw))[case]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert_clean_failure(*run_process("eval", "--ckpt", str(ckpt), "--spec", str(spec)),
+                         mentions)

@@ -7,11 +7,11 @@ import pytest
 
 from sparsecast import tensor as T
 from sparsecast.model import (
+    RMSNORM_EPS,
     AttentionParams,
     ConfigError,
     DataError,
     Forecaster,
-    HiddenState,
     KVCache,
     ModelConfig,
     attention_bias,
@@ -21,8 +21,6 @@ from sparsecast.model import (
     embed_points,
     init_params,
     packing_positions,
-    rmsnorm,
-    rope_apply,
     segment_bounds,
 )
 from sparsecast.tensor import Tensor
@@ -53,6 +51,11 @@ def test_config_rejects_bad_horizons():
 def test_config_rejects_k_above_n():
     with pytest.raises(ConfigError):
         tiny_config(top_k=5, num_experts=4)
+
+
+def test_config_rejects_odd_head_dim():
+    with pytest.raises(ConfigError):
+        ModelConfig(d_model=6, num_heads=2)
 
 
 def test_config_roundtrips_through_dict():
@@ -102,15 +105,15 @@ def test_embed_rejects_nonfinite_input():
 def test_rmsnorm_all_ones_fixed_point():
     x = Tensor(np.ones((2, 8), dtype=np.float32))
     w = Tensor(np.ones(8, dtype=np.float32))
-    np.testing.assert_allclose(rmsnorm(x, w).data, np.ones((2, 8)), atol=1e-5)
+    np.testing.assert_allclose(T.rmsnorm(x, w, eps=RMSNORM_EPS).data, np.ones((2, 8)), atol=1e-5)
 
 
 def test_rmsnorm_scale_invariance():
     rng = np.random.default_rng(2)
     row = rng.normal(size=(1, 16))
     w = Tensor(rng.normal(size=16) + 2.0, dtype=np.float64)
-    base = rmsnorm(Tensor(row, dtype=np.float64), w).data
-    scaled = rmsnorm(Tensor(7.5 * row, dtype=np.float64), w).data
+    base = T.rmsnorm(Tensor(row, dtype=np.float64), w, eps=RMSNORM_EPS).data
+    scaled = T.rmsnorm(Tensor(7.5 * row, dtype=np.float64), w, eps=RMSNORM_EPS).data
     np.testing.assert_allclose(scaled, base, atol=1e-5)
 
 
@@ -118,17 +121,13 @@ def test_rmsnorm_matches_direct_formula():
     rng = np.random.default_rng(3)
     row = rng.normal(size=(1, 12))
     w = rng.normal(size=12)
-    got = rmsnorm(Tensor(row, dtype=np.float64), Tensor(w, dtype=np.float64)).data[0]
+    got = T.rmsnorm(Tensor(row, dtype=np.float64), Tensor(w, dtype=np.float64),
+                    eps=RMSNORM_EPS).data[0]
     expect = row[0] / math.sqrt(np.mean(row[0] ** 2) + 1e-6) * w
     np.testing.assert_allclose(got, expect, atol=1e-6)
 
 
 # --- rotary positions --------------------------------------------------------------
-
-
-def test_rope_apply_rejects_odd_dim():
-    with pytest.raises(ConfigError):
-        rope_apply(Tensor(np.zeros((2, 2, 5), dtype=np.float32)), np.arange(2))
 
 
 def test_packing_positions_restart_per_sequence():
@@ -172,13 +171,17 @@ def make_attention_params(rng, d, dtype=np.float64, identity_out=False):
     )
 
 
+def attend(x, params, cfg, ids):
+    return causal_self_attention(x, params, cfg, packing_positions(ids), segment_bounds(ids))
+
+
 def test_single_token_attention_is_value_projection():
     rng = np.random.default_rng(4)
     cfg = tiny_config()
     params = make_attention_params(rng, cfg.d_model, identity_out=True)
     x_arr = rng.normal(size=(1, cfg.d_model))
     x = Tensor(x_arr, dtype=np.float64)
-    out = causal_self_attention(x, params, cfg, np.zeros(1, dtype=int))
+    out = attend(x, params, cfg, np.zeros(1, dtype=int))
     v_proj = x_arr @ params.wv.data.T + params.bv.data
     np.testing.assert_allclose(out.data, v_proj, atol=1e-9)
 
@@ -189,10 +192,10 @@ def test_causality_bit_exact():
     params = make_attention_params(rng, cfg.d_model)
     x = rng.normal(size=(10, cfg.d_model))
     ids = np.zeros(10, dtype=int)
-    base = causal_self_attention(Tensor(x, dtype=np.float64), params, cfg, ids).data
+    base = attend(Tensor(x, dtype=np.float64), params, cfg, ids).data
     bumped = x.copy()
     bumped[7] += 3.0
-    out = causal_self_attention(Tensor(bumped, dtype=np.float64), params, cfg, ids).data
+    out = attend(Tensor(bumped, dtype=np.float64), params, cfg, ids).data
     np.testing.assert_array_equal(out[:7], base[:7])
     assert not np.array_equal(out[7:], base[7:])
 
@@ -203,10 +206,10 @@ def test_packed_sequences_are_isolated():
     params = make_attention_params(rng, cfg.d_model)
     x = rng.normal(size=(12, cfg.d_model))
     ids = np.array([0] * 6 + [1] * 6)
-    base = causal_self_attention(Tensor(x, dtype=np.float64), params, cfg, ids).data
+    base = attend(Tensor(x, dtype=np.float64), params, cfg, ids).data
     zeroed = x.copy()
     zeroed[6:] = 0.0
-    out = causal_self_attention(Tensor(zeroed, dtype=np.float64), params, cfg, ids).data
+    out = attend(Tensor(zeroed, dtype=np.float64), params, cfg, ids).data
     np.testing.assert_array_equal(out[:6], base[:6])
 
 
@@ -234,19 +237,17 @@ def test_block_zero_weights_is_residual_identity():
         exp.w_down.data[:] = 0.0
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(5, cfg.d_model)), dtype=np.float64)
-    state = HiddenState(values=x, layer_index=0, seq_ids=np.zeros(5, dtype=int))
-    out, _ = block_forward(state, block, cfg)
-    np.testing.assert_allclose(out.values.data, x.data, atol=1e-12)
-    assert out.layer_index == 1
+    out, _ = block_forward(x, block, cfg, 0, np.arange(5), np.array([0, 5]))
+    np.testing.assert_allclose(out.data, x.data, atol=1e-12)
 
 
 def test_block_preserves_shape():
     cfg = tiny_config()
     model = Forecaster.init(cfg, seed=1, dtype=np.float64)
     x = Tensor(np.random.default_rng(8).normal(size=(9, cfg.d_model)), dtype=np.float64)
-    state = HiddenState(values=x, layer_index=0, seq_ids=np.zeros(9, dtype=int))
-    out, routing = block_forward(state, model.params.blocks[0], cfg)
-    assert out.values.shape == (9, cfg.d_model)
+    out, routing = block_forward(x, model.params.blocks[0], cfg, 0, np.arange(9),
+                                 np.array([0, 9]))
+    assert out.shape == (9, cfg.d_model)
     assert routing is not None
 
 

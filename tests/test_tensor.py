@@ -14,7 +14,6 @@ from sparsecast.tensor import (
     ShapeError,
     Tensor,
     add,
-    backward,
     concat_rows,
     constant,
     gather_entries,
@@ -187,7 +186,7 @@ def test_backward_sum_gives_ones():
     x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
     with Graph() as g:
         loss = sum_all(x)
-    backward(loss, g)
+    g.backward(loss)
     np.testing.assert_array_equal(x.grad, np.ones((2, 3), dtype=np.float32))
 
 

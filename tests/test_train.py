@@ -8,8 +8,9 @@ import pytest
 from helpers import check_against_fd, max_rel_err, reference_head_targets
 from sparsecast import model as model_module
 from sparsecast import tensor as T
-from sparsecast.data import CleanSeries, SequenceStore, sample_batch
-from sparsecast.model import ConfigError, Forecaster, ModelConfig
+from sparsecast.data import CleanSeries, PackedBatch, SequenceStore, sample_batch
+from sparsecast.evaluate import model_hash
+from sparsecast.model import ConfigError, Forecaster, ForwardResult, ModelConfig
 from sparsecast.synthetic import build_tone_store, multi_tone
 from sparsecast.tensor import Graph, Tensor
 from sparsecast.train import (
@@ -24,7 +25,6 @@ from sparsecast.train import (
     load_checkpoint,
     lr_at_step,
     save_checkpoint,
-    total_loss,
     train_loop,
 )
 
@@ -246,62 +246,69 @@ def test_head_targets_exclude_padding():
     assert not valid[4:].any()
 
 
-def test_total_loss_perfect_predictions_zero():
+def one_row_batch(tokens, pad=None):
+    length = len(tokens)
+    return PackedBatch(tokens=np.asarray(tokens, dtype=np.float32)[None, :, None],
+                       seq_ids=np.zeros((1, length), dtype=np.int64),
+                       pad_mask=np.zeros((1, length), dtype=bool) if pad is None else pad[None],
+                       crop_domains=[["test"]])
+
+
+class FixedPredictions:
+    """A stand-in model whose forward returns chosen head outputs and no
+    routing, so batch_loss scores exactly those predictions."""
+
+    def __init__(self, config, head_outputs):
+        self.config = config
+        self.head_outputs = head_outputs
+
+    def forward(self, values, seq_ids=None):
+        return ForwardResult(hidden=None, head_outputs=self.head_outputs, routing=[])
+
+
+def test_batch_loss_perfect_predictions_zero():
+    cfg = toy_config()
     rng = np.random.default_rng(1)
     tokens = rng.normal(size=12).astype(np.float32)
     ids = np.zeros(12, dtype=np.int64)
     pad = np.zeros(12, dtype=bool)
-    preds, targets, masks = [], [], []
-    for p in (1, 4):
-        tgt, valid = head_targets(tokens, ids, pad, p)
-        preds.append(Tensor(tgt.copy()))
-        targets.append(tgt)
-        masks.append(valid)
-    loss = total_loss(preds, targets, masks, routings=[], alpha=0.0)
+    preds = [Tensor(head_targets(tokens, ids, pad, p)[0].copy()) for p in cfg.head_horizons]
+    loss, info = batch_loss(FixedPredictions(cfg, preds), one_row_batch(tokens),
+                            toy_train(alpha=0.0))
     assert loss.item() == 0.0
+    assert info["loss"] == 0.0 and info["loss_aux"] == 0.0
 
 
-def test_total_loss_alpha_is_linear_shift():
-    cfg = toy_config()
-    model = Forecaster.init(cfg, seed=2)
-    rng = np.random.default_rng(3)
-    tokens = rng.normal(size=24).astype(np.float32)
-    ids = np.zeros(24, dtype=np.int64)
-    pad = np.zeros(24, dtype=bool)
-    result = model.forward(tokens, seq_ids=ids)
-    preds = result.head_outputs
-    targets, masks = [], []
-    for p in cfg.head_horizons:
-        tgt, valid = head_targets(tokens, ids, pad, p)
-        targets.append(tgt)
-        masks.append(valid)
-    base = total_loss(preds, targets, masks, result.routing, alpha=0.0).item()
-    shifted = total_loss(preds, targets, masks, result.routing, alpha=0.02).item()
-    from sparsecast.train import balance_loss_tensor
-
-    balance, _ = balance_loss_tensor([[r] for r in result.routing])
-    assert shifted - base == pytest.approx(0.02 * balance.item(), rel=1e-5)
+def test_batch_loss_alpha_is_linear_shift():
+    model = Forecaster.init(toy_config(), seed=2)
+    tokens = np.random.default_rng(3).normal(size=24).astype(np.float32)
+    batch = one_row_batch(tokens)
+    base, _ = batch_loss(model, batch, toy_train(alpha=0.0))
+    shifted, info = batch_loss(model, batch, toy_train(alpha=0.02))
+    assert shifted.item() - base.item() == pytest.approx(0.02 * info["loss_aux"], rel=1e-5)
 
 
-def test_total_loss_single_head_reduces_to_masked_huber():
+def test_batch_loss_single_head_reduces_to_masked_huber():
+    cfg = toy_config(head_horizons=(1,))
     rng = np.random.default_rng(4)
     tokens = rng.normal(size=10).astype(np.float32)
     ids = np.zeros(10, dtype=np.int64)
     pad = np.zeros(10, dtype=bool)
     tgt, valid = head_targets(tokens, ids, pad, 1)
     pred = Tensor(rng.normal(size=(10, 1)).astype(np.float32))
-    loss = total_loss([pred], [tgt], [valid], routings=[], alpha=0.0).item()
+    loss, _ = batch_loss(FixedPredictions(cfg, [pred]), one_row_batch(tokens),
+                         toy_train(alpha=0.0))
     manual = np.mean([huber(float(t), float(p)) for t, p, v
                       in zip(tgt[:, 0], pred.data[:, 0], valid) if v])
-    assert loss == pytest.approx(manual, rel=1e-6)
+    assert loss.item() == pytest.approx(manual, rel=1e-6)
 
 
-def test_total_loss_all_masked_is_degenerate():
+def test_batch_loss_all_masked_is_degenerate():
+    cfg = toy_config(head_horizons=(1,))
     pred = Tensor(np.zeros((4, 1), dtype=np.float32))
-    tgt = np.zeros((4, 1), dtype=np.float32)
-    valid = np.zeros(4, dtype=bool)
+    batch = one_row_batch(np.zeros(4), pad=np.ones(4, dtype=bool))
     with pytest.raises(TrainingError):
-        total_loss([pred], [tgt], [valid], routings=[], alpha=0.0)
+        batch_loss(FixedPredictions(cfg, [pred]), batch, toy_train(alpha=0.0))
 
 
 def test_batch_loss_gradients_match_finite_differences(tmp_path):
@@ -407,6 +414,21 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     for name in opt.m:
         assert opt_state["m"][name].tobytes() == opt.m[name].tobytes()
         assert opt_state["v"][name].tobytes() == opt.v[name].tobytes()
+
+
+def test_checkpoint_config_block_and_model_hash_are_golden(tmp_path):
+    """The checkpoint's JSON config block and model_hash of the default model,
+    pinned as literals: field order and JSON arrays for tuples must not move."""
+    model = Forecaster.init(ModelConfig(), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    raw = path.read_bytes()
+    length = int.from_bytes(raw[8:12], "little")
+    assert raw[12:12 + length].decode("utf-8") == (
+        '{"num_layers": 2, "num_heads": 2, "num_experts": 4, "top_k": 2, "d_model": 32, '
+        '"d_ff": 128, "d_expert": 32, "head_horizons": [1, 8, 32, 64], "max_context": 4096, '
+        '"rope_base": 10000.0, "use_moe": true}')
+    assert model_hash(model) == "55899565a9a5874b"
 
 
 def test_checkpoint_load_draws_no_random_init(tmp_path, monkeypatch):
