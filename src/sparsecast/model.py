@@ -21,7 +21,8 @@ the final block, final norm and heads run on the last row only.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -41,17 +42,42 @@ class DataError(ValueError):
     """Model input contains values the forward pass cannot accept."""
 
 
+def _accepts(kind, value) -> bool:
+    """Whether a JSON value fits a config field's type: a bool is no int, an
+    int is a float, and a list is a tuple."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind in (tuple, list):
+        return isinstance(value, (tuple, list))
+    if kind is type(None):
+        return value is None
+    return isinstance(value, kind)
+
+
 class ConfigCodec:
     """Plain-dict codec of a dataclass config. to_dict is asdict in field
     order, with tuple fields as lists, so the dict equals its own JSON round
-    trip; from_dict builds cls(**doc), so an unknown or missing field, or a
-    wrongly typed value that breaks validation, is a ConfigError."""
+    trip; from_dict checks each value against its field's type, then builds
+    cls(**doc), so an unknown or missing field, a wrongly typed value, or one
+    that breaks validation is a ConfigError."""
 
     def to_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, doc: dict):
+        if isinstance(doc, dict):
+            hints = typing.get_type_hints(cls)
+            declared = {f.name: f.type for f in fields(cls)}
+            for name, value in doc.items():
+                if name not in hints:
+                    continue  # cls(**doc) names the unknown field
+                kinds = typing.get_args(hints[name]) or (hints[name],)
+                if not any(_accepts(kind, value) for kind in kinds):
+                    raise ConfigError(f"invalid {cls.__name__}: {name} must be "
+                                      f"{declared[name]}, got {value!r}")
         try:
             return cls(**doc)
         except TypeError as e:

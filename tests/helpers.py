@@ -1,8 +1,12 @@
 """Shared verification utilities: finite differences, error metrics and
 slow reference kernels that fast paths are checked against."""
 
+import csv
+from pathlib import Path
+
 import numpy as np
 
+from sparsecast.data import CsvSchema, FormatError, LoadedCsv, _resolve_splits
 from sparsecast.heads import plan_horizons
 from sparsecast.tensor import Graph, ShapeError, Tensor, _finish
 
@@ -146,3 +150,76 @@ def reference_head_targets(tokens: np.ndarray, seq_ids: np.ndarray, pad_mask: np
         targets[: length - (o + 1), o] = tokens[o + 1:]
     targets[~valid] = 0.0
     return targets, valid
+
+
+def reference_load_csv(path, schema: CsvSchema | None = None) -> LoadedCsv:
+    """Read a header-first numeric CSV into [rows, channels], plus split sizes.
+
+    A non-numeric first column (timestamps) is dropped. Any other non-numeric
+    cell is a hard error naming the row and column.
+
+    This is the cell-by-cell parser that the np.loadtxt one replaced, kept
+    as its oracle.
+    """
+    schema = schema or CsvSchema()
+    path = Path(path)
+    if not path.exists():
+        raise FormatError(f"no such file: {path}")
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise FormatError(f"{path}: empty file") from None
+        rows = list(reader)
+    if not rows:
+        raise FormatError(f"{path}: no data rows")
+
+    def numeric(cell: str) -> bool:
+        try:
+            float(cell)
+            return True
+        except ValueError:
+            return False
+
+    start_col = 0
+    if header and rows and not numeric(rows[0][0]):
+        start_col = 1
+    columns = [h.strip() for h in header[start_col:]]
+    if schema.columns is not None:
+        missing = [c for c in schema.columns if c not in columns]
+        if missing:
+            raise FormatError(f"{path}: columns {missing} not present (have {columns})")
+        keep = [columns.index(c) for c in schema.columns]
+        columns = list(schema.columns)
+    else:
+        keep = list(range(len(columns)))
+
+    values = np.empty((len(rows), len(keep)), dtype=np.float64)
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise FormatError(f"{path}: row {i + 2} has {len(row)} cells, header has {len(header)}")
+        for j, col in enumerate(keep):
+            cell = row[start_col + col]
+            try:
+                values[i, j] = float(cell)
+            except ValueError:
+                raise FormatError(
+                    f"{path}: non-numeric cell {cell!r} at row {i + 2}, column "
+                    f"{columns[j]!r}") from None
+    return LoadedCsv(values=values, columns=columns,
+                     splits=_resolve_splits(schema.splits, len(rows)), path=str(path))
+
+
+def reference_write_csv(path, values: np.ndarray, columns: list | None = None) -> None:
+    """Header plus float rows, one csv.writer row at a time: the writer that
+    data.write_csv's joined body replaced, kept as its oracle."""
+    values = np.asarray(values)
+    if values.ndim == 1:
+        values = values[:, None]
+    columns = columns or [f"c{j}" for j in range(values.shape[1])]
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(columns)
+        for row in values:
+            writer.writerow([repr(float(v)) for v in row])

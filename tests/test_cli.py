@@ -209,6 +209,8 @@ def assert_clean_failure(code, err, mentions):
 BAD_MODEL_DOCS = {
     "unknown_key": ({"model": model_doc(bogus=1)}, "ModelConfig"),
     "string_number": ({"model": {"num_layers": "2"}}, "ModelConfig"),
+    "float_int": ({"model": {"num_layers": 2.5}}, "num_layers must be int, got 2.5"),
+    "string_bool": ({"model": {"use_moe": "no"}}, "use_moe must be bool, got 'no'"),
     "json_array": ([1, 2], "JSON object"),
 }
 
@@ -225,6 +227,9 @@ BAD_TRAIN_DOCS = {
     **BAD_MODEL_DOCS,
     "unknown_train_key": ({"model": model_doc(), "train": {"bogus": 1}}, "TrainConfig"),
     "string_train_number": ({"model": model_doc(), "train": {"steps": "2"}}, "TrainConfig"),
+    # Without the type check, this string fails only after a whole training step.
+    "string_checkpoint_interval": ({"model": model_doc(), "train": {"checkpoint_interval": "1"}},
+                                   "checkpoint_interval must be int | None, got '1'"),
 }
 
 
@@ -245,6 +250,7 @@ def bad_eval_docs(dataset):
         "unknown_key": ({**spec, "bogus": 1}, "EvalSpec"),
         "missing_dataset": ({k: v for k, v in spec.items() if k != "dataset"}, "EvalSpec"),
         "string_stride": ({**spec, "stride": "2"}, "EvalSpec"),
+        "string_bool": ({**spec, "standardize": "yes"}, "standardize must be bool"),
         "json_array": ([spec], "JSON object"),
         "unknown_fine_tune_key": ({**spec, "mode": "fine_tune", "fine_tune": {"bogus": 1}},
                                   "TrainConfig"),

@@ -1,9 +1,11 @@
 """Cleaning pipeline, binary store, packing, and CSV ingestion."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from helpers import reference_load_csv, reference_write_csv
 
 from sparsecast.data import (
     CleanConfig,
@@ -433,3 +435,133 @@ def test_csv_bad_splits_rejected(tmp_path):
     path.write_text("a\n1\n2\n3\n")
     with pytest.raises(FormatError):
         load_csv(path, CsvSchema(splits=(5, 1, 1)))
+
+
+# --- CSV: the np.loadtxt parser against the cell-by-cell oracle -------------------
+
+
+def csv_text(header, rows, newline="\n", final_newline=True):
+    text = newline.join([",".join(header)] + [",".join(r) for r in rows])
+    return text + newline if final_newline else text
+
+
+def random_cells(rng, rows, cols, kind):
+    values = rng.normal(scale=50.0, size=(rows, cols))
+    if kind == "repr":
+        return [[repr(float(v)) for v in r] for r in values]
+    if kind == "float32":
+        return [[repr(float(v)) for v in r] for r in values.astype(np.float32)]
+    return [[f"{v:.4f}" for v in r] for r in values]
+
+
+def accepted_files():
+    rng = np.random.default_rng(7)
+    cols = ["a", "b", "c"]
+    files = {
+        kind: (csv_text(cols, random_cells(rng, 40, 3, kind)), None)
+        for kind in ("repr", "float32", "fixed4")
+    }
+    stamps = [f"2020-01-{d:02d} 00:00" for d in range(1, 31)]
+    files["timestamp"] = (csv_text(["date"] + cols, [[t] + r for t, r in zip(
+        stamps, random_cells(rng, 30, 3, "repr"))]), None)
+    files["quoted"] = (csv_text(['"a"', "b"], [['"1.5"', "-2"], ["3", '"4e-3"']]), None)
+    files["crlf"] = (csv_text(cols, random_cells(rng, 20, 3, "repr"), newline="\r\n"), None)
+    files["no_final_newline"] = (csv_text(cols, random_cells(rng, 20, 3, "repr"),
+                                          final_newline=False), None)
+    notes = ['"ok, fine"' if i % 3 == 0 else "n/a" for i in range(30)]
+    files["schema_subset"] = (csv_text(["date", "a", "note", "b"], [
+        [t, x, n, y] for t, n, (x, y) in zip(stamps, notes, random_cells(rng, 30, 2, "repr"))]),
+        ["b", "a"])
+    files["special_values"] = (csv_text(["a", "b"], [["nan", "-inf"], [" 1.5 ", "-0.0"],
+                                                     ["1e400", "+.5"]]), None)
+    return files
+
+
+ACCEPTED = accepted_files()
+
+
+def assert_same_load(path, schema):
+    got, want = load_csv(path, schema), reference_load_csv(path, schema)
+    assert got.values.dtype == np.float64 and got.values.flags.c_contiguous
+    assert got.values.shape == want.values.shape
+    np.testing.assert_array_equal(got.values.view(np.int64), want.values.view(np.int64))
+    assert (got.columns, got.splits, got.path) == (want.columns, want.splits, want.path)
+
+
+@pytest.mark.parametrize("case", sorted(ACCEPTED))
+def test_load_csv_matches_oracle_bit_for_bit(tmp_path, case):
+    text, columns = ACCEPTED[case]
+    path = tmp_path / f"{case}.csv"
+    path.write_bytes(text.encode())
+    assert_same_load(path, CsvSchema(columns=columns))
+
+
+def test_load_csv_matches_oracle_on_benchmark_shape(tmp_path):
+    path = tmp_path / "bench.csv"
+    rng = np.random.default_rng(18)
+    write_csv(path, rng.normal(scale=10.0, size=(14307, 7)), [f"ch{i}" for i in range(7)])
+    assert_same_load(path, CsvSchema(splits=(8545, 2881, 2881)))
+
+
+REJECTED = {
+    # case: (file text, message after "<path>: ", whether the oracle gives the same)
+    "empty_cell": ("a,b\n1,2\n3,\n", "non-numeric cell '' at row 3, column 'b'", True),
+    "short_row": ("a,b\n1,2\n3\n", "row 3 has 1 cells, header has 2", True),
+    "long_row": ("a,b\n1,2,9\n3,4\n", "row 2 has 3 cells, header has 2", True),
+    "blank_line_middle": ("a,b\n1,2\n\n3,4\n", "row 3 has 0 cells, header has 2", True),
+    "blank_line_end": ("a,b\n1,2\n3,4\n\n", "row 4 has 0 cells, header has 2", True),
+    "blank_first_row": ("a,b\n\n1,2\n", "row 2 has 0 cells, header has 2", False),
+    "hash_cell": ("a,b\n1,#3\n", "non-numeric cell '#3' at row 2, column 'b'", True),
+    "header_only": ("a,b\n", "no data rows", True),
+    "empty_file": ("", "empty file", True),
+    "bad_cell_behind_timestamp": ("date,a\n2020-01-01,1\n2020-01-02,x1\n",
+                                  "non-numeric cell 'x1' at row 3, column 'a'", True),
+    "underscore_digits": ("a,b\n1,2\n1_000,3\n", "non-numeric cell '1_000' at row 3, column 'a'",
+                          False),
+    "timestamps_only": ("date\n2020-01-01\n2020-01-02\n", "no numeric columns", False),
+    "huge_cell": ("a,b\n1,2\n3," + "x" * 200_000 + "\n",
+                  "field larger than field limit (131072)", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_load_csv_rejects_with_exact_message(tmp_path, case):
+    text, message, oracle_agrees = REJECTED[case]
+    path = tmp_path / f"{case}.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError) as err:
+            load_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+    if oracle_agrees:
+        with pytest.raises(FormatError) as want:
+            reference_load_csv(path)
+        assert str(want.value) == str(err.value)
+
+
+def test_load_csv_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,b\n1,2\n3,\xff\n")
+    with pytest.raises(FormatError, match="not UTF-8 text"):
+        load_csv(path)
+
+
+def test_load_csv_strips_utf8_bom(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeffa,b\n1,2\n".encode())
+    loaded = load_csv(path, CsvSchema(columns=["a"], splits=(1, 0, 0)))
+    assert loaded.columns == ["a"]
+    np.testing.assert_array_equal(loaded.values, [[1.0]])
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(3).normal(size=(50, 4)),
+    np.random.default_rng(4).normal(size=(50, 4)).astype(np.float32),
+    np.arange(-20, 20).reshape(10, 4),
+    np.random.default_rng(5).normal(size=2500),
+], ids=["float64", "float32", "int", "1d"])
+def test_write_csv_bytes_match_oracle(tmp_path, values):
+    write_csv(tmp_path / "got.csv", values)
+    reference_write_csv(tmp_path / "want.csv", values)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

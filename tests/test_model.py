@@ -65,6 +65,23 @@ def test_config_roundtrips_through_dict():
         ModelConfig.from_dict({"bogus_field": 1})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("num_layers", 2.5), ("num_layers", True), ("num_layers", "2"), ("use_moe", "no"),
+    ("use_moe", 1), ("rope_base", False), ("rope_base", "1e4"), ("head_horizons", 3),
+    ("max_context", None),
+])
+def test_config_from_dict_rejects_mistyped_field(field, value):
+    with pytest.raises(ConfigError) as err:
+        ModelConfig.from_dict({field: value})
+    assert str(err.value).startswith(f"invalid ModelConfig: {field} must be ")
+    assert str(err.value).endswith(f"got {value!r}")
+
+
+def test_config_from_dict_widens_int_to_float_and_list_to_tuple():
+    cfg = ModelConfig.from_dict({"rope_base": 500, "head_horizons": [1, 8], "use_moe": False})
+    assert cfg.rope_base == 500 and cfg.head_horizons == (1, 8) and cfg.use_moe is False
+
+
 # --- embedding -------------------------------------------------------------------
 
 
