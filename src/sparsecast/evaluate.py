@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import CsvSchema, load_csv, PackedBatch
 from .heads import autoregressive_forecast
-from .model import ConfigCodec, Forecaster, ModelConfig, count_params
+from .model import ConfigCodec, Forecaster, ModelConfig, count_params, int_items
 from .train import AdamW, TrainConfig, batch_loss, train_loop
 from .tensor import Graph
 
@@ -103,8 +103,8 @@ class EvalSpec(ConfigCodec):
     stride: int = 1
 
     def __post_init__(self):
-        self.horizons = tuple(int(h) for h in self.horizons)
-        self.contexts = tuple(int(c) for c in self.contexts)
+        self.horizons = int_items("EvalSpec", "horizons", self.horizons)
+        self.contexts = int_items("EvalSpec", "contexts", self.contexts)
         self.splits = tuple(self.splits)
         if len(self.horizons) != len(self.contexts):
             raise ValueError("horizons and contexts must pair up one-to-one")

@@ -10,8 +10,9 @@ Bias terms exist only on the attention QKV projections; every other linear
 map is bias-free. Packed batches carry a per-token sequence id, each
 sequence one contiguous run of its id. Attention never crosses an id
 boundary and rotary positions restart at each boundary, so a packed sequence
-computes exactly what it would alone. Forecaster.forward derives the segment
-bounds and positions once and hands them to every layer:
+computes exactly what it would alone; train.batch_loss relies on this to run
+a whole batch as one row. Forecaster.forward derives the segment bounds and
+positions once and hands them to every layer:
 block_forward(x, params, config, layer, positions, bounds, cache) -> (x, routing).
 
 For decoding, Forecaster.forward takes a KVCache: each block appends the
@@ -21,6 +22,7 @@ the final block, final norm and heads run on the last row only.
 
 from __future__ import annotations
 
+import numbers
 import typing
 from dataclasses import asdict, dataclass, fields
 
@@ -84,6 +86,16 @@ class ConfigCodec:
             raise ConfigError(f"invalid {cls.__name__}: {e}") from e
 
 
+def int_items(owner: str, name: str, values) -> tuple:
+    """values as a tuple of ints; an item that is not an int, or is a bool,
+    is a ConfigError naming the field rather than a silent truncation."""
+    values = tuple(values)
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"invalid {owner}: {name} must hold ints, got {value!r}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass
 class ModelConfig(ConfigCodec):
     """Architecture hyperparameters.
@@ -107,7 +119,7 @@ class ModelConfig(ConfigCodec):
     use_moe: bool = True
 
     def __post_init__(self):
-        self.head_horizons = tuple(int(h) for h in self.head_horizons)
+        self.head_horizons = int_items("ModelConfig", "head_horizons", self.head_horizons)
         if self.d_model % self.num_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by {self.num_heads} heads")
         if (self.d_model // self.num_heads) % 2 != 0:
@@ -388,13 +400,19 @@ class Forecaster:
         """Run a packed token row [T] or [T, 1] through the full stack.
 
         Without a cache every position is computed and head j's output is
-        [T, p_j]. With a cache (KVCache.empty for a prefill) the row
-        continues the one sequence already cached: seq_ids must be None,
-        rotary positions start at cache.length, and every block attends over
-        the cached keys and values and appends the row's own. The final
-        block, the final norm and the heads then run on the last row only,
-        so hidden is [1, D] and head j's output [1, p_j]. The cache and the
-        row together may not exceed max_context.
+        [T, p_j]. The row may pack many sequences (a training batch is one
+        such row, its batch rows laid end to end under distinct ids); each
+        segment then computes bit for bit what it would alone. max_context
+        bounds the rotary positions, so it is the longest segment, not the
+        row, that may not pass it.
+
+        With a cache (KVCache.empty for a prefill) the row continues the one
+        sequence already cached: seq_ids must be None, rotary positions
+        start at cache.length, and every block attends over the cached keys
+        and values and appends the row's own. The final block, the final
+        norm and the heads then run on the last row only, so hidden is
+        [1, D] and head j's output [1, p_j]. The cache and the row together
+        may not exceed max_context.
         """
         arr = np.asarray(values, dtype=self.dtype)
         if arr.ndim == 1:
@@ -404,8 +422,6 @@ class Forecaster:
         if t < 1:
             raise DataError("empty input")
         start = 0 if cache is None else cache.length
-        if start + t > self.config.max_context:
-            raise DataError(f"context {start + t} exceeds max_context {self.config.max_context}")
         if seq_ids is None:
             bounds = np.array([0, start + t])
             positions = np.arange(start, start + t)
@@ -414,6 +430,9 @@ class Forecaster:
         else:
             bounds = segment_bounds(seq_ids)
             positions = packing_positions(seq_ids)
+        longest = int(positions.max()) + 1
+        if longest > self.config.max_context:
+            raise DataError(f"context {longest} exceeds max_context {self.config.max_context}")
         x = embed_points(x, self.params.embed_w, self.params.embed_v)
         routing = []
         for layer, block in enumerate(self.params.blocks):

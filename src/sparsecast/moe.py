@@ -5,6 +5,14 @@ experts; the K largest scores are kept verbatim as gates (no renormalization)
 and every other expert is skipped entirely. A single shared expert processes
 all tokens, weighted by a per-token sigmoid gate read from row N of the
 router matrix. Ties in the top-K are broken toward the lower expert index.
+
+Dispatch is dropless and expert-sorted: each token's K picks are sorted
+ascending, the (token, pick) pairs are stable-sorted by expert, and the
+token rows are gathered once into expert-contiguous groups. One swiglu op
+runs every selected expert on its group, and one combine op adds each
+token's K gated rows to the shared expert's output in ascending expert
+order. No expert capacity, no dropped tokens, and the tape holds the same
+few nodes whatever the number of experts.
 """
 
 from __future__ import annotations
@@ -70,9 +78,7 @@ class RouterOutput:
 
 def expert_ffn(x: Tensor, ffn: ExpertFFN) -> Tensor:
     """Apply one gated FFN to x[T, D]."""
-    gate = T.silu(T.matmul(x, T.transpose(ffn.w_gate)))
-    up = T.matmul(x, T.transpose(ffn.w_up))
-    return T.matmul(T.mul(gate, up), T.transpose(ffn.w_down))
+    return T.swiglu(x, [(ffn.w_gate, ffn.w_up, ffn.w_down)], [0, x.shape[0]])
 
 
 def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -111,26 +117,23 @@ def load_stats(selected: np.ndarray, scores: np.ndarray, k: int) -> tuple:
     return f, r
 
 
-def merge_stats(routings: list) -> np.ndarray:
-    """The selection fraction f across several RouterOutputs, weighting by token count."""
-    total = sum(r.scores.shape[0] for r in routings)
-    return sum(r.f * (r.scores.shape[0] / total) for r in routings)
-
-
 def moe_forward(u_norm: Tensor, params: MoeParams, routing: RouterOutput) -> Tensor:
     """Gated sum of the shared expert and each token's selected routed experts.
 
-    Experts that no token selected are never evaluated; each token touches
-    exactly K + 1 expert FFNs.
+    Experts that no token selected are never evaluated and get no gradient;
+    each token touches exactly K + 1 expert FFNs, and its output equals
+    adding the K gated expert rows one expert at a time, lowest index first.
     """
-    t = u_norm.shape[0]
-    out = T.row_scale(expert_ffn(u_norm, params.shared), routing.shared_gate)
-    for i in range(params.num_experts):
-        rows = np.nonzero((routing.selected == i).any(axis=1))[0]
-        if rows.size == 0:
-            continue
-        tokens = T.gather_rows(u_norm, rows)
-        gates = T.gather_entries(routing.scores, rows, np.full(rows.size, i))
-        contribution = T.row_scale(expert_ffn(tokens, params.experts[i]), gates)
-        out = T.add(out, T.scatter_rows(contribution, rows, t))
-    return out
+    t, k = routing.selected.shape
+    picks = np.sort(routing.selected, axis=1)
+    # slots[t, j]: the grouped row of token t's j-th pick; a stable sort by
+    # expert keeps each group's tokens ascending.
+    slots = np.empty(t * k, dtype=np.intp)
+    slots[np.argsort(picks.reshape(-1), kind="stable")] = np.arange(t * k)
+    slots = slots.reshape(t, k)
+    counts = np.bincount(picks.reshape(-1), minlength=params.num_experts)
+    grouped = T.swiglu(T.dispatch_rows(u_norm, slots),
+                       [(e.w_gate, e.w_up, e.w_down) for e in params.experts],
+                       np.concatenate(([0], np.cumsum(counts))))
+    shared = T.row_scale(expert_ffn(u_norm, params.shared), routing.shared_gate)
+    return T.combine_rows(shared, grouped, routing.scores, slots, picks)

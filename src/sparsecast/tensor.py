@@ -2,8 +2,8 @@
 
 The op set is exactly what the forecaster's math needs: matmul, explicit
 elementwise arithmetic, the gated activations, row-stochastic softmax,
-fused norm/rotation/attention kernels with analytic adjoints, and the
-gather/scatter primitives used for sparse expert dispatch. Ops are plain
+fused norm/rotation/attention/SwiGLU kernels with analytic adjoints, and
+the row permutations behind sparse expert dispatch. Ops are plain
 functions, with no operator overloading on Tensor, and Graph.backward is
 the one way to backpropagate.
 
@@ -12,12 +12,20 @@ segments given by their bounds [0, b_1, ..., T]; tokens attend causally
 within their own segment only, and each segment is computed on its own
 [heads, n, d_head] slice with batched matmul. A row therefore costs the sum
 of n^2 over its segments, not T^2, no [T, T] mask is ever built, and a
-segment packed into a row computes bit for bit what it computes alone. The
-softmax weights of one call live in a single [heads, T, T] workspace, as
-views of its diagonal blocks, and the backward pass reads them from there.
-The same kernel serves cached decoding: keys and values may be longer than
-the queries by a cached prefix, the queries being the last key positions,
-and the workspace is then [heads, n_q, n_k].
+segment packed into a row computes bit for bit what it computes alone. Each
+segment block keeps its softmax weights in a workspace of its own,
+[heads, n, n], which the backward pass reads; a training batch packed into
+one long row thus holds sum n^2 weights, never [heads, T, T]. The same
+kernel serves cached decoding: keys and values may be longer than the
+queries by a cached prefix, the queries being the last key positions, and a
+block's workspace is then [heads, n_q, n_k].
+
+Expert dispatch is dropless and expert-sorted: dispatch_rows copies each
+token's row once per routed expert into expert-contiguous groups, swiglu
+runs every group's gated FFN in one op, and combine_rows adds the gated
+expert rows back to their tokens. swiglu multiplies by contiguous transposed
+copies of the weights, never by transposed views, so a row's result does
+not depend on how many rows share the call.
 
 Shape discipline is strict: elementwise ops accept equal shapes, a
 trailing-dimension vector, or a scalar — nothing else. Anything fancier
@@ -175,7 +183,12 @@ class Graph:
 
 def _finish(op: str, out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     """Finite-check the result and record the op if a tape is active."""
-    if not np.all(np.isfinite(out_data)):
+    # One BLAS reduction first: the squared norm is finite unless an entry is
+    # NaN or Inf, or finite entries overflow it; only then check entrywise.
+    flat = out_data.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.dot(flat, flat)
+    if not np.isfinite(norm) and not np.isfinite(out_data).all():
         raise NumericError(f"{op} produced non-finite values")
     graph = _active_graph()
     track = graph is not None and any(t.requires_grad for t in inputs)
@@ -285,21 +298,14 @@ def sum_all(a: Tensor) -> Tensor:
     return _finish("sum", a.data.sum().reshape(()), (a,), vjp)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    return mul(sum_all(a), 1.0 / a.data.size)
-
-
 # --- activations ---------------------------------------------------------------
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Branch on sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|x|) never overflows; each sign takes the form that stays exact there.
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -442,38 +448,37 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
     sum n_q * n_k rather than T^2. A segment that ends inside the cached
     prefix holds no query and is skipped.
 
-    The softmax weights of one call live in a single [heads, n_q, n_k]
-    workspace, as views of its diagonal blocks; the off-diagonal blocks are
-    never written or read. The vjp keeps that workspace and the inputs, no
-    copies.
+    Each segment block keeps its softmax weights in a [heads, n_q, n_k]
+    workspace of its own, so a long row of short segments (a packed
+    training batch) never allocates [heads, T, T]. The vjp keeps those
+    workspaces and the inputs, no copies.
     """
     if (q.data.ndim != 3 or k.shape != v.shape or k.data.ndim != 3
             or q.shape[1:] != k.shape[1:] or q.shape[0] > k.shape[0]):
         raise ShapeError(f"attention expects q [n_q, heads, d_head] and k, v [n_k >= n_q, heads, "
                          f"d_head], got {q.shape}, {k.shape}, {v.shape}")
-    n_q, heads, d_head = q.shape
+    n_q, _, d_head = q.shape
     n_k = k.shape[0]
     prefix = n_k - n_q
-    # (first query row, first key, end key) per segment that holds a query.
-    blocks = [(max(a, prefix) - prefix, a, b) for a, b in _segment_spans(segments, n_k)
-              if b > prefix]
+    # (first query row, end query row, first key, end key) per segment that holds a query.
+    blocks = [(max(a, prefix) - prefix, b - prefix, a, b)
+              for a, b in _segment_spans(segments, n_k) if b > prefix]
     k, v = _as_operand(k, q), _as_operand(v, q)
     scale = float(1.0 / np.sqrt(d_head))
     # [heads, T, d_head] views of the [T, heads, d_head] operands.
     qh, kh, vh = (x.data.transpose(1, 0, 2) for x in (q, k, v))
     out = np.empty_like(q.data)
     oh = out.transpose(1, 0, 2)
-    w = np.empty((heads, n_q, n_k), dtype=q.data.dtype)
-    for s, a, b in blocks:
-        e = b - prefix
-        ws = w[:, s:e, a:b]
-        np.matmul(qh[:, s:e], kh[:, a:b].transpose(0, 2, 1), out=ws)
+    weights = []
+    for s, e, a, b in blocks:
+        ws = np.matmul(qh[:, s:e], kh[:, a:b].transpose(0, 2, 1))
         ws *= scale
         np.copyto(ws, -np.inf, where=~np.tri(e - s, b - a, k=b - a - (e - s), dtype=bool))
         ws -= ws.max(axis=-1, keepdims=True)
         np.exp(ws, out=ws)
         ws /= ws.sum(axis=-1, keepdims=True)
         np.matmul(ws, vh[:, a:b], out=oh[:, s:e])
+        weights.append(ws)
 
     def vjp(g):
         gh = g.transpose(1, 0, 2)
@@ -481,9 +486,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
         new = np.zeros_like if prefix else np.empty_like
         gq, gk, gv = np.empty_like(g), new(k.data), new(v.data)
         gqh, gkh, gvh = (x.transpose(1, 0, 2) for x in (gq, gk, gv))
-        for s, a, b in blocks:
-            e = b - prefix
-            ws = w[:, s:e, a:b]
+        for (s, e, a, b), ws in zip(blocks, weights):
             go = gh[:, s:e]
             np.matmul(ws.transpose(0, 2, 1), go, out=gvh[:, a:b])
             # d(scores) = w * (g v^T - rowsum(w * g v^T)), and that row sum is g . out.
@@ -499,7 +502,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
     return _finish("attention", out, (q, k, v), vjp)
 
 
-# --- gather / scatter ----------------------------------------------------------
+# --- gather / dispatch ---------------------------------------------------------
 
 
 def gather_rows(x: Tensor, rows: np.ndarray) -> Tensor:
@@ -515,32 +518,117 @@ def gather_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     return _finish("gather_rows", x.data[rows], (x,), vjp)
 
 
-def scatter_rows(x: Tensor, rows: np.ndarray, num_rows: int) -> Tensor:
-    """Place rows of x at the given indices of a zero [num_rows, ...] tensor."""
-    rows = np.asarray(rows, dtype=np.intp)
-    if len(rows) != x.data.shape[0]:
-        raise ShapeError("one target row index per input row")
-    out = np.zeros((num_rows,) + x.data.shape[1:], dtype=x.data.dtype)
-    np.add.at(out, rows, x.data)
+def _check_distinct(rows: np.ndarray, size: int, what: str) -> None:
+    """rows must index distinct entries of range(size)."""
+    flat = rows.reshape(-1)
+    if flat.size and (flat.min() < 0 or flat.max() >= size
+                      or np.bincount(flat, minlength=size).max() > 1):
+        raise ShapeError(f"{what} must be distinct indices into {size} rows")
+
+
+def dispatch_rows(x: Tensor, slots: np.ndarray) -> Tensor:
+    """Copy row t of x[T, ...] to rows slots[t, 0], ..., slots[t, K-1] of a
+    [T * K, ...] result; slots is [T, K] and holds every row index once.
+
+    The adjoint sums each token's K copies in slot order, with no scatter-add.
+    """
+    slots = np.asarray(slots, dtype=np.intp)
+    t = x.data.shape[0]
+    if slots.ndim != 2 or slots.shape[0] != t:
+        raise ShapeError(f"slots must be [{t}, K], got {slots.shape}")
+    _check_distinct(slots, slots.size, "slots")
+    out = np.empty((slots.size,) + x.data.shape[1:], dtype=x.data.dtype)
+    out[slots] = x.data[:, None]
 
     def vjp(g):
-        return (g[rows],)
+        return (g[slots].sum(axis=1),)
 
-    return _finish("scatter_rows", out, (x,), vjp)
+    return _finish("dispatch_rows", out, (x,), vjp)
 
 
-def gather_entries(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """x[rows[i], cols[i]] as a 1-D tensor."""
-    rows = np.asarray(rows, dtype=np.intp)
+def swiglu(x: Tensor, experts: list, bounds) -> Tensor:
+    """Gated feed-forward nets down(silu(gate(x)) * up(x)), one per group of rows.
+
+    experts[i] is (w_gate [hidden, D], w_up [hidden, D], w_down [D, hidden])
+    and applies to rows bounds[i]:bounds[i+1] of x[R, D], bounds running
+    from 0 to R. An empty group is skipped, and its weights get no gradient.
+    Each product is by a contiguous transposed copy of the weight, so a row
+    comes out bit for bit the same whatever else shares the call.
+    """
+    r, d = x.data.shape
+    bounds = [int(b) for b in bounds]
+    if (len(bounds) != len(experts) + 1 or bounds[0] != 0 or bounds[-1] != r
+            or any(a > b for a, b in zip(bounds, bounds[1:]))):
+        raise ShapeError(f"bounds must ascend from 0 to {r}, one group per expert")
+    weights = [tuple(_as_operand(w, x) for w in ws) for ws in experts]
+    for w_gate, w_up, w_down in weights:
+        h = w_gate.shape[0]
+        if w_gate.shape != (h, d) or w_up.shape != (h, d) or w_down.shape != (d, h):
+            raise ShapeError(f"swiglu weights {w_gate.shape}, {w_up.shape}, {w_down.shape} "
+                             f"do not fit rows of width {d}")
+    out = np.empty_like(x.data)
+    saved = []
+    for i, (w_gate, w_up, w_down) in enumerate(weights):
+        a, b = bounds[i], bounds[i + 1]
+        if a == b:
+            continue
+        rows = x.data[a:b]
+        pre = rows @ w_gate.data.T.copy()
+        s = _sigmoid(pre)
+        gate = pre * s
+        up = rows @ w_up.data.T.copy()
+        hidden = gate * up
+        out[a:b] = hidden @ w_down.data.T.copy()
+        saved.append((a, b, i, pre, s, gate, up, hidden))
+
+    def vjp(g):
+        gx = np.empty_like(x.data)
+        grads = [None] * (3 * len(weights))
+        for a, b, i, pre, s, gate, up, hidden in saved:
+            w_gate, w_up, w_down = weights[i]
+            rows, go = x.data[a:b], g[a:b]
+            g_hidden = go @ w_down.data
+            g_up = g_hidden * gate
+            g_pre = g_hidden * up * (s + pre * s * (1.0 - s))
+            gx[a:b] = g_pre @ w_gate.data + g_up @ w_up.data
+            grads[3 * i: 3 * i + 3] = g_pre.T @ rows, g_up.T @ rows, go.T @ hidden
+        return (gx, *grads)
+
+    return _finish("swiglu", out, (x, *(w for ws in weights for w in ws)), vjp)
+
+
+def combine_rows(base: Tensor, y: Tensor, gates: Tensor, slots: np.ndarray,
+                 cols: np.ndarray) -> Tensor:
+    """base[t] + sum over j of gates[t, cols[t, j]] * y[slots[t, j]], j ascending.
+
+    base is [T, D], y [R, D], gates [T, N]; slots and cols are [T, K], each
+    slots entry a distinct row of y and each row of cols distinct columns.
+    The adjoint writes every gradient row once, with no scatter-add.
+    """
+    slots = np.asarray(slots, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    in_shape = x.data.shape
+    t = base.data.shape[0]
+    if slots.shape != cols.shape or slots.ndim != 2 or slots.shape[0] != t:
+        raise ShapeError(f"slots {slots.shape} and cols {cols.shape} must both be [{t}, K]")
+    y, gates = _as_operand(y, base), _as_operand(gates, base)
+    _check_distinct(slots, y.data.shape[0], "slots")
+    if np.any(np.diff(np.sort(cols, axis=1), axis=1) == 0):
+        raise ShapeError("each row of cols must name distinct columns")
+    tokens = np.arange(t)
+    picked = [gates.data[tokens, cols[:, j]][:, None] for j in range(slots.shape[1])]
+    out = base.data.copy()
+    for j, w in enumerate(picked):
+        out += y.data[slots[:, j]] * w
 
     def vjp(g):
-        acc = np.zeros(in_shape, dtype=g.dtype)
-        np.add.at(acc, (rows, cols), g)
-        return (acc,)
+        gy = np.zeros_like(y.data) if slots.size < y.data.shape[0] else np.empty_like(y.data)
+        g_gates = np.zeros_like(gates.data)
+        for j, w in enumerate(picked):
+            gy[slots[:, j]] = g * w
+            g_gates[tokens, cols[:, j]] = (g * y.data[slots[:, j]]).sum(axis=1)
+        return g, gy, g_gates
 
-    return _finish("gather_entries", x.data[rows, cols], (x,), vjp)
+    return _finish("combine_rows", out, (base, y, gates), vjp)
 
 
 def row_scale(x: Tensor, s: Tensor) -> Tensor:

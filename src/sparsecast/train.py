@@ -1,11 +1,12 @@
 """Training: the multi-horizon loss, AdamW, warmup-cosine schedule, the
 step loop over packed batches, and binary checkpoints.
 
-batch_loss is the one loss. It averages a masked robust (Huber) term per
-forecast head — over all valid anchor positions and over the head's horizon
-elements, so long heads are not overweighted — then averages across heads
-and adds alpha times the expert-balance penalty, itself averaged over
-mixture layers. An anchor is valid for a head of horizon p when the p
+batch_loss is the one loss. It runs the whole batch as one packed row (one
+forward, one target table per head) and averages a masked robust (Huber)
+term per forecast head — over all valid anchor positions and over the
+head's horizon elements, so long heads are not overweighted — then averages
+across heads and adds alpha times the expert-balance penalty, itself
+averaged over mixture layers. An anchor is valid for a head of horizon p when the p
 following tokens exist, stay inside the anchor's packed sequence, and are
 not padding.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +29,6 @@ import numpy as np
 from . import tensor as T
 from .data import PackedBatch, SequenceStore, sample_batch
 from .model import ConfigCodec, ConfigError, Forecaster, ModelConfig, init_params, segment_bounds
-from .moe import merge_stats
 from .tensor import Graph, Tensor
 
 CHECKPOINT_MAGIC = b"TMOE"
@@ -102,6 +103,12 @@ def lr_at_step(step: int, warmup: int, total_steps: int, peak_lr: float) -> floa
     return max(0.0, peak_lr * 0.5 * (1.0 + math.cos(math.pi * progress)))
 
 
+def _check_horizon(context: int, horizon: int) -> None:
+    if horizon > context:
+        raise ConfigError(f"training context {context} is shorter than head horizon {horizon}; "
+                          f"use a context of at least {horizon}")
+
+
 def head_targets(tokens: np.ndarray, seq_ids: np.ndarray, pad_mask: np.ndarray,
                  horizon: int) -> tuple:
     """(targets [L, p], valid [L]) for one packed row and one head horizon.
@@ -109,9 +116,7 @@ def head_targets(tokens: np.ndarray, seq_ids: np.ndarray, pad_mask: np.ndarray,
     A row shorter than the horizon cannot hold one target window: ConfigError.
     """
     length = len(tokens)
-    if horizon > length:
-        raise ConfigError(f"training context {length} is shorter than head horizon {horizon}; "
-                          f"use a context of at least {horizon}")
+    _check_horizon(length, horizon)
     bounds = segment_bounds(seq_ids)
     run_end = np.repeat(bounds[1:], np.diff(bounds))
     remaining = run_end - np.arange(length)
@@ -135,59 +140,63 @@ def masked_head_loss(pred: Tensor, targets: np.ndarray, valid: np.ndarray,
     return T.sum_all(masked), int(cells.sum())
 
 
-def balance_loss_tensor(per_layer_routings: list) -> tuple:
-    """Differentiable balance penalty averaged over mixture layers.
+def balance_loss_tensor(routings: list) -> tuple:
+    """Differentiable balance penalty averaged over mixture layers, one
+    RouterOutput per layer.
 
     Gradients flow through the mean routing scores r; the selection fractions
     f enter as constants (the selection itself is not differentiable).
-    Returns (tensor, merged f averaged over layers).
+    Returns (tensor, f averaged over layers).
     """
     terms = []
-    f_layers = []
-    for routings in per_layer_routings:
-        scores = T.concat_rows([r.scores for r in routings])
+    for routing in routings:
+        scores = routing.scores
         total, n = scores.shape
-        f = merge_stats(routings)
-        f_layers.append(f)
         ones = T.constant(np.full((1, total), 1.0 / total), scores.dtype)
         r_mean = T.matmul(ones, scores)  # [1, N]
-        weighted = T.mul(r_mean, T.constant(f[None, :], scores.dtype))
+        weighted = T.mul(r_mean, T.constant(routing.f[None, :], scores.dtype))
         terms.append(T.mul(T.sum_all(weighted), float(n)))
     acc = terms[0]
     for term in terms[1:]:
         acc = T.add(acc, term)
-    mean_f = np.mean(np.stack(f_layers), axis=0)
+    mean_f = np.mean(np.stack([routing.f for routing in routings]), axis=0)
     return T.mul(acc, 1.0 / len(terms)), mean_f
 
 
-def batch_loss(model: Forecaster, batch: PackedBatch, config: TrainConfig) -> tuple:
-    """Forward every packed row and combine into one scalar loss.
+def flat_batch(batch: PackedBatch) -> tuple:
+    """(tokens [B*L], seq_ids [B*L], pad_mask [B*L]): the batch rows laid end
+    to end as one packed row. Each row's ids are shifted into a range of
+    their own, so a row end is always a segment bound and no sequence spans
+    two rows."""
+    ids = batch.seq_ids - batch.seq_ids.min()
+    ids = ids + (int(ids.max()) + 1) * np.arange(batch.rows)[:, None]
+    return batch.tokens[:, :, 0].reshape(-1), ids.reshape(-1), batch.pad_mask.reshape(-1)
 
-    Head sums and counts aggregate across rows before averaging, so every
-    valid position in the batch carries equal weight. A head with no valid
-    cell in the batch drops out of the head average; when every head is
-    empty the batch is degenerate and raises TrainingError. Returns (loss
-    tensor, info dict of float diagnostics).
+
+def batch_loss(model: Forecaster, batch: PackedBatch, config: TrainConfig) -> tuple:
+    """Forward the batch as one packed row and combine into one scalar loss.
+
+    The B rows are laid end to end (flat_batch), so one forward serves the
+    batch, and each head takes one target table and one masked Huber sum
+    over it; since a row end is a segment bound, the targets and valid
+    cells are those of the rows taken one by one. Every valid position in
+    the batch carries equal weight. A head with no valid cell in the batch
+    drops out of the head average; when every head is empty the batch is
+    degenerate and raises TrainingError. A batch row shorter than the
+    largest horizon raises ConfigError. Returns (loss tensor, info dict of
+    float diagnostics).
     """
     horizons = model.config.head_horizons
-    sums = [None] * len(horizons)
-    counts = [0] * len(horizons)
-    layer_routings: list[list] = [[] for _ in range(model.config.num_layers)]
-    for b in range(batch.rows):
-        result = model.forward(batch.tokens[b], seq_ids=batch.seq_ids[b])
-        tokens = batch.tokens[b, :, 0]
-        for j, horizon in enumerate(horizons):
-            targets, valid = head_targets(tokens, batch.seq_ids[b], batch.pad_mask[b], horizon)
-            if not valid.any():
-                continue
-            head_sum, count = masked_head_loss(result.head_outputs[j], targets, valid,
-                                               config.delta)
-            sums[j] = head_sum if sums[j] is None else T.add(sums[j], head_sum)
-            counts[j] += count
-        for layer, routing in enumerate(result.routing):
-            layer_routings[layer].append(routing)
-
-    parts = [T.mul(s, 1.0 / c) for s, c in zip(sums, counts) if s is not None and c]
+    _check_horizon(batch.length, horizons[-1])
+    tokens, seq_ids, pad_mask = flat_batch(batch)
+    result = model.forward(tokens, seq_ids=seq_ids)
+    parts = []
+    for j, horizon in enumerate(horizons):
+        targets, valid = head_targets(tokens, seq_ids, pad_mask, horizon)
+        if not valid.any():
+            continue
+        head_sum, count = masked_head_loss(result.head_outputs[j], targets, valid, config.delta)
+        parts.append(T.mul(head_sum, 1.0 / count))
     if not parts:
         raise TrainingError("degenerate batch: every position is masked for every head")
     acc = parts[0]
@@ -197,8 +206,8 @@ def batch_loss(model: Forecaster, batch: PackedBatch, config: TrainConfig) -> tu
 
     info = {"loss_ar": float(loss_ar.data)}
     loss = loss_ar
-    if model.config.use_moe and layer_routings[0]:
-        balance, mean_f = balance_loss_tensor(layer_routings)
+    if model.config.use_moe and result.routing:
+        balance, mean_f = balance_loss_tensor(result.routing)
         info["loss_aux"] = float(balance.data)
         info["f_min"] = float(mean_f.min())
         info["f_max"] = float(mean_f.max())
@@ -296,25 +305,34 @@ def train_loop(model: Forecaster, store: SequenceStore, config: TrainConfig,
 
     Batches are drawn from a per-step generator seeded by (seed, step), so a
     resumed run replays exactly the stream an uninterrupted run would see.
+    Besides the losses and routing fractions, a record holds the step's wall
+    time (seconds, from sampling through the optimizer step), the batch
+    tokens per second over it, and tape_nodes, the ops the forward and loss
+    recorded for backward.
     """
     optimizer = optimizer or AdamW(model, config)
     metrics: list[dict] = []
     log_handle = open(log_path, "a") if log_path else None
     try:
         for step in range(start_step, config.steps):
+            began = time.perf_counter()
             rng = np.random.default_rng([config.seed, step])
             batch = sample_batch(store, rng, config.batch, config.context, domain_weights)
             optimizer.zero_grad()
             with Graph() as graph:
                 loss, info = batch_loss(model, batch, config)
+            tape_nodes = len(graph)
             graph.backward(loss)
             if config.grad_clip is not None:
                 clip_global_norm(model, config.grad_clip)
             lr = lr_at_step(step + 1, config.warmup_steps, config.steps + 1, config.lr)
             optimizer.step(lr)
+            seconds = time.perf_counter() - began
             record = {"step": step, "lr": lr, "loss": info["loss"],
                       "loss_ar": info["loss_ar"], "loss_aux": info["loss_aux"],
-                      "f_min": info["f_min"], "f_max": info["f_max"]}
+                      "f_min": info["f_min"], "f_max": info["f_max"], "seconds": seconds,
+                      "tokens_per_s": batch.rows * batch.length / seconds,
+                      "tape_nodes": tape_nodes}
             metrics.append(record)
             if log_handle:
                 log_handle.write(json.dumps(record) + "\n")

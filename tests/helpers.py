@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 
+from sparsecast import tensor as T
 from sparsecast.data import CsvSchema, FormatError, LoadedCsv, _resolve_splits
 from sparsecast.heads import plan_horizons
 from sparsecast.tensor import Graph, ShapeError, Tensor, _finish
+from sparsecast.train import TrainingError, head_targets, masked_head_loss
 
 
 def central_diff_grad(forward, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -223,3 +225,151 @@ def reference_write_csv(path, values: np.ndarray, columns: list | None = None) -
         writer.writerow(columns)
         for row in values:
             writer.writerow([repr(float(v)) for v in row])
+
+
+def mean_all(a: Tensor) -> Tensor:
+    """Mean of all entries, as a scalar tensor."""
+    return T.mul(T.sum_all(a), 1.0 / a.data.size)
+
+
+def reference_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The boolean-mask sigmoid that tensor._sigmoid's branch-free form
+    replaced, kept as its oracle."""
+    # Branch on sign so exp never overflows.
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+# --- the per-expert, per-row training path that grouped dispatch and the
+# one-row batch replaced, kept as their oracle --------------------------------
+
+
+def reference_gather_entries(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
+    """x[rows[i], cols[i]] as a 1-D tensor."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    in_shape = x.data.shape
+
+    def vjp(g):
+        acc = np.zeros(in_shape, dtype=g.dtype)
+        np.add.at(acc, (rows, cols), g)
+        return (acc,)
+
+    return _finish("gather_entries", x.data[rows, cols], (x,), vjp)
+
+
+def reference_scatter_rows(x: Tensor, rows: np.ndarray, num_rows: int) -> Tensor:
+    """Place rows of x at the given indices of a zero [num_rows, ...] tensor."""
+    rows = np.asarray(rows, dtype=np.intp)
+    if len(rows) != x.data.shape[0]:
+        raise ShapeError("one target row index per input row")
+    out = np.zeros((num_rows,) + x.data.shape[1:], dtype=x.data.dtype)
+    np.add.at(out, rows, x.data)
+
+    def vjp(g):
+        return (g[rows],)
+
+    return _finish("scatter_rows", out, (x,), vjp)
+
+
+def reference_expert_ffn(x: Tensor, ffn) -> Tensor:
+    """Apply one gated FFN to x[T, D]."""
+    gate = T.silu(T.matmul(x, T.transpose(ffn.w_gate)))
+    up = T.matmul(x, T.transpose(ffn.w_up))
+    return T.matmul(T.mul(gate, up), T.transpose(ffn.w_down))
+
+
+def reference_moe_forward(u_norm: Tensor, params, routing) -> Tensor:
+    """Gated sum of the shared expert and each token's selected routed experts.
+
+    Experts that no token selected are never evaluated; each token touches
+    exactly K + 1 expert FFNs.
+    """
+    t = u_norm.shape[0]
+    out = T.row_scale(reference_expert_ffn(u_norm, params.shared), routing.shared_gate)
+    for i in range(params.num_experts):
+        rows = np.nonzero((routing.selected == i).any(axis=1))[0]
+        if rows.size == 0:
+            continue
+        tokens = T.gather_rows(u_norm, rows)
+        gates = reference_gather_entries(routing.scores, rows, np.full(rows.size, i))
+        contribution = T.row_scale(reference_expert_ffn(tokens, params.experts[i]), gates)
+        out = T.add(out, reference_scatter_rows(contribution, rows, t))
+    return out
+
+
+def reference_balance_loss(per_layer_routings: list) -> tuple:
+    """Differentiable balance penalty averaged over mixture layers, from
+    several RouterOutputs per layer (one per batch row)."""
+    terms = []
+    f_layers = []
+    for routings in per_layer_routings:
+        scores = T.concat_rows([r.scores for r in routings])
+        total, n = scores.shape
+        f = sum(r.f * (r.scores.shape[0] / total) for r in routings)
+        f_layers.append(f)
+        ones = T.constant(np.full((1, total), 1.0 / total), scores.dtype)
+        r_mean = T.matmul(ones, scores)  # [1, N]
+        weighted = T.mul(r_mean, T.constant(f[None, :], scores.dtype))
+        terms.append(T.mul(T.sum_all(weighted), float(n)))
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = T.add(acc, term)
+    mean_f = np.mean(np.stack(f_layers), axis=0)
+    return T.mul(acc, 1.0 / len(terms)), mean_f
+
+
+def reference_batch_loss(model, batch, config) -> tuple:
+    """Forward every packed row and combine into one scalar loss.
+
+    Head sums and counts aggregate across rows before averaging, so every
+    valid position in the batch carries equal weight. A head with no valid
+    cell in the batch drops out of the head average; when every head is
+    empty the batch is degenerate and raises TrainingError. Returns (loss
+    tensor, info dict of float diagnostics).
+    """
+    horizons = model.config.head_horizons
+    sums = [None] * len(horizons)
+    counts = [0] * len(horizons)
+    layer_routings: list[list] = [[] for _ in range(model.config.num_layers)]
+    for b in range(batch.rows):
+        result = model.forward(batch.tokens[b], seq_ids=batch.seq_ids[b])
+        tokens = batch.tokens[b, :, 0]
+        for j, horizon in enumerate(horizons):
+            targets, valid = head_targets(tokens, batch.seq_ids[b], batch.pad_mask[b], horizon)
+            if not valid.any():
+                continue
+            head_sum, count = masked_head_loss(result.head_outputs[j], targets, valid,
+                                               config.delta)
+            sums[j] = head_sum if sums[j] is None else T.add(sums[j], head_sum)
+            counts[j] += count
+        for layer, routing in enumerate(result.routing):
+            layer_routings[layer].append(routing)
+
+    parts = [T.mul(s, 1.0 / c) for s, c in zip(sums, counts) if s is not None and c]
+    if not parts:
+        raise TrainingError("degenerate batch: every position is masked for every head")
+    acc = parts[0]
+    for part in parts[1:]:
+        acc = T.add(acc, part)
+    loss_ar = T.mul(acc, 1.0 / len(parts))
+
+    info = {"loss_ar": float(loss_ar.data)}
+    loss = loss_ar
+    if model.config.use_moe and layer_routings[0]:
+        balance, mean_f = reference_balance_loss(layer_routings)
+        info["loss_aux"] = float(balance.data)
+        info["f_min"] = float(mean_f.min())
+        info["f_max"] = float(mean_f.max())
+        if config.alpha > 0:
+            loss = T.add(loss_ar, T.mul(balance, config.alpha))
+    else:
+        info["loss_aux"] = 0.0
+        info["f_min"] = None
+        info["f_max"] = None
+    info["loss"] = float(loss.data)
+    return loss, info

@@ -211,6 +211,8 @@ BAD_MODEL_DOCS = {
     "string_number": ({"model": {"num_layers": "2"}}, "ModelConfig"),
     "float_int": ({"model": {"num_layers": 2.5}}, "num_layers must be int, got 2.5"),
     "string_bool": ({"model": {"use_moe": "no"}}, "use_moe must be bool, got 'no'"),
+    "float_horizon": ({"model": model_doc(head_horizons=[1, 4.5])},
+                      "head_horizons must hold ints, got 4.5"),
     "json_array": ([1, 2], "JSON object"),
 }
 

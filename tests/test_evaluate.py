@@ -22,7 +22,7 @@ from sparsecast.evaluate import (
     model_hash,
     parity_gap,
 )
-from sparsecast.model import Forecaster, ModelConfig, count_params
+from sparsecast.model import ConfigError, Forecaster, ModelConfig, count_params
 from sparsecast.synthetic import build_regime_store
 from sparsecast.evaluate import mae, mse
 from sparsecast.train import TrainConfig
@@ -175,6 +175,14 @@ def test_eval_spec_validation():
         EvalSpec(dataset="x", mode="few_shot")
     spec = EvalSpec(dataset="x", horizons=(96,), contexts=(512,))
     assert EvalSpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize("field, doc", [("horizons", {"horizons": [96.9], "contexts": [512]}),
+                                        ("contexts", {"horizons": [96], "contexts": ["512"]}),
+                                        ("horizons", {"horizons": [False], "contexts": [512]})])
+def test_eval_spec_rejects_non_int_horizons_and_contexts(field, doc):
+    with pytest.raises(ConfigError, match=f"EvalSpec: {field} must hold ints"):
+        EvalSpec.from_dict({"dataset": "x", **doc})
 
 
 def test_eval_model_records_model_metadata(tmp_path):

@@ -77,6 +77,15 @@ def test_config_from_dict_rejects_mistyped_field(field, value):
     assert str(err.value).endswith(f"got {value!r}")
 
 
+@pytest.mark.parametrize("horizons", [[1, 8.7, 32], [1, "8", 32], [1, True, 8], [1.0, 8]])
+def test_config_rejects_non_int_horizons(horizons):
+    # int() would truncate 8.7 to 8 and parse "8"; neither is a horizon.
+    with pytest.raises(ConfigError, match="head_horizons must hold ints"):
+        ModelConfig.from_dict({"head_horizons": horizons})
+    with pytest.raises(ConfigError, match="head_horizons must hold ints"):
+        ModelConfig(head_horizons=tuple(horizons))
+
+
 def test_config_from_dict_widens_int_to_float_and_list_to_tuple():
     cfg = ModelConfig.from_dict({"rope_base": 500, "head_horizons": [1, 8], "use_moe": False})
     assert cfg.rope_base == 500 and cfg.head_horizons == (1, 8) and cfg.use_moe is False
@@ -443,3 +452,42 @@ def test_forward_determinism():
     b = model.forward(x)
     for p, q in zip(a.head_outputs, b.head_outputs):
         assert p.data.tobytes() == q.data.tobytes()
+
+
+# --- one packed row per training batch -------------------------------------------
+
+
+def test_packed_batch_forward_matches_per_row_forwards_bitwise(tmp_path):
+    """A 4 x 256 batch laid end to end gives each row bit for bit what the row
+    gives alone. At d_model 32 and 4 heads a product by a transposed view
+    would differ with the row count, so this size catches one."""
+    from sparsecast.data import sample_batch
+    from sparsecast.synthetic import build_regime_store
+    from sparsecast.train import flat_batch
+
+    cfg = ModelConfig(d_model=32, num_layers=2, num_heads=4, num_experts=4, top_k=2,
+                      d_expert=32, head_horizons=(1, 8, 32, 64), max_context=256)
+    model = Forecaster.init(cfg, seed=0)
+    store = build_regime_store(tmp_path, np.random.default_rng(1), per_regime=2, length=400)
+    batch = sample_batch(store, np.random.default_rng(2), 4, 256)
+    tokens, seq_ids, _ = flat_batch(batch)
+    packed = model.forward(tokens, seq_ids=seq_ids)  # 1024 tokens past max_context 256
+    for b in range(4):
+        alone = model.forward(batch.tokens[b], seq_ids=batch.seq_ids[b])
+        rows = slice(256 * b, 256 * (b + 1))
+        assert packed.hidden.data[rows].tobytes() == alone.hidden.data.tobytes(), b
+        for j, (p, a) in enumerate(zip(packed.head_outputs, alone.head_outputs)):
+            assert p.data[rows].tobytes() == a.data.tobytes(), (b, j)
+
+
+def test_max_context_bounds_segments_not_the_row():
+    model = Forecaster.init(tiny_config(max_context=16), seed=7)
+    ids = np.repeat(np.arange(3), 16)  # 48 tokens, no segment past 16
+    out = model.forward(np.zeros(48), seq_ids=ids)
+    assert out.hidden.shape == (48, 8)
+    with pytest.raises(DataError, match="context 17 exceeds max_context 16"):
+        model.forward(np.zeros(33), seq_ids=np.repeat([0, 1], [16, 17]))
+    cache = KVCache.empty(2)
+    model.forward(np.zeros(10), cache=cache)
+    with pytest.raises(DataError, match="context 17 exceeds max_context 16"):
+        model.forward(np.zeros(7), cache=cache)  # positions 10..16

@@ -6,7 +6,9 @@ import pytest
 from sparsecast import moe
 from sparsecast import tensor as T
 from sparsecast.moe import ExpertFFN, MoeParams, expert_ffn, load_stats, moe_forward, route_topk
-from sparsecast.tensor import Tensor
+from sparsecast.tensor import Graph, Tensor
+
+from helpers import reference_moe_forward
 
 
 def make_moe_params(rng, d_model=8, n_experts=4, d_expert=16, dtype=np.float64):
@@ -143,30 +145,90 @@ def test_identical_experts_make_selection_irrelevant():
     np.testing.assert_allclose(out_a, out_b, atol=1e-12)
 
 
-def test_unselected_experts_not_evaluated():
+def test_unselected_experts_not_evaluated(monkeypatch):
     rng = np.random.default_rng(7)
     params = make_moe_params(rng)
+    for ffn in params.experts + [params.shared]:
+        for w in (ffn.w_gate, ffn.w_up, ffn.w_down):
+            w.requires_grad = True
+    # Expert 3 scores exactly as expert 0 and loses every tie, so it stays idle.
+    params.router.data[3] = params.router.data[0]
     u = Tensor(rng.normal(size=(16, 8)), dtype=np.float64)
     routing = route_topk(u, params, k=1)
+    unselected = set(range(4)) - set(np.unique(routing.selected).tolist())
+    assert unselected == {3}
     calls = []
-    original = moe.expert_ffn
+    original = T.swiglu
 
-    def counting(x, ffn):
-        calls.append((id(ffn), x.shape[0]))
-        return original(x, ffn)
+    def counting(x, experts, bounds):
+        calls.append([(id(w_gate), b - a)
+                      for (w_gate, _, _), a, b in zip(experts, bounds[:-1], bounds[1:])])
+        return original(x, experts, bounds)
 
-    moe.expert_ffn = counting
-    try:
-        moe_forward(u, params, routing)
-    finally:
-        moe.expert_ffn = original
-    selected_ids = {id(params.experts[i]) for i in np.unique(routing.selected)}
-    routed_calls = [c for c in calls if c[0] != id(params.shared)]
-    assert {c[0] for c in routed_calls} == selected_ids
+    monkeypatch.setattr(T, "swiglu", counting)
+    with Graph() as g:
+        out = moe_forward(u, params, routing)
+        loss = T.sum_all(T.mul(out, T.constant(np.ones((16, 8)), np.float64)))
+    g.backward(loss)
+    shared_id = id(params.shared.w_gate)
+    shared_calls = [c for c in calls if c[0][0] == shared_id]
+    routed_calls = [c for c in calls if c[0][0] != shared_id]
+    # One grouped call runs the routed experts; only those some token
+    # selected get rows, and the op skips an empty group.
+    assert len(routed_calls) == 1
+    groups = routed_calls[0]
+    selected_ids = {id(params.experts[i].w_gate) for i in np.unique(routing.selected)}
+    assert {w for w, rows in groups if rows} == selected_ids
     # Every token is processed once by the shared expert and K times by routed ones.
-    assert sum(n for _, n in routed_calls) == 16 * 1
-    shared_calls = [c for c in calls if c[0] == id(params.shared)]
-    assert shared_calls == [(id(params.shared), 16)]
+    assert sum(rows for _, rows in groups) == 16 * 1
+    assert shared_calls == [[(shared_id, 16)]]
+    # An idle expert gets no gradient; a selected one does.
+    for i, ffn in enumerate(params.experts):
+        grads = [w.grad for w in (ffn.w_gate, ffn.w_up, ffn.w_down)]
+        assert all((g is None) == (i in unselected) for g in grads), i
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_moe_forward_matches_per_expert_oracle_bitwise(k):
+    """Grouped dispatch computes bit for bit what the per-expert loop did, in
+    float32 at 1024 tokens."""
+    rng = np.random.default_rng(11)
+    params = make_moe_params(rng, d_model=32, n_experts=4, d_expert=32, dtype=np.float32)
+    u = Tensor(rng.normal(size=(1024, 32)), dtype=np.float32)
+    routing = route_topk(u, params, k=k)
+    got = moe_forward(u, params, routing).data
+    want = reference_moe_forward(u, params, routing).data
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
+def test_moe_gradients_match_per_expert_oracle():
+    rng = np.random.default_rng(12)
+    params = make_moe_params(rng, d_model=8, n_experts=5, d_expert=8)
+    leaves = {"router": params.router}
+    for i, ffn in enumerate(params.experts + [params.shared]):
+        leaves.update({f"{i}.gate": ffn.w_gate, f"{i}.up": ffn.w_up, f"{i}.down": ffn.w_down})
+    u = Tensor(rng.normal(size=(40, 8)), dtype=np.float64, requires_grad=True)
+    leaves["u"] = u
+    weight = T.constant(rng.normal(size=(40, 8)), np.float64)
+    for t in leaves.values():
+        t.requires_grad = True
+
+    def grads(mixture):
+        for t in leaves.values():
+            t.grad = None
+        with Graph() as g:
+            routing = route_topk(u, params, k=2)
+            loss = T.sum_all(T.mul(mixture(u, params, routing), weight))
+        g.backward(loss)
+        return {name: t.grad for name, t in leaves.items()}
+
+    got, want = grads(moe_forward), grads(reference_moe_forward)
+    for name in leaves:
+        assert (got[name] is None) == (want[name] is None), name
+        if want[name] is not None:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-10, atol=1e-12,
+                                       err_msg=name)
 
 
 def test_load_stats_uniform_symmetry():

@@ -6,33 +6,41 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import check_against_fd, max_rel_err, reference_attention
+from helpers import (
+    check_against_fd,
+    max_rel_err,
+    mean_all,
+    reference_attention,
+    reference_gather_entries,
+    reference_sigmoid,
+)
 from sparsecast.model import attention_bias
 from sparsecast.tensor import (
     Graph,
     NumericError,
     ShapeError,
     Tensor,
+    _sigmoid,
     add,
+    combine_rows,
     concat_rows,
     constant,
-    gather_entries,
+    dispatch_rows,
     gather_rows,
     huber,
     masked_attention,
     matmul,
-    mean_all,
     mul,
     reshape,
     rmsnorm,
     rope,
     row_scale,
-    scatter_rows,
     sigmoid,
     silu,
     slice_cols,
     softmax_lastdim,
     sum_all,
+    swiglu,
     transpose,
 )
 
@@ -151,6 +159,19 @@ def test_sigmoid_extreme_negative_stays_finite():
     assert np.all(np.isfinite(out.data))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_branch_free_sigmoid_matches_masked_form_bitwise(dtype):
+    info = np.finfo(dtype)
+    edges = [0.0, -0.0, 1e-30, 0.5, 1.0, 17.0, 88.0, 88.7, 89.0, 700.0, 709.0, 710.0, 1e4,
+             float(info.tiny), float(info.max), float(np.nextafter(info.max, 0, dtype=dtype))]
+    grid = np.concatenate([edges, np.linspace(-100, 100, 20001), np.geomspace(1e-6, 1e6, 501)])
+    x = np.concatenate([grid, -grid]).astype(dtype)
+    got, want = _sigmoid(x), reference_sigmoid(x)
+    assert got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
 # --- elementwise rules -----------------------------------------------------------
 
 
@@ -177,6 +198,27 @@ def test_nonfinite_result_raises():
     big = Tensor(np.array([3e38], dtype=np.float32))
     with pytest.raises(NumericError):
         add(big, big)
+
+
+@pytest.mark.filterwarnings("error")
+def test_finite_result_whose_sum_overflows_is_accepted():
+    big = Tensor(np.array([1.5e38, 1.5e38], dtype=np.float32))
+    out = add(big, big)  # [3e38, 3e38]: finite, though its sum is not
+    assert np.all(np.isfinite(out.data))
+
+
+def test_dispatch_ops_reject_bad_indices():
+    x = Tensor(np.ones((3, 2), dtype=np.float32))
+    with pytest.raises(ShapeError):
+        dispatch_rows(x, np.array([[0, 1], [1, 2], [3, 4]]))  # row 1 twice, row 5 never
+    w = [tuple(Tensor(np.ones(shape, dtype=np.float32)) for shape in ((4, 2), (4, 2), (2, 4)))]
+    with pytest.raises(ShapeError):
+        swiglu(x, w, [0, 2])  # groups must cover all three rows
+    y = Tensor(np.ones((6, 2), dtype=np.float32))
+    gates = Tensor(np.ones((3, 4), dtype=np.float32))
+    with pytest.raises(ShapeError):
+        combine_rows(x, y, gates, np.array([[0, 1], [2, 3], [4, 5]]),
+                     np.array([[0, 1], [2, 2], [0, 3]]))  # token 1 names column 2 twice
 
 
 # --- backward basics -------------------------------------------------------------
@@ -377,21 +419,44 @@ def _(rng):
     return leaves, lambda: sum_all(mul(gather_rows(leaves["x"], idx), w))
 
 
-@op_case("scatter_rows")
-def _(rng):
-    leaves = _leafify(rng, {"x": (4, 3)})
-    idx = np.array([1, 3, 3, 0])
-    w = constant(_rand(rng, (6, 3)), np.float64)
-    return leaves, lambda: sum_all(mul(scatter_rows(leaves["x"], idx, 6), w))
-
-
 @op_case("gather_entries")
 def _(rng):
     leaves = _leafify(rng, {"x": (5, 4)})
     rows = np.array([0, 1, 1, 4])
     cols = np.array([3, 0, 0, 2])
     w = constant(_rand(rng, (4,)), np.float64)
-    return leaves, lambda: sum_all(mul(gather_entries(leaves["x"], rows, cols), w))
+    return leaves, lambda: sum_all(mul(reference_gather_entries(leaves["x"], rows, cols), w))
+
+
+@op_case("swiglu")
+def _(rng):
+    # Three groups of rows 0:2, (empty), 2:5; the empty group's weights are
+    # never read, so they are constants here.
+    leaves = _leafify(rng, {"x": (5, 4), "g0": (3, 4), "u0": (3, 4), "d0": (4, 3),
+                            "g2": (2, 4), "u2": (2, 4), "d2": (4, 2)})
+    idle = tuple(constant(_rand(rng, shape), np.float64) for shape in ((6, 4), (6, 4), (4, 6)))
+    w = constant(_rand(rng, (5, 4)), np.float64)
+    experts = [tuple(leaves[n] for n in ("g0", "u0", "d0")), idle,
+               tuple(leaves[n] for n in ("g2", "u2", "d2"))]
+    return leaves, lambda: sum_all(mul(swiglu(leaves["x"], experts, [0, 2, 2, 5]), w))
+
+
+@op_case("dispatch_rows")
+def _(rng):
+    leaves = _leafify(rng, {"x": (4, 3)})
+    slots = np.array([[5, 0], [2, 7], [1, 6], [3, 4]])
+    w = constant(_rand(rng, (8, 3)), np.float64)
+    return leaves, lambda: sum_all(mul(dispatch_rows(leaves["x"], slots), w))
+
+
+@op_case("combine_rows")
+def _(rng):
+    leaves = _leafify(rng, {"base": (3, 2), "y": (7, 2), "gates": (3, 4)})
+    slots = np.array([[4, 0], [6, 1], [2, 5]])  # row 3 of y is unused
+    cols = np.array([[0, 3], [1, 2], [0, 1]])
+    w = constant(_rand(rng, (3, 2)), np.float64)
+    return leaves, lambda: sum_all(mul(combine_rows(leaves["base"], leaves["y"], leaves["gates"],
+                                                    slots, cols), w))
 
 
 @op_case("row_scale")

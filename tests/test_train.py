@@ -5,12 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from helpers import check_against_fd, max_rel_err, reference_head_targets
+from helpers import (
+    check_against_fd,
+    max_rel_err,
+    reference_batch_loss,
+    reference_head_targets,
+    reference_moe_forward,
+)
 from sparsecast import model as model_module
 from sparsecast import tensor as T
 from sparsecast.data import CleanSeries, PackedBatch, SequenceStore, sample_batch
 from sparsecast.evaluate import model_hash
-from sparsecast.model import ConfigError, Forecaster, ForwardResult, ModelConfig
+from sparsecast.model import ConfigError, Forecaster, ForwardResult, ModelConfig, segment_bounds
 from sparsecast.synthetic import build_tone_store, multi_tone
 from sparsecast.tensor import Graph, Tensor
 from sparsecast.train import (
@@ -20,6 +26,7 @@ from sparsecast.train import (
     TrainingError,
     aux_loss,
     batch_loss,
+    flat_batch,
     head_targets,
     huber,
     load_checkpoint,
@@ -311,6 +318,68 @@ def test_batch_loss_all_masked_is_degenerate():
         batch_loss(FixedPredictions(cfg, [pred]), batch, toy_train(alpha=0.0))
 
 
+def random_batch(rng, rows: int, length: int) -> PackedBatch:
+    """Rows packed with segments of random length, many of length 1, and a
+    padded tail on every other row; ids numbered as sample_batch numbers them."""
+    tokens = rng.normal(size=(rows, length, 1)).astype(np.float32)
+    seq_ids = np.zeros((rows, length), dtype=np.int64)
+    pad_mask = np.zeros((rows, length), dtype=bool)
+    for b in range(rows):
+        end = length - (int(rng.integers(1, length // 3)) if b % 2 == 0 else 0)
+        pos = sid = 0
+        while pos < end:
+            n = min(int(rng.choice([1, 1, 2, 5, 9, 17])), end - pos)
+            seq_ids[b, pos:pos + n] = sid
+            pos, sid = pos + n, sid + 1
+        seq_ids[b, end:] = sid
+        pad_mask[b, end:] = True
+    return PackedBatch(tokens=tokens, seq_ids=seq_ids, pad_mask=pad_mask,
+                       crop_domains=[["test"]] * rows)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.02])
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+def test_batch_loss_matches_per_row_oracle(monkeypatch, dtype, rtol, rows, alpha):
+    """One packed row through grouped dispatch gives the loss and gradients of
+    one forward per batch row through the per-expert loop."""
+    cfg = toy_config(num_layers=2, num_experts=4, top_k=2, head_horizons=(1, 4, 8))
+    model = Forecaster.init(cfg, seed=21, dtype=dtype)
+    batch = random_batch(np.random.default_rng([22, rows]), rows, 40)
+    tcfg = toy_train(alpha=alpha)
+
+    def run(loss_fn):
+        model.zero_grad()
+        with Graph() as g:
+            loss, info = loss_fn(model, batch, tcfg)
+        g.backward(loss)
+        return info, {name: t.grad for name, t, _ in model.named_parameters()}
+
+    info, grads = run(batch_loss)
+    monkeypatch.setattr(model_module, "moe_forward", reference_moe_forward)
+    want_info, want_grads = run(reference_batch_loss)
+    for key in ("loss", "loss_ar", "loss_aux", "f_min", "f_max"):
+        assert info[key] == pytest.approx(want_info[key], rel=rtol, abs=1e-12), key
+    for name, want in want_grads.items():
+        assert (grads[name] is None) == (want is None), name
+        if want is not None:
+            scale = float(np.abs(want).max())
+            np.testing.assert_allclose(grads[name], want, rtol=rtol, atol=rtol * scale,
+                                       err_msg=name)
+
+
+def test_flat_batch_keeps_rows_apart():
+    batch = random_batch(np.random.default_rng(23), 3, 16)
+    tokens, seq_ids, pad_mask = flat_batch(batch)
+    bounds = segment_bounds(seq_ids)
+    assert {0, 16, 32, 48} <= set(bounds.tolist())
+    for b in range(3):
+        np.testing.assert_array_equal(np.diff(segment_bounds(batch.seq_ids[b])),
+                                      np.diff(bounds[(bounds >= 16 * b) & (bounds <= 16 * b + 16)]))
+    np.testing.assert_array_equal(tokens, batch.tokens[:, :, 0].reshape(-1))
+    np.testing.assert_array_equal(pad_mask, batch.pad_mask.reshape(-1))
+
+
 def test_batch_loss_gradients_match_finite_differences(tmp_path):
     cfg = toy_config(num_layers=1, d_model=4, num_heads=2, num_experts=2, top_k=1,
                      d_expert=4, head_horizons=(1, 2))
@@ -343,8 +412,19 @@ def test_train_loop_runs_and_logs(tmp_path):
     lines = [json.loads(line) for line in log.read_text().splitlines()]
     assert len(lines) == 3
     for rec in lines:
-        assert set(rec) == {"step", "lr", "loss", "loss_ar", "loss_aux", "f_min", "f_max"}
+        assert set(rec) == {"step", "lr", "loss", "loss_ar", "loss_aux", "f_min", "f_max",
+                            "seconds", "tokens_per_s", "tape_nodes"}
         assert np.isfinite(rec["loss"])
+        assert rec["seconds"] > 0 and isinstance(rec["tape_nodes"], int)
+        assert rec["tokens_per_s"] == pytest.approx(2 * 32 / rec["seconds"])
+
+
+def test_step_tape_does_not_grow_with_batch_rows(tmp_path):
+    # The batch runs as one packed row: a step records the same ops for 1 row as for 4.
+    store = tone_store(tmp_path / "s")
+    nodes = [train_loop(Forecaster.init(toy_config(), seed=6), store,
+                        toy_train(steps=1, batch=rows))[0]["tape_nodes"] for rows in (1, 4)]
+    assert nodes[0] == nodes[1]
 
 
 def test_resume_matches_uninterrupted(tmp_path):
