@@ -188,6 +188,10 @@ def cmd_bench(args) -> int:
         dense_config = ModelConfig.from_dict(doc["dense"])
     train_config = TrainConfig.from_dict(doc.get("train", {}))
     seeds = doc.get("seeds", [0, 1, 2, 3, 4])
+    if (not isinstance(seeds, list) or not seeds
+            or any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in seeds)):
+        raise FormatError(f"{args.pair}: seeds must be a non-empty list of non-negative ints, "
+                          f"got {seeds!r}")
     if args.seed is not None:
         seeds = [args.seed + i for i in range(len(seeds))]
     task = doc.get("task", {})

@@ -16,6 +16,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -128,9 +130,10 @@ def split_by_window_quality(values, window_size: int = 128, zero_threshold: floa
     """Window-scan an already-finite sequence, keeping runs of passing windows.
 
     Scans non-overlapping windows; the final partial window is merged into the
-    last full one. Consecutive passing windows concatenate; a failing window
-    flushes the run, which is kept only at length >= min_len. Inputs no longer
-    than one window pass or fail whole. Returns (interval list, values) pairs.
+    last full one. The windows tile the sequence, so a run of consecutive
+    passing windows is one interval; a failing window flushes the run, which
+    is kept only at length >= min_len. Inputs no longer than one window pass
+    or fail whole. Returns ([interval], values) pairs.
     """
     seq = np.asarray(values, dtype=np.float64)
     n = len(seq)
@@ -139,18 +142,11 @@ def split_by_window_quality(values, window_size: int = 128, zero_threshold: floa
         return [([(0, n)], seq.copy())] if ok else []
 
     out = []
-    run: list = []
+    run = None  # (start, stop) of the current run of passing windows
 
     def flush():
-        if run and sum(b - a for a, b in run) >= min_len:
-            merged = [list(run[0])]
-            for a, b in run[1:]:
-                if a == merged[-1][1]:
-                    merged[-1][1] = b
-                else:
-                    merged.append([a, b])
-            intervals = [(a, b) for a, b in merged]
-            out.append((intervals, np.concatenate([seq[a:b] for a, b in intervals])))
+        if run is not None and run[1] - run[0] >= min_len:
+            out.append(([run], seq[run[0]:run[1]].copy()))
 
     i = window_size
     while True:
@@ -161,10 +157,10 @@ def split_by_window_quality(values, window_size: int = 128, zero_threshold: floa
             start, stop = i - window_size, i
         ok, _ = check_window(seq[start:stop], zero_threshold)
         if ok:
-            run.append((start, stop))
+            run = (start if run is None else run[0], stop)
         else:
             flush()
-            run = []
+            run = None
         if i >= n:
             break
         i += window_size
@@ -337,10 +333,18 @@ class PackedBatch:
 
 
 def normalize_weights(weights: dict, present: list) -> tuple:
-    """Validate that weights cover every present domain; return (names, probs)."""
+    """Validate that weights give every present domain a finite, non-negative
+    number, not a bool; return (names, probs)."""
+    if not isinstance(weights, dict):
+        raise ValueError(f"domain_weights must map domains to weights, got {weights!r}")
     missing = [d for d in present if d not in weights]
     if missing:
         raise ValueError(f"domain_weights missing entries for {missing}")
+    for d in present:
+        w = weights[d]
+        if isinstance(w, bool) or not isinstance(w, numbers.Real) or not math.isfinite(w) or w < 0:
+            raise ValueError(f"domain_weights[{d!r}] must be a finite non-negative number, "
+                             f"got {w!r}")
     names = [d for d in present if weights[d] > 0]
     if not names:
         raise ValueError("all domain weights are zero")

@@ -276,7 +276,7 @@ def embed_points(x: Tensor, w: Tensor, v: Tensor) -> Tensor:
         raise T.ShapeError(f"embed_points expects [T, 1], got {x.shape}")
     if not np.all(np.isfinite(x.data)):
         raise DataError("embedding input contains NaN/Inf; clean the series first")
-    return T.mul(T.silu(T.matmul(x, T.transpose(w))), T.matmul(x, T.transpose(v)))
+    return T.mul(T.silu(T.linear(x, w)), T.linear(x, v))
 
 
 def segment_bounds(seq_ids: np.ndarray) -> np.ndarray:
@@ -333,15 +333,15 @@ def causal_self_attention(x: Tensor, params: AttentionParams, config: ModelConfi
     head_dim = d // heads
     x_q = T.gather_rows(x, [t - 1]) if last_row else x
     n_q = x_q.shape[0]
-    q = T.reshape(T.add(T.matmul(x_q, T.transpose(params.wq)), params.bq), (n_q, heads, head_dim))
-    k = T.reshape(T.add(T.matmul(x, T.transpose(params.wk)), params.bk), (t, heads, head_dim))
-    v = T.reshape(T.add(T.matmul(x, T.transpose(params.wv)), params.bv), (t, heads, head_dim))
+    q = T.reshape(T.linear(x_q, params.wq, params.bq), (n_q, heads, head_dim))
+    k = T.reshape(T.linear(x, params.wk, params.bk), (t, heads, head_dim))
+    v = T.reshape(T.linear(x, params.wv, params.bv), (t, heads, head_dim))
     q = T.rope(q, positions[t - n_q:], config.rope_base)
     k = T.rope(k, positions, config.rope_base)
     if cache is not None:
         k, v = cache.extend(layer, k, v)
     attended = T.masked_attention(q, k, v, bounds)
-    return T.matmul(T.reshape(attended, (n_q, d)), T.transpose(params.wo))
+    return T.linear(T.reshape(attended, (n_q, d)), params.wo)
 
 
 def block_forward(x: Tensor, params: BlockParams, config: ModelConfig, layer: int,
@@ -372,7 +372,7 @@ def block_forward(x: Tensor, params: BlockParams, config: ModelConfig, layer: in
 
 def head_forward(hidden: Tensor, heads: list) -> list:
     """Per-horizon forecasts W_p @ h_t for every position; j-th is [T, p_j]."""
-    return [T.matmul(hidden, T.transpose(w)) for w in heads]
+    return [T.linear(hidden, w) for w in heads]
 
 
 class Forecaster:

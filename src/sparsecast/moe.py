@@ -9,10 +9,12 @@ router matrix. Ties in the top-K are broken toward the lower expert index.
 Dispatch is dropless and expert-sorted: each token's K picks are sorted
 ascending, the (token, pick) pairs are stable-sorted by expert, and the
 token rows are gathered once into expert-contiguous groups. One swiglu op
-runs every selected expert on its group, and one combine op adds each
-token's K gated rows to the shared expert's output in ascending expert
-order. No expert capacity, no dropped tokens, and the tape holds the same
-few nodes whatever the number of experts.
+runs every selected expert on its group, and one combine op scales the
+shared expert's output by its gate and adds each token's K gated rows to
+it in ascending expert order. No expert capacity, no dropped tokens, and
+the tape holds the same few nodes whatever the number of experts. The
+router is one linear node; the gates are a constant read off the scores,
+since the combine op takes its gradient through the scores themselves.
 """
 
 from __future__ import annotations
@@ -62,10 +64,10 @@ class MoeParams:
 class RouterOutput:
     """Routing decisions and load statistics for one token batch.
 
-    scores: [T, N] row-stochastic softmax; gates: [T, N] equal to scores on
-    the selected experts and zero elsewhere; selected: [T, K] expert indices;
-    shared_gate: [T] in (0, 1); f/r: per-expert selection fraction and mean
-    score, each summing to 1.
+    scores: [T, N] row-stochastic softmax; gates: [T, N] constant, equal to
+    scores on the selected experts and zero elsewhere; selected: [T, K]
+    expert indices; shared_gate: [T] in (0, 1); f/r: per-expert selection
+    fraction and mean score, each summing to 1.
     """
 
     scores: Tensor
@@ -93,13 +95,13 @@ def route_topk(u_norm: Tensor, params: MoeParams, k: int) -> RouterOutput:
     n = params.num_experts
     if not 1 <= k <= n:
         raise ValueError(f"top-k must satisfy 1 <= K <= {n}, got {k}")
-    logits = T.matmul(u_norm, T.transpose(params.router))  # [T, N+1]
+    logits = T.linear(u_norm, params.router)  # [T, N+1]
     scores = T.softmax_lastdim(T.slice_cols(logits, 0, n))
     shared_gate = T.reshape(T.sigmoid(T.slice_cols(logits, n, n + 1)), (u_norm.shape[0],))
     selected = topk_indices(scores.data, k)
     mask = np.zeros_like(scores.data)
     np.put_along_axis(mask, selected, 1.0, axis=-1)
-    gates = T.mul(scores, T.constant(mask, scores.dtype))
+    gates = T.constant(scores.data * mask, scores.dtype)
     f, r = load_stats(selected, scores.data, k)
     return RouterOutput(scores=scores, gates=gates, selected=selected,
                         shared_gate=shared_gate, f=f, r=r)
@@ -135,5 +137,5 @@ def moe_forward(u_norm: Tensor, params: MoeParams, routing: RouterOutput) -> Ten
     grouped = T.swiglu(T.dispatch_rows(u_norm, slots),
                        [(e.w_gate, e.w_up, e.w_down) for e in params.experts],
                        np.concatenate(([0], np.cumsum(counts))))
-    shared = T.row_scale(expert_ffn(u_norm, params.shared), routing.shared_gate)
-    return T.combine_rows(shared, grouped, routing.scores, slots, picks)
+    return T.combine_rows(expert_ffn(u_norm, params.shared), routing.shared_gate, grouped,
+                          routing.scores, slots, picks)

@@ -1,11 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation on a recorded tape.
 
-The op set is exactly what the forecaster's math needs: matmul, explicit
-elementwise arithmetic, the gated activations, row-stochastic softmax,
-fused norm/rotation/attention/SwiGLU kernels with analytic adjoints, and
-the row permutations behind sparse expert dispatch. Ops are plain
-functions, with no operator overloading on Tensor, and Graph.backward is
-the one way to backpropagate.
+The op set is exactly what the forecaster's math needs: matmul and linear,
+explicit elementwise arithmetic, the gated activations, row-stochastic
+softmax, fused norm/rotation/attention/SwiGLU kernels with analytic
+adjoints, and the row permutations behind sparse expert dispatch. Ops are
+plain functions, with no operator overloading on Tensor, and Graph.backward
+is the one way to backpropagate.
+
+Every weight product goes through linear (x @ w.T, plus an optional bias)
+or swiglu, and both multiply by contiguous transposed copies of the
+weights, never by transposed views, so a row's result does not depend on
+how many rows share the call.
 
 Attention is blocked by segment. A packed row of T tokens is cut into
 segments given by their bounds [0, b_1, ..., T]; tokens attend causally
@@ -22,16 +27,14 @@ block's workspace is then [heads, n_q, n_k].
 
 Expert dispatch is dropless and expert-sorted: dispatch_rows copies each
 token's row once per routed expert into expert-contiguous groups, swiglu
-runs every group's gated FFN in one op, and combine_rows adds the gated
-expert rows back to their tokens. swiglu multiplies by contiguous transposed
-copies of the weights, never by transposed views, so a row's result does
-not depend on how many rows share the call.
+runs every group's gated FFN in one op, and combine_rows scales the shared
+expert's rows by their gate and adds the gated expert rows back to their
+tokens.
 
-Shape discipline is strict: elementwise ops accept equal shapes, a
-trailing-dimension vector, or a scalar — nothing else. Anything fancier
-(per-row scaling, column slicing) is its own named op. Every op checks its
-output for NaN/Inf and raises NumericError, so non-finite values are never
-silently stored.
+Shape discipline is strict: elementwise ops accept equal shapes or a
+scalar, nothing else. Anything fancier (biases, per-row scaling, column
+slicing) is part of a named op. Every op checks its output for NaN/Inf and
+raises NumericError, so non-finite values are never silently stored.
 
 Default precision is float32; pass dtype=np.float64 at tensor creation for
 gradient-checking headroom. Mixing precisions in one expression is an error.
@@ -206,35 +209,26 @@ def _as_operand(x, like: Tensor) -> Tensor:
     return Tensor._wrap(np.asarray(x, dtype=like.data.dtype), False)
 
 
-def _broadcast_kind(a_shape: tuple, b_shape: tuple) -> str:
+def _is_scalar(a_shape: tuple, b_shape: tuple) -> bool:
+    """Whether b broadcasts onto a as a scalar; a shape that is neither a's
+    own nor a scalar's is a ShapeError."""
     if a_shape == b_shape:
-        return "same"
+        return False
     if b_shape in ((), (1,)):
-        return "scalar"
-    if len(a_shape) >= 1 and b_shape == a_shape[-1:]:
-        return "trailing"
+        return True
     raise ShapeError(f"no elementwise rule for shapes {a_shape} and {b_shape}")
-
-
-def _reduce_to(g: np.ndarray, kind: str, shape: tuple) -> np.ndarray:
-    if kind == "same":
-        return g
-    if kind == "scalar":
-        return g.sum().reshape(shape)
-    axes = tuple(range(g.ndim - 1))
-    return g.sum(axis=axes).reshape(shape)
 
 
 # --- arithmetic ---------------------------------------------------------------
 
 
 def add(a: Tensor, b) -> Tensor:
-    """Elementwise a + b; b may be equal-shaped, a trailing vector, or a scalar."""
+    """Elementwise a + b; b may be equal-shaped or a scalar."""
     b = _as_operand(b, a)
-    kind = _broadcast_kind(a.shape, b.shape)
+    scalar = _is_scalar(a.shape, b.shape)
 
     def vjp(g):
-        return g, _reduce_to(g, kind, b.shape)
+        return g, g.sum().reshape(b.shape) if scalar else g
 
     return _finish("add", a.data + b.data, (a, b), vjp)
 
@@ -242,11 +236,12 @@ def add(a: Tensor, b) -> Tensor:
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise a * b under the same shape rules as add."""
     b = _as_operand(b, a)
-    kind = _broadcast_kind(a.shape, b.shape)
+    scalar = _is_scalar(a.shape, b.shape)
     a_data, b_data = a.data, b.data
 
     def vjp(g):
-        return g * b_data, _reduce_to(g * a_data, kind, b_data.shape)
+        gb = g * a_data
+        return g * b_data, gb.sum().reshape(b_data.shape) if scalar else gb
 
     return _finish("mul", a_data * b_data, (a, b), vjp)
 
@@ -266,14 +261,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _finish("matmul", a_data @ b_data, (a, b), vjp)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x[m×k] @ w[n×k].T, plus b[n] on every row when given.
+
+    The product is by a contiguous transposed copy of w, never by the
+    transposed view: OpenBLAS may round a view's product differently with
+    the row count, and packed rows must compute what they compute alone.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ShapeError(f"linear needs x [m, k] and w [n, k], got {x.shape} and {w.shape}")
+    w = _as_operand(w, x)
+    x_data, wt = x.data, w.data.T.copy()
+    out = x_data @ wt
+    if b is None:
+        inputs = (x, w)
+    else:
+        b = _as_operand(b, x)
+        if b.shape != (w.shape[0],):
+            raise ShapeError(f"linear bias {b.shape} does not match weight {w.shape}")
+        out += b.data
+        inputs = (x, w, b)
 
     def vjp(g):
-        return (g.T.copy(),)
+        grads = (g @ wt.T, (x_data.T @ g).T.copy())
+        return grads if b is None else grads + (g.sum(axis=0),)
 
-    return _finish("transpose", a.data.T.copy(), (a,), vjp)
+    return _finish("linear", out, inputs, vjp)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -597,26 +610,31 @@ def swiglu(x: Tensor, experts: list, bounds) -> Tensor:
     return _finish("swiglu", out, (x, *(w for ws in weights for w in ws)), vjp)
 
 
-def combine_rows(base: Tensor, y: Tensor, gates: Tensor, slots: np.ndarray,
-                 cols: np.ndarray) -> Tensor:
-    """base[t] + sum over j of gates[t, cols[t, j]] * y[slots[t, j]], j ascending.
+def combine_rows(base: Tensor, base_gate: Tensor, y: Tensor, gates: Tensor,
+                 slots: np.ndarray, cols: np.ndarray) -> Tensor:
+    """base[t] * base_gate[t] + sum over j of gates[t, cols[t, j]] * y[slots[t, j]],
+    the base row scaled first and the terms added j ascending.
 
-    base is [T, D], y [R, D], gates [T, N]; slots and cols are [T, K], each
-    slots entry a distinct row of y and each row of cols distinct columns.
-    The adjoint writes every gradient row once, with no scatter-add.
+    base is [T, D], base_gate [T], y [R, D], gates [T, N]; slots and cols are
+    [T, K], each slots entry a distinct row of y and each row of cols
+    distinct columns. The adjoint writes every gradient row once, with no
+    scatter-add.
     """
     slots = np.asarray(slots, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     t = base.data.shape[0]
     if slots.shape != cols.shape or slots.ndim != 2 or slots.shape[0] != t:
         raise ShapeError(f"slots {slots.shape} and cols {cols.shape} must both be [{t}, K]")
-    y, gates = _as_operand(y, base), _as_operand(gates, base)
+    if base_gate.shape != (t,):
+        raise ShapeError(f"base_gate must be [{t}], got {base_gate.shape}")
+    base_gate, y, gates = (_as_operand(x, base) for x in (base_gate, y, gates))
     _check_distinct(slots, y.data.shape[0], "slots")
     if np.any(np.diff(np.sort(cols, axis=1), axis=1) == 0):
         raise ShapeError("each row of cols must name distinct columns")
     tokens = np.arange(t)
+    scale = base_gate.data[:, None]
     picked = [gates.data[tokens, cols[:, j]][:, None] for j in range(slots.shape[1])]
-    out = base.data.copy()
+    out = base.data * scale
     for j, w in enumerate(picked):
         out += y.data[slots[:, j]] * w
 
@@ -626,22 +644,9 @@ def combine_rows(base: Tensor, y: Tensor, gates: Tensor, slots: np.ndarray,
         for j, w in enumerate(picked):
             gy[slots[:, j]] = g * w
             g_gates[tokens, cols[:, j]] = (g * y.data[slots[:, j]]).sum(axis=1)
-        return g, gy, g_gates
+        return g * scale, (g * base.data).sum(axis=1), gy, g_gates
 
-    return _finish("combine_rows", out, (base, y, gates), vjp)
-
-
-def row_scale(x: Tensor, s: Tensor) -> Tensor:
-    """Scale row i of x[T, D] by s[i]."""
-    if s.data.ndim != 1 or s.shape[0] != x.shape[0]:
-        raise ShapeError(f"row_scale needs s[T] matching x{x.shape}, got {s.shape}")
-    s = _as_operand(s, x)
-    x_data, s_data = x.data, s.data
-
-    def vjp(g):
-        return g * s_data[:, None], (g * x_data).sum(axis=1)
-
-    return _finish("row_scale", x_data * s_data[:, None], (x, s), vjp)
+    return _finish("combine_rows", out, (base, base_gate, y, gates), vjp)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -307,8 +308,9 @@ def train_loop(model: Forecaster, store: SequenceStore, config: TrainConfig,
     resumed run replays exactly the stream an uninterrupted run would see.
     Besides the losses and routing fractions, a record holds the step's wall
     time (seconds, from sampling through the optimizer step), the batch
-    tokens per second over it, and tape_nodes, the ops the forward and loss
-    recorded for backward.
+    tokens per second over it, tape_nodes, the ops the forward and loss
+    recorded for backward, and grad_norm, the global gradient norm before
+    any clipping.
     """
     optimizer = optimizer or AdamW(model, config)
     metrics: list[dict] = []
@@ -323,8 +325,8 @@ def train_loop(model: Forecaster, store: SequenceStore, config: TrainConfig,
                 loss, info = batch_loss(model, batch, config)
             tape_nodes = len(graph)
             graph.backward(loss)
-            if config.grad_clip is not None:
-                clip_global_norm(model, config.grad_clip)
+            grad_norm = clip_global_norm(
+                model, math.inf if config.grad_clip is None else config.grad_clip)
             lr = lr_at_step(step + 1, config.warmup_steps, config.steps + 1, config.lr)
             optimizer.step(lr)
             seconds = time.perf_counter() - began
@@ -332,7 +334,7 @@ def train_loop(model: Forecaster, store: SequenceStore, config: TrainConfig,
                       "loss_ar": info["loss_ar"], "loss_aux": info["loss_aux"],
                       "f_min": info["f_min"], "f_max": info["f_max"], "seconds": seconds,
                       "tokens_per_s": batch.rows * batch.length / seconds,
-                      "tape_nodes": tape_nodes}
+                      "tape_nodes": tape_nodes, "grad_norm": grad_norm}
             metrics.append(record)
             if log_handle:
                 log_handle.write(json.dumps(record) + "\n")
@@ -379,28 +381,43 @@ def _read_block(f) -> tuple:
     return name, np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
 
 
+def _write_checkpoint(f, model: Forecaster, optimizer: AdamW | None, step: int) -> None:
+    named = list(model.named_parameters())
+    f.write(CHECKPOINT_MAGIC)
+    f.write(struct.pack("<I", CHECKPOINT_VERSION))
+    config_doc = json.dumps(model.config.to_dict()).encode("utf-8")
+    f.write(struct.pack("<I", len(config_doc)))
+    f.write(config_doc)
+    f.write(struct.pack("<Q", step))
+    f.write(struct.pack("<I", len(named)))
+    for name, tensor, _ in named:
+        _write_block(f, name, tensor.data)
+    f.write(struct.pack("<B", 1 if optimizer is not None else 0))
+    if optimizer is not None:
+        f.write(struct.pack("<Q", optimizer.t))
+        f.write(struct.pack("<I", 2 * len(optimizer.m)))
+        for name in sorted(optimizer.m):
+            _write_block(f, f"m.{name}", optimizer.m[name])
+            _write_block(f, f"v.{name}", optimizer.v[name])
+
+
 def save_checkpoint(path, model: Forecaster, optimizer: AdamW | None = None,
                     step: int = 0) -> None:
+    """Write the checkpoint to <path>.tmp beside path, fsync it, then rename
+    it over path, so a failed save leaves any earlier file at path whole."""
     if model.dtype != np.float32:
         raise CheckpointError("checkpoints store float32 models only")
-    named = list(model.named_parameters())
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        config_doc = json.dumps(model.config.to_dict()).encode("utf-8")
-        f.write(struct.pack("<I", len(config_doc)))
-        f.write(config_doc)
-        f.write(struct.pack("<Q", step))
-        f.write(struct.pack("<I", len(named)))
-        for name, tensor, _ in named:
-            _write_block(f, name, tensor.data)
-        f.write(struct.pack("<B", 1 if optimizer is not None else 0))
-        if optimizer is not None:
-            f.write(struct.pack("<Q", optimizer.t))
-            f.write(struct.pack("<I", 2 * len(optimizer.m)))
-            for name in sorted(optimizer.m):
-                _write_block(f, f"m.{name}", optimizer.m[name])
-                _write_block(f, f"v.{name}", optimizer.v[name])
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            _write_checkpoint(f, model, optimizer, step)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple:

@@ -9,7 +9,7 @@ import numpy as np
 from sparsecast import tensor as T
 from sparsecast.data import CsvSchema, FormatError, LoadedCsv, _resolve_splits
 from sparsecast.heads import plan_horizons
-from sparsecast.tensor import Graph, ShapeError, Tensor, _finish
+from sparsecast.tensor import Graph, ShapeError, Tensor, _as_operand, _finish
 from sparsecast.train import TrainingError, head_targets, masked_head_loss
 
 
@@ -244,8 +244,8 @@ def reference_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# --- the per-expert, per-row training path that grouped dispatch and the
-# one-row batch replaced, kept as their oracle --------------------------------
+# --- the per-expert, per-row training path that grouped dispatch, linear and
+# the one-row batch replaced, kept as their oracle ----------------------------
 
 
 def reference_gather_entries(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
@@ -276,11 +276,34 @@ def reference_scatter_rows(x: Tensor, rows: np.ndarray, num_rows: int) -> Tensor
     return _finish("scatter_rows", out, (x,), vjp)
 
 
+def transpose(a: Tensor) -> Tensor:
+    if a.data.ndim != 2:
+        raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
+
+    def vjp(g):
+        return (g.T.copy(),)
+
+    return _finish("transpose", a.data.T.copy(), (a,), vjp)
+
+
+def row_scale(x: Tensor, s: Tensor) -> Tensor:
+    """Scale row i of x[T, D] by s[i]."""
+    if s.data.ndim != 1 or s.shape[0] != x.shape[0]:
+        raise ShapeError(f"row_scale needs s[T] matching x{x.shape}, got {s.shape}")
+    s = _as_operand(s, x)
+    x_data, s_data = x.data, s.data
+
+    def vjp(g):
+        return g * s_data[:, None], (g * x_data).sum(axis=1)
+
+    return _finish("row_scale", x_data * s_data[:, None], (x, s), vjp)
+
+
 def reference_expert_ffn(x: Tensor, ffn) -> Tensor:
     """Apply one gated FFN to x[T, D]."""
-    gate = T.silu(T.matmul(x, T.transpose(ffn.w_gate)))
-    up = T.matmul(x, T.transpose(ffn.w_up))
-    return T.matmul(T.mul(gate, up), T.transpose(ffn.w_down))
+    gate = T.silu(T.matmul(x, transpose(ffn.w_gate)))
+    up = T.matmul(x, transpose(ffn.w_up))
+    return T.matmul(T.mul(gate, up), transpose(ffn.w_down))
 
 
 def reference_moe_forward(u_norm: Tensor, params, routing) -> Tensor:
@@ -290,14 +313,14 @@ def reference_moe_forward(u_norm: Tensor, params, routing) -> Tensor:
     exactly K + 1 expert FFNs.
     """
     t = u_norm.shape[0]
-    out = T.row_scale(reference_expert_ffn(u_norm, params.shared), routing.shared_gate)
+    out = row_scale(reference_expert_ffn(u_norm, params.shared), routing.shared_gate)
     for i in range(params.num_experts):
         rows = np.nonzero((routing.selected == i).any(axis=1))[0]
         if rows.size == 0:
             continue
         tokens = T.gather_rows(u_norm, rows)
         gates = reference_gather_entries(routing.scores, rows, np.full(rows.size, i))
-        contribution = T.row_scale(reference_expert_ffn(tokens, params.experts[i]), gates)
+        contribution = row_scale(reference_expert_ffn(tokens, params.experts[i]), gates)
         out = T.add(out, reference_scatter_rows(contribution, rows, t))
     return out
 

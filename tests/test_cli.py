@@ -13,6 +13,7 @@ import sparsecast
 from sparsecast.cli import main
 from sparsecast.data import SequenceStore, write_csv
 from sparsecast.model import Forecaster, ModelConfig
+from sparsecast.synthetic import build_regime_store
 from sparsecast.train import load_checkpoint, save_checkpoint
 
 
@@ -269,3 +270,29 @@ def test_eval_bad_spec_is_a_typed_error(tmp_path, case):
     spec.write_text(json.dumps(doc))
     assert_clean_failure(*run_process("eval", "--ckpt", str(ckpt), "--spec", str(spec)),
                          mentions)
+
+
+# Badly typed values that only the run itself reads: each was a TypeError traceback.
+BAD_RUN_DOCS = {
+    "string_domain_weight": ("train", {"domain_weights": {"tonal": "x", "sawtooth": 1, "ar1": 1}},
+                             "domain_weights['tonal'] must be a finite non-negative number"),
+    "string_seed": ("bench", {"seeds": ["a"]}, "seeds must be a non-empty list"),
+    "int_seeds": ("bench", {"seeds": 3}, "seeds must be a non-empty list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RUN_DOCS))
+def test_badly_typed_run_input_is_a_typed_error(tmp_path, case):
+    command, extra, mentions = BAD_RUN_DOCS[case]
+    train = {"steps": 1, "batch": 2, "context": 24}
+    doc = tmp_path / "doc.json"
+    if command == "train":
+        store = tmp_path / "store"
+        build_regime_store(store, np.random.default_rng(0), per_regime=1, length=64)
+        doc.write_text(json.dumps({"model": model_doc(), "train": train, **extra}))
+        argv = ("train", "--config", str(doc), "--store", str(store),
+                "--out", str(tmp_path / "m.ckpt"))
+    else:
+        doc.write_text(json.dumps({"moe": model_doc(), "train": train, **extra}))
+        argv = ("bench", "--pair", str(doc), "--workdir", str(tmp_path / "work"))
+    assert_clean_failure(*run_process(*argv), mentions)

@@ -13,6 +13,8 @@ from helpers import (
     reference_attention,
     reference_gather_entries,
     reference_sigmoid,
+    row_scale,
+    transpose,
 )
 from sparsecast.model import attention_bias
 from sparsecast.tensor import (
@@ -28,20 +30,19 @@ from sparsecast.tensor import (
     dispatch_rows,
     gather_rows,
     huber,
+    linear,
     masked_attention,
     matmul,
     mul,
     reshape,
     rmsnorm,
     rope,
-    row_scale,
     sigmoid,
     silu,
     slice_cols,
     softmax_lastdim,
     sum_all,
     swiglu,
-    transpose,
 )
 
 
@@ -100,6 +101,45 @@ def test_matmul_identity_associativity_distributivity():
     dist_l = matmul(a, add(b, c)).data
     dist_r = add(matmul(a, b), matmul(a, c)).data
     np.testing.assert_allclose(dist_l, dist_r, atol=1e-5)
+
+
+def _linear_and_grads(fn, x, w, g):
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, w)]
+    with Graph() as graph:
+        out = fn(*leaves)
+        loss = sum_all(mul(out, constant(g, g.dtype)))
+    graph.backward(loss)
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("rows", [3, 1024])
+def test_linear_matches_matmul_by_transposed_copy_bitwise(rows):
+    # linear replaced matmul(x, transpose(w)); output and both gradients keep
+    # their bits. With a few rows, g @ w instead of g @ wt.T changes dx's bits.
+    rng = np.random.default_rng(rows)
+    x, w, g = (rng.normal(size=shape).astype(np.float32)
+               for shape in ((rows, 32), (48, 32), (rows, 48)))
+    got = _linear_and_grads(linear, x, w, g)
+    want = _linear_and_grads(lambda a, b: matmul(a, transpose(b)), x, w, g)
+    for name, a, b in zip(("out", "dx", "dw"), got, want):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_linear_row_does_not_depend_on_row_count():
+    rng = np.random.default_rng(6)
+    x, w = (rng.normal(size=shape).astype(np.float32) for shape in ((1024, 32), (32, 32)))
+    b = Tensor(rng.normal(size=32).astype(np.float32))
+    full = linear(Tensor(x), Tensor(w), b).data
+    for rows in (slice(0, 1), slice(256, 512), slice(1000, 1024)):
+        assert linear(Tensor(x[rows]), Tensor(w), b).data.tobytes() == full[rows].tobytes()
+
+
+def test_linear_rejects_mismatched_operands():
+    x = Tensor(np.ones((3, 4), dtype=np.float32))
+    with pytest.raises(ShapeError):
+        linear(x, Tensor(np.ones((2, 3), dtype=np.float32)))
+    with pytest.raises(ShapeError):
+        linear(x, Tensor(np.ones((2, 4), dtype=np.float32)), Tensor(np.ones(4, dtype=np.float32)))
 
 
 # --- softmax ------------------------------------------------------------------
@@ -178,12 +218,18 @@ def test_branch_free_sigmoid_matches_masked_form_bitwise(dtype):
 def test_elementwise_shape_rules():
     a = Tensor(np.ones((3, 4), dtype=np.float32))
     add(a, Tensor(np.ones((3, 4), dtype=np.float32)))
-    add(a, Tensor(np.ones(4, dtype=np.float32)))
     add(a, 2.0)
     with pytest.raises(ShapeError):
         add(a, Tensor(np.ones((3, 1), dtype=np.float32)))
     with pytest.raises(ShapeError):
         mul(a, Tensor(np.ones(3, dtype=np.float32)))
+
+
+@pytest.mark.parametrize("op", [add, mul])
+def test_trailing_vector_is_no_elementwise_operand(op):
+    # Biases live inside linear; elementwise ops take equal shapes or a scalar.
+    with pytest.raises(ShapeError):
+        op(Tensor(np.ones((3, 4), dtype=np.float32)), Tensor(np.ones(4, dtype=np.float32)))
 
 
 def test_mixed_precision_rejected():
@@ -217,7 +263,8 @@ def test_dispatch_ops_reject_bad_indices():
     y = Tensor(np.ones((6, 2), dtype=np.float32))
     gates = Tensor(np.ones((3, 4), dtype=np.float32))
     with pytest.raises(ShapeError):
-        combine_rows(x, y, gates, np.array([[0, 1], [2, 3], [4, 5]]),
+        combine_rows(x, Tensor(np.ones(3, dtype=np.float32)), y, gates,
+                     np.array([[0, 1], [2, 3], [4, 5]]),
                      np.array([[0, 1], [2, 2], [0, 3]]))  # token 1 names column 2 twice
 
 
@@ -301,13 +348,6 @@ def _(rng):
     return leaves, lambda: sum_all(mul(add(leaves["a"], leaves["b"]), w))
 
 
-@op_case("add_trailing")
-def _(rng):
-    leaves = _leafify(rng, {"a": (3, 4), "b": (4,)})
-    w = constant(_rand(rng, (3, 4)), np.float64)
-    return leaves, lambda: sum_all(mul(add(leaves["a"], leaves["b"]), w))
-
-
 @op_case("add_scalar")
 def _(rng):
     leaves = _leafify(rng, {"a": (3, 4), "b": ()})
@@ -321,18 +361,25 @@ def _(rng):
     return leaves, lambda: sum_all(mul(leaves["a"], leaves["b"]))
 
 
-@op_case("mul_trailing")
-def _(rng):
-    leaves = _leafify(rng, {"a": (3, 4), "b": (4,)})
-    w = constant(_rand(rng, (3, 4)), np.float64)
-    return leaves, lambda: sum_all(mul(mul(leaves["a"], leaves["b"]), w))
-
-
 @op_case("matmul")
 def _(rng):
     leaves = _leafify(rng, {"a": (3, 4), "b": (4, 2)})
     w = constant(_rand(rng, (3, 2)), np.float64)
     return leaves, lambda: sum_all(mul(matmul(leaves["a"], leaves["b"]), w))
+
+
+@op_case("linear")
+def _(rng):
+    leaves = _leafify(rng, {"x": (3, 4), "w": (2, 4)})
+    w = constant(_rand(rng, (3, 2)), np.float64)
+    return leaves, lambda: sum_all(mul(linear(leaves["x"], leaves["w"]), w))
+
+
+@op_case("linear_bias")
+def _(rng):
+    leaves = _leafify(rng, {"x": (3, 4), "w": (2, 4), "b": (2,)})
+    w = constant(_rand(rng, (3, 2)), np.float64)
+    return leaves, lambda: sum_all(mul(linear(leaves["x"], leaves["w"], leaves["b"]), w))
 
 
 @op_case("transpose")
@@ -451,12 +498,12 @@ def _(rng):
 
 @op_case("combine_rows")
 def _(rng):
-    leaves = _leafify(rng, {"base": (3, 2), "y": (7, 2), "gates": (3, 4)})
+    leaves = _leafify(rng, {"base": (3, 2), "base_gate": (3,), "y": (7, 2), "gates": (3, 4)})
     slots = np.array([[4, 0], [6, 1], [2, 5]])  # row 3 of y is unused
     cols = np.array([[0, 3], [1, 2], [0, 1]])
     w = constant(_rand(rng, (3, 2)), np.float64)
-    return leaves, lambda: sum_all(mul(combine_rows(leaves["base"], leaves["y"], leaves["gates"],
-                                                    slots, cols), w))
+    return leaves, lambda: sum_all(mul(combine_rows(leaves["base"], leaves["base_gate"],
+                                                    leaves["y"], leaves["gates"], slots, cols), w))
 
 
 @op_case("row_scale")

@@ -1,6 +1,7 @@
 """Losses, optimizer, schedule, training loop, and checkpoints."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from helpers import (
 )
 from sparsecast import model as model_module
 from sparsecast import tensor as T
+from sparsecast import train as train_module
 from sparsecast.data import CleanSeries, PackedBatch, SequenceStore, sample_batch
 from sparsecast.evaluate import model_hash
 from sparsecast.model import ConfigError, Forecaster, ForwardResult, ModelConfig, segment_bounds
-from sparsecast.synthetic import build_tone_store, multi_tone
+from sparsecast.synthetic import build_regime_store, build_tone_store, multi_tone
 from sparsecast.tensor import Graph, Tensor
 from sparsecast.train import (
     AdamW,
@@ -413,9 +415,10 @@ def test_train_loop_runs_and_logs(tmp_path):
     assert len(lines) == 3
     for rec in lines:
         assert set(rec) == {"step", "lr", "loss", "loss_ar", "loss_aux", "f_min", "f_max",
-                            "seconds", "tokens_per_s", "tape_nodes"}
+                            "seconds", "tokens_per_s", "tape_nodes", "grad_norm"}
         assert np.isfinite(rec["loss"])
         assert rec["seconds"] > 0 and isinstance(rec["tape_nodes"], int)
+        assert rec["grad_norm"] > 0
         assert rec["tokens_per_s"] == pytest.approx(2 * 32 / rec["seconds"])
 
 
@@ -425,6 +428,36 @@ def test_step_tape_does_not_grow_with_batch_rows(tmp_path):
     nodes = [train_loop(Forecaster.init(toy_config(), seed=6), store,
                         toy_train(steps=1, batch=rows))[0]["tape_nodes"] for rows in (1, 4)]
     assert nodes[0] == nodes[1]
+
+
+def test_grad_norm_is_recorded_before_clipping(tmp_path):
+    # Step 0 sees the same model and batch whatever the clip, so the recorded
+    # norm must not move when a tiny clip scales the gradients down.
+    store = tone_store(tmp_path / "s")
+    norms = [train_loop(Forecaster.init(toy_config(), seed=6), store,
+                        toy_train(steps=1, grad_clip=clip))[0]["grad_norm"]
+             for clip in (None, 1e-6)]
+    assert norms[0] == norms[1] > 1e-3
+
+
+def test_step_tape_per_op_counts_at_benchmark_model(tmp_path):
+    """One batch_loss at the benchmark model and batch shape (4 x 256): each
+    weight product is one linear node, matmul is left to the balance loss's
+    mean scores, and no transpose, row_scale or bias add is recorded."""
+    cfg = ModelConfig(d_model=32, num_layers=2, num_heads=4, num_experts=4, top_k=2,
+                      d_expert=32, head_horizons=(1, 8, 32, 64))
+    model = Forecaster.init(cfg, seed=0)
+    store = build_regime_store(tmp_path, np.random.default_rng(1), per_regime=2, length=400)
+    batch = sample_batch(store, np.random.default_rng(2), 4, 256)
+    with Graph() as graph:
+        batch_loss(model, batch, TrainConfig(batch=4, context=256))
+    nodes = graph._nodes
+    ops = Counter(vjp.__qualname__.split(".")[0] for _, _, vjp in nodes)
+    assert len(nodes) == 91
+    assert ops["linear"] == 16 and ops["matmul"] == 2
+    assert ops["transpose"] == ops["row_scale"] == 0
+    adds = [inputs for _, inputs, vjp in nodes if vjp.__qualname__.startswith("add.")]
+    assert adds and all(b.shape in (a.shape, ()) for a, b in adds)
 
 
 def test_resume_matches_uninterrupted(tmp_path):
@@ -555,6 +588,27 @@ def test_truncated_checkpoint_is_checkpoint_error_at_every_offset(tmp_path):
             load_checkpoint(cut)
     cut.write_bytes(blob)
     assert load_checkpoint(cut)[2] == 3
+
+
+def test_failed_save_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, Forecaster.init(toy_config(), seed=18), step=5)
+    before = path.read_bytes()
+    real_write_block = train_module._write_block
+    calls = []
+
+    def failing_write_block(f, name, arr):
+        calls.append(name)
+        if len(calls) == 4:
+            raise OSError("disk full")
+        real_write_block(f, name, arr)
+
+    monkeypatch.setattr(train_module, "_write_block", failing_write_block)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, Forecaster.init(toy_config(), seed=19), step=9)
+    assert path.read_bytes() == before
+    assert load_checkpoint(path)[2] == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
 def test_checkpoint_rejects_float64_model(tmp_path):
