@@ -181,6 +181,8 @@ def cmd_params(args) -> int:
 
 def cmd_bench(args) -> int:
     doc = _read_json(Path(args.pair))
+    if "moe" not in doc:
+        raise FormatError(f"{args.pair}: missing key 'moe', the sparse model's config")
     moe_config = ModelConfig.from_dict(doc["moe"])
     if doc.get("dense") in (None, "auto"):
         dense_config = match_dense_config(moe_config)
@@ -195,10 +197,14 @@ def cmd_bench(args) -> int:
     if args.seed is not None:
         seeds = [args.seed + i for i in range(len(seeds))]
     task = doc.get("task", {})
+    if not isinstance(task, dict):
+        raise FormatError(f"{args.pair}: task must be a JSON object, got {task!r}")
+    sizes = {"per_regime": task.get("per_regime", 4), "length": task.get("length", 512)}
+    for key, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise FormatError(f"{args.pair}: task.{key} must be a positive int, got {value!r}")
     workdir = args.workdir or tempfile.mkdtemp(prefix="sparsecast-bench-")
-    store = build_regime_store(workdir, np.random.default_rng(seeds[0]),
-                               per_regime=task.get("per_regime", 4),
-                               length=task.get("length", 512))
+    store = build_regime_store(workdir, np.random.default_rng(seeds[0]), **sizes)
     report = bench_sparse_vs_dense(moe_config, dense_config, store, train_config, seeds)
     text = json.dumps(report, indent=1)
     if args.out:

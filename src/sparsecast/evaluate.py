@@ -10,6 +10,7 @@ leak into any model input. Metrics are computed on the standardized scale
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import time
@@ -197,7 +198,11 @@ def one_epoch_fine_tune(model: Forecaster, train_values: np.ndarray,
 
 def eval_model(model, spec: EvalSpec, fine_tune_config: TrainConfig | None = None) -> EvalReport:
     """Rolling evaluation per the configured protocol; returns one row per
-    (horizon, context) pair with channel-and-window-averaged MSE/MAE."""
+    (horizon, context) pair with channel-and-window-averaged MSE/MAE.
+
+    In fine_tune mode a copy of the model is tuned and evaluated, so the
+    caller's model is left as it was, and the report's model_hash is the
+    tuned copy's."""
     loaded = load_csv(spec.dataset, CsvSchema(columns=spec.columns, splits=spec.splits))
     values = loaded.values
     n_train = loaded.splits[0]
@@ -207,6 +212,7 @@ def eval_model(model, spec: EvalSpec, fine_tune_config: TrainConfig | None = Non
     if spec.mode == "fine_tune":
         if fine_tune_config is None:
             raise ValueError("fine_tune mode needs a TrainConfig")
+        model = copy.deepcopy(model)
         one_epoch_fine_tune(model, values[:n_train], fine_tune_config)
     rows = []
     channels = values.shape[1]

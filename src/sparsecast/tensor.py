@@ -10,20 +10,21 @@ is the one way to backpropagate.
 Every weight product goes through linear (x @ w.T, plus an optional bias)
 or swiglu, and both multiply by contiguous transposed copies of the
 weights, never by transposed views, so a row's result does not depend on
-how many rows share the call.
+how many rows share the call; a linear with one output sums each row's
+products instead, since numpy would take a matrix-vector product there.
 
-Attention is blocked by segment. A packed row of T tokens is cut into
-segments given by their bounds [0, b_1, ..., T]; tokens attend causally
-within their own segment only, and each segment is computed on its own
-[heads, n, d_head] slice with batched matmul. A row therefore costs the sum
-of n^2 over its segments, not T^2, no [T, T] mask is ever built, and a
-segment packed into a row computes bit for bit what it computes alone. Each
-segment block keeps its softmax weights in a workspace of its own,
-[heads, n, n], which the backward pass reads; a training batch packed into
-one long row thus holds sum n^2 weights, never [heads, T, T]. The same
-kernel serves cached decoding: keys and values may be longer than the
-queries by a cached prefix, the queries being the last key positions, and a
-block's workspace is then [heads, n_q, n_k].
+Attention is blocked by segment and tiled by query. A packed row of T
+tokens is cut into segments given by their bounds [0, b_1, ..., T]; tokens
+attend causally within their own segment only, and each segment is cut into
+query tiles counted from its own start. A tile scores its queries against
+the keys up to its own last query only, in one block, so the masked
+triangle above it is never computed and its softmax needs no running max
+and sum (an online softmax). A segment packed into a row therefore computes
+bit for bit what it computes alone, at about half of n^2 per segment and
+with no [T, T] mask. Tiles keep their softmax weights for the backward pass
+only while a graph records; an inference call holds one tile's workspace.
+The same kernel serves cached decoding, where keys and values run longer
+than the queries by a cached prefix.
 
 Expert dispatch is dropless and expert-sorted: dispatch_rows copies each
 token's row once per routed expert into expert-contiguous groups, swiglu
@@ -265,14 +266,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x[m×k] @ w[n×k].T, plus b[n] on every row when given.
 
     The product is by a contiguous transposed copy of w, never by the
-    transposed view: OpenBLAS may round a view's product differently with
-    the row count, and packed rows must compute what they compute alone.
+    transposed view, and a one-row w is a per-row sum of products: OpenBLAS
+    may round a view's product, or a matrix-vector product, differently
+    with the row count, and packed rows must compute what they compute alone.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear needs x [m, k] and w [n, k], got {x.shape} and {w.shape}")
     w = _as_operand(w, x)
     x_data, wt = x.data, w.data.T.copy()
-    out = x_data @ wt
+    if w.shape[0] == 1:
+        out = (x_data * w.data).sum(axis=1, keepdims=True)
+    else:
+        out = x_data @ wt
     if b is None:
         inputs = (x, w)
     else:
@@ -434,6 +439,12 @@ def rope(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
     return _finish("rope", rotate(x.data, cos, sin), (x,), vjp)
 
 
+# Query tile of masked_attention: a tile's workspace is [heads, ATTENTION_TILE, keys].
+ATTENTION_TILE = 64
+# Strict upper triangle of one tile: True where a key comes after its query.
+_FUTURE = np.triu(np.ones((ATTENTION_TILE, ATTENTION_TILE), dtype=bool), k=1)
+
+
 def _segment_spans(segments, t: int) -> list:
     """(start, stop) pairs of the segment bounds [0, b_1, ..., T], checked."""
     bounds = np.asarray(segments)
@@ -445,7 +456,7 @@ def _segment_spans(segments, t: int) -> list:
 
 
 def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
-    """Causal scaled dot-product attention, blocked by segment.
+    """Causal scaled dot-product attention, blocked by segment and tiled by query.
 
     k and v are [n_k, heads, d_head]; q is [n_q, heads, d_head] with
     n_q <= n_k, and its rows are the last n_q key positions: query i sits at
@@ -454,17 +465,24 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
 
     segments are the bounds [0, b_1, ..., n_k] of the packed segments over
     key positions: a token in [b_i, b_i+1) attends to itself and the earlier
-    tokens of its own segment, never across a bound. Each segment runs on
-    its own [heads, n, d_head] slice with batched matmul, masked by
-    np.tri(n_q, n_k, k=n_k - n_q) for its n_q queries and n_k keys, so a
-    packed segment gives bit for bit what it gives alone, and a row costs
-    sum n_q * n_k rather than T^2. A segment that ends inside the cached
-    prefix holds no query and is skipped.
+    tokens of its own segment, never across a bound. Each segment is cut
+    into tiles of ATTENTION_TILE positions from its own start, and each tile
+    scores its queries with batched matmul against the segment's keys up to
+    its own last position only: the masked triangle above the tile is never
+    computed, and only the tile's own diagonal square is masked, by a corner
+    of one triangle built at import. Since tiles fall from the segment
+    start, a packed segment gives bit for bit what it gives alone, and a
+    decode push that fills a tile computes that tile of the full call. A
+    tile holds its whole key range in one [heads, m, key range] block (4 MB
+    at 4 heads, 4096 keys and float32), so its softmax is exact without the
+    running max and sum across key blocks of an online softmax. A tile that
+    ends inside the cached prefix holds no query and is skipped.
 
-    Each segment block keeps its softmax weights in a [heads, n_q, n_k]
-    workspace of its own, so a long row of short segments (a packed
-    training batch) never allocates [heads, T, T]. The vjp keeps those
-    workspaces and the inputs, no copies.
+    While a graph is recording, each tile's softmax weights are kept for
+    the vjp, which walks the same tiles and sums the key and value
+    gradients over them. Otherwise each tile's weights are dropped before
+    the next tile is scored, so an inference call holds one tile's
+    workspace, never [heads, n_q, n_k].
     """
     if (q.data.ndim != 3 or k.shape != v.shape or k.data.ndim != 3
             or q.shape[1:] != k.shape[1:] or q.shape[0] > k.shape[0]):
@@ -473,41 +491,51 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
     n_q, _, d_head = q.shape
     n_k = k.shape[0]
     prefix = n_k - n_q
-    # (first query row, end query row, first key, end key) per segment that holds a query.
-    blocks = [(max(a, prefix) - prefix, b - prefix, a, b)
-              for a, b in _segment_spans(segments, n_k) if b > prefix]
+    # (first query row, end query row, segment start, tile start, tile end) per
+    # tile that holds a query: from the tile of a segment's first query on.
+    tiles = []
+    for a, b in _segment_spans(segments, n_k):
+        if b <= prefix:
+            continue
+        for t0 in range(a + max(prefix - a, 0) // ATTENTION_TILE * ATTENTION_TILE, b,
+                        ATTENTION_TILE):
+            t1 = min(t0 + ATTENTION_TILE, b)
+            tiles.append((max(t0, prefix) - prefix, t1 - prefix, a, t0, t1))
     k, v = _as_operand(k, q), _as_operand(v, q)
+    keep = _active_graph() is not None and any(x.requires_grad for x in (q, k, v))
     scale = float(1.0 / np.sqrt(d_head))
     # [heads, T, d_head] views of the [T, heads, d_head] operands.
     qh, kh, vh = (x.data.transpose(1, 0, 2) for x in (q, k, v))
     out = np.empty_like(q.data)
     oh = out.transpose(1, 0, 2)
     weights = []
-    for s, e, a, b in blocks:
-        ws = np.matmul(qh[:, s:e], kh[:, a:b].transpose(0, 2, 1))
+    for s, e, a, t0, t1 in tiles:
+        ws = np.matmul(qh[:, s:e], kh[:, a:t1].transpose(0, 2, 1))
         ws *= scale
-        np.copyto(ws, -np.inf, where=~np.tri(e - s, b - a, k=b - a - (e - s), dtype=bool))
+        m = t1 - t0
+        np.copyto(ws[:, :, t0 - a:], -np.inf, where=_FUTURE[m - (e - s):m, :m])
         ws -= ws.max(axis=-1, keepdims=True)
         np.exp(ws, out=ws)
         ws /= ws.sum(axis=-1, keepdims=True)
-        np.matmul(ws, vh[:, a:b], out=oh[:, s:e])
-        weights.append(ws)
+        np.matmul(ws, vh[:, a:t1], out=oh[:, s:e])
+        if keep:
+            weights.append(ws)
+        del ws
 
     def vjp(g):
         gh = g.transpose(1, 0, 2)
-        # Behind a cached prefix, keys of segments with no query get no gradient.
-        new = np.zeros_like if prefix else np.empty_like
-        gq, gk, gv = np.empty_like(g), new(k.data), new(v.data)
+        # Tiles add into the key and value gradients; keys no query reaches get 0.
+        gq, gk, gv = np.empty_like(g), np.zeros_like(k.data), np.zeros_like(v.data)
         gqh, gkh, gvh = (x.transpose(1, 0, 2) for x in (gq, gk, gv))
-        for (s, e, a, b), ws in zip(blocks, weights):
+        for (s, e, a, _, t1), ws in zip(tiles, weights):
             go = gh[:, s:e]
-            np.matmul(ws.transpose(0, 2, 1), go, out=gvh[:, a:b])
+            gvh[:, a:t1] += np.matmul(ws.transpose(0, 2, 1), go)
             # d(scores) = w * (g v^T - rowsum(w * g v^T)), and that row sum is g . out.
-            gw = np.matmul(go, vh[:, a:b].transpose(0, 2, 1))
+            gw = np.matmul(go, vh[:, a:t1].transpose(0, 2, 1))
             gw -= (go * oh[:, s:e]).sum(axis=-1, keepdims=True)
             gw *= ws
-            np.matmul(gw, kh[:, a:b], out=gqh[:, s:e])
-            np.matmul(gw.transpose(0, 2, 1), qh[:, s:e], out=gkh[:, a:b])
+            np.matmul(gw, kh[:, a:t1], out=gqh[:, s:e])
+            gkh[:, a:t1] += np.matmul(gw.transpose(0, 2, 1), qh[:, s:e])
         gq *= scale
         gk *= scale
         return gq, gk, gv

@@ -110,15 +110,16 @@ def _check_horizon(context: int, horizon: int) -> None:
                           f"use a context of at least {horizon}")
 
 
-def head_targets(tokens: np.ndarray, seq_ids: np.ndarray, pad_mask: np.ndarray,
+def head_targets(tokens: np.ndarray, bounds: np.ndarray, pad_mask: np.ndarray,
                  horizon: int) -> tuple:
     """(targets [L, p], valid [L]) for one packed row and one head horizon.
 
-    A row shorter than the horizon cannot hold one target window: ConfigError.
+    bounds are the row's segment bounds [0, b_1, ..., L] (model.segment_bounds
+    of its sequence ids); a target never crosses one. A row shorter than the
+    horizon cannot hold one target window: ConfigError.
     """
     length = len(tokens)
     _check_horizon(length, horizon)
-    bounds = segment_bounds(seq_ids)
     run_end = np.repeat(bounds[1:], np.diff(bounds))
     remaining = run_end - np.arange(length)
     valid = (~pad_mask) & (remaining > horizon)
@@ -191,9 +192,10 @@ def batch_loss(model: Forecaster, batch: PackedBatch, config: TrainConfig) -> tu
     _check_horizon(batch.length, horizons[-1])
     tokens, seq_ids, pad_mask = flat_batch(batch)
     result = model.forward(tokens, seq_ids=seq_ids)
+    bounds = segment_bounds(seq_ids)
     parts = []
     for j, horizon in enumerate(horizons):
-        targets, valid = head_targets(tokens, seq_ids, pad_mask, horizon)
+        targets, valid = head_targets(tokens, bounds, pad_mask, horizon)
         if not valid.any():
             continue
         head_sum, count = masked_head_loss(result.head_outputs[j], targets, valid, config.delta)

@@ -9,6 +9,7 @@ import numpy as np
 from sparsecast import tensor as T
 from sparsecast.data import CsvSchema, FormatError, LoadedCsv, _resolve_splits
 from sparsecast.heads import plan_horizons
+from sparsecast.model import segment_bounds
 from sparsecast.tensor import Graph, ShapeError, Tensor, _as_operand, _finish
 from sparsecast.train import TrainingError, head_targets, masked_head_loss
 
@@ -362,8 +363,9 @@ def reference_batch_loss(model, batch, config) -> tuple:
     for b in range(batch.rows):
         result = model.forward(batch.tokens[b], seq_ids=batch.seq_ids[b])
         tokens = batch.tokens[b, :, 0]
+        bounds = segment_bounds(batch.seq_ids[b])
         for j, horizon in enumerate(horizons):
-            targets, valid = head_targets(tokens, batch.seq_ids[b], batch.pad_mask[b], horizon)
+            targets, valid = head_targets(tokens, bounds, batch.pad_mask[b], horizon)
             if not valid.any():
                 continue
             head_sum, count = masked_head_loss(result.head_outputs[j], targets, valid,

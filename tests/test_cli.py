@@ -296,3 +296,21 @@ def test_badly_typed_run_input_is_a_typed_error(tmp_path, case):
         doc.write_text(json.dumps({"moe": model_doc(), "train": train, **extra}))
         argv = ("bench", "--pair", str(doc), "--workdir", str(tmp_path / "work"))
     assert_clean_failure(*run_process(*argv), mentions)
+
+
+# Badly shaped bench pair files: each ended in a KeyError, AttributeError or TypeError.
+BAD_PAIR_DOCS = {
+    "missing_moe": ({}, "missing key 'moe'"),
+    "list_task": ({"moe": model_doc(), "task": [1]}, "task must be a JSON object, got [1]"),
+    "string_task_length": ({"moe": model_doc(), "task": {"length": "x"}},
+                           "task.length must be a positive int, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PAIR_DOCS))
+def test_bench_bad_pair_is_a_typed_error(tmp_path, case):
+    extra, mentions = BAD_PAIR_DOCS[case]
+    doc = tmp_path / "pair.json"
+    doc.write_text(json.dumps({"train": {"steps": 1, "batch": 2, "context": 24}, **extra}))
+    assert_clean_failure(*run_process("bench", "--pair", str(doc), "--workdir",
+                                      str(tmp_path / "work")), mentions)

@@ -198,7 +198,7 @@ def test_eval_model_records_model_metadata(tmp_path):
     assert np.isfinite(report.averages["mse"])
 
 
-def test_fine_tune_mode_changes_parameters(tmp_path):
+def test_fine_tune_mode_tunes_a_copy(tmp_path):
     path = synthetic_csv(tmp_path, rows=160)
     cfg = ModelConfig(num_layers=1, num_heads=2, num_experts=2, top_k=1, d_model=8,
                       d_ff=16, d_expert=8, head_horizons=(1, 4), max_context=64)
@@ -208,7 +208,8 @@ def test_fine_tune_mode_changes_parameters(tmp_path):
                     splits=(96, 32, 32), mode="fine_tune", stride=8)
     tune = TrainConfig(steps=1, batch=2, context=16, lr=1e-3, warmup_steps=1, seed=0)
     report = eval_model(model, spec, fine_tune_config=tune)
-    assert model.param_bytes() != before
+    assert model.param_bytes() == before
+    assert report.metadata["model_hash"] != model_hash(model)
     assert report.metadata["mode"] == "fine_tune"
 
 

@@ -368,6 +368,19 @@ def test_forward_packing_isolation_full_model():
         np.testing.assert_array_equal(a.data[:10], b.data)
 
 
+def test_forward_packing_isolation_across_tiles():
+    # Two segments of several attention tiles each: the second segment's tiles
+    # start at its own first token, so each computes exactly what it does alone.
+    model = Forecaster.init(tiny_config(max_context=160), seed=11)
+    x = np.random.default_rng(17).normal(size=300).astype(np.float32)
+    ids = np.repeat([0, 1], 150)
+    packed = model.forward(x, seq_ids=ids)
+    for a, b in ((0, 150), (150, 300)):
+        alone = model.forward(x[a:b])
+        for got, want in zip(packed.head_outputs, alone.head_outputs):
+            np.testing.assert_array_equal(got.data[a:b], want.data)
+
+
 # --- parameter accounting ------------------------------------------------------------
 
 
@@ -387,6 +400,19 @@ def test_cached_forward_matches_last_row_of_full_forward(dtype, tol):
         for got, want in zip(out.head_outputs, prefix.head_outputs):
             np.testing.assert_allclose(got.data[0], want.data[-1], rtol=tol, atol=tol)
     np.testing.assert_allclose(out.hidden.data[0], full.hidden.data[-1], rtol=tol, atol=tol)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_cached_forward_beyond_one_tile_matches_full_forward(dtype, tol):
+    # Pushes that start mid-tile, fill one tile exactly, and add single points.
+    model = Forecaster.init(tiny_config(max_context=256), seed=5, dtype=dtype)
+    x = np.random.default_rng(21).normal(size=230)
+    cache = KVCache.empty(model.config.num_layers)
+    for a, b in ((0, 100), (100, 128), (128, 192), (192, 193), (193, 230)):
+        out = model.forward(x[a:b], cache=cache)
+        prefix = model.forward(x[:b])
+        for got, want in zip(out.head_outputs, prefix.head_outputs):
+            np.testing.assert_allclose(got.data[0], want.data[-1], rtol=tol, atol=tol)
 
 
 def test_cached_forward_rejects_seq_ids_and_overflow():

@@ -1,6 +1,7 @@
 """Autodiff core: op semantics, stability, and gradient correctness."""
 
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -18,6 +19,7 @@ from helpers import (
 )
 from sparsecast.model import attention_bias
 from sparsecast.tensor import (
+    ATTENTION_TILE,
     Graph,
     NumericError,
     ShapeError,
@@ -131,6 +133,17 @@ def test_linear_row_does_not_depend_on_row_count():
     b = Tensor(rng.normal(size=32).astype(np.float32))
     full = linear(Tensor(x), Tensor(w), b).data
     for rows in (slice(0, 1), slice(256, 512), slice(1000, 1024)):
+        assert linear(Tensor(x[rows]), Tensor(w), b).data.tobytes() == full[rows].tobytes()
+
+
+def test_one_column_linear_row_does_not_depend_on_row_count():
+    # numpy multiplies by a one-column matrix (the horizon-1 head) with gemv,
+    # whose rounding for a row depends on where the row falls in the call.
+    rng = np.random.default_rng(6)
+    x, w = (rng.normal(size=shape).astype(np.float32) for shape in ((1024, 32), (1, 32)))
+    b = Tensor(rng.normal(size=1).astype(np.float32))
+    full = linear(Tensor(x), Tensor(w), b).data
+    for rows in (slice(0, 1), slice(0, 150), slice(256, 512), slice(1021, 1024)):
         assert linear(Tensor(x[rows]), Tensor(w), b).data.tobytes() == full[rows].tobytes()
 
 
@@ -537,6 +550,10 @@ def test_gradients_match_finite_differences(name):
 # --- segment-blocked attention against the dense oracle -------------------------------
 
 
+def _segment_ids(segments):
+    return np.repeat(np.arange(len(segments) - 1), np.diff(segments))
+
+
 def _attention_and_grads(kernel, q, k, v, w, mask):
     leaves = [Tensor(x.copy(), requires_grad=True) for x in (q, k, v)]
     with Graph() as g:
@@ -547,12 +564,16 @@ def _attention_and_grads(kernel, q, k, v, w, mask):
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
-@pytest.mark.parametrize("segments", [[0, 1], [0, 9], [0, 4, 9], [0, 1, 4, 5, 6, 11]],
-                         ids=["T1", "one", "two", "five"])
+@pytest.mark.parametrize("segments", [[0, 1], [0, 9], [0, 4, 9], [0, 1, 4, 5, 6, 11],
+                                      [0, 63], [0, 64], [0, 65], [0, 200], [0, 333],
+                                      [0, 1, 64, 129, 329, 462]],
+                         ids=["T1", "one", "two", "five", "63", "64", "65", "200", "333",
+                              "mixed5"])
 def test_attention_matches_dense_oracle(segments, dtype, tol):
+    # Segments shorter than, equal to, one past and several times one query tile.
     segments = np.array(segments)
     t = int(segments[-1])
-    ids = np.repeat(np.arange(len(segments) - 1), np.diff(segments))
+    ids = _segment_ids(segments)
     rng = np.random.default_rng(t)
     q, k, v, w = (rng.normal(size=(t, 3, 4)).astype(dtype) for _ in range(4))
     got = _attention_and_grads(masked_attention, q, k, v, w, segments)
@@ -582,6 +603,61 @@ def test_attention_with_kv_prefix_matches_last_rows_of_full_call(segments, n_q, 
         np.testing.assert_allclose(a, b[t - n_q:], rtol=tol, atol=tol, err_msg=name)
     for name, a, b in zip(("dk", "dv"), cached[2:], full[2:]):
         np.testing.assert_allclose(a, b, rtol=tol, atol=tol, err_msg=name)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+@pytest.mark.parametrize("segments, n_q", [([0, 200], 150), ([0, 70, 200], 140),
+                                           ([0, 130], 3), ([0, 64, 200], 137)],
+                         ids=["mid-first-tile", "straddle-segment-end", "straddle-128",
+                              "one-before-segment"])
+def test_tiled_attention_with_kv_prefix_matches_dense_oracle(segments, n_q, dtype, tol):
+    # The first query sits inside a tile, so that tile scores only its last
+    # rows; the loss reads only the queried rows of the dense oracle.
+    segments = np.array(segments)
+    t = int(segments[-1])
+    rng = np.random.default_rng([t, n_q])
+    q, k, v, w = (rng.normal(size=(t, 3, 4)).astype(dtype) for _ in range(4))
+    w[:t - n_q] = 0.0
+    want = _attention_and_grads(reference_attention, q, k, v, w,
+                                attention_bias(_segment_ids(segments)))
+    got = _attention_and_grads(masked_attention, q[t - n_q:], k, v, w[t - n_q:], segments)
+    want[:2] = [x[t - n_q:] for x in want[:2]]
+    for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
+        np.testing.assert_allclose(a, b, rtol=tol, atol=tol, err_msg=name)
+
+
+def test_inference_attention_holds_one_tile_workspace():
+    t, heads, d_head = 2048, 4, 8
+    rng = np.random.default_rng(0)
+    q, k, v = (Tensor(rng.normal(size=(t, heads, d_head)).astype(np.float32)) for _ in range(3))
+    tile_bytes = heads * ATTENTION_TILE * t * 4
+    tracemalloc.start()
+    try:
+        masked_attention(q, k, v, np.array([0, t]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A whole [heads, T, T] block would be 32 tiles.
+    assert peak < 2 * tile_bytes, f"peak {peak / 1e6:.1f} MB, one tile {tile_bytes / 1e6:.1f} MB"
+
+
+def test_recorded_attention_backpropagates_after_later_calls():
+    # The tile weights a recorded call keeps must survive the calls that follow it.
+    segments = np.array([0, 150, 333])
+    rng = np.random.default_rng(7)
+    q, k, v, w = (rng.normal(size=(333, 3, 4)) for _ in range(4))
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in (q, k, v)]
+    with Graph() as g:
+        out = masked_attention(*leaves, segments)
+        loss = sum_all(mul(out, constant(w, np.float64)))
+    for _ in range(2):
+        other = Tensor(rng.normal(size=(333, 3, 4)))
+        masked_attention(other, other, other, segments)
+    g.backward(loss)
+    want = _attention_and_grads(reference_attention, q, k, v, w,
+                                attention_bias(_segment_ids(segments)))
+    for name, a, b in zip(("out", "dq", "dk", "dv"), [out.data] + [x.grad for x in leaves], want):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10, err_msg=name)
 
 
 def test_attention_rejects_more_queries_than_keys():

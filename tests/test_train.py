@@ -202,7 +202,7 @@ def test_head_targets_mask_respects_boundaries():
     tokens = np.arange(10, dtype=np.float32)
     seq_ids = np.array([0] * 5 + [1] * 5)
     pad = np.zeros(10, dtype=bool)
-    targets, valid = head_targets(tokens, seq_ids, pad, horizon=3)
+    targets, valid = head_targets(tokens, segment_bounds(seq_ids), pad, horizon=3)
     # anchor 1 sees targets 2,3,4 inside sequence 0
     assert valid[1]
     np.testing.assert_array_equal(targets[1], [2, 3, 4])
@@ -218,8 +218,9 @@ def test_head_targets_reject_context_below_horizon():
     ids = np.zeros(8, dtype=np.int64)
     pad = np.zeros(8, dtype=bool)
     with pytest.raises(ConfigError, match=r"context 8 .* horizon 9"):
-        head_targets(tokens, ids, pad, horizon=9)
-    _, valid = head_targets(tokens, ids, pad, horizon=8)  # context == horizon is legal
+        head_targets(tokens, segment_bounds(ids), pad, horizon=9)
+    # context == horizon is legal
+    _, valid = head_targets(tokens, segment_bounds(ids), pad, horizon=8)
     assert not valid.any()
 
 
@@ -240,7 +241,7 @@ def test_head_targets_match_loop_oracle(lengths, pad, horizon):
     pad_mask = np.zeros(len(ids), dtype=bool)
     pad_mask[len(ids) - pad:] = True
     tokens = np.random.default_rng(len(ids)).normal(size=len(ids)).astype(np.float32)
-    targets, valid = head_targets(tokens, ids, pad_mask, horizon)
+    targets, valid = head_targets(tokens, segment_bounds(ids), pad_mask, horizon)
     want_targets, want_valid = reference_head_targets(tokens, ids, pad_mask, horizon)
     assert targets.dtype == want_targets.dtype
     assert targets.tobytes() == want_targets.tobytes()
@@ -251,7 +252,7 @@ def test_head_targets_exclude_padding():
     tokens = np.zeros(8, dtype=np.float32)
     seq_ids = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     pad = np.array([False] * 4 + [True] * 4)
-    _, valid = head_targets(tokens, seq_ids, pad, horizon=2)
+    _, valid = head_targets(tokens, segment_bounds(seq_ids), pad, horizon=2)
     assert not valid[4:].any()
 
 
@@ -281,7 +282,8 @@ def test_batch_loss_perfect_predictions_zero():
     tokens = rng.normal(size=12).astype(np.float32)
     ids = np.zeros(12, dtype=np.int64)
     pad = np.zeros(12, dtype=bool)
-    preds = [Tensor(head_targets(tokens, ids, pad, p)[0].copy()) for p in cfg.head_horizons]
+    bounds = segment_bounds(ids)
+    preds = [Tensor(head_targets(tokens, bounds, pad, p)[0].copy()) for p in cfg.head_horizons]
     loss, info = batch_loss(FixedPredictions(cfg, preds), one_row_batch(tokens),
                             toy_train(alpha=0.0))
     assert loss.item() == 0.0
@@ -303,7 +305,7 @@ def test_batch_loss_single_head_reduces_to_masked_huber():
     tokens = rng.normal(size=10).astype(np.float32)
     ids = np.zeros(10, dtype=np.int64)
     pad = np.zeros(10, dtype=bool)
-    tgt, valid = head_targets(tokens, ids, pad, 1)
+    tgt, valid = head_targets(tokens, segment_bounds(ids), pad, 1)
     pred = Tensor(rng.normal(size=(10, 1)).astype(np.float32))
     loss, _ = batch_loss(FixedPredictions(cfg, [pred]), one_row_batch(tokens),
                          toy_train(alpha=0.0))
