@@ -193,7 +193,11 @@ class StoreEntry:
 
 
 class SequenceStore:
-    """Cleaned sequences in flat f32-LE binary files plus a JSON metafile."""
+    """Cleaned sequences in flat f32-LE binary files plus a JSON metafile.
+
+    write lays the sequences end to end in one file, <name>.bin; open reads
+    every file the metafile names, checking each entry's span.
+    """
 
     def __init__(self, directory: Path, entries: list, name: str = "store"):
         self.directory = Path(directory)
@@ -201,35 +205,21 @@ class SequenceStore:
         self.name = name
 
     @classmethod
-    def write(cls, series: list, directory, name: str = "store",
-              max_points_per_file: int | None = None) -> "SequenceStore":
+    def write(cls, series: list, directory, name: str = "store") -> "SequenceStore":
         if not series:
             raise ValueError("refusing to write an empty store")
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        file = f"{name}.bin"
         entries: list[StoreEntry] = []
-        shard, offset, handle = 0, 0, None
-        multi = max_points_per_file is not None
-
-        def shard_name(k):
-            return f"{name}.{k:03d}.bin" if multi else f"{name}.bin"
-
-        try:
-            handle = open(directory / shard_name(shard), "wb")
+        offset = 0
+        with open(directory / file, "wb") as handle:
             for s in series:
                 values = np.ascontiguousarray(np.asarray(s.values), dtype=STORE_DTYPE)
-                if multi and offset > 0 and offset + len(values) > max_points_per_file:
-                    handle.close()
-                    shard += 1
-                    offset = 0
-                    handle = open(directory / shard_name(shard), "wb")
                 handle.write(values.tobytes())
-                entries.append(StoreEntry(file=shard_name(shard), offset_points=offset,
+                entries.append(StoreEntry(file=file, offset_points=offset,
                                           length_points=len(values), domain=s.domain))
                 offset += len(values)
-        finally:
-            if handle is not None:
-                handle.close()
         meta = {
             "version": META_VERSION,
             "sequences": [vars(e) for e in entries],

@@ -22,8 +22,7 @@ import numpy as np
 from .data import CsvSchema, load_csv, PackedBatch
 from .heads import autoregressive_forecast
 from .model import ConfigCodec, Forecaster, ModelConfig, count_params, int_items
-from .train import AdamW, TrainConfig, batch_loss, train_loop
-from .tensor import Graph
+from .train import AdamW, TrainConfig, train_loop, train_step
 
 # Canonical (train, val, test) row counts of the long-horizon benchmark files.
 BENCHMARK_SPLITS = {
@@ -187,11 +186,7 @@ def one_epoch_fine_tune(model: Forecaster, train_values: np.ndarray,
             pad_mask=np.zeros(chunk.shape[:2], dtype=bool),
             crop_domains=[["fine_tune"]] * chunk.shape[0],
         )
-        optimizer.zero_grad()
-        with Graph() as graph:
-            loss, _ = batch_loss(model, batch, config)
-        graph.backward(loss)
-        optimizer.step(config.lr)
+        train_step(model, optimizer, batch, config, config.lr)
         steps += 1
     return steps
 

@@ -1,11 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation on a recorded tape.
 
 The op set is exactly what the forecaster's math needs: matmul and linear,
-explicit elementwise arithmetic, the gated activations, row-stochastic
-softmax, fused norm/rotation/attention/SwiGLU kernels with analytic
-adjoints, and the row permutations behind sparse expert dispatch. Ops are
-plain functions, with no operator overloading on Tensor, and Graph.backward
-is the one way to backpropagate.
+explicit elementwise arithmetic, constant-weighted sums (the loss terms),
+the gated activations, row-stochastic softmax, fused
+norm/rotation/attention/SwiGLU kernels with analytic adjoints, and the row
+permutations behind sparse expert dispatch. Ops are plain functions, with
+no operator overloading on Tensor, and Graph.backward is the one way to
+backpropagate.
 
 Every weight product goes through linear (x @ w.T, plus an optional bias)
 or swiglu, and both multiply by contiguous transposed copies of the
@@ -314,6 +315,20 @@ def sum_all(a: Tensor) -> Tensor:
         return (np.full(shape, g.reshape(()), dtype=dtype),)
 
     return _finish("sum", a.data.sum().reshape(()), (a,), vjp)
+
+
+def weighted_sum(x: Tensor, weights) -> Tensor:
+    """Sum of x * weights as a scalar tensor; weights is a constant of x's
+    exact shape, so every mean, mask or per-entry scale of a reduction is
+    folded into one node."""
+    w = np.asarray(weights, dtype=x.data.dtype)
+    if w.shape != x.shape:
+        raise ShapeError(f"weighted_sum weights {w.shape} do not match {x.shape}")
+
+    def vjp(g):
+        return (g * w,)
+
+    return _finish("weighted_sum", (x.data * w).sum().reshape(()), (x,), vjp)
 
 
 # --- activations ---------------------------------------------------------------

@@ -6,9 +6,11 @@ forward, one target table per head) and averages a masked robust (Huber)
 term per forecast head — over all valid anchor positions and over the
 head's horizon elements, so long heads are not overweighted — then averages
 across heads and adds alpha times the expert-balance penalty, itself
-averaged over mixture layers. An anchor is valid for a head of horizon p when the p
-following tokens exist, stay inside the anchor's packed sequence, and are
-not padding.
+averaged over mixture layers. Every term is one constant-weighted sum, the
+weights holding the mask and the averaging. An anchor is valid for a head
+of horizon p when the p following tokens exist, stay inside the anchor's
+packed sequence, and are not padding. train_step is the one optimization
+step, shared by pre-training (train_loop) and fine-tuning.
 
 Checkpoints are a seekable little-endian binary format: magic "TMOE",
 a version word, the JSON-encoded model configuration, the training step,
@@ -30,7 +32,7 @@ import numpy as np
 from . import tensor as T
 from .data import PackedBatch, SequenceStore, sample_batch
 from .model import ConfigCodec, ConfigError, Forecaster, ModelConfig, init_params, segment_bounds
-from .tensor import Graph, Tensor
+from .tensor import Graph
 
 CHECKPOINT_MAGIC = b"TMOE"
 CHECKPOINT_VERSION = 1
@@ -132,39 +134,6 @@ def head_targets(tokens: np.ndarray, bounds: np.ndarray, pad_mask: np.ndarray,
     return targets, valid
 
 
-def masked_head_loss(pred: Tensor, targets: np.ndarray, valid: np.ndarray,
-                     delta: float) -> tuple:
-    """(sum of Huber over valid cells as a tensor, number of valid cells)."""
-    horizon = pred.shape[1]
-    cells = valid[:, None] & np.ones((1, horizon), dtype=bool)
-    elementwise = T.huber(pred, T.constant(targets, pred.dtype), delta)
-    masked = T.mul(elementwise, T.constant(cells.astype(pred.data.dtype), pred.dtype))
-    return T.sum_all(masked), int(cells.sum())
-
-
-def balance_loss_tensor(routings: list) -> tuple:
-    """Differentiable balance penalty averaged over mixture layers, one
-    RouterOutput per layer.
-
-    Gradients flow through the mean routing scores r; the selection fractions
-    f enter as constants (the selection itself is not differentiable).
-    Returns (tensor, f averaged over layers).
-    """
-    terms = []
-    for routing in routings:
-        scores = routing.scores
-        total, n = scores.shape
-        ones = T.constant(np.full((1, total), 1.0 / total), scores.dtype)
-        r_mean = T.matmul(ones, scores)  # [1, N]
-        weighted = T.mul(r_mean, T.constant(routing.f[None, :], scores.dtype))
-        terms.append(T.mul(T.sum_all(weighted), float(n)))
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = T.add(acc, term)
-    mean_f = np.mean(np.stack([routing.f for routing in routings]), axis=0)
-    return T.mul(acc, 1.0 / len(terms)), mean_f
-
-
 def flat_batch(batch: PackedBatch) -> tuple:
     """(tokens [B*L], seq_ids [B*L], pad_mask [B*L]): the batch rows laid end
     to end as one packed row. Each row's ids are shifted into a range of
@@ -179,47 +148,59 @@ def batch_loss(model: Forecaster, batch: PackedBatch, config: TrainConfig) -> tu
     """Forward the batch as one packed row and combine into one scalar loss.
 
     The B rows are laid end to end (flat_batch), so one forward serves the
-    batch, and each head takes one target table and one masked Huber sum
-    over it; since a row end is a segment bound, the targets and valid
-    cells are those of the rows taken one by one. Every valid position in
-    the batch carries equal weight. A head with no valid cell in the batch
-    drops out of the head average; when every head is empty the batch is
-    degenerate and raises TrainingError. A batch row shorter than the
-    largest horizon raises ConfigError. Returns (loss tensor, info dict of
-    float diagnostics).
+    batch, and each head takes one target table; since a row end is a
+    segment bound, the targets and valid cells are those of the rows taken
+    one by one. Each term of the loss is one weighted_sum whose constant
+    weights carry its mask and averaging: a head's Huber cells weigh
+    1 / (valid anchors * horizon * heads kept) where valid and 0 elsewhere,
+    so every valid position in the batch carries equal weight and heads
+    are averaged. A head with no valid cell in the batch drops out of the
+    head average; when every head is empty the batch is degenerate and
+    raises TrainingError. With alpha > 0, each mixture layer adds alpha
+    times its balance penalty N * sum_i f_i * mean_t(scores[t, i]),
+    averaged over layers: its scores weigh alpha * N * f_i / (T * layers),
+    the selection fractions f entering as constants. A batch row shorter
+    than the largest horizon raises ConfigError. Returns (loss tensor, info
+    dict of diagnostics: the losses, f per layer, and f_min / f_max of its
+    layer mean).
     """
     horizons = model.config.head_horizons
     _check_horizon(batch.length, horizons[-1])
     tokens, seq_ids, pad_mask = flat_batch(batch)
     result = model.forward(tokens, seq_ids=seq_ids)
     bounds = segment_bounds(seq_ids)
-    parts = []
+    kept = []
     for j, horizon in enumerate(horizons):
         targets, valid = head_targets(tokens, bounds, pad_mask, horizon)
-        if not valid.any():
-            continue
-        head_sum, count = masked_head_loss(result.head_outputs[j], targets, valid, config.delta)
-        parts.append(T.mul(head_sum, 1.0 / count))
-    if not parts:
+        if valid.any():
+            kept.append((result.head_outputs[j], targets, valid))
+    if not kept:
         raise TrainingError("degenerate batch: every position is masked for every head")
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = T.add(acc, part)
-    loss_ar = T.mul(acc, 1.0 / len(parts))
+    loss = None
+    for pred, targets, valid in kept:
+        weights = np.zeros(pred.shape, dtype=pred.data.dtype)
+        weights[valid] = 1.0 / (int(valid.sum()) * pred.shape[1] * len(kept))
+        term = T.weighted_sum(T.huber(pred, T.constant(targets, pred.dtype), config.delta),
+                              weights)
+        loss = term if loss is None else T.add(loss, term)
 
-    info = {"loss_ar": float(loss_ar.data)}
-    loss = loss_ar
+    info = {"loss_ar": float(loss.data)}
     if model.config.use_moe and result.routing:
-        balance, mean_f = balance_loss_tensor(result.routing)
-        info["loss_aux"] = float(balance.data)
+        layers = result.routing
+        info["loss_aux"] = float(np.mean([aux_loss(r.f, r.r) for r in layers]))
+        info["f"] = [r.f.tolist() for r in layers]
+        mean_f = np.mean([r.f for r in layers], axis=0)
         info["f_min"] = float(mean_f.min())
         info["f_max"] = float(mean_f.max())
         if config.alpha > 0:
-            loss = T.add(loss_ar, T.mul(balance, config.alpha))
+            for routing in layers:
+                scores = routing.scores
+                tokens_routed, n = scores.shape
+                scale = config.alpha * n / (tokens_routed * len(layers))
+                weights = np.broadcast_to((scale * routing.f).astype(scores.dtype), scores.shape)
+                loss = T.add(loss, T.weighted_sum(scores, weights))
     else:
-        info["loss_aux"] = 0.0
-        info["f_min"] = None
-        info["f_max"] = None
+        info.update(loss_aux=0.0, f=None, f_min=None, f_max=None)
     info["loss"] = float(loss.data)
     return loss, info
 
@@ -301,6 +282,25 @@ def clip_global_norm(model: Forecaster, max_norm: float) -> float:
 # --- the loop --------------------------------------------------------------------
 
 
+def train_step(model: Forecaster, optimizer: AdamW, batch: PackedBatch, config: TrainConfig,
+               lr: float) -> dict:
+    """One optimization step on batch at learning rate lr: batch_loss under a
+    fresh graph, backward, clipping of the global gradient norm to
+    config.grad_clip (when set), then the optimizer step.
+
+    Returns batch_loss's info dict plus tape_nodes, the ops recorded for
+    backward, and grad_norm, the global gradient norm before any clipping.
+    """
+    optimizer.zero_grad()
+    with Graph() as graph:
+        loss, info = batch_loss(model, batch, config)
+    tape_nodes = len(graph)
+    graph.backward(loss)
+    grad_norm = clip_global_norm(model, math.inf if config.grad_clip is None else config.grad_clip)
+    optimizer.step(lr)
+    return {**info, "tape_nodes": tape_nodes, "grad_norm": grad_norm}
+
+
 def train_loop(model: Forecaster, store: SequenceStore, config: TrainConfig,
                domain_weights: dict | None = None, optimizer: AdamW | None = None,
                start_step: int = 0, log_path=None, checkpoint_path=None) -> list:
@@ -308,11 +308,11 @@ def train_loop(model: Forecaster, store: SequenceStore, config: TrainConfig,
 
     Batches are drawn from a per-step generator seeded by (seed, step), so a
     resumed run replays exactly the stream an uninterrupted run would see.
-    Besides the losses and routing fractions, a record holds the step's wall
-    time (seconds, from sampling through the optimizer step), the batch
-    tokens per second over it, tape_nodes, the ops the forward and loss
-    recorded for backward, and grad_norm, the global gradient norm before
-    any clipping.
+    A record holds step, lr, the losses (loss, loss_ar, loss_aux), the
+    per-layer selection fractions f with f_min / f_max of their layer mean,
+    the step's wall time (seconds, from sampling through the optimizer
+    step), the batch tokens per second over it, and train_step's tape_nodes
+    and grad_norm.
     """
     optimizer = optimizer or AdamW(model, config)
     metrics: list[dict] = []
@@ -322,21 +322,11 @@ def train_loop(model: Forecaster, store: SequenceStore, config: TrainConfig,
             began = time.perf_counter()
             rng = np.random.default_rng([config.seed, step])
             batch = sample_batch(store, rng, config.batch, config.context, domain_weights)
-            optimizer.zero_grad()
-            with Graph() as graph:
-                loss, info = batch_loss(model, batch, config)
-            tape_nodes = len(graph)
-            graph.backward(loss)
-            grad_norm = clip_global_norm(
-                model, math.inf if config.grad_clip is None else config.grad_clip)
             lr = lr_at_step(step + 1, config.warmup_steps, config.steps + 1, config.lr)
-            optimizer.step(lr)
+            info = train_step(model, optimizer, batch, config, lr)
             seconds = time.perf_counter() - began
-            record = {"step": step, "lr": lr, "loss": info["loss"],
-                      "loss_ar": info["loss_ar"], "loss_aux": info["loss_aux"],
-                      "f_min": info["f_min"], "f_max": info["f_max"], "seconds": seconds,
-                      "tokens_per_s": batch.rows * batch.length / seconds,
-                      "tape_nodes": tape_nodes, "grad_norm": grad_norm}
+            record = {"step": step, "lr": lr, **info, "seconds": seconds,
+                      "tokens_per_s": batch.rows * batch.length / seconds}
             metrics.append(record)
             if log_handle:
                 log_handle.write(json.dumps(record) + "\n")

@@ -11,7 +11,7 @@ from sparsecast.data import CsvSchema, FormatError, LoadedCsv, _resolve_splits
 from sparsecast.heads import plan_horizons
 from sparsecast.model import segment_bounds
 from sparsecast.tensor import Graph, ShapeError, Tensor, _as_operand, _finish
-from sparsecast.train import TrainingError, head_targets, masked_head_loss
+from sparsecast.train import TrainingError, head_targets
 
 
 def central_diff_grad(forward, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -347,8 +347,20 @@ def reference_balance_loss(per_layer_routings: list) -> tuple:
     return T.mul(acc, 1.0 / len(terms)), mean_f
 
 
+def masked_head_loss(pred: Tensor, targets: np.ndarray, valid: np.ndarray,
+                     delta: float) -> tuple:
+    """(sum of Huber over valid cells as a tensor, number of valid cells)."""
+    horizon = pred.shape[1]
+    cells = valid[:, None] & np.ones((1, horizon), dtype=bool)
+    elementwise = T.huber(pred, T.constant(targets, pred.dtype), delta)
+    masked = T.mul(elementwise, T.constant(cells.astype(pred.data.dtype), pred.dtype))
+    return T.sum_all(masked), int(cells.sum())
+
+
 def reference_batch_loss(model, batch, config) -> tuple:
-    """Forward every packed row and combine into one scalar loss.
+    """Forward every packed row and combine into one scalar loss: the
+    per-row loop, with mask, sum and mean chains, that train.batch_loss's
+    one packed forward and weighted sums replaced, kept as its oracle.
 
     Head sums and counts aggregate across rows before averaging, so every
     valid position in the batch carries equal weight. A head with no valid

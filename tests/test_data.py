@@ -11,6 +11,7 @@ from sparsecast.data import (
     CleanConfig,
     CleanSeries,
     CsvSchema,
+    META_VERSION,
     FormatError,
     RawSeries,
     SequenceStore,
@@ -288,12 +289,18 @@ def test_store_read_out_of_range(tmp_path):
 
 
 def test_store_sharding(tmp_path):
+    # write makes one data file; open reads a store whose metafile names several.
     rng = np.random.default_rng(9)
     series = [make_series(rng, 50) for _ in range(5)]
-    store = SequenceStore.write(series, tmp_path, max_points_per_file=100)
-    files = {e.file for e in store.entries}
-    assert len(files) == 3  # 2 + 2 + 1 sequences per shard
+    docs = []
+    for k, part in enumerate((series[:2], series[2:4], series[4:])):
+        SequenceStore.write(part, tmp_path, name=f"part{k}")
+        meta_path = tmp_path / f"part{k}.meta.json"
+        docs += json.loads(meta_path.read_text())["sequences"]
+        meta_path.unlink()
+    (tmp_path / "store.meta.json").write_text(json.dumps({"version": META_VERSION, "sequences": docs}))
     reopened = SequenceStore.open(tmp_path)
+    assert len({e.file for e in reopened.entries}) == 3
     for i, s in enumerate(series):
         np.testing.assert_array_equal(reopened.read(i).values, s.values)
 

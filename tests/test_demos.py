@@ -10,7 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["horizon_scheduling.py", "zero_shot_eval.py"])
+@pytest.mark.parametrize("script", ["curate_and_store.py", "horizon_scheduling.py",
+                                    "sparse_vs_dense_bench.py", "train_tiny_forecaster.py",
+                                    "zero_shot_eval.py"])
 def test_demo_runs(script, tmp_path):
     # The demos write into the working directory, so they run in tmp_path.
     env = dict(os.environ)

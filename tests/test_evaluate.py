@@ -20,6 +20,7 @@ from sparsecast.evaluate import (
     iter_eval_windows,
     match_dense_config,
     model_hash,
+    one_epoch_fine_tune,
     parity_gap,
 )
 from sparsecast.model import ConfigError, Forecaster, ModelConfig, count_params
@@ -211,6 +212,23 @@ def test_fine_tune_mode_tunes_a_copy(tmp_path):
     assert model.param_bytes() == before
     assert report.metadata["model_hash"] != model_hash(model)
     assert report.metadata["mode"] == "fine_tune"
+
+
+def test_fine_tune_honours_grad_clip():
+    # Adam is nearly scale-free, but a clip of 1e-9 shrinks the gradients far
+    # below its eps, so a clipped epoch must end at other parameters.
+    cfg = ModelConfig(num_layers=1, num_heads=2, num_experts=2, top_k=1, d_model=8,
+                      d_ff=16, d_expert=8, head_horizons=(1, 4), max_context=64)
+    values = np.random.default_rng(5).normal(size=(64, 2))
+
+    def tuned(clip):
+        model = Forecaster.init(cfg, seed=4)
+        tune = TrainConfig(steps=1, batch=2, context=16, lr=1e-3, warmup_steps=1, seed=0,
+                           grad_clip=clip)
+        assert one_epoch_fine_tune(model, values, tune) == 4
+        return model.param_bytes()
+
+    assert tuned(1e-9) != tuned(None)
 
 
 def test_fine_tune_mode_requires_config(tmp_path):

@@ -45,6 +45,7 @@ from sparsecast.tensor import (
     softmax_lastdim,
     sum_all,
     swiglu,
+    weighted_sum,
 )
 
 
@@ -243,6 +244,14 @@ def test_trailing_vector_is_no_elementwise_operand(op):
     # Biases live inside linear; elementwise ops take equal shapes or a scalar.
     with pytest.raises(ShapeError):
         op(Tensor(np.ones((3, 4), dtype=np.float32)), Tensor(np.ones(4, dtype=np.float32)))
+
+
+def test_weighted_sum_takes_weights_of_the_exact_shape():
+    x = Tensor(np.ones((3, 4), dtype=np.float32))
+    assert weighted_sum(x, np.full((3, 4), 0.5)).item() == 6.0
+    for shape in ((4,), (1, 4), (3, 1), (4, 3), ()):
+        with pytest.raises(ShapeError):
+            weighted_sum(x, np.ones(shape))
 
 
 def test_mixed_precision_rejected():
@@ -538,6 +547,13 @@ def _(rng):
     leaves = _leafify(rng, {"a": (2, 3), "b": (4, 3)})
     w = constant(_rand(rng, (6, 3)), np.float64)
     return leaves, lambda: sum_all(mul(concat_rows([leaves["a"], leaves["b"]]), w))
+
+
+@op_case("weighted_sum")
+def _(rng):
+    leaves = _leafify(rng, {"x": (4, 3)})
+    w = _rand(rng, (4, 3))
+    return leaves, lambda: weighted_sum(silu(leaves["x"]), w)
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))

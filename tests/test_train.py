@@ -416,9 +416,12 @@ def test_train_loop_runs_and_logs(tmp_path):
     lines = [json.loads(line) for line in log.read_text().splitlines()]
     assert len(lines) == 3
     for rec in lines:
-        assert set(rec) == {"step", "lr", "loss", "loss_ar", "loss_aux", "f_min", "f_max",
+        assert set(rec) == {"step", "lr", "loss", "loss_ar", "loss_aux", "f", "f_min", "f_max",
                             "seconds", "tokens_per_s", "tape_nodes", "grad_norm"}
         assert np.isfinite(rec["loss"])
+        f = np.array(rec["f"])
+        assert f.shape == (1, 2) and np.allclose(f.sum(axis=1), 1.0)
+        assert (rec["f_min"], rec["f_max"]) == (f.mean(axis=0).min(), f.mean(axis=0).max())
         assert rec["seconds"] > 0 and isinstance(rec["tape_nodes"], int)
         assert rec["grad_norm"] > 0
         assert rec["tokens_per_s"] == pytest.approx(2 * 32 / rec["seconds"])
@@ -444,8 +447,9 @@ def test_grad_norm_is_recorded_before_clipping(tmp_path):
 
 def test_step_tape_per_op_counts_at_benchmark_model(tmp_path):
     """One batch_loss at the benchmark model and batch shape (4 x 256): each
-    weight product is one linear node, matmul is left to the balance loss's
-    mean scores, and no transpose, row_scale or bias add is recorded."""
+    weight product is one linear node, each loss term (four heads, two
+    balance layers) one weighted_sum, the only mul is the embedding's, and
+    no matmul, transpose, row_scale or bias add is recorded."""
     cfg = ModelConfig(d_model=32, num_layers=2, num_heads=4, num_experts=4, top_k=2,
                       d_expert=32, head_horizons=(1, 8, 32, 64))
     model = Forecaster.init(cfg, seed=0)
@@ -455,8 +459,9 @@ def test_step_tape_per_op_counts_at_benchmark_model(tmp_path):
         batch_loss(model, batch, TrainConfig(batch=4, context=256))
     nodes = graph._nodes
     ops = Counter(vjp.__qualname__.split(".")[0] for _, _, vjp in nodes)
-    assert len(nodes) == 91
-    assert ops["linear"] == 16 and ops["matmul"] == 2
+    assert len(nodes) == 74
+    assert ops["linear"] == 16 and ops["weighted_sum"] == 6
+    assert ops["matmul"] == 0 and ops["mul"] == 1
     assert ops["transpose"] == ops["row_scale"] == 0
     adds = [inputs for _, inputs, vjp in nodes if vjp.__qualname__.startswith("add.")]
     assert adds and all(b.shape in (a.shape, ()) for a, b in adds)
