@@ -167,17 +167,17 @@ def model_hash(model: Forecaster) -> str:
 
 
 def one_epoch_fine_tune(model: Forecaster, train_values: np.ndarray,
-                        config: TrainConfig) -> int:
+                        config: TrainConfig) -> list:
     """Exactly one pass over the train split: sequential non-overlapping
     context-length crops of every channel, batched in order. Returns the
-    number of optimization steps taken."""
+    train_step record of every optimization step taken."""
     rows = []
     for c in range(train_values.shape[1]):
         channel = train_values[:, c]
         for start in range(0, len(channel) - config.context + 1, config.context):
             rows.append(channel[start:start + config.context])
     optimizer = AdamW(model, config)
-    steps = 0
+    records = []
     for i in range(0, len(rows), config.batch):
         chunk = np.stack(rows[i:i + config.batch]).astype(np.float32)
         batch = PackedBatch(
@@ -186,9 +186,8 @@ def one_epoch_fine_tune(model: Forecaster, train_values: np.ndarray,
             pad_mask=np.zeros(chunk.shape[:2], dtype=bool),
             crop_domains=[["fine_tune"]] * chunk.shape[0],
         )
-        train_step(model, optimizer, batch, config, config.lr)
-        steps += 1
-    return steps
+        records.append(train_step(model, optimizer, batch, config, config.lr))
+    return records
 
 
 def eval_model(model, spec: EvalSpec, fine_tune_config: TrainConfig | None = None) -> EvalReport:
@@ -197,7 +196,13 @@ def eval_model(model, spec: EvalSpec, fine_tune_config: TrainConfig | None = Non
 
     In fine_tune mode a copy of the model is tuned and evaluated, so the
     caller's model is left as it was, and the report's model_hash is the
-    tuned copy's."""
+    tuned copy's.
+
+    The metadata times the rolling forecasts: seconds is their wall time
+    and windows_per_s the windows forecast per second, each window counted
+    once per channel. A fine-tune report adds fine_tune_steps, fine_tune_loss
+    (the last step's loss, None when the split holds no crop) and
+    fine_tune_seconds."""
     loaded = load_csv(spec.dataset, CsvSchema(columns=spec.columns, splits=spec.splits))
     values = loaded.values
     n_train = loaded.splits[0]
@@ -208,7 +213,12 @@ def eval_model(model, spec: EvalSpec, fine_tune_config: TrainConfig | None = Non
         if fine_tune_config is None:
             raise ValueError("fine_tune mode needs a TrainConfig")
         model = copy.deepcopy(model)
-        one_epoch_fine_tune(model, values[:n_train], fine_tune_config)
+        began = time.perf_counter()
+        records = one_epoch_fine_tune(model, values[:n_train], fine_tune_config)
+        tuning = {"fine_tune_seed": fine_tune_config.seed, "fine_tune_steps": len(records),
+                  "fine_tune_loss": records[-1]["loss"] if records else None,
+                  "fine_tune_seconds": time.perf_counter() - began}
+    began = time.perf_counter()
     rows = []
     channels = values.shape[1]
     for horizon, context in zip(spec.horizons, spec.contexts):
@@ -230,10 +240,12 @@ def eval_model(model, spec: EvalSpec, fine_tune_config: TrainConfig | None = Non
         rows.append({"dataset": Path(spec.dataset).stem, "horizon": horizon,
                      "context": context, "mse": se_sum / count, "mae": ae_sum / count,
                      "windows": windows})
+    seconds = time.perf_counter() - began
+    forecasts = sum(row["windows"] for row in rows) * channels
     metadata = {"mode": spec.mode, "standardized": spec.standardize,
-                "stride": spec.stride}
+                "stride": spec.stride, "seconds": seconds, "windows_per_s": forecasts / seconds}
     if spec.mode == "fine_tune":
-        metadata["fine_tune_seed"] = fine_tune_config.seed
+        metadata.update(tuning)
     if isinstance(model, Forecaster):
         metadata["model_hash"] = model_hash(model)
         metadata["model_config"] = model.config.to_dict()

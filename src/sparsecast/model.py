@@ -12,8 +12,9 @@ sequence one contiguous run of its id. Attention never crosses an id
 boundary and rotary positions restart at each boundary, so a packed sequence
 computes exactly what it would alone; train.batch_loss relies on this to run
 a whole batch as one row. Forecaster.forward derives the segment bounds and
-positions once and hands them to every layer:
-block_forward(x, params, config, layer, positions, bounds, cache) -> (x, routing).
+the rotary tables (tensor.rope_tables of the positions) once and hands them
+to every layer:
+block_forward(x, params, config, layer, rotary, bounds, cache) -> (x, routing).
 
 For decoding, Forecaster.forward takes a KVCache: each block appends the
 row's post-rotary keys and values and attends over everything cached, and
@@ -316,13 +317,14 @@ def attention_bias(seq_ids: np.ndarray) -> np.ndarray:
 
 
 def causal_self_attention(x: Tensor, params: AttentionParams, config: ModelConfig,
-                          positions: np.ndarray, bounds: np.ndarray,
+                          rotary: tuple, bounds: np.ndarray,
                           cache: KVCache | None = None, layer: int = 0,
                           last_row: bool = False) -> Tensor:
     """Multi-head causal attention over a packed row x[T, D].
 
-    positions are the rotary positions of the row's tokens and bounds the
-    segment bounds (packing_positions / segment_bounds of the sequence ids).
+    rotary is the rope_tables (cos, sin) of the row's rotary positions and
+    bounds the segment bounds (packing_positions / segment_bounds of the
+    sequence ids).
     With a cache, the row's keys and values are appended to cache entry
     `layer` and the queries attend over every cached token too (bounds then
     span the cache and the row). last_row computes the query, and so the
@@ -336,8 +338,9 @@ def causal_self_attention(x: Tensor, params: AttentionParams, config: ModelConfi
     q = T.reshape(T.linear(x_q, params.wq, params.bq), (n_q, heads, head_dim))
     k = T.reshape(T.linear(x, params.wk, params.bk), (t, heads, head_dim))
     v = T.reshape(T.linear(x, params.wv, params.bv), (t, heads, head_dim))
-    q = T.rope(q, positions[t - n_q:], config.rope_base)
-    k = T.rope(k, positions, config.rope_base)
+    cos, sin = rotary
+    q = T.rope(q, (cos[t - n_q:], sin[t - n_q:]))
+    k = T.rope(k, rotary)
     if cache is not None:
         k, v = cache.extend(layer, k, v)
     attended = T.masked_attention(q, k, v, bounds)
@@ -345,7 +348,7 @@ def causal_self_attention(x: Tensor, params: AttentionParams, config: ModelConfi
 
 
 def block_forward(x: Tensor, params: BlockParams, config: ModelConfig, layer: int,
-                  positions: np.ndarray, bounds: np.ndarray,
+                  rotary: tuple, bounds: np.ndarray,
                   cache: KVCache | None = None) -> tuple:
     """One pre-norm residual block over the rows x[T, D] of layer `layer`;
     returns (next rows, routing decisions or None for the dense FFN).
@@ -355,7 +358,7 @@ def block_forward(x: Tensor, params: BlockParams, config: ModelConfig, layer: in
     """
     last_row = cache is not None and layer == config.num_layers - 1
     attended = causal_self_attention(T.rmsnorm(x, params.attn_norm, eps=RMSNORM_EPS),
-                                     params.attn, config, positions, bounds, cache, layer,
+                                     params.attn, config, rotary, bounds, cache, layer,
                                      last_row)
     if last_row:
         x = T.gather_rows(x, [x.shape[0] - 1])
@@ -433,10 +436,13 @@ class Forecaster:
         longest = int(positions.max()) + 1
         if longest > self.config.max_context:
             raise DataError(f"context {longest} exceeds max_context {self.config.max_context}")
+        heads = self.config.num_heads
+        rotary = T.rope_tables(positions, heads, self.config.d_model // heads,
+                               self.config.rope_base, self.dtype)
         x = embed_points(x, self.params.embed_w, self.params.embed_v)
         routing = []
         for layer, block in enumerate(self.params.blocks):
-            x, routed = block_forward(x, block, self.config, layer, positions, bounds, cache)
+            x, routed = block_forward(x, block, self.config, layer, rotary, bounds, cache)
             if routed is not None:
                 routing.append(routed)
         if cache is not None:

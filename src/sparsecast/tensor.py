@@ -1,12 +1,20 @@
 """Dense tensors with reverse-mode automatic differentiation on a recorded tape.
 
-The op set is exactly what the forecaster's math needs: matmul and linear,
-explicit elementwise arithmetic, constant-weighted sums (the loss terms),
-the gated activations, row-stochastic softmax, fused
+The op set is exactly what the forecaster's math needs: linear, explicit
+elementwise arithmetic, reshape, constant-weighted sums (the loss terms),
+the gated activations, row-stochastic softmax, the Huber loss, fused
 norm/rotation/attention/SwiGLU kernels with analytic adjoints, and the row
-permutations behind sparse expert dispatch. Ops are plain functions, with
-no operator overloading on Tensor, and Graph.backward is the one way to
-backpropagate.
+gathers, slices and permutations behind sparse expert dispatch. Ops are
+plain functions, with no operator overloading on Tensor, and Graph.backward
+is the one way to backpropagate.
+
+A recorded op keeps only what its vjp reads, and only while a graph
+records it (one check, _recording, decides that for every op). Attention
+keeps each tile's row max and row sum, not its weights, and its vjp
+replays the forward's ops to rebuild them bit for bit; swiglu keeps each
+group's gate pre-activation, its sigmoid and the up projection.
+Graph.backward drops each node as its vjp runs, so each saved array is
+freed once backward has passed its node.
 
 Every weight product goes through linear (x @ w.T, plus an optional bias)
 or swiglu, and both multiply by contiguous transposed copies of the
@@ -22,10 +30,9 @@ the keys up to its own last query only, in one block, so the masked
 triangle above it is never computed and its softmax needs no running max
 and sum (an online softmax). A segment packed into a row therefore computes
 bit for bit what it computes alone, at about half of n^2 per segment and
-with no [T, T] mask. Tiles keep their softmax weights for the backward pass
-only while a graph records; an inference call holds one tile's workspace.
-The same kernel serves cached decoding, where keys and values run longer
-than the queries by a cached prefix.
+with no [T, T] mask. Every call, recorded or not, holds one tile's
+workspace at a time. The same kernel serves cached decoding, where keys
+and values run longer than the queries by a cached prefix.
 
 Expert dispatch is dropless and expert-sorted: dispatch_rows copies each
 token's row once per routed expert into expert-contiguous groups, swiglu
@@ -160,13 +167,18 @@ class Graph:
         """Accumulate d(loss)/d(leaf) into .grad of every requires_grad leaf."""
         if loss.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
-        produced = {id(out) for out, _, _ in self._nodes}
+        nodes = self._nodes
+        produced = {id(out) for out, _, _ in nodes}
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         leaves: dict[int, Tensor] = {}
         if loss.requires_grad and id(loss) not in produced:
             leaves[id(loss)] = loss
-        for out, inputs, vjp in reversed(self._nodes):
+        # Each node leaves the tape as its vjp runs, so what the vjp saved is
+        # freed as backward goes rather than all at the end.
+        while nodes:
+            out, inputs, vjp = nodes.pop()
             g_out = grads.pop(id(out), None)
+            del out  # no Tensor is made from here on, so its id cannot recur
             if g_out is None:
                 continue
             for tin, g_in in zip(inputs, vjp(g_out)):
@@ -183,7 +195,14 @@ class Graph:
                 continue
             g = g.reshape(tensor.data.shape)
             tensor.grad = g if tensor.grad is None else tensor.grad + g
-        self._nodes.clear()
+
+
+def _recording(inputs: tuple) -> Graph | None:
+    """The active graph when it records an op on these inputs, else None."""
+    graph = _active_graph()
+    if graph is not None and any(t.requires_grad for t in inputs):
+        return graph
+    return None
 
 
 def _finish(op: str, out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
@@ -195,10 +214,9 @@ def _finish(op: str, out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
         norm = np.dot(flat, flat)
     if not np.isfinite(norm) and not np.isfinite(out_data).all():
         raise NumericError(f"{op} produced non-finite values")
-    graph = _active_graph()
-    track = graph is not None and any(t.requires_grad for t in inputs)
-    out = Tensor._wrap(out_data, track)
-    if track:
+    graph = _recording(inputs)
+    out = Tensor._wrap(out_data, graph is not None)
+    if graph is not None:
         graph._record(out, inputs, vjp)
     return out
 
@@ -248,21 +266,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _finish("mul", a_data * b_data, (a, b), vjp)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product [m×k] @ [k×n] -> [m×n]."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    b = _as_operand(b, a)
-    a_data, b_data = a.data, b.data
-
-    def vjp(g):
-        return g @ b_data.T, a_data.T @ g
-
-    return _finish("matmul", a_data @ b_data, (a, b), vjp)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x[m×k] @ w[n×k].T, plus b[n] on every row when given.
 
@@ -304,17 +307,6 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
         return (g.reshape(in_shape),)
 
     return _finish("reshape", a.data.reshape(shape), (a,), vjp)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum of all entries, as a scalar tensor."""
-    shape = a.data.shape
-    dtype = a.data.dtype
-
-    def vjp(g):
-        return (np.full(shape, g.reshape(()), dtype=dtype),)
-
-    return _finish("sum", a.data.sum().reshape(()), (a,), vjp)
 
 
 def weighted_sum(x: Tensor, weights) -> Tensor:
@@ -390,7 +382,8 @@ def huber(pred: Tensor, target, delta: float) -> Tensor:
     dr = np.where(small, r, delta * np.sign(r))
 
     def vjp(g):
-        return g * dr, -(g * dr)
+        g_pred = g * dr
+        return g_pred, -g_pred if target.requires_grad else None
 
     return _finish("huber", out, (pred, target), vjp)
 
@@ -418,28 +411,39 @@ def rmsnorm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     return _finish("rmsnorm", y, (x, weight), vjp)
 
 
-def _rope_tables(positions: np.ndarray, half: int, base: float, dtype) -> tuple:
+def rope_tables(positions: np.ndarray, heads: int, d_head: int, base: float = 10000.0,
+                dtype=DEFAULT_DTYPE) -> tuple:
+    """(cos, sin), each [T, heads, d_head / 2]: the angles positions[t] * base^(-2i/d_head)
+    that rope turns pair i of every head vector of token t by.
+
+    Rows are per token, so the tables of a row's last n tokens are the last
+    n rows of the row's tables. Each head gets its own contiguous copy, so
+    rope's products run over whole rows instead of broadcasting over heads,
+    about three times faster at d_head = 8."""
+    if d_head % 2 != 0:
+        raise ShapeError(f"rope needs an even head dim, got {d_head}")
+    half = d_head // 2
     inv_freq = base ** (-np.arange(half, dtype=np.float64) * 2.0 / (2 * half))
-    angles = positions.astype(np.float64)[:, None] * inv_freq[None, :]
-    return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+    angles = np.asarray(positions).astype(np.float64)[:, None, None] * inv_freq
+    return tuple(np.repeat(f(angles).astype(dtype), heads, axis=1) for f in (np.cos, np.sin))
 
 
-def rope(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
-    """Rotate adjacent feature pairs of x[T, heads, d_head] by position-dependent angles.
+def rope(x: Tensor, tables: tuple) -> Tensor:
+    """Rotate adjacent feature pairs of x[T, heads, d_head] by the angles of
+    rope_tables (cos, sin) for x's T tokens.
 
-    Pair i of each head vector turns by positions[t] * base^(-2i/d_head); the
-    adjoint is the inverse rotation, so gradients are exact isometries too.
+    The adjoint is the inverse rotation, so gradients are exact isometries too.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"rope expects [T, heads, d_head], got {x.shape}")
-    t, _, d_head = x.shape
+    t, heads, d_head = x.shape
     if d_head % 2 != 0:
         raise ShapeError(f"rope needs an even head dim, got {d_head}")
-    if len(positions) != t:
-        raise ShapeError("positions must have one entry per token")
-    cos, sin = _rope_tables(np.asarray(positions), d_head // 2, base, x.data.dtype)
-    cos = cos[:, None, :]
-    sin = sin[:, None, :]
+    cos, sin = tables
+    if cos.shape != (t, heads, d_head // 2) or sin.shape != cos.shape:
+        raise ShapeError(f"rope tables {cos.shape}, {sin.shape} do not fit {x.shape}")
+    if cos.dtype != x.data.dtype or sin.dtype != x.data.dtype:
+        raise TypeError(f"mixed precisions: {x.data.dtype} vs rope tables {cos.dtype}")
 
     def rotate(arr, c, s):
         a, b = arr[..., 0::2], arr[..., 1::2]
@@ -493,11 +497,15 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
     running max and sum across key blocks of an online softmax. A tile that
     ends inside the cached prefix holds no query and is skipped.
 
-    While a graph is recording, each tile's softmax weights are kept for
-    the vjp, which walks the same tiles and sums the key and value
-    gradients over them. Otherwise each tile's weights are dropped before
-    the next tile is scored, so an inference call holds one tile's
-    workspace, never [heads, n_q, n_k].
+    Each tile's weights are dropped before the next tile is scored, so a
+    call holds one tile's workspace, never [heads, n_q, n_k]. While a graph
+    is recording, each tile keeps its row max and row sum ([heads, m, 1]
+    each) for the vjp, which walks the same tiles, rebuilds each tile's
+    weights by the forward's own ops (the same matmul on the same slices,
+    the scale, the diagonal mask, minus the saved max, exp, over the saved
+    sum), so they and every gradient match bit for bit, and sums the key
+    and value gradients over the tiles. A logsumexp or online softmax would
+    round differently.
     """
     if (q.data.ndim != 3 or k.shape != v.shape or k.data.ndim != 3
             or q.shape[1:] != k.shape[1:] or q.shape[0] > k.shape[0]):
@@ -517,24 +525,33 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
             t1 = min(t0 + ATTENTION_TILE, b)
             tiles.append((max(t0, prefix) - prefix, t1 - prefix, a, t0, t1))
     k, v = _as_operand(k, q), _as_operand(v, q)
-    keep = _active_graph() is not None and any(x.requires_grad for x in (q, k, v))
+    keep = _recording((q, k, v)) is not None
     scale = float(1.0 / np.sqrt(d_head))
     # [heads, T, d_head] views of the [T, heads, d_head] operands.
     qh, kh, vh = (x.data.transpose(1, 0, 2) for x in (q, k, v))
     out = np.empty_like(q.data)
     oh = out.transpose(1, 0, 2)
-    weights = []
-    for s, e, a, t0, t1 in tiles:
+
+    def scores(s, e, a, t0, t1):
+        """One tile's scaled scores, its future keys at -inf: [heads, e - s, t1 - a]."""
         ws = np.matmul(qh[:, s:e], kh[:, a:t1].transpose(0, 2, 1))
         ws *= scale
         m = t1 - t0
         np.copyto(ws[:, :, t0 - a:], -np.inf, where=_FUTURE[m - (e - s):m, :m])
-        ws -= ws.max(axis=-1, keepdims=True)
+        return ws
+
+    stats = []
+    for tile in tiles:
+        s, e, a, _, t1 = tile
+        ws = scores(*tile)
+        row_max = ws.max(axis=-1, keepdims=True)
+        ws -= row_max
         np.exp(ws, out=ws)
-        ws /= ws.sum(axis=-1, keepdims=True)
+        row_sum = ws.sum(axis=-1, keepdims=True)
+        ws /= row_sum
         np.matmul(ws, vh[:, a:t1], out=oh[:, s:e])
         if keep:
-            weights.append(ws)
+            stats.append((row_max, row_sum))
         del ws
 
     def vjp(g):
@@ -542,7 +559,13 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
         # Tiles add into the key and value gradients; keys no query reaches get 0.
         gq, gk, gv = np.empty_like(g), np.zeros_like(k.data), np.zeros_like(v.data)
         gqh, gkh, gvh = (x.transpose(1, 0, 2) for x in (gq, gk, gv))
-        for (s, e, a, _, t1), ws in zip(tiles, weights):
+        for tile, (row_max, row_sum) in zip(tiles, stats):
+            s, e, a, _, t1 = tile
+            # The forward's weights again, by its own ops on its own operands.
+            ws = scores(*tile)
+            ws -= row_max
+            np.exp(ws, out=ws)
+            ws /= row_sum
             go = gh[:, s:e]
             gvh[:, a:t1] += np.matmul(ws.transpose(0, 2, 1), go)
             # d(scores) = w * (g v^T - rowsum(w * g v^T)), and that row sum is g . out.
@@ -609,7 +632,9 @@ def swiglu(x: Tensor, experts: list, bounds) -> Tensor:
     and applies to rows bounds[i]:bounds[i+1] of x[R, D], bounds running
     from 0 to R. An empty group is skipped, and its weights get no gradient.
     Each product is by a contiguous transposed copy of the weight, so a row
-    comes out bit for bit the same whatever else shares the call.
+    comes out bit for bit the same whatever else shares the call. While a
+    graph records, each group keeps gate(x), its sigmoid and up(x), and the
+    vjp rebuilds the gated product from them by the forward's ops.
     """
     r, d = x.data.shape
     bounds = [int(b) for b in bounds]
@@ -622,6 +647,8 @@ def swiglu(x: Tensor, experts: list, bounds) -> Tensor:
         if w_gate.shape != (h, d) or w_up.shape != (h, d) or w_down.shape != (d, h):
             raise ShapeError(f"swiglu weights {w_gate.shape}, {w_up.shape}, {w_down.shape} "
                              f"do not fit rows of width {d}")
+    inputs = (x, *(w for ws in weights for w in ws))
+    keep = _recording(inputs) is not None
     out = np.empty_like(x.data)
     saved = []
     for i, (w_gate, w_up, w_down) in enumerate(weights):
@@ -631,26 +658,26 @@ def swiglu(x: Tensor, experts: list, bounds) -> Tensor:
         rows = x.data[a:b]
         pre = rows @ w_gate.data.T.copy()
         s = _sigmoid(pre)
-        gate = pre * s
         up = rows @ w_up.data.T.copy()
-        hidden = gate * up
-        out[a:b] = hidden @ w_down.data.T.copy()
-        saved.append((a, b, i, pre, s, gate, up, hidden))
+        out[a:b] = (pre * s * up) @ w_down.data.T.copy()
+        if keep:
+            saved.append((a, b, i, pre, s, up))
 
     def vjp(g):
         gx = np.empty_like(x.data)
         grads = [None] * (3 * len(weights))
-        for a, b, i, pre, s, gate, up, hidden in saved:
+        for a, b, i, pre, s, up in saved:
             w_gate, w_up, w_down = weights[i]
             rows, go = x.data[a:b], g[a:b]
+            gate = pre * s
             g_hidden = go @ w_down.data
             g_up = g_hidden * gate
             g_pre = g_hidden * up * (s + pre * s * (1.0 - s))
             gx[a:b] = g_pre @ w_gate.data + g_up @ w_up.data
-            grads[3 * i: 3 * i + 3] = g_pre.T @ rows, g_up.T @ rows, go.T @ hidden
+            grads[3 * i: 3 * i + 3] = g_pre.T @ rows, g_up.T @ rows, go.T @ (gate * up)
         return (gx, *grads)
 
-    return _finish("swiglu", out, (x, *(w for ws in weights for w in ws)), vjp)
+    return _finish("swiglu", out, inputs, vjp)
 
 
 def combine_rows(base: Tensor, base_gate: Tensor, y: Tensor, gates: Tensor,

@@ -10,7 +10,8 @@ from sparsecast import tensor as T
 from sparsecast.data import CsvSchema, FormatError, LoadedCsv, _resolve_splits
 from sparsecast.heads import plan_horizons
 from sparsecast.model import segment_bounds
-from sparsecast.tensor import Graph, ShapeError, Tensor, _as_operand, _finish
+from sparsecast.tensor import (ATTENTION_TILE, _FUTURE, Graph, ShapeError, Tensor, _active_graph,
+                               _as_operand, _finish, _segment_spans)
 from sparsecast.train import TrainingError, head_targets
 
 
@@ -89,6 +90,73 @@ def reference_attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray) -> Te
         gq = scale * np.einsum("ihj,jhd->ihd", gs, k_data)
         gk = scale * np.einsum("ihj,ihd->jhd", gs, q_data)
         gv = np.einsum("ihj,ihd->jhd", w, g)
+        return gq, gk, gv
+
+    return _finish("attention", out, (q, k, v), vjp)
+
+
+def reference_tiled_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
+    """Causal scaled dot-product attention, blocked by segment and tiled by query.
+
+    This is the kernel that keeps every tile's softmax weights for the vjp,
+    which tensor.masked_attention's replay of the weights from each tile's
+    row max and row sum replaced, kept as its oracle. Its contract is
+    tensor.masked_attention's.
+    """
+    if (q.data.ndim != 3 or k.shape != v.shape or k.data.ndim != 3
+            or q.shape[1:] != k.shape[1:] or q.shape[0] > k.shape[0]):
+        raise ShapeError(f"attention expects q [n_q, heads, d_head] and k, v [n_k >= n_q, heads, "
+                         f"d_head], got {q.shape}, {k.shape}, {v.shape}")
+    n_q, _, d_head = q.shape
+    n_k = k.shape[0]
+    prefix = n_k - n_q
+    # (first query row, end query row, segment start, tile start, tile end) per
+    # tile that holds a query: from the tile of a segment's first query on.
+    tiles = []
+    for a, b in _segment_spans(segments, n_k):
+        if b <= prefix:
+            continue
+        for t0 in range(a + max(prefix - a, 0) // ATTENTION_TILE * ATTENTION_TILE, b,
+                        ATTENTION_TILE):
+            t1 = min(t0 + ATTENTION_TILE, b)
+            tiles.append((max(t0, prefix) - prefix, t1 - prefix, a, t0, t1))
+    k, v = _as_operand(k, q), _as_operand(v, q)
+    keep = _active_graph() is not None and any(x.requires_grad for x in (q, k, v))
+    scale = float(1.0 / np.sqrt(d_head))
+    # [heads, T, d_head] views of the [T, heads, d_head] operands.
+    qh, kh, vh = (x.data.transpose(1, 0, 2) for x in (q, k, v))
+    out = np.empty_like(q.data)
+    oh = out.transpose(1, 0, 2)
+    weights = []
+    for s, e, a, t0, t1 in tiles:
+        ws = np.matmul(qh[:, s:e], kh[:, a:t1].transpose(0, 2, 1))
+        ws *= scale
+        m = t1 - t0
+        np.copyto(ws[:, :, t0 - a:], -np.inf, where=_FUTURE[m - (e - s):m, :m])
+        ws -= ws.max(axis=-1, keepdims=True)
+        np.exp(ws, out=ws)
+        ws /= ws.sum(axis=-1, keepdims=True)
+        np.matmul(ws, vh[:, a:t1], out=oh[:, s:e])
+        if keep:
+            weights.append(ws)
+        del ws
+
+    def vjp(g):
+        gh = g.transpose(1, 0, 2)
+        # Tiles add into the key and value gradients; keys no query reaches get 0.
+        gq, gk, gv = np.empty_like(g), np.zeros_like(k.data), np.zeros_like(v.data)
+        gqh, gkh, gvh = (x.transpose(1, 0, 2) for x in (gq, gk, gv))
+        for (s, e, a, _, t1), ws in zip(tiles, weights):
+            go = gh[:, s:e]
+            gvh[:, a:t1] += np.matmul(ws.transpose(0, 2, 1), go)
+            # d(scores) = w * (g v^T - rowsum(w * g v^T)), and that row sum is g . out.
+            gw = np.matmul(go, vh[:, a:t1].transpose(0, 2, 1))
+            gw -= (go * oh[:, s:e]).sum(axis=-1, keepdims=True)
+            gw *= ws
+            np.matmul(gw, kh[:, a:t1], out=gqh[:, s:e])
+            gkh[:, a:t1] += np.matmul(gw.transpose(0, 2, 1), qh[:, s:e])
+        gq *= scale
+        gk *= scale
         return gq, gk, gv
 
     return _finish("attention", out, (q, k, v), vjp)
@@ -228,9 +296,38 @@ def reference_write_csv(path, values: np.ndarray, columns: list | None = None) -
             writer.writerow([repr(float(v)) for v in row])
 
 
+# --- ops no model path uses, kept for the tests and oracles -----------------
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """2-D matrix product [m×k] @ [k×n] -> [m×n]."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
+    b = _as_operand(b, a)
+    a_data, b_data = a.data, b.data
+
+    def vjp(g):
+        return g @ b_data.T, a_data.T @ g
+
+    return _finish("matmul", a_data @ b_data, (a, b), vjp)
+
+
+def sum_all(a: Tensor) -> Tensor:
+    """Sum of all entries, as a scalar tensor."""
+    shape = a.data.shape
+    dtype = a.data.dtype
+
+    def vjp(g):
+        return (np.full(shape, g.reshape(()), dtype=dtype),)
+
+    return _finish("sum", a.data.sum().reshape(()), (a,), vjp)
+
+
 def mean_all(a: Tensor) -> Tensor:
     """Mean of all entries, as a scalar tensor."""
-    return T.mul(T.sum_all(a), 1.0 / a.data.size)
+    return T.mul(sum_all(a), 1.0 / a.data.size)
 
 
 def reference_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -302,9 +399,9 @@ def row_scale(x: Tensor, s: Tensor) -> Tensor:
 
 def reference_expert_ffn(x: Tensor, ffn) -> Tensor:
     """Apply one gated FFN to x[T, D]."""
-    gate = T.silu(T.matmul(x, transpose(ffn.w_gate)))
-    up = T.matmul(x, transpose(ffn.w_up))
-    return T.matmul(T.mul(gate, up), transpose(ffn.w_down))
+    gate = T.silu(matmul(x, transpose(ffn.w_gate)))
+    up = matmul(x, transpose(ffn.w_up))
+    return matmul(T.mul(gate, up), transpose(ffn.w_down))
 
 
 def reference_moe_forward(u_norm: Tensor, params, routing) -> Tensor:
@@ -337,9 +434,9 @@ def reference_balance_loss(per_layer_routings: list) -> tuple:
         f = sum(r.f * (r.scores.shape[0] / total) for r in routings)
         f_layers.append(f)
         ones = T.constant(np.full((1, total), 1.0 / total), scores.dtype)
-        r_mean = T.matmul(ones, scores)  # [1, N]
+        r_mean = matmul(ones, scores)  # [1, N]
         weighted = T.mul(r_mean, T.constant(f[None, :], scores.dtype))
-        terms.append(T.mul(T.sum_all(weighted), float(n)))
+        terms.append(T.mul(sum_all(weighted), float(n)))
     acc = terms[0]
     for term in terms[1:]:
         acc = T.add(acc, term)
@@ -354,7 +451,7 @@ def masked_head_loss(pred: Tensor, targets: np.ndarray, valid: np.ndarray,
     cells = valid[:, None] & np.ones((1, horizon), dtype=bool)
     elementwise = T.huber(pred, T.constant(targets, pred.dtype), delta)
     masked = T.mul(elementwise, T.constant(cells.astype(pred.data.dtype), pred.dtype))
-    return T.sum_all(masked), int(cells.sum())
+    return sum_all(masked), int(cells.sum())
 
 
 def reference_batch_loss(model, batch, config) -> tuple:

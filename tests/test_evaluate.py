@@ -197,6 +197,12 @@ def test_eval_model_records_model_metadata(tmp_path):
     assert report.metadata["model_hash"] == model_hash(model)
     assert report.metadata["standardized"] is True
     assert np.isfinite(report.averages["mse"])
+    # Timing: every window is forecast once per channel (two here).
+    seconds = report.metadata["seconds"]
+    assert seconds > 0
+    assert report.metadata["windows_per_s"] == pytest.approx(
+        2 * report.rows[0]["windows"] / seconds)
+    assert "fine_tune_steps" not in report.metadata
 
 
 def test_fine_tune_mode_tunes_a_copy(tmp_path):
@@ -212,6 +218,11 @@ def test_fine_tune_mode_tunes_a_copy(tmp_path):
     assert model.param_bytes() == before
     assert report.metadata["model_hash"] != model_hash(model)
     assert report.metadata["mode"] == "fine_tune"
+    # 2 channels x 96 train rows / 16-point crops = 12 crops, 2 per step.
+    assert report.metadata["fine_tune_steps"] == 6
+    assert np.isfinite(report.metadata["fine_tune_loss"])
+    assert report.metadata["fine_tune_seconds"] > 0
+    assert report.metadata["seconds"] > 0 and report.metadata["windows_per_s"] > 0
 
 
 def test_fine_tune_honours_grad_clip():
@@ -225,7 +236,7 @@ def test_fine_tune_honours_grad_clip():
         model = Forecaster.init(cfg, seed=4)
         tune = TrainConfig(steps=1, batch=2, context=16, lr=1e-3, warmup_steps=1, seed=0,
                            grad_clip=clip)
-        assert one_epoch_fine_tune(model, values, tune) == 4
+        assert len(one_epoch_fine_tune(model, values, tune)) == 4
         return model.param_bytes()
 
     assert tuned(1e-9) != tuned(None)

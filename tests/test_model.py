@@ -197,8 +197,14 @@ def make_attention_params(rng, d, dtype=np.float64, identity_out=False):
     )
 
 
+def rotary(cfg, positions, dtype=np.float64):
+    return T.rope_tables(positions, cfg.num_heads, cfg.d_model // cfg.num_heads, cfg.rope_base,
+                         dtype)
+
+
 def attend(x, params, cfg, ids):
-    return causal_self_attention(x, params, cfg, packing_positions(ids), segment_bounds(ids))
+    return causal_self_attention(x, params, cfg, rotary(cfg, packing_positions(ids), x.dtype),
+                                 segment_bounds(ids))
 
 
 def test_single_token_attention_is_value_projection():
@@ -263,7 +269,7 @@ def test_block_zero_weights_is_residual_identity():
         exp.w_down.data[:] = 0.0
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(5, cfg.d_model)), dtype=np.float64)
-    out, _ = block_forward(x, block, cfg, 0, np.arange(5), np.array([0, 5]))
+    out, _ = block_forward(x, block, cfg, 0, rotary(cfg, np.arange(5)), np.array([0, 5]))
     np.testing.assert_allclose(out.data, x.data, atol=1e-12)
 
 
@@ -271,7 +277,7 @@ def test_block_preserves_shape():
     cfg = tiny_config()
     model = Forecaster.init(cfg, seed=1, dtype=np.float64)
     x = Tensor(np.random.default_rng(8).normal(size=(9, cfg.d_model)), dtype=np.float64)
-    out, routing = block_forward(x, model.params.blocks[0], cfg, 0, np.arange(9),
+    out, routing = block_forward(x, model.params.blocks[0], cfg, 0, rotary(cfg, np.arange(9)),
                                  np.array([0, 9]))
     assert out.shape == (9, cfg.d_model)
     assert routing is not None

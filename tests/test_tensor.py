@@ -9,12 +9,15 @@ import pytest
 
 from helpers import (
     check_against_fd,
+    matmul,
     max_rel_err,
     mean_all,
     reference_attention,
     reference_gather_entries,
     reference_sigmoid,
+    reference_tiled_attention,
     row_scale,
+    sum_all,
     transpose,
 )
 from sparsecast.model import attention_bias
@@ -34,16 +37,15 @@ from sparsecast.tensor import (
     huber,
     linear,
     masked_attention,
-    matmul,
     mul,
     reshape,
     rmsnorm,
     rope,
+    rope_tables,
     sigmoid,
     silu,
     slice_cols,
     softmax_lastdim,
-    sum_all,
     swiglu,
     weighted_sum,
 )
@@ -259,6 +261,8 @@ def test_mixed_precision_rejected():
     b = Tensor(np.ones(3), dtype=np.float64)
     with pytest.raises(TypeError):
         add(a, b)
+    with pytest.raises(TypeError):
+        rope(t64(np.ones((3, 1, 2))), rope_tables(np.arange(3), 1, 2, dtype=np.float32))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -457,7 +461,8 @@ def _(rng):
     leaves = _leafify(rng, {"x": (5, 2, 4)})
     pos = np.arange(5)
     w = constant(_rand(rng, (5, 2, 4)), np.float64)
-    return leaves, lambda: sum_all(mul(rope(leaves["x"], pos), w))
+    tables = rope_tables(pos, 2, 4, dtype=np.float64)
+    return leaves, lambda: sum_all(mul(rope(leaves["x"], tables), w))
 
 
 @op_case("attention")
@@ -642,6 +647,70 @@ def test_tiled_attention_with_kv_prefix_matches_dense_oracle(segments, n_q, dtyp
         np.testing.assert_allclose(a, b, rtol=tol, atol=tol, err_msg=name)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("segments, n_q", [([0, 63], 63), ([0, 64], 64), ([0, 65], 65),
+                                           ([0, 128], 128), ([0, 1, 64, 129, 329, 462], 462),
+                                           ([0, 200], 150), ([0, 70, 200], 140),
+                                           ([0, 130], 3), ([0, 64, 200], 137)],
+                         ids=["63", "64", "65", "128", "mixed5", "mid-first-tile",
+                              "straddle-segment-end", "straddle-128", "one-before-segment"])
+def test_attention_replay_matches_keep_the_weights_kernel_bitwise(segments, n_q, dtype):
+    # The vjp rebuilds each tile's weights from its row max and sum by the
+    # forward's own ops, so output and gradients equal those of the kernel
+    # that kept the weights, bit for bit, on tile edges and cached prefixes.
+    segments = np.array(segments)
+    t = int(segments[-1])
+    rng = np.random.default_rng([t, n_q, 1])
+    q, k, v, w = (rng.normal(size=(t, 3, 8)).astype(dtype) for _ in range(4))
+    got = _attention_and_grads(masked_attention, q[t - n_q:], k, v, w[t - n_q:], segments)
+    want = _attention_and_grads(reference_tiled_attention, q[t - n_q:], k, v, w[t - n_q:],
+                                segments)
+    for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
+        assert a.dtype == dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def test_recorded_attention_keeps_row_statistics_not_tile_weights():
+    t, heads, d_head = 2048, 4, 8
+    rng = np.random.default_rng(0)
+    q, k, v = (Tensor(rng.normal(size=(t, heads, d_head)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    tile_bytes = heads * ATTENTION_TILE * t * 4
+    stats_bytes = 2 * heads * t * 4  # a row max and a row sum per query and head
+    tracemalloc.start()
+    try:
+        with Graph():
+            out = masked_attention(q, k, v, np.array([0, t]))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Kept tile weights would hold heads * T^2 / 2 floats: 33.6 MB, or 16 tiles.
+    kept = held - out.data.nbytes
+    assert kept < 2 * stats_bytes, \
+        f"{kept / 1e6:.2f} MB kept, statistics {stats_bytes / 1e6:.2f} MB"
+    assert peak < 2 * tile_bytes, f"peak {peak / 1e6:.1f} MB, one tile {tile_bytes / 1e6:.1f} MB"
+
+
+def test_swiglu_outside_a_graph_keeps_no_group_workspace():
+    rows, d, hidden, groups = 4096, 8, 64, 8
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(rows, d)).astype(np.float32))
+    experts = [tuple(Tensor(rng.normal(size=shape).astype(np.float32))
+                     for shape in ((hidden, d), (hidden, d), (d, hidden)))
+               for _ in range(groups)]
+    group_bytes = rows // groups * hidden * 4
+    tracemalloc.start()
+    try:
+        out = swiglu(x, experts, range(0, rows + 1, rows // groups))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One group's workspace is about ten [rows, hidden] arrays; saving five
+    # per group for a vjp would hold forty by the last group.
+    assert peak - out.data.nbytes < 12 * group_bytes, \
+        f"peak {peak / 1e6:.2f} MB, one group's array {group_bytes / 1e6:.2f} MB"
+
+
 def test_inference_attention_holds_one_tile_workspace():
     t, heads, d_head = 2048, 4, 8
     rng = np.random.default_rng(0)
@@ -658,7 +727,7 @@ def test_inference_attention_holds_one_tile_workspace():
 
 
 def test_recorded_attention_backpropagates_after_later_calls():
-    # The tile weights a recorded call keeps must survive the calls that follow it.
+    # What a recorded call keeps for its vjp must survive the calls that follow it.
     segments = np.array([0, 150, 333])
     rng = np.random.default_rng(7)
     q, k, v, w = (rng.normal(size=(333, 3, 4)) for _ in range(4))
@@ -697,14 +766,14 @@ def test_attention_rejects_malformed_segments(segments):
 def test_rope_identity_at_position_zero():
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(1, 2, 8)).astype(np.float32))
-    out = rope(x, np.array([0]))
+    out = rope(x, rope_tables(np.array([0]), 2, 8))
     np.testing.assert_allclose(out.data, x.data, atol=1e-7)
 
 
 def test_rope_preserves_norm():
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(16, 3, 8)).astype(np.float32))
-    out = rope(x, np.arange(16))
+    out = rope(x, rope_tables(np.arange(16), 3, 8))
     np.testing.assert_allclose(
         np.linalg.norm(out.data, axis=-1), np.linalg.norm(x.data, axis=-1), atol=1e-5
     )
@@ -712,7 +781,9 @@ def test_rope_preserves_norm():
 
 def test_rope_odd_head_dim_rejected():
     with pytest.raises(ShapeError):
-        rope(Tensor(np.zeros((2, 1, 3), dtype=np.float32)), np.arange(2))
+        rope_tables(np.arange(2), 1, 3)
+    with pytest.raises(ShapeError):
+        rope(Tensor(np.zeros((2, 1, 3), dtype=np.float32)), rope_tables(np.arange(2), 1, 2))
 
 
 def test_rope_dot_depends_only_on_offset():
@@ -722,8 +793,8 @@ def test_rope_dot_depends_only_on_offset():
     dots = {}
     for a in range(16):
         for b in range(16):
-            qa = rope(t64(q), np.array([a])).data[0, 0]
-            kb = rope(t64(k), np.array([b])).data[0, 0]
+            qa = rope(t64(q), rope_tables(np.array([a]), 1, 8, dtype=np.float64)).data[0, 0]
+            kb = rope(t64(k), rope_tables(np.array([b]), 1, 8, dtype=np.float64)).data[0, 0]
             dots[(a, b)] = float(qa @ kb)
     for (a, b), val in dots.items():
         for (c, d), other in dots.items():

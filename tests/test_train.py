@@ -1,6 +1,7 @@
 """Losses, optimizer, schedule, training loop, and checkpoints."""
 
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -35,6 +36,7 @@ from sparsecast.train import (
     lr_at_step,
     save_checkpoint,
     train_loop,
+    train_step,
 )
 
 
@@ -445,16 +447,20 @@ def test_grad_norm_is_recorded_before_clipping(tmp_path):
     assert norms[0] == norms[1] > 1e-3
 
 
+def benchmark_model_and_batch(tmp_path):
+    """The benchmark's model and a batch of its shape (4 x 256)."""
+    cfg = ModelConfig(d_model=32, num_layers=2, num_heads=4, num_experts=4, top_k=2,
+                      d_expert=32, head_horizons=(1, 8, 32, 64))
+    store = build_regime_store(tmp_path, np.random.default_rng(1), per_regime=2, length=400)
+    return Forecaster.init(cfg, seed=0), sample_batch(store, np.random.default_rng(2), 4, 256)
+
+
 def test_step_tape_per_op_counts_at_benchmark_model(tmp_path):
     """One batch_loss at the benchmark model and batch shape (4 x 256): each
     weight product is one linear node, each loss term (four heads, two
     balance layers) one weighted_sum, the only mul is the embedding's, and
     no matmul, transpose, row_scale or bias add is recorded."""
-    cfg = ModelConfig(d_model=32, num_layers=2, num_heads=4, num_experts=4, top_k=2,
-                      d_expert=32, head_horizons=(1, 8, 32, 64))
-    model = Forecaster.init(cfg, seed=0)
-    store = build_regime_store(tmp_path, np.random.default_rng(1), per_regime=2, length=400)
-    batch = sample_batch(store, np.random.default_rng(2), 4, 256)
+    model, batch = benchmark_model_and_batch(tmp_path)
     with Graph() as graph:
         batch_loss(model, batch, TrainConfig(batch=4, context=256))
     nodes = graph._nodes
@@ -465,6 +471,40 @@ def test_step_tape_per_op_counts_at_benchmark_model(tmp_path):
     assert ops["transpose"] == ops["row_scale"] == 0
     adds = [inputs for _, inputs, vjp in nodes if vjp.__qualname__.startswith("add.")]
     assert adds and all(b.shape in (a.shape, ()) for a, b in adds)
+
+
+def test_benchmark_step_peaks_under_12_mb(tmp_path):
+    # The tape keeps attention row statistics, not tile weights (17.9 MB
+    # when it kept the weights), and frees each node as backward passes it.
+    model, batch = benchmark_model_and_batch(tmp_path)
+    config = TrainConfig(batch=4, context=256)
+    optimizer = AdamW(model, config)
+    tracemalloc.start()
+    try:
+        train_step(model, optimizer, batch, config, config.lr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, f"train_step peaked at {peak / 1e6:.2f} MB"
+
+
+def test_backward_peak_stays_within_the_forward_peak(tmp_path):
+    # Backward frees what each vjp saved as it goes, so it never lifts a
+    # step's memory above what the forward already reached.
+    model, batch = benchmark_model_and_batch(tmp_path)
+    tracemalloc.start()
+    try:
+        with Graph() as graph:
+            loss, _ = batch_loss(model, batch, TrainConfig(batch=4, context=256))
+        _, forward_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        graph.backward(loss)
+        _, backward_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph) == 0
+    assert backward_peak <= forward_peak, \
+        f"backward peak {backward_peak / 1e6:.2f} MB, forward peak {forward_peak / 1e6:.2f} MB"
 
 
 def test_resume_matches_uninterrupted(tmp_path):
