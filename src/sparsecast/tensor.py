@@ -9,18 +9,23 @@ plain functions, with no operator overloading on Tensor, and Graph.backward
 is the one way to backpropagate.
 
 A recorded op keeps only what its vjp reads, and only while a graph
-records it (one check, _recording, decides that for every op). Attention
-keeps each tile's row max and row sum, not its weights, and its vjp
-replays the forward's ops to rebuild them bit for bit; swiglu keeps each
-group's gate pre-activation, its sigmoid and the up projection.
-Graph.backward drops each node as its vjp runs, so each saved array is
-freed once backward has passed its node.
+records it (one check, _recording, decides that for every op). The tape
+holds keys, not outputs: a node is its own serial key, its inputs' keys
+(or the Tensor of a requires_grad leaf), and its vjp, so an output that no
+vjp reads, such as a projection that rope rotates or a residual branch that
+add sums, is freed as soon as the forward drops it. Attention keeps each
+tile's row max and row sum, not its weights, and its vjp replays the
+forward's ops to rebuild them bit for bit; swiglu keeps each group's gate
+pre-activation, its sigmoid and the up projection. Graph.backward drops
+each node as its vjp runs, so each saved array is freed once backward has
+passed its node.
 
 Every weight product goes through linear (x @ w.T, plus an optional bias)
 or swiglu, and both multiply by contiguous transposed copies of the
 weights, never by transposed views, so a row's result does not depend on
-how many rows share the call; a linear with one output sums each row's
-products instead, since numpy would take a matrix-vector product there.
+how many rows share the call; linear pads a weight of fewer than 16 rows
+(the router, the short heads) with zero rows and slices the product back,
+since OpenBLAS rounds a narrower product by the row count.
 
 Attention is blocked by segment and tiled by query. A packed row of T
 tokens is cut into segments given by their bounds [0, b_1, ..., T]; tokens
@@ -51,6 +56,7 @@ gradient-checking headroom. Mixing precisions in one expression is an error.
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import numpy as np
@@ -72,10 +78,11 @@ class Tensor:
 
     `data` is a row-major numpy array; `grad`, once Graph.backward has run,
     is an array of the same shape. Tensors created while a Graph is active
-    and derived from a requires_grad input participate in backpropagation.
+    and derived from a requires_grad input participate in backpropagation;
+    such an output carries its graph's id (`_graph_id`) and its node key (`_key`).
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_graph_id", "_key")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -86,6 +93,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self._graph_id = None
 
     @classmethod
     def _wrap(cls, data: np.ndarray, requires_grad: bool) -> "Tensor":
@@ -93,6 +101,7 @@ class Tensor:
         out.data = data
         out.requires_grad = requires_grad
         out.grad = None
+        out._graph_id = None
         return out
 
     @property
@@ -138,15 +147,25 @@ def _active_graph():
 
 
 class Graph:
-    """Execution-ordered tape of recorded ops.
+    """Execution-ordered tape of recorded ops, keyed by serial numbers.
 
-    Replaying the recorded adjoints in reverse execution order yields the
-    gradient of a scalar loss for every requires_grad leaf. One graph per
-    forward pass; backward() consumes and drops the tape.
+    Each recorded output gets the next serial key of its graph. A node holds
+    three things: its own key; per input, that input's key when this graph
+    produced it, the Tensor itself when it is a requires_grad leaf (a
+    parameter, or an output of another graph), or None for a constant; and
+    the vjp. A node never holds a Tensor an op produced, so an output that no
+    vjp closure captures is freed as soon as the forward drops it.
+    Replaying the adjoints in reverse execution order, with gradients keyed
+    by node key, yields the gradient of a scalar loss for every
+    requires_grad leaf. One graph per forward pass; backward() consumes and
+    drops the tape.
     """
 
+    _ids = itertools.count()
+
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        self._id = next(Graph._ids)
+        self._nodes: list[tuple[int, list, object]] = []
 
     def __enter__(self) -> "Graph":
         _graph_stack().append(self)
@@ -160,41 +179,42 @@ class Graph:
     def __len__(self) -> int:
         return len(self._nodes)
 
+    def _ref(self, t: Tensor):
+        """t's key when this graph produced it, else t as a leaf, else None."""
+        if t._graph_id == self._id:
+            return t._key
+        return t if t.requires_grad else None
+
     def _record(self, out: Tensor, inputs: tuple, vjp) -> None:
-        self._nodes.append((out, inputs, vjp))
+        key = len(self._nodes)
+        out._graph_id, out._key = self._id, key
+        self._nodes.append((key, [self._ref(t) for t in inputs], vjp))
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into .grad of every requires_grad leaf."""
         if loss.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
         nodes = self._nodes
-        produced = {id(out) for out, _, _ in nodes}
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        leaves: dict[int, Tensor] = {}
-        if loss.requires_grad and id(loss) not in produced:
-            leaves[id(loss)] = loss
+        # Node keys are ints and leaves are Tensors, hashed by identity.
+        start = self._ref(loss)
+        grads = {} if start is None else {start: np.ones_like(loss.data)}
+        # A fresh id: outputs recorded so far are leaves of anything recorded later.
+        self._id = next(Graph._ids)
         # Each node leaves the tape as its vjp runs, so what the vjp saved is
         # freed as backward goes rather than all at the end.
         while nodes:
-            out, inputs, vjp = nodes.pop()
-            g_out = grads.pop(id(out), None)
-            del out  # no Tensor is made from here on, so its id cannot recur
+            key, refs, vjp = nodes.pop()
+            g_out = grads.pop(key, None)
             if g_out is None:
                 continue
-            for tin, g_in in zip(inputs, vjp(g_out)):
-                if g_in is None or not tin.requires_grad:
+            for ref, g_in in zip(refs, vjp(g_out)):
+                if g_in is None or ref is None:
                     continue
-                key = id(tin)
-                held = grads.get(key)
-                grads[key] = g_in if held is None else held + g_in
-                if key not in produced:
-                    leaves[key] = tin
-        for key, tensor in leaves.items():
-            g = grads.get(key)
-            if g is None:
-                continue
-            g = g.reshape(tensor.data.shape)
-            tensor.grad = g if tensor.grad is None else tensor.grad + g
+                held = grads.get(ref)
+                grads[ref] = g_in if held is None else held + g_in
+        for leaf, g in grads.items():
+            g = g.reshape(leaf.data.shape)
+            leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def _recording(inputs: tuple) -> Graph | None:
@@ -245,10 +265,11 @@ def _is_scalar(a_shape: tuple, b_shape: tuple) -> bool:
 def add(a: Tensor, b) -> Tensor:
     """Elementwise a + b; b may be equal-shaped or a scalar."""
     b = _as_operand(b, a)
-    scalar = _is_scalar(a.shape, b.shape)
+    b_shape = b.shape
+    scalar = _is_scalar(a.shape, b_shape)
 
     def vjp(g):
-        return g, g.sum().reshape(b.shape) if scalar else g
+        return g, g.sum().reshape(b_shape) if scalar else g
 
     return _finish("add", a.data + b.data, (a, b), vjp)
 
@@ -266,33 +287,47 @@ def mul(a: Tensor, b) -> Tensor:
     return _finish("mul", a_data * b_data, (a, b), vjp)
 
 
+# A weight with fewer output rows than this is zero-padded to it for the
+# forward product: OpenBLAS rounds a narrower product (or numpy's gemv for
+# one row) differently with the row count and a row's place in the call.
+_NARROW = 16
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x[m×k] @ w[n×k].T, plus b[n] on every row when given.
 
     The product is by a contiguous transposed copy of w, never by the
-    transposed view, and a one-row w is a per-row sum of products: OpenBLAS
-    may round a view's product, or a matrix-vector product, differently
-    with the row count, and packed rows must compute what they compute alone.
+    transposed view, and a w of fewer than _NARROW rows is zero-padded to
+    _NARROW rows and its product sliced back, while its x-gradient is
+    g @ w: on OpenBLAS those are the forms whose rows come out the same
+    whatever the row count, and packed rows must compute what they compute
+    alone.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear needs x [m, k] and w [n, k], got {x.shape} and {w.shape}")
     w = _as_operand(w, x)
-    x_data, wt = x.data, w.data.T.copy()
-    if w.shape[0] == 1:
-        out = (x_data * w.data).sum(axis=1, keepdims=True)
+    x_data, w_data = x.data, w.data
+    n = w_data.shape[0]
+    if n < _NARROW:
+        wt = np.zeros((w_data.shape[1], _NARROW), dtype=w_data.dtype)
+        wt[:, :n] = w_data.T
+        out = np.ascontiguousarray((x_data @ wt)[:, :n])
+        w_back = w_data
     else:
+        wt = w_data.T.copy()
         out = x_data @ wt
+        w_back = wt.T
     if b is None:
         inputs = (x, w)
     else:
         b = _as_operand(b, x)
-        if b.shape != (w.shape[0],):
+        if b.shape != (n,):
             raise ShapeError(f"linear bias {b.shape} does not match weight {w.shape}")
         out += b.data
         inputs = (x, w, b)
 
     def vjp(g):
-        grads = (g @ wt.T, (x_data.T @ g).T.copy())
+        grads = (g @ w_back, (x_data.T @ g).T.copy())
         return grads if b is None else grads + (g.sum(axis=0),)
 
     return _finish("linear", out, inputs, vjp)
@@ -376,16 +411,22 @@ def huber(pred: Tensor, target, delta: float) -> Tensor:
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     target = _as_operand(target, pred)
+    target_grad = target.requires_grad
     r = pred.data - target.data
-    small = np.abs(r) <= delta
-    out = np.where(small, 0.5 * r * r, delta * (np.abs(r) - 0.5 * delta))
-    dr = np.where(small, r, delta * np.sign(r))
+    dr = np.clip(r, -delta, delta)
+    # With a = |r| and m = min(a, delta), (a - m / 2) * m is 0.5 * r * r
+    # where |r| <= delta (a - a / 2 is exact) and delta * (|r| - delta / 2)
+    # beyond, bit for bit; r's buffer becomes the output.
+    a = np.abs(r, out=r)
+    m = np.minimum(a, delta)
+    a -= 0.5 * m
+    a *= m
 
     def vjp(g):
         g_pred = g * dr
-        return g_pred, -g_pred if target.requires_grad else None
+        return g_pred, -g_pred if target_grad else None
 
-    return _finish("huber", out, (pred, target), vjp)
+    return _finish("huber", a, (pred, target), vjp)
 
 
 # --- fused model kernels -------------------------------------------------------

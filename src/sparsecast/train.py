@@ -112,6 +112,14 @@ def _check_horizon(context: int, horizon: int) -> None:
                           f"use a context of at least {horizon}")
 
 
+def _anchor_room(bounds: np.ndarray, pad_mask: np.ndarray) -> np.ndarray:
+    """Per position of a packed row, how many later tokens share its segment;
+    0 at padding, so an anchor is valid for horizon p where its room is at least p."""
+    length = len(pad_mask)
+    run_end = np.repeat(bounds[1:], np.diff(bounds))
+    return np.where(pad_mask, 0, run_end - np.arange(length) - 1)
+
+
 def head_targets(tokens: np.ndarray, bounds: np.ndarray, pad_mask: np.ndarray,
                  horizon: int) -> tuple:
     """(targets [L, p], valid [L]) for one packed row and one head horizon.
@@ -122,9 +130,7 @@ def head_targets(tokens: np.ndarray, bounds: np.ndarray, pad_mask: np.ndarray,
     """
     length = len(tokens)
     _check_horizon(length, horizon)
-    run_end = np.repeat(bounds[1:], np.diff(bounds))
-    remaining = run_end - np.arange(length)
-    valid = (~pad_mask) & (remaining > horizon)
+    valid = _anchor_room(bounds, pad_mask) >= horizon
     # Row t holds tokens t+1 .. t+horizon; the last `horizon` rows run off the
     # row, so they are never valid and stay zero.
     targets = np.zeros((length, horizon), dtype=tokens.dtype)
@@ -142,6 +148,18 @@ def flat_batch(batch: PackedBatch) -> tuple:
     ids = batch.seq_ids - batch.seq_ids.min()
     ids = ids + (int(ids.max()) + 1) * np.arange(batch.rows)[:, None]
     return batch.tokens[:, :, 0].reshape(-1), ids.reshape(-1), batch.pad_mask.reshape(-1)
+
+
+def _head_term(pred: T.Tensor, tokens: np.ndarray, bounds: np.ndarray, pad_mask: np.ndarray,
+               heads: int, delta: float) -> T.Tensor:
+    """One head's Huber term: its cells weigh 1 / (valid anchors * horizon *
+    heads) where valid and 0 elsewhere, one weight column broadcast over the
+    horizon."""
+    targets, valid = head_targets(tokens, bounds, pad_mask, pred.shape[1])
+    column = np.zeros((len(valid), 1), dtype=pred.data.dtype)
+    column[valid] = 1.0 / (int(valid.sum()) * pred.shape[1] * heads)
+    return T.weighted_sum(T.huber(pred, T.constant(targets, pred.dtype), delta),
+                          np.broadcast_to(column, pred.shape))
 
 
 def batch_loss(model: Forecaster, batch: PackedBatch, config: TrainConfig) -> tuple:
@@ -168,25 +186,22 @@ def batch_loss(model: Forecaster, batch: PackedBatch, config: TrainConfig) -> tu
     _check_horizon(batch.length, horizons[-1])
     tokens, seq_ids, pad_mask = flat_batch(batch)
     result = model.forward(tokens, seq_ids=seq_ids)
+    preds, layers = result.head_outputs, result.routing
+    del result
     bounds = segment_bounds(seq_ids)
-    kept = []
-    for j, horizon in enumerate(horizons):
-        targets, valid = head_targets(tokens, bounds, pad_mask, horizon)
-        if valid.any():
-            kept.append((result.head_outputs[j], targets, valid))
+    # Horizons ascend, so the heads with a valid anchor are the first `kept`.
+    room = int(_anchor_room(bounds, pad_mask).max())
+    kept = sum(room >= horizon for horizon in horizons)
     if not kept:
         raise TrainingError("degenerate batch: every position is masked for every head")
     loss = None
-    for pred, targets, valid in kept:
-        weights = np.zeros(pred.shape, dtype=pred.data.dtype)
-        weights[valid] = 1.0 / (int(valid.sum()) * pred.shape[1] * len(kept))
-        term = T.weighted_sum(T.huber(pred, T.constant(targets, pred.dtype), config.delta),
-                              weights)
+    for _ in range(kept):
+        # Popped, so each prediction is freed once its term is recorded.
+        term = _head_term(preds.pop(0), tokens, bounds, pad_mask, kept, config.delta)
         loss = term if loss is None else T.add(loss, term)
 
     info = {"loss_ar": float(loss.data)}
-    if model.config.use_moe and result.routing:
-        layers = result.routing
+    if model.config.use_moe and layers:
         info["loss_aux"] = float(np.mean([aux_loss(r.f, r.r) for r in layers]))
         info["f"] = [r.f.tolist() for r in layers]
         mean_f = np.mean([r.f for r in layers], axis=0)

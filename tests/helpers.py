@@ -11,8 +11,71 @@ from sparsecast.data import CsvSchema, FormatError, LoadedCsv, _resolve_splits
 from sparsecast.heads import plan_horizons
 from sparsecast.model import segment_bounds
 from sparsecast.tensor import (ATTENTION_TILE, _FUTURE, Graph, ShapeError, Tensor, _active_graph,
-                               _as_operand, _finish, _segment_spans)
+                               _as_operand, _finish, _graph_stack, _segment_spans)
 from sparsecast.train import TrainingError, head_targets
+
+
+class ReferenceGraph:
+    """Execution-ordered tape of recorded ops.
+
+    Replaying the recorded adjoints in reverse execution order yields the
+    gradient of a scalar loss for every requires_grad leaf. One graph per
+    forward pass; backward() consumes and drops the tape.
+
+    This is the tape that held every op's output and keyed gradients by
+    id(), which tensor.Graph's serial node keys replaced, kept as its oracle.
+    """
+
+    def __init__(self):
+        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+
+    def __enter__(self) -> "ReferenceGraph":
+        _graph_stack().append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        popped = _graph_stack().pop()
+        assert popped is self, "graph contexts must nest"
+        return False
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def _record(self, out: Tensor, inputs: tuple, vjp) -> None:
+        self._nodes.append((out, inputs, vjp))
+
+    def backward(self, loss: Tensor) -> None:
+        """Accumulate d(loss)/d(leaf) into .grad of every requires_grad leaf."""
+        if loss.data.size != 1:
+            raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
+        nodes = self._nodes
+        produced = {id(out) for out, _, _ in nodes}
+        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        leaves: dict[int, Tensor] = {}
+        if loss.requires_grad and id(loss) not in produced:
+            leaves[id(loss)] = loss
+        # Each node leaves the tape as its vjp runs, so what the vjp saved is
+        # freed as backward goes rather than all at the end.
+        while nodes:
+            out, inputs, vjp = nodes.pop()
+            g_out = grads.pop(id(out), None)
+            del out  # no Tensor is made from here on, so its id cannot recur
+            if g_out is None:
+                continue
+            for tin, g_in in zip(inputs, vjp(g_out)):
+                if g_in is None or not tin.requires_grad:
+                    continue
+                key = id(tin)
+                held = grads.get(key)
+                grads[key] = g_in if held is None else held + g_in
+                if key not in produced:
+                    leaves[key] = tin
+        for key, tensor in leaves.items():
+            g = grads.get(key)
+            if g is None:
+                continue
+            g = g.reshape(tensor.data.shape)
+            tensor.grad = g if tensor.grad is None else tensor.grad + g
 
 
 def central_diff_grad(forward, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -344,6 +407,15 @@ def reference_sigmoid(x: np.ndarray) -> np.ndarray:
 
 # --- the per-expert, per-row training path that grouped dispatch, linear and
 # the one-row batch replaced, kept as their oracle ----------------------------
+
+
+def reference_huber(r: np.ndarray, delta: float) -> tuple:
+    """(values, slope) of the Huber loss at residuals r: the where/sign chain
+    that tensor.huber's clipped slope and in-place values replaced, kept as
+    their oracle."""
+    small = np.abs(r) <= delta
+    values = np.where(small, 0.5 * r * r, delta * (np.abs(r) - 0.5 * delta))
+    return values, np.where(small, r, delta * np.sign(r))
 
 
 def reference_gather_entries(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:

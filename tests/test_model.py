@@ -523,3 +523,24 @@ def test_max_context_bounds_segments_not_the_row():
     model.forward(np.zeros(10), cache=cache)
     with pytest.raises(DataError, match="context 17 exceeds max_context 16"):
         model.forward(np.zeros(7), cache=cache)  # positions 10..16
+
+
+@pytest.mark.parametrize("lengths", [(63, 65, 200, 333), (1, 1, 9), (1024,) * 4])
+def test_packed_segments_of_any_length_match_solo_forwards_bitwise(lengths):
+    """Segments of odd lengths packed into one row give bit for bit what each
+    gives alone, in the hidden state and every head, at the benchmark model.
+    On OpenBLAS the router (5 rows) and the horizon-8 head once rounded by
+    the row count; one input draw can hide that, so several are taken."""
+    cfg = ModelConfig(d_model=32, num_layers=2, num_heads=4, num_experts=4, top_k=2,
+                      d_expert=32, head_horizons=(1, 8, 32, 64))
+    model = Forecaster.init(cfg, seed=0)
+    bounds = np.cumsum((0,) + lengths)
+    ids = np.repeat(np.arange(len(lengths)), lengths)
+    for draw in range(4):
+        x = np.random.default_rng(draw).normal(size=bounds[-1])
+        packed = model.forward(x, seq_ids=ids)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            alone = model.forward(x[a:b])
+            assert packed.hidden.data[a:b].tobytes() == alone.hidden.data.tobytes(), (draw, a)
+            for j, (p, s) in enumerate(zip(packed.head_outputs, alone.head_outputs)):
+                assert p.data[a:b].tobytes() == s.data.tobytes(), (draw, a, j)

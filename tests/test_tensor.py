@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -14,6 +15,7 @@ from helpers import (
     mean_all,
     reference_attention,
     reference_gather_entries,
+    reference_huber,
     reference_sigmoid,
     reference_tiled_attention,
     row_scale,
@@ -150,6 +152,22 @@ def test_one_column_linear_row_does_not_depend_on_row_count():
         assert linear(Tensor(x[rows]), Tensor(w), b).data.tobytes() == full[rows].tobytes()
 
 
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("rows", [7, 517, 8192])
+def test_narrow_linear_rows_match_single_row_calls_bitwise(n, rows):
+    # On OpenBLAS, x @ w.T for a weight of 5 or 8 rows (the router, the
+    # horizon-8 head) rounds a row by the call's row count and the row's
+    # place in it, and so does the x-gradient g @ w.T-view at 8 rows. linear
+    # pads a narrow weight with zero rows and takes g @ w instead.
+    rng = np.random.default_rng([n, rows])
+    x, w, g = (rng.normal(size=shape).astype(np.float32)
+               for shape in ((rows, 32), (n, 32), (rows, n)))
+    out, dx, _ = _linear_and_grads(linear, x, w, g)
+    singles = [_linear_and_grads(linear, x[i:i + 1], w, g[i:i + 1]) for i in range(rows)]
+    assert np.concatenate([one[0] for one in singles]).tobytes() == out.tobytes()
+    assert np.concatenate([one[1] for one in singles]).tobytes() == dx.tobytes()
+
+
 def test_linear_rejects_mismatched_operands():
     x = Tensor(np.ones((3, 4), dtype=np.float32))
     with pytest.raises(ShapeError):
@@ -226,6 +244,25 @@ def test_branch_free_sigmoid_matches_masked_form_bitwise(dtype):
     got, want = _sigmoid(x), reference_sigmoid(x)
     assert got.dtype == dtype
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("delta", [1.0, 0.1, 2.5])
+def test_huber_matches_where_sign_chain_bitwise(dtype, delta):
+    edge = float(dtype(delta))
+    near = [edge, float(np.nextafter(dtype(edge), 0)), float(np.nextafter(dtype(edge), 10))]
+    grid = np.concatenate([[0.0, 1e-40, 1e-30, 0.5], near, np.linspace(-50, 50, 20001),
+                           np.geomspace(1e-6, 1e6, 501)])
+    r = np.concatenate([grid, -grid]).astype(dtype)
+    pred = Tensor(r.copy(), requires_grad=True)
+    with Graph() as g:
+        values = huber(pred, np.zeros_like(r), delta)
+        loss = weighted_sum(values, np.ones_like(r))
+    g.backward(loss)
+    want_values, want_slope = reference_huber(r, delta)
+    assert values.data.dtype == dtype
+    assert values.data.tobytes() == want_values.tobytes()
+    assert pred.grad.tobytes() == want_slope.tobytes()
 
 
 # --- elementwise rules -----------------------------------------------------------
@@ -811,6 +848,59 @@ def test_tape_cleared_after_backward():
         loss = sum_all(mul(x, x))
     g.backward(loss)
     assert len(g) == 0
+
+
+def test_an_output_no_vjp_reads_is_freed_before_backward():
+    # A node holds its inputs' keys, not the Tensors an op produced: rope's
+    # vjp reads only its tables and weighted_sum's only its weights, so the
+    # projection and the Huber values go as soon as the forward drops them.
+    rng = np.random.default_rng(0)
+    x, w = (Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+            for shape in ((6, 8), (8, 8)))
+    with Graph() as g:
+        projected = linear(x, w)
+        projection = weakref.ref(projected.data)
+        rotated = rope(reshape(projected, (6, 2, 4)), rope_tables(np.arange(6), 2, 4))
+        del projected
+        values = huber(reshape(rotated, (6, 8)), np.zeros((6, 8)), 1.0)
+        cells = weakref.ref(values.data)
+        loss = weighted_sum(values, np.ones((6, 8)))
+        del values
+    assert projection() is None and cells() is None
+    g.backward(loss)
+    assert x.grad is not None and w.grad is not None
+
+
+def test_an_output_of_an_earlier_graph_is_a_leaf_of_a_later_one():
+    # y is node 0 of the first graph and the mul below is node 0 of the
+    # second: keys are per graph, so y is a leaf there and gets its grad.
+    x = t64(np.array([1.0, 2.0]), requires_grad=True)
+    with Graph():
+        y = mul(x, 3.0)
+    with Graph() as g:
+        loss = sum_all(mul(y, y))
+    g.backward(loss)
+    np.testing.assert_array_equal(y.grad, 2.0 * y.data)
+    assert x.grad is None
+
+
+def test_outputs_recorded_before_backward_are_leaves_after_it():
+    x = t64(np.array([1.0, 2.0]), requires_grad=True)
+    with Graph() as g:
+        y = mul(x, 3.0)
+        g.backward(sum_all(y))
+        loss = sum_all(mul(y, y))
+    g.backward(loss)
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+    np.testing.assert_array_equal(y.grad, 2.0 * y.data)
+
+
+def test_a_leaf_loss_gets_grad_one():
+    x = Tensor(np.array(3.0, dtype=np.float32), requires_grad=True)
+    with Graph() as g:
+        mul(x, 2.0)
+    g.backward(x)
+    assert x.grad == 1.0
 
 
 def test_shared_input_used_twice_gets_both_contributions():

@@ -2,12 +2,14 @@
 
 import json
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from helpers import (
+    ReferenceGraph,
     check_against_fd,
     max_rel_err,
     reference_batch_loss,
@@ -455,12 +457,16 @@ def benchmark_model_and_batch(tmp_path):
     return Forecaster.init(cfg, seed=0), sample_batch(store, np.random.default_rng(2), 4, 256)
 
 
-def test_step_tape_per_op_counts_at_benchmark_model(tmp_path):
+def test_step_tape_per_op_counts_at_benchmark_model(tmp_path, monkeypatch):
     """One batch_loss at the benchmark model and batch shape (4 x 256): each
     weight product is one linear node, each loss term (four heads, two
     balance layers) one weighted_sum, the only mul is the embedding's, and
     no matmul, transpose, row_scale or bias add is recorded."""
     model, batch = benchmark_model_and_batch(tmp_path)
+    # A node is (key, input refs, vjp) and holds no operand, so each add's
+    # operand shapes are logged as it is called.
+    add, adds = T.add, []
+    monkeypatch.setattr(T, "add", lambda a, b: adds.append((a, b)) or add(a, b))
     with Graph() as graph:
         batch_loss(model, batch, TrainConfig(batch=4, context=256))
     nodes = graph._nodes
@@ -469,7 +475,7 @@ def test_step_tape_per_op_counts_at_benchmark_model(tmp_path):
     assert ops["linear"] == 16 and ops["weighted_sum"] == 6
     assert ops["matmul"] == 0 and ops["mul"] == 1
     assert ops["transpose"] == ops["row_scale"] == 0
-    adds = [inputs for _, inputs, vjp in nodes if vjp.__qualname__.startswith("add.")]
+    assert len(adds) == ops["add"]
     assert adds and all(b.shape in (a.shape, ()) for a, b in adds)
 
 
@@ -486,6 +492,68 @@ def test_benchmark_step_peaks_under_12_mb(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 12e6, f"train_step peaked at {peak / 1e6:.2f} MB"
+
+
+def test_benchmark_step_peaks_under_9_5_mb(tmp_path):
+    # The tape holds node keys, not outputs, and the loss is built one head
+    # at a time, so no projection, prediction, Huber table or target table
+    # outlives the op that reads it (11.0 MB when the tape held outputs).
+    model, batch = benchmark_model_and_batch(tmp_path)
+    config = TrainConfig(batch=4, context=256)
+    optimizer = AdamW(model, config)
+    tracemalloc.start()
+    try:
+        train_step(model, optimizer, batch, config, config.lr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.5e6, f"train_step peaked at {peak / 1e6:.2f} MB"
+
+
+def test_batch_loss_frees_every_output_no_vjp_reads_before_backward(tmp_path, monkeypatch):
+    """Of a step's 16 linear outputs only those a vjp reads outlive the
+    forward: the embedding's two (silu and mul read them) and each layer's
+    value projection (attention reads it). The q, k and wo projections, the
+    routers and the heads are gone, and so are the heads' Huber values."""
+    model, batch = benchmark_model_and_batch(tmp_path)
+    refs = {"linear": [], "huber": []}
+    for name in refs:
+        def logged(*args, op=getattr(T, name), name=name):
+            out = op(*args)
+            refs[name].append(weakref.ref(out.data))
+            return out
+        monkeypatch.setattr(T, name, logged)
+    with Graph() as graph:
+        loss, _ = batch_loss(model, batch, TrainConfig(batch=4, context=256))
+    alive = {name: [i for i, ref in enumerate(found) if ref() is not None]
+             for name, found in refs.items()}
+    # Calls in order: embedding (2), then per layer q, k, v, wo, router, then the heads.
+    assert [len(refs["linear"]), len(refs["huber"])] == [16, 4]
+    assert alive == {"linear": [0, 1, 4, 9], "huber": []}
+    graph.backward(loss)
+    assert all(p.grad is not None for p in model.params.heads)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.02])
+def test_batch_loss_gradients_match_reference_graph_bitwise(tmp_path, alpha):
+    """The tape of node keys gives the loss and every parameter gradient bit
+    for bit what the tape that held every output, keyed by id(), gives."""
+    model, batch = benchmark_model_and_batch(tmp_path)
+    config = TrainConfig(batch=4, context=256, alpha=alpha)
+    runs = []
+    for graph_type in (ReferenceGraph, Graph):
+        model.zero_grad()
+        with graph_type() as graph:
+            loss, _ = batch_loss(model, batch, config)
+        graph.backward(loss)
+        runs.append((loss.data.tobytes(),
+                     [(name, p.grad.tobytes()) for name, p, _ in model.named_parameters()
+                      if p.grad is not None]))
+    (want_loss, want), (got_loss, got) = runs
+    assert got_loss == want_loss
+    assert len(got) == len(want) > 40
+    for (name, a), (_, b) in zip(got, want):
+        assert a == b, name
 
 
 def test_backward_peak_stays_within_the_forward_peak(tmp_path):
