@@ -69,7 +69,10 @@ class Standardizer:
         return cls(mean=values.mean(axis=0), std=np.maximum(std, 1e-8))
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        return (np.asarray(values, dtype=np.float64) - self.mean) / self.std
+        # Divided in place: one new array, not two.
+        out = np.asarray(values, dtype=np.float64) - self.mean
+        out /= self.std
+        return out
 
     def invert(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values, dtype=np.float64) * self.std + self.mean
@@ -204,8 +207,10 @@ def eval_model(model, spec: EvalSpec, fine_tune_config: TrainConfig | None = Non
     (the last step's loss, None when the split holds no crop) and
     fine_tune_seconds."""
     loaded = load_csv(spec.dataset, CsvSchema(columns=spec.columns, splits=spec.splits))
-    values = loaded.values
-    n_train = loaded.splits[0]
+    # Only the split sizes outlive this: the raw array goes once it is standardized.
+    values, splits = loaded.values, loaded.splits
+    del loaded
+    n_train = splits[0]
     if spec.standardize:
         scaler = Standardizer.fit(values[:n_train])
         values = scaler.transform(values)
@@ -226,7 +231,7 @@ def eval_model(model, spec: EvalSpec, fine_tune_config: TrainConfig | None = Non
         ae_sum = 0.0
         count = 0
         windows = 0
-        for (c0, c1), (t0, t1) in iter_eval_windows(len(values), loaded.splits,
+        for (c0, c1), (t0, t1) in iter_eval_windows(len(values), splits,
                                                     context, horizon, spec.stride):
             windows += 1
             for ch in range(channels):

@@ -272,12 +272,13 @@ def init_params(config: ModelConfig, rng: np.random.Generator | None,
 
 
 def embed_points(x: Tensor, w: Tensor, v: Tensor) -> Tensor:
-    """Gated embedding of raw scalars: silu(W x) * (V x), x of shape [T, 1]."""
+    """Gated embedding of raw scalars: silu(W x) * (V x), x of shape [T, 1],
+    as one glu op that keeps only its sigmoid for backward."""
     if x.data.ndim != 2 or x.shape[1] != 1:
         raise T.ShapeError(f"embed_points expects [T, 1], got {x.shape}")
     if not np.all(np.isfinite(x.data)):
         raise DataError("embedding input contains NaN/Inf; clean the series first")
-    return T.mul(T.silu(T.linear(x, w)), T.linear(x, v))
+    return T.glu(x, w, v)
 
 
 def segment_bounds(seq_ids: np.ndarray) -> np.ndarray:

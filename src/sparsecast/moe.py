@@ -7,14 +7,16 @@ all tokens, weighted by a per-token sigmoid gate read from row N of the
 router matrix. Ties in the top-K are broken toward the lower expert index.
 
 Dispatch is dropless and expert-sorted: each token's K picks are sorted
-ascending, the (token, pick) pairs are stable-sorted by expert, and the
-token rows are gathered once into expert-contiguous groups. One swiglu op
-runs every selected expert on its group, and one combine op scales the
-shared expert's output by its gate and adds each token's K gated rows to
-it in ascending expert order. No expert capacity, no dropped tokens, and
-the tape holds the same few nodes whatever the number of experts. The
-router is one linear node; the gates are a constant read off the scores,
-since the combine op takes its gradient through the scores themselves.
+ascending and the (token, pick) pairs are stable-sorted by expert into a
+slot table. One swiglu op takes the token rows and that table, gathers
+each expert's group of rows itself and runs every selected expert on its
+group; while a graph records it keeps only each group's sigmoid, and no
+routed copy of the rows. One combine op scales the shared expert's output
+by its gate and adds each token's K gated rows to it in ascending expert
+order. No expert capacity, no dropped tokens, and the tape holds the same
+few nodes whatever the number of experts. The router is one linear node;
+the gates are a constant read off the scores, since the combine op takes
+its gradient through the scores themselves.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class RouterOutput:
 
 def expert_ffn(x: Tensor, ffn: ExpertFFN) -> Tensor:
     """Apply one gated FFN to x[T, D]."""
-    return T.swiglu(x, [(ffn.w_gate, ffn.w_up, ffn.w_down)], [0, x.shape[0]])
+    t = x.shape[0]
+    return T.swiglu(x, [(ffn.w_gate, ffn.w_up, ffn.w_down)], [0, t], np.arange(t)[:, None])
 
 
 def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -134,8 +137,7 @@ def moe_forward(u_norm: Tensor, params: MoeParams, routing: RouterOutput) -> Ten
     slots[np.argsort(picks.reshape(-1), kind="stable")] = np.arange(t * k)
     slots = slots.reshape(t, k)
     counts = np.bincount(picks.reshape(-1), minlength=params.num_experts)
-    grouped = T.swiglu(T.dispatch_rows(u_norm, slots),
-                       [(e.w_gate, e.w_up, e.w_down) for e in params.experts],
-                       np.concatenate(([0], np.cumsum(counts))))
+    grouped = T.swiglu(u_norm, [(e.w_gate, e.w_up, e.w_down) for e in params.experts],
+                       np.concatenate(([0], np.cumsum(counts))), slots)
     return T.combine_rows(expert_ffn(u_norm, params.shared), routing.shared_gate, grouped,
                           routing.scores, slots, picks)

@@ -12,9 +12,14 @@ of horizon p when the p following tokens exist, stay inside the anchor's
 packed sequence, and are not padding. train_step is the one optimization
 step, shared by pre-training (train_loop) and fine-tuning.
 
-Checkpoints are a seekable little-endian binary format: magic "TMOE",
-a version word, the JSON-encoded model configuration, the training step,
-named float32 parameter tensors, and optionally the optimizer moments.
+Checkpoints are a seekable little-endian binary format (version 2): magic
+"TMOE", a version word, the JSON-encoded model configuration, the training
+step and the parameter count as one header block; then one block per named
+float32 parameter tensor, the optimizer flag (with its step and slot count)
+and, when present, one block per optimizer moment. A CRC32 of each block's
+bytes follows the block, and every declared length is checked against the
+bytes left in the file before it is read, so a flipped or cut byte is a
+CheckpointError.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import math
 import os
 import struct
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +41,7 @@ from .model import ConfigCodec, ConfigError, Forecaster, ModelConfig, init_param
 from .tensor import Graph
 
 CHECKPOINT_MAGIC = b"TMOE"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 ADAM_EPS = 1e-8
 
 
@@ -357,52 +363,101 @@ def train_loop(model: Forecaster, store: SequenceStore, config: TrainConfig,
 # --- checkpoints ------------------------------------------------------------------
 
 
-def _write_block(f, name: str, arr: np.ndarray) -> None:
+class _BlockWriter:
+    """Writes a checkpoint and a CRC32 of each block's bytes after the block."""
+
+    def __init__(self, f):
+        self.f = f
+        self.crc = 0
+
+    def write(self, raw: bytes) -> None:
+        self.f.write(raw)
+        self.crc = zlib.crc32(raw, self.crc)
+
+    def pack(self, fmt: str, *values) -> None:
+        self.write(struct.pack(fmt, *values))
+
+    def end_block(self) -> None:
+        self.f.write(struct.pack("<I", self.crc))
+        self.crc = 0
+
+
+class _BlockReader:
+    """Reads a checkpoint, checking every length against the bytes left in
+    the file before reading it and each block against its CRC32."""
+
+    def __init__(self, f, size: int):
+        self.f = f
+        self.left = size
+        self.crc = 0
+
+    def read(self, size: int, what: str) -> bytes:
+        """Exactly size bytes, or CheckpointError naming what was cut off."""
+        if size > self.left:
+            raise CheckpointError(f"truncated checkpoint ({what})")
+        raw = self.f.read(size)
+        self.left -= size
+        self.crc = zlib.crc32(raw, self.crc)
+        return raw
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
+
+    def end_block(self, what: str) -> None:
+        want = self.crc
+        (crc,) = self.unpack("<I", f"checksum of {what}")
+        if crc != want:
+            raise CheckpointError(f"checksum mismatch in {what}")
+        self.crc = 0
+
+
+def _write_block(f: _BlockWriter, name: str, arr: np.ndarray) -> None:
     encoded = name.encode("utf-8")
-    f.write(struct.pack("<I", len(encoded)))
+    f.pack("<I", len(encoded))
     f.write(encoded)
-    f.write(struct.pack("<I", arr.ndim))
-    f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+    f.pack("<I", arr.ndim)
+    f.pack(f"<{arr.ndim}Q", *arr.shape)
     f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    f.end_block()
 
 
-def _read_exact(f, size: int, what: str) -> bytes:
-    """Exactly size bytes from f, or CheckpointError naming what was cut off."""
-    raw = f.read(size)
-    if len(raw) != size:
-        raise CheckpointError(f"truncated checkpoint ({what})")
-    return raw
+def _decode(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{what} is not UTF-8") from None
 
 
-def _read_struct(f, fmt: str, what: str) -> tuple:
-    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), what))
-
-
-def _read_block(f) -> tuple:
-    (name_len,) = _read_struct(f, "<I", "block header")
-    name = _read_exact(f, name_len, "block name").decode("utf-8")
-    (rank,) = _read_struct(f, "<I", f"rank of {name}")
-    dims = _read_struct(f, f"<{rank}Q", f"shape of {name}")
-    count = int(np.prod(dims)) if rank else 1
-    payload = _read_exact(f, 4 * count, f"tensor {name}")
+def _read_block(f: _BlockReader) -> tuple:
+    (name_len,) = f.unpack("<I", "block header")
+    raw_name = f.read(name_len, "block name")
+    (rank,) = f.unpack("<I", "block rank")
+    dims = f.unpack(f"<{rank}Q", "block shape")
+    payload = f.read(4 * math.prod(dims), "block tensor")
+    f.end_block("a tensor block")
+    name = _decode(raw_name, "a block name")
     return name, np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
 
 
 def _write_checkpoint(f, model: Forecaster, optimizer: AdamW | None, step: int) -> None:
+    f = _BlockWriter(f)
     named = list(model.named_parameters())
     f.write(CHECKPOINT_MAGIC)
-    f.write(struct.pack("<I", CHECKPOINT_VERSION))
+    f.pack("<I", CHECKPOINT_VERSION)
     config_doc = json.dumps(model.config.to_dict()).encode("utf-8")
-    f.write(struct.pack("<I", len(config_doc)))
+    f.pack("<I", len(config_doc))
     f.write(config_doc)
-    f.write(struct.pack("<Q", step))
-    f.write(struct.pack("<I", len(named)))
+    f.pack("<Q", step)
+    f.pack("<I", len(named))
+    f.end_block()
     for name, tensor, _ in named:
         _write_block(f, name, tensor.data)
-    f.write(struct.pack("<B", 1 if optimizer is not None else 0))
+    f.pack("<B", 1 if optimizer is not None else 0)
     if optimizer is not None:
-        f.write(struct.pack("<Q", optimizer.t))
-        f.write(struct.pack("<I", 2 * len(optimizer.m)))
+        f.pack("<Q", optimizer.t)
+        f.pack("<I", 2 * len(optimizer.m))
+    f.end_block()
+    if optimizer is not None:
         for name in sorted(optimizer.m):
             _write_block(f, f"m.{name}", optimizer.m[name])
             _write_block(f, f"v.{name}", optimizer.v[name])
@@ -432,29 +487,39 @@ def load_checkpoint(path) -> tuple:
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"no such checkpoint: {path}")
-    with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != CHECKPOINT_MAGIC:
+    with open(path, "rb") as raw:
+        f = _BlockReader(raw, os.fstat(raw.fileno()).st_size)
+        if f.read(4, "magic") != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-        (version,) = _read_struct(f, "<I", "version")
+        (version,) = f.unpack("<I", "version")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (config_len,) = _read_struct(f, "<I", "config length")
-        config_doc = _read_exact(f, config_len, "config")
-        config = ModelConfig.from_dict(json.loads(config_doc.decode("utf-8")))
-        (step,) = _read_struct(f, "<Q", "step")
-        (n_params,) = _read_struct(f, "<I", "parameter count")
+        (config_len,) = f.unpack("<I", "config length")
+        config_doc = f.read(config_len, "config")
+        (step,) = f.unpack("<Q", "step")
+        (n_params,) = f.unpack("<I", "parameter count")
+        f.end_block("the header")
+        try:
+            doc = json.loads(_decode(config_doc, "the config"))
+        except json.JSONDecodeError as e:
+            raise CheckpointError(f"the config is not JSON: {e}") from None
+        config = ModelConfig.from_dict(doc)
         tensors = dict(_read_block(f) for _ in range(n_params))
-        (has_opt,) = _read_struct(f, "<B", "optimizer flag")
+        (has_opt,) = f.unpack("<B", "optimizer flag")
+        if has_opt:
+            (t,) = f.unpack("<Q", "optimizer step")
+            (n_slots,) = f.unpack("<I", "optimizer slot count")
+        f.end_block("the optimizer header")
         opt_state = None
         if has_opt:
-            (t,) = _read_struct(f, "<Q", "optimizer step")
-            (n_slots,) = _read_struct(f, "<I", "optimizer slot count")
             slots = dict(_read_block(f) for _ in range(n_slots))
             opt_state = {
                 "t": t,
                 "m": {k[2:]: v for k, v in slots.items() if k.startswith("m.")},
                 "v": {k[2:]: v for k, v in slots.items() if k.startswith("v.")},
             }
+        if f.left:
+            raise CheckpointError(f"{f.left} unexpected bytes after the checkpoint's end")
     # Placeholder tensors, no random draws: each one takes the file's array.
     model = Forecaster(config, init_params(config, rng=None))
     expected = {name for name, _, _ in model.named_parameters()}

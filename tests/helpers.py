@@ -11,7 +11,8 @@ from sparsecast.data import CsvSchema, FormatError, LoadedCsv, _resolve_splits
 from sparsecast.heads import plan_horizons
 from sparsecast.model import segment_bounds
 from sparsecast.tensor import (ATTENTION_TILE, _FUTURE, Graph, ShapeError, Tensor, _active_graph,
-                               _as_operand, _finish, _graph_stack, _segment_spans)
+                               _as_operand, _check_distinct, _finish, _graph_stack, _is_scalar,
+                               _recording, _segment_spans, _sigmoid)
 from sparsecast.train import TrainingError, head_targets
 
 
@@ -390,7 +391,31 @@ def sum_all(a: Tensor) -> Tensor:
 
 def mean_all(a: Tensor) -> Tensor:
     """Mean of all entries, as a scalar tensor."""
-    return T.mul(sum_all(a), 1.0 / a.data.size)
+    return mul(sum_all(a), 1.0 / a.data.size)
+
+
+def mul(a: Tensor, b) -> Tensor:
+    """Elementwise a * b under the same shape rules as add."""
+    b = _as_operand(b, a)
+    scalar = _is_scalar(a.shape, b.shape)
+    a_data, b_data = a.data, b.data
+
+    def vjp(g):
+        gb = g * a_data
+        return g * b_data, gb.sum().reshape(b_data.shape) if scalar else gb
+
+    return _finish("mul", a_data * b_data, (a, b), vjp)
+
+
+def silu(x: Tensor) -> Tensor:
+    """x * sigmoid(x) (the gate activation used throughout the model)."""
+    s = _sigmoid(x.data)
+    x_data = x.data
+
+    def vjp(g):
+        return (g * (s + x_data * s * (1.0 - s)),)
+
+    return _finish("silu", x_data * s, (x,), vjp)
 
 
 def reference_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -403,6 +428,86 @@ def reference_sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
     return out
+
+
+# --- grouped dispatch as a copy of the routed rows plus a swiglu that keeps
+# every group's activations: the expert path that swiglu's own row gather
+# and sigmoid-only tape replaced, kept as its oracle ---------------------------
+
+
+def dispatch_rows(x: Tensor, slots: np.ndarray) -> Tensor:
+    """Copy row t of x[T, ...] to rows slots[t, 0], ..., slots[t, K-1] of a
+    [T * K, ...] result; slots is [T, K] and holds every row index once.
+
+    The adjoint sums each token's K copies in slot order, with no scatter-add.
+    """
+    slots = np.asarray(slots, dtype=np.intp)
+    t = x.data.shape[0]
+    if slots.ndim != 2 or slots.shape[0] != t:
+        raise ShapeError(f"slots must be [{t}, K], got {slots.shape}")
+    _check_distinct(slots, slots.size, "slots")
+    out = np.empty((slots.size,) + x.data.shape[1:], dtype=x.data.dtype)
+    out[slots] = x.data[:, None]
+
+    def vjp(g):
+        return (g[slots].sum(axis=1),)
+
+    return _finish("dispatch_rows", out, (x,), vjp)
+
+
+def reference_swiglu(x: Tensor, experts: list, bounds) -> Tensor:
+    """Gated feed-forward nets down(silu(gate(x)) * up(x)), one per group of rows.
+
+    experts[i] is (w_gate [hidden, D], w_up [hidden, D], w_down [D, hidden])
+    and applies to rows bounds[i]:bounds[i+1] of x[R, D], bounds running
+    from 0 to R. An empty group is skipped, and its weights get no gradient.
+    Each product is by a contiguous transposed copy of the weight, so a row
+    comes out bit for bit the same whatever else shares the call. While a
+    graph records, each group keeps gate(x), its sigmoid and up(x), and the
+    vjp rebuilds the gated product from them by the forward's ops.
+    """
+    r, d = x.data.shape
+    bounds = [int(b) for b in bounds]
+    if (len(bounds) != len(experts) + 1 or bounds[0] != 0 or bounds[-1] != r
+            or any(a > b for a, b in zip(bounds, bounds[1:]))):
+        raise ShapeError(f"bounds must ascend from 0 to {r}, one group per expert")
+    weights = [tuple(_as_operand(w, x) for w in ws) for ws in experts]
+    for w_gate, w_up, w_down in weights:
+        h = w_gate.shape[0]
+        if w_gate.shape != (h, d) or w_up.shape != (h, d) or w_down.shape != (d, h):
+            raise ShapeError(f"swiglu weights {w_gate.shape}, {w_up.shape}, {w_down.shape} "
+                             f"do not fit rows of width {d}")
+    inputs = (x, *(w for ws in weights for w in ws))
+    keep = _recording(inputs) is not None
+    out = np.empty_like(x.data)
+    saved = []
+    for i, (w_gate, w_up, w_down) in enumerate(weights):
+        a, b = bounds[i], bounds[i + 1]
+        if a == b:
+            continue
+        rows = x.data[a:b]
+        pre = rows @ w_gate.data.T.copy()
+        s = _sigmoid(pre)
+        up = rows @ w_up.data.T.copy()
+        out[a:b] = (pre * s * up) @ w_down.data.T.copy()
+        if keep:
+            saved.append((a, b, i, pre, s, up))
+
+    def vjp(g):
+        gx = np.empty_like(x.data)
+        grads = [None] * (3 * len(weights))
+        for a, b, i, pre, s, up in saved:
+            w_gate, w_up, w_down = weights[i]
+            rows, go = x.data[a:b], g[a:b]
+            gate = pre * s
+            g_hidden = go @ w_down.data
+            g_up = g_hidden * gate
+            g_pre = g_hidden * up * (s + pre * s * (1.0 - s))
+            gx[a:b] = g_pre @ w_gate.data + g_up @ w_up.data
+            grads[3 * i: 3 * i + 3] = g_pre.T @ rows, g_up.T @ rows, go.T @ (gate * up)
+        return (gx, *grads)
+
+    return _finish("swiglu", out, inputs, vjp)
 
 
 # --- the per-expert, per-row training path that grouped dispatch, linear and
@@ -471,9 +576,9 @@ def row_scale(x: Tensor, s: Tensor) -> Tensor:
 
 def reference_expert_ffn(x: Tensor, ffn) -> Tensor:
     """Apply one gated FFN to x[T, D]."""
-    gate = T.silu(matmul(x, transpose(ffn.w_gate)))
+    gate = silu(matmul(x, transpose(ffn.w_gate)))
     up = matmul(x, transpose(ffn.w_up))
-    return matmul(T.mul(gate, up), transpose(ffn.w_down))
+    return matmul(mul(gate, up), transpose(ffn.w_down))
 
 
 def reference_moe_forward(u_norm: Tensor, params, routing) -> Tensor:
@@ -507,13 +612,13 @@ def reference_balance_loss(per_layer_routings: list) -> tuple:
         f_layers.append(f)
         ones = T.constant(np.full((1, total), 1.0 / total), scores.dtype)
         r_mean = matmul(ones, scores)  # [1, N]
-        weighted = T.mul(r_mean, T.constant(f[None, :], scores.dtype))
-        terms.append(T.mul(sum_all(weighted), float(n)))
+        weighted = mul(r_mean, T.constant(f[None, :], scores.dtype))
+        terms.append(mul(sum_all(weighted), float(n)))
     acc = terms[0]
     for term in terms[1:]:
         acc = T.add(acc, term)
     mean_f = np.mean(np.stack(f_layers), axis=0)
-    return T.mul(acc, 1.0 / len(terms)), mean_f
+    return mul(acc, 1.0 / len(terms)), mean_f
 
 
 def masked_head_loss(pred: Tensor, targets: np.ndarray, valid: np.ndarray,
@@ -522,7 +627,7 @@ def masked_head_loss(pred: Tensor, targets: np.ndarray, valid: np.ndarray,
     horizon = pred.shape[1]
     cells = valid[:, None] & np.ones((1, horizon), dtype=bool)
     elementwise = T.huber(pred, T.constant(targets, pred.dtype), delta)
-    masked = T.mul(elementwise, T.constant(cells.astype(pred.data.dtype), pred.dtype))
+    masked = mul(elementwise, T.constant(cells.astype(pred.data.dtype), pred.dtype))
     return sum_all(masked), int(cells.sum())
 
 
@@ -556,13 +661,13 @@ def reference_batch_loss(model, batch, config) -> tuple:
         for layer, routing in enumerate(result.routing):
             layer_routings[layer].append(routing)
 
-    parts = [T.mul(s, 1.0 / c) for s, c in zip(sums, counts) if s is not None and c]
+    parts = [mul(s, 1.0 / c) for s, c in zip(sums, counts) if s is not None and c]
     if not parts:
         raise TrainingError("degenerate batch: every position is masked for every head")
     acc = parts[0]
     for part in parts[1:]:
         acc = T.add(acc, part)
-    loss_ar = T.mul(acc, 1.0 / len(parts))
+    loss_ar = mul(acc, 1.0 / len(parts))
 
     info = {"loss_ar": float(loss_ar.data)}
     loss = loss_ar
@@ -572,7 +677,7 @@ def reference_batch_loss(model, batch, config) -> tuple:
         info["f_min"] = float(mean_f.min())
         info["f_max"] = float(mean_f.max())
         if config.alpha > 0:
-            loss = T.add(loss_ar, T.mul(balance, config.alpha))
+            loss = T.add(loss_ar, mul(balance, config.alpha))
     else:
         info["loss_aux"] = 0.0
         info["f_min"] = None

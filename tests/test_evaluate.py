@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,47 @@ def test_eval_spec_validation():
 def test_eval_spec_rejects_non_int_horizons_and_contexts(field, doc):
     with pytest.raises(ConfigError, match=f"EvalSpec: {field} must hold ints"):
         EvalSpec.from_dict({"dataset": "x", **doc})
+
+
+def test_eval_model_holds_one_copy_of_the_dataset_while_it_forecasts(tmp_path):
+    # The raw array goes once it is standardized, and the standardizer
+    # divides in place: one ETTh1-shaped dataset is alive during the
+    # forecasts (two before), and three copies are never alive at once.
+    rows, channels = sum(BENCHMARK_SPLITS["etth1"]), 7
+    path = tmp_path / "etth1.csv"
+    values = np.random.default_rng(4).normal(loc=3.0, scale=5.0, size=(rows, channels))
+    write_csv(path, values, [f"ch{c}" for c in range(channels)])
+    dataset_bytes = values.nbytes
+    del values
+
+    class Probe(LastValueBaseline):
+        held = None
+
+        def forecast(self, context, h):
+            if self.held is None:
+                self.held = tracemalloc.get_traced_memory()[0]
+            return super().forecast(context, h)
+
+    probe = Probe()
+    spec = EvalSpec(dataset=str(path), horizons=(96,), contexts=(512,),
+                    splits=BENCHMARK_SPLITS["etth1"], stride=2786)
+    tracemalloc.start()
+    try:
+        eval_model(probe, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert probe.held < 1.25 * dataset_bytes, \
+        f"{probe.held / 1e6:.2f} MB held, dataset {dataset_bytes / 1e6:.2f} MB"
+    assert peak < 2.5 * dataset_bytes, f"peak {peak / 1e6:.2f} MB, dataset {dataset_bytes / 1e6:.2f} MB"
+
+
+def test_standardizer_transform_matches_one_expression_bitwise():
+    rng = np.random.default_rng(9)
+    train = rng.normal(loc=3.0, scale=5.0, size=(500, 7))
+    scaler = Standardizer.fit(train)
+    other = rng.normal(loc=2.0, scale=4.0, size=(300, 7))
+    assert scaler.transform(other).tobytes() == ((other - scaler.mean) / scaler.std).tobytes()
 
 
 def test_eval_model_records_model_metadata(tmp_path):

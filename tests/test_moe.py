@@ -8,7 +8,7 @@ from sparsecast import tensor as T
 from sparsecast.moe import ExpertFFN, MoeParams, expert_ffn, load_stats, moe_forward, route_topk
 from sparsecast.tensor import Graph, Tensor
 
-from helpers import reference_moe_forward, sum_all
+from helpers import mul, reference_moe_forward, sum_all
 
 
 def make_moe_params(rng, d_model=8, n_experts=4, d_expert=16, dtype=np.float64):
@@ -160,15 +160,15 @@ def test_unselected_experts_not_evaluated(monkeypatch):
     calls = []
     original = T.swiglu
 
-    def counting(x, experts, bounds):
+    def counting(x, experts, bounds, slots):
         calls.append([(id(w_gate), b - a)
                       for (w_gate, _, _), a, b in zip(experts, bounds[:-1], bounds[1:])])
-        return original(x, experts, bounds)
+        return original(x, experts, bounds, slots)
 
     monkeypatch.setattr(T, "swiglu", counting)
     with Graph() as g:
         out = moe_forward(u, params, routing)
-        loss = sum_all(T.mul(out, T.constant(np.ones((16, 8)), np.float64)))
+        loss = sum_all(mul(out, T.constant(np.ones((16, 8)), np.float64)))
     g.backward(loss)
     shared_id = id(params.shared.w_gate)
     shared_calls = [c for c in calls if c[0][0] == shared_id]
@@ -219,7 +219,7 @@ def test_moe_gradients_match_per_expert_oracle():
             t.grad = None
         with Graph() as g:
             routing = route_topk(u, params, k=2)
-            loss = sum_all(T.mul(mixture(u, params, routing), weight))
+            loss = sum_all(mul(mixture(u, params, routing), weight))
         g.backward(loss)
         return {name: t.grad for name, t in leaves.items()}
 
@@ -288,7 +288,7 @@ def test_routing_gradients_flow_to_router():
 
     def forward():
         routing = route_topk(u, params, k=2)
-        return sum_all(T.mul(moe_forward(u, params, routing),
+        return sum_all(mul(moe_forward(u, params, routing),
                                T.constant(np.ones((6, 4)), np.float64)))
 
     check_against_fd(leaves, forward, h=1e-5, tol=1e-4)

@@ -1,24 +1,32 @@
 """Autodiff core: op semantics, stability, and gradient correctness."""
 
+import ast
 import math
 import tracemalloc
 import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsecast
+
 from helpers import (
     check_against_fd,
+    dispatch_rows,
     matmul,
     max_rel_err,
     mean_all,
+    mul,
     reference_attention,
     reference_gather_entries,
     reference_huber,
     reference_sigmoid,
+    reference_swiglu,
     reference_tiled_attention,
     row_scale,
+    silu,
     sum_all,
     transpose,
 )
@@ -34,18 +42,16 @@ from sparsecast.tensor import (
     combine_rows,
     concat_rows,
     constant,
-    dispatch_rows,
     gather_rows,
+    glu,
     huber,
     linear,
     masked_attention,
-    mul,
     reshape,
     rmsnorm,
     rope,
     rope_tables,
     sigmoid,
-    silu,
     slice_cols,
     softmax_lastdim,
     swiglu,
@@ -322,7 +328,13 @@ def test_dispatch_ops_reject_bad_indices():
         dispatch_rows(x, np.array([[0, 1], [1, 2], [3, 4]]))  # row 1 twice, row 5 never
     w = [tuple(Tensor(np.ones(shape, dtype=np.float32)) for shape in ((4, 2), (4, 2), (2, 4)))]
     with pytest.raises(ShapeError):
-        swiglu(x, w, [0, 2])  # groups must cover all three rows
+        swiglu(x, w, [0, 2], np.arange(3)[:, None])  # groups must cover all three rows
+    for slots in (np.array([[0, 1], [1, 2], [3, 4]]),  # row 1 twice, row 5 never
+                  np.array([[0, 1], [2, 3]]),  # one token short
+                  np.array([0, 1, 2]),  # no K axis
+                  np.array([[0, 1], [2, 3], [4, 6]])):  # row 6 of six
+        with pytest.raises(ShapeError):
+            swiglu(x, w + w, [0, 3, 6], slots)
     y = Tensor(np.ones((6, 2), dtype=np.float32))
     gates = Tensor(np.ones((3, 4), dtype=np.float32))
     with pytest.raises(ShapeError):
@@ -541,15 +553,35 @@ def _(rng):
 
 @op_case("swiglu")
 def _(rng):
-    # Three groups of rows 0:2, (empty), 2:5; the empty group's weights are
-    # never read, so they are constants here.
+    # Three tokens routed to two experts each: groups of grouped rows 0:2,
+    # (empty), 2:6; the empty group's weights are never read, so they are
+    # constants here.
+    leaves = _leafify(rng, {"x": (3, 4), "g0": (3, 4), "u0": (3, 4), "d0": (4, 3),
+                            "g2": (2, 4), "u2": (2, 4), "d2": (4, 2)})
+    idle = tuple(constant(_rand(rng, shape), np.float64) for shape in ((6, 4), (6, 4), (4, 6)))
+    slots = np.array([[4, 0], [2, 5], [1, 3]])
+    w = constant(_rand(rng, (6, 4)), np.float64)
+    experts = [tuple(leaves[n] for n in ("g0", "u0", "d0")), idle,
+               tuple(leaves[n] for n in ("g2", "u2", "d2"))]
+    return leaves, lambda: sum_all(mul(swiglu(leaves["x"], experts, [0, 2, 2, 6], slots), w))
+
+
+@op_case("reference_swiglu")
+def _(rng):
     leaves = _leafify(rng, {"x": (5, 4), "g0": (3, 4), "u0": (3, 4), "d0": (4, 3),
                             "g2": (2, 4), "u2": (2, 4), "d2": (4, 2)})
     idle = tuple(constant(_rand(rng, shape), np.float64) for shape in ((6, 4), (6, 4), (4, 6)))
     w = constant(_rand(rng, (5, 4)), np.float64)
     experts = [tuple(leaves[n] for n in ("g0", "u0", "d0")), idle,
                tuple(leaves[n] for n in ("g2", "u2", "d2"))]
-    return leaves, lambda: sum_all(mul(swiglu(leaves["x"], experts, [0, 2, 2, 5]), w))
+    return leaves, lambda: sum_all(mul(reference_swiglu(leaves["x"], experts, [0, 2, 2, 5]), w))
+
+
+@op_case("glu")
+def _(rng):
+    leaves = _leafify(rng, {"x": (5, 2), "w": (3, 2), "v": (3, 2)})
+    w = constant(_rand(rng, (5, 3)), np.float64)
+    return leaves, lambda: sum_all(mul(glu(leaves["x"], leaves["w"], leaves["v"]), w))
 
 
 @op_case("dispatch_rows")
@@ -738,7 +770,7 @@ def test_swiglu_outside_a_graph_keeps_no_group_workspace():
     group_bytes = rows // groups * hidden * 4
     tracemalloc.start()
     try:
-        out = swiglu(x, experts, range(0, rows + 1, rows // groups))
+        out = swiglu(x, experts, range(0, rows + 1, rows // groups), np.arange(rows)[:, None])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -746,6 +778,112 @@ def test_swiglu_outside_a_graph_keeps_no_group_workspace():
     # per group for a vjp would hold forty by the last group.
     assert peak - out.data.nbytes < 12 * group_bytes, \
         f"peak {peak / 1e6:.2f} MB, one group's array {group_bytes / 1e6:.2f} MB"
+
+
+def _routed(rng, tokens, experts, k, idle=()):
+    """(slots, bounds) of moe_forward's dispatch for random top-k picks that
+    leave the experts in idle unpicked."""
+    live = [e for e in range(experts) if e not in idle]
+    picks = np.sort([rng.choice(live, size=k, replace=False) for _ in range(tokens)], axis=1)
+    slots = np.empty(tokens * k, dtype=np.intp)
+    slots[np.argsort(picks.reshape(-1), kind="stable")] = np.arange(tokens * k)
+    counts = np.bincount(picks.reshape(-1), minlength=experts)
+    return slots.reshape(tokens, k), np.concatenate(([0], np.cumsum(counts)))
+
+
+def _swiglu_and_grads(kernel, x, experts, g):
+    x = Tensor(x.copy(), requires_grad=True)
+    weights = [tuple(Tensor(w.copy(), requires_grad=True) for w in ws) for ws in experts]
+    with Graph() as graph:
+        out = kernel(x, weights)
+        loss = sum_all(mul(out, constant(g, g.dtype)))
+    graph.backward(loss)
+    return [out.data, x.grad] + [w.grad for ws in weights for w in ws]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, idle, one_group", [(2, (), False), (2, (1,), False), (1, (), False),
+                                                (1, (0, 3), False), (1, (), True)],
+                         ids=["K2", "K2-idle", "K1", "K1-two-idle", "one-group"])
+def test_swiglu_matches_dispatch_rows_oracle_bitwise(dtype, k, idle, one_group):
+    # swiglu gathers each group's rows itself and rebuilds pre and up from
+    # the kept sigmoid: output, dx and every weight gradient equal those of
+    # dispatch_rows' copy fed to the swiglu that kept every activation.
+    rng = np.random.default_rng([k, len(idle), one_group])
+    tokens, d, hidden, experts = 300, 16, 24, 4
+    if one_group:
+        idle = (0, 1, 3)
+    slots, bounds = _routed(rng, tokens, experts, k, idle)
+    x, g = (rng.normal(size=shape).astype(dtype) for shape in ((tokens, d), (tokens * k, d)))
+    weights = [tuple(rng.normal(scale=0.3, size=shape).astype(dtype)
+                     for shape in ((hidden, d), (hidden, d), (d, hidden)))
+               for _ in range(experts)]
+    got = _swiglu_and_grads(lambda x, ws: swiglu(x, ws, bounds, slots), x, weights, g)
+    want = _swiglu_and_grads(lambda x, ws: reference_swiglu(dispatch_rows(x, slots), ws, bounds),
+                             x, weights, g)
+    names = ["out", "dx"] + [f"{n}{e}" for e in range(experts) for n in ("d_gate", "d_up", "d_down")]
+    for name, a, b in zip(names, got, want):
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.dtype == dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert sum(a is None for a in got) == 3 * len(idle)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("x_grad", [False, True])
+def test_glu_matches_silu_mul_of_linears_bitwise(dtype, n, x_grad):
+    # One op against the embedding's old four: output and the weight
+    # gradients bit for bit, with a constant x (the data) or a leaf x.
+    rng = np.random.default_rng([n, x_grad])
+    x, w, v, g = (rng.normal(size=shape).astype(dtype) for shape in ((700, 1), (n, 1), (n, 1),
+                                                                     (700, n)))
+    runs = []
+    for fn in (glu, lambda x, w, v: mul(silu(linear(x, w)), linear(x, v))):
+        leaves = [Tensor(x.copy(), requires_grad=x_grad)] + [Tensor(a.copy(), requires_grad=True)
+                                                             for a in (w, v)]
+        with Graph() as graph:
+            out = fn(*leaves)
+            loss = sum_all(mul(out, constant(g, g.dtype)))
+        graph.backward(loss)
+        runs.append([out.data] + [leaf.grad for leaf in leaves])
+    for name, a, b in zip(("out", "dx", "dw", "dv"), *runs):
+        if not x_grad and name == "dx":
+            assert a is None and b is None
+            continue
+        assert a.dtype == dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_recorded_gated_ops_keep_only_their_sigmoid():
+    # While a graph records, swiglu keeps each group's sigmoid and glu its
+    # one sigmoid; no group's pre-activation or up projection, and no copy
+    # of the routed rows, outlives the forward.
+    rng = np.random.default_rng(5)
+    tokens, d, hidden, experts, k = 2048, 16, 32, 4, 2
+    slots, bounds = _routed(rng, tokens, experts, k)
+    x = Tensor(rng.normal(size=(tokens, d)).astype(np.float32), requires_grad=True)
+    weights = [tuple(Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+                     for shape in ((hidden, d), (hidden, d), (d, hidden)))
+               for _ in range(experts)]
+    points = Tensor(rng.normal(size=(tokens, 1)).astype(np.float32))
+    w, v = (Tensor(rng.normal(size=(hidden, 1)).astype(np.float32), requires_grad=True)
+            for _ in range(2))
+    for run, sigmoid_bytes in ((lambda: swiglu(x, weights, bounds, slots), tokens * k * hidden * 4),
+                               (lambda: glu(points, w, v), tokens * hidden * 4)):
+        tracemalloc.start()
+        try:
+            with Graph() as graph:  # the tape lives as long as graph
+                out = run()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = held - out.data.nbytes
+        # pre, s and up per group would be three times the sigmoids.
+        assert sigmoid_bytes <= kept < 1.25 * sigmoid_bytes, \
+            f"{kept / 1e6:.3f} MB kept, sigmoids {sigmoid_bytes / 1e6:.3f} MB"
 
 
 def test_inference_attention_holds_one_tile_workspace():
@@ -931,3 +1069,28 @@ def test_independent_graphs_on_separate_threads():
         t.join()
     for seed, grad in results.items():
         np.testing.assert_allclose(grad, np.full(4, 2.0 * seed))
+
+
+# --- package hygiene -----------------------------------------------------------------
+
+
+def test_every_public_tensor_op_has_a_caller_in_src():
+    # Ops that only tests use live in tests/helpers.py: every public function
+    # or class of sparsecast.tensor is reached from another module of the
+    # package, as T.<name> or through `from .tensor import`.
+    package = Path(sparsecast.__file__).parent
+    tree = ast.parse((package / "tensor.py").read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    reached = set()
+    for path in package.glob("*.py"):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "T":
+                reached.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "tensor":
+                reached.update(alias.name for alias in node.names)
+    assert len(public) > 15
+    assert sorted(public - reached) == []

@@ -459,9 +459,11 @@ def benchmark_model_and_batch(tmp_path):
 
 def test_step_tape_per_op_counts_at_benchmark_model(tmp_path, monkeypatch):
     """One batch_loss at the benchmark model and batch shape (4 x 256): each
-    weight product is one linear node, each loss term (four heads, two
-    balance layers) one weighted_sum, the only mul is the embedding's, and
-    no matmul, transpose, row_scale or bias add is recorded."""
+    weight product outside the embedding and the experts is one linear node,
+    each loss term (four heads, two balance layers) one weighted_sum, the
+    embedding one glu and each layer's routed and shared experts one swiglu
+    each, and no matmul, mul, silu, dispatch_rows, transpose, row_scale or
+    bias add is recorded."""
     model, batch = benchmark_model_and_batch(tmp_path)
     # A node is (key, input refs, vjp) and holds no operand, so each add's
     # operand shapes are logged as it is called.
@@ -471,9 +473,10 @@ def test_step_tape_per_op_counts_at_benchmark_model(tmp_path, monkeypatch):
         batch_loss(model, batch, TrainConfig(batch=4, context=256))
     nodes = graph._nodes
     ops = Counter(vjp.__qualname__.split(".")[0] for _, _, vjp in nodes)
-    assert len(nodes) == 74
-    assert ops["linear"] == 16 and ops["weighted_sum"] == 6
-    assert ops["matmul"] == 0 and ops["mul"] == 1
+    assert len(nodes) == 69
+    assert ops["linear"] == 14 and ops["weighted_sum"] == 6
+    assert ops["glu"] == 1 and ops["swiglu"] == 4
+    assert ops["matmul"] == ops["mul"] == ops["silu"] == ops["dispatch_rows"] == 0
     assert ops["transpose"] == ops["row_scale"] == 0
     assert len(adds) == ops["add"]
     assert adds and all(b.shape in (a.shape, ()) for a, b in adds)
@@ -510,11 +513,27 @@ def test_benchmark_step_peaks_under_9_5_mb(tmp_path):
     assert peak < 9.5e6, f"train_step peaked at {peak / 1e6:.2f} MB"
 
 
+def test_benchmark_step_peaks_under_7_mb(tmp_path):
+    # swiglu gathers its own rows and keeps only each group's sigmoid, and
+    # the embedding is one glu that keeps only its sigmoid (8.9 MB when the
+    # tape kept the routed-row copy and every group's pre and up).
+    model, batch = benchmark_model_and_batch(tmp_path)
+    config = TrainConfig(batch=4, context=256)
+    optimizer = AdamW(model, config)
+    tracemalloc.start()
+    try:
+        train_step(model, optimizer, batch, config, config.lr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7e6, f"train_step peaked at {peak / 1e6:.2f} MB"
+
+
 def test_batch_loss_frees_every_output_no_vjp_reads_before_backward(tmp_path, monkeypatch):
-    """Of a step's 16 linear outputs only those a vjp reads outlive the
-    forward: the embedding's two (silu and mul read them) and each layer's
-    value projection (attention reads it). The q, k and wo projections, the
-    routers and the heads are gone, and so are the heads' Huber values."""
+    """Of a step's 14 linear outputs only those a vjp reads outlive the
+    forward: each layer's value projection (attention reads it). The q, k
+    and wo projections, the routers and the heads are gone, and so are the
+    heads' Huber values. The embedding is one glu op, with no linear."""
     model, batch = benchmark_model_and_batch(tmp_path)
     refs = {"linear": [], "huber": []}
     for name in refs:
@@ -527,9 +546,9 @@ def test_batch_loss_frees_every_output_no_vjp_reads_before_backward(tmp_path, mo
         loss, _ = batch_loss(model, batch, TrainConfig(batch=4, context=256))
     alive = {name: [i for i, ref in enumerate(found) if ref() is not None]
              for name, found in refs.items()}
-    # Calls in order: embedding (2), then per layer q, k, v, wo, router, then the heads.
-    assert [len(refs["linear"]), len(refs["huber"])] == [16, 4]
-    assert alive == {"linear": [0, 1, 4, 9], "huber": []}
+    # Calls in order: per layer q, k, v, wo, router, then the heads.
+    assert [len(refs["linear"]), len(refs["huber"])] == [14, 4]
+    assert alive == {"linear": [2, 7], "huber": []}
     graph.backward(loss)
     assert all(p.grad is not None for p in model.params.heads)
 
@@ -703,6 +722,37 @@ def test_truncated_checkpoint_is_checkpoint_error_at_every_offset(tmp_path):
             load_checkpoint(cut)
     cut.write_bytes(blob)
     assert load_checkpoint(cut)[2] == 3
+
+
+def test_flipped_checkpoint_byte_is_checkpoint_error_at_every_offset(tmp_path):
+    # A CRC32 follows every block and each declared length is checked
+    # against the bytes left before it is read, so no flip loads with
+    # changed weights or ends in a MemoryError or a decode error.
+    model = Forecaster.init(toy_config(num_experts=1, top_k=1, d_model=4, d_expert=2,
+                                       head_horizons=(1, 2)), seed=16)
+    opt = AdamW(model, toy_train())
+    path = tmp_path / "small.ckpt"
+    save_checkpoint(path, model, opt, step=3)
+    blob = path.read_bytes()
+    bad = tmp_path / "flipped.ckpt"
+    for offset in range(len(blob)):
+        flipped = bytearray(blob)
+        flipped[offset] ^= 1 << offset % 8  # every bit position, over the offsets
+        bad.write_bytes(flipped)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
+    bad.write_bytes(blob + b"\x00")
+    with pytest.raises(CheckpointError, match="unexpected bytes"):
+        load_checkpoint(bad)
+
+
+def test_version_1_checkpoint_is_unsupported(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, Forecaster.init(toy_config(), seed=19))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
 
 
 def test_failed_save_keeps_the_old_checkpoint(tmp_path, monkeypatch):
