@@ -292,8 +292,9 @@ def segment_bounds(seq_ids: np.ndarray) -> np.ndarray:
         raise DataError(f"sequence ids must be a non-empty 1-D array, got shape {ids.shape}")
     starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
     bounds = np.concatenate(([0], starts, [len(ids)]))
-    run_ids = ids[bounds[:-1]]
-    if len(np.unique(run_ids)) != len(run_ids):
+    # Sorted, a repeated run id sits next to itself (np.unique would import numpy.ma).
+    run_ids = np.sort(ids[bounds[:-1]])
+    if np.any(run_ids[1:] == run_ids[:-1]):
         raise DataError("sequence ids must form contiguous runs; an id reappears after another")
     return bounds
 

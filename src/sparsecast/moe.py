@@ -6,17 +6,18 @@ and every other expert is skipped entirely. A single shared expert processes
 all tokens, weighted by a per-token sigmoid gate read from row N of the
 router matrix. Ties in the top-K are broken toward the lower expert index.
 
-Dispatch is dropless and expert-sorted: each token's K picks are sorted
-ascending and the (token, pick) pairs are stable-sorted by expert into a
-slot table. One swiglu op takes the token rows and that table, gathers
-each expert's group of rows itself and runs every selected expert on its
-group; while a graph records it keeps only each group's sigmoid, and no
-routed copy of the rows. One combine op scales the shared expert's output
-by its gate and adds each token's K gated rows to it in ascending expert
-order. No expert capacity, no dropped tokens, and the tape holds the same
-few nodes whatever the number of experts. The router is one linear node;
-the gates are a constant read off the scores, since the combine op takes
-its gradient through the scores themselves.
+The shared expert is expert N, which every token selects. The router is one
+linear node and one router_scores node, whose [T, N+1] scores hold the
+routed softmax in columns 0..N-1 and the shared gate in column N. Dispatch
+is dropless and expert-sorted: each token's experts (the shared one, then
+its K picks ascending) are stable-sorted by expert into a slot table. One
+swiglu op takes the token rows and that table, gathers each expert's group
+of rows itself and runs every selected expert on its group; while a graph
+records it keeps only each group's sigmoid, and no routed copy of the rows.
+One combine op adds each token's K + 1 gated rows, the shared expert's
+first. No expert capacity, no dropped tokens, and four tape nodes whatever
+the number of experts. The gates are a constant read off the scores, since
+the combine op takes its gradient through the scores themselves.
 """
 
 from __future__ import annotations
@@ -66,16 +67,16 @@ class MoeParams:
 class RouterOutput:
     """Routing decisions and load statistics for one token batch.
 
-    scores: [T, N] row-stochastic softmax; gates: [T, N] constant, equal to
-    scores on the selected experts and zero elsewhere; selected: [T, K]
-    expert indices; shared_gate: [T] in (0, 1); f/r: per-expert selection
-    fraction and mean score, each summing to 1.
+    scores: [T, N+1], a row-stochastic softmax over the routed experts in
+    columns 0..N-1 and the shared expert's gate, in (0, 1), in column N;
+    gates: [T, N] constant, equal to scores on the selected experts and
+    zero elsewhere; selected: [T, K] expert indices; f/r: per-expert
+    selection fraction and mean score, each summing to 1.
     """
 
     scores: Tensor
     gates: Tensor
     selected: np.ndarray
-    shared_gate: Tensor
     f: np.ndarray
     r: np.ndarray
 
@@ -94,20 +95,18 @@ def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def route_topk(u_norm: Tensor, params: MoeParams, k: int) -> RouterOutput:
-    """Score all routed experts for each token of u_norm[T, D] and keep the top K."""
+    """Score all experts for each token of u_norm[T, D] and keep the top K routed ones."""
     n = params.num_experts
     if not 1 <= k <= n:
         raise ValueError(f"top-k must satisfy 1 <= K <= {n}, got {k}")
-    logits = T.linear(u_norm, params.router)  # [T, N+1]
-    scores = T.softmax_lastdim(T.slice_cols(logits, 0, n))
-    shared_gate = T.reshape(T.sigmoid(T.slice_cols(logits, n, n + 1)), (u_norm.shape[0],))
-    selected = topk_indices(scores.data, k)
-    mask = np.zeros_like(scores.data)
+    scores = T.router_scores(T.linear(u_norm, params.router))  # [T, N+1]
+    routed = scores.data[:, :n]
+    selected = topk_indices(routed, k)
+    mask = np.zeros_like(routed)
     np.put_along_axis(mask, selected, 1.0, axis=-1)
-    gates = T.constant(scores.data * mask, scores.dtype)
-    f, r = load_stats(selected, scores.data, k)
-    return RouterOutput(scores=scores, gates=gates, selected=selected,
-                        shared_gate=shared_gate, f=f, r=r)
+    gates = T.constant(routed * mask, scores.dtype)
+    f, r = load_stats(selected, routed, k)
+    return RouterOutput(scores=scores, gates=gates, selected=selected, f=f, r=r)
 
 
 def load_stats(selected: np.ndarray, scores: np.ndarray, k: int) -> tuple:
@@ -126,18 +125,20 @@ def moe_forward(u_norm: Tensor, params: MoeParams, routing: RouterOutput) -> Ten
     """Gated sum of the shared expert and each token's selected routed experts.
 
     Experts that no token selected are never evaluated and get no gradient;
-    each token touches exactly K + 1 expert FFNs, and its output equals
-    adding the K gated expert rows one expert at a time, lowest index first.
+    each token touches exactly K + 1 expert FFNs, and its output adds its
+    gated rows one at a time: the shared expert's, then lowest index first.
     """
     t, k = routing.selected.shape
-    picks = np.sort(routing.selected, axis=1)
-    # slots[t, j]: the grouped row of token t's j-th pick; a stable sort by
+    n = params.num_experts
+    # cols[t]: token t's experts, the shared expert N first, then its picks.
+    cols = np.concatenate((np.full((t, 1), n), np.sort(routing.selected, axis=1)), axis=1)
+    # slots[t, j]: the grouped row of token t's j-th expert; a stable sort by
     # expert keeps each group's tokens ascending.
-    slots = np.empty(t * k, dtype=np.intp)
-    slots[np.argsort(picks.reshape(-1), kind="stable")] = np.arange(t * k)
-    slots = slots.reshape(t, k)
-    counts = np.bincount(picks.reshape(-1), minlength=params.num_experts)
-    grouped = T.swiglu(u_norm, [(e.w_gate, e.w_up, e.w_down) for e in params.experts],
+    slots = np.empty(cols.size, dtype=np.intp)
+    slots[np.argsort(cols.reshape(-1), kind="stable")] = np.arange(cols.size)
+    slots = slots.reshape(cols.shape)
+    counts = np.bincount(cols.reshape(-1), minlength=n + 1)
+    grouped = T.swiglu(u_norm, [(e.w_gate, e.w_up, e.w_down)
+                                for e in params.experts + [params.shared]],
                        np.concatenate(([0], np.cumsum(counts))), slots)
-    return T.combine_rows(expert_ffn(u_norm, params.shared), routing.shared_gate, grouped,
-                          routing.scores, slots, picks)
+    return T.combine_rows(grouped, routing.scores, slots, cols)

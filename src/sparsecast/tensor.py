@@ -2,10 +2,11 @@
 
 The op set is exactly what the forecaster's math needs: linear, explicit
 elementwise addition, reshape, constant-weighted sums (the loss terms), the
-sigmoid, row-stochastic softmax, the Huber loss, fused
-norm/rotation/attention kernels and two gated units (glu for the point
-embedding, swiglu for the experts) with analytic adjoints, and the row
-gathers, slices and permutations behind sparse expert dispatch. Ops are
+router's scores (a softmax over the routed experts plus the shared
+expert's sigmoid), the Huber loss, fused norm/rotation/attention kernels
+and two gated units (glu for the point embedding, swiglu for the experts)
+with analytic adjoints, and the row gathers and permutations behind sparse
+expert dispatch. Ops are
 plain functions, with no operator overloading on Tensor, and Graph.backward
 is the one way to backpropagate.
 
@@ -46,10 +47,11 @@ workspace at a time. The same kernel serves cached decoding, where keys
 and values run longer than the queries by a cached prefix.
 
 Expert dispatch is dropless and expert-sorted: swiglu takes the token rows
-and a slot table that lays each token out once per routed expert in
+and a slot table that lays each token out once per expert it selects in
 expert-contiguous groups, gathers each group's rows itself and runs every
-group's gated FFN in one op, and combine_rows scales the shared expert's
-rows by their gate and adds the gated expert rows back to their tokens.
+group's gated FFN in one op, and combine_rows adds each token's rows back,
+each scaled by its column of the router scores. The shared expert is one
+more group, which every token selects.
 
 Shape discipline is strict: elementwise ops accept equal shapes or a
 scalar, nothing else. Anything fancier (biases, per-row scaling, column
@@ -284,6 +286,10 @@ def add(a: Tensor, b) -> Tensor:
 # forward product: OpenBLAS rounds a narrower product (or numpy's gemv for
 # one row) differently with the row count and a row's place in the call.
 _NARROW = 16
+# Up to this many output rows the x-gradient is g @ w, which OpenBLAS rounds
+# per row alike at any row count, where g @ (transposed copy).T does not;
+# wider weights keep the latter, whose bits the tests pin at 48 rows.
+_GRAD_BY_W = 32
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -291,10 +297,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     The product is by a contiguous transposed copy of w, never by the
     transposed view, and a w of fewer than _NARROW rows is zero-padded to
-    _NARROW rows and its product sliced back, while its x-gradient is
-    g @ w: on OpenBLAS those are the forms whose rows come out the same
-    whatever the row count, and packed rows must compute what they compute
-    alone.
+    _NARROW rows and its product sliced back, while the x-gradient of a w
+    of up to _GRAD_BY_W rows is g @ w: on OpenBLAS those are the forms
+    whose rows come out the same whatever the row count, and packed rows
+    must compute what they compute alone.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear needs x [m, k] and w [n, k], got {x.shape} and {w.shape}")
@@ -305,11 +311,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         wt = np.zeros((w_data.shape[1], _NARROW), dtype=w_data.dtype)
         wt[:, :n] = w_data.T
         out = np.ascontiguousarray((x_data @ wt)[:, :n])
-        w_back = w_data
     else:
         wt = w_data.T.copy()
         out = x_data @ wt
-        w_back = wt.T
+    w_back = w_data if n <= _GRAD_BY_W else wt.T
     if b is None:
         inputs = (x, w)
     else:
@@ -361,15 +366,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
-
-    def vjp(g):
-        return (g * s * (1.0 - s),)
-
-    return _finish("sigmoid", s, (x,), vjp)
-
-
 def _gated_hidden(rows: np.ndarray, wgt: np.ndarray, wut: np.ndarray, s=None) -> tuple:
     """(pre, s, up) of a gated unit silu(pre) * up: pre = rows @ wgt, its
     sigmoid s, and up = rows @ wut, by contiguous transposed weight copies.
@@ -412,22 +408,27 @@ def glu(x: Tensor, w: Tensor, v: Tensor) -> Tensor:
     return _finish("glu", pre * s * up, (x, w, v), vjp)
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Row-stochastic softmax over the last dimension, with max-subtraction."""
-    if x.data.shape[-1] < 1:
-        raise ShapeError("softmax over an empty dimension")
-    if not np.all(np.isfinite(np.nan_to_num(x.data, nan=np.nan, posinf=np.nan, neginf=0.0))):
-        # -inf entries are legal (masking); NaN/+inf are not.
-        raise NumericError("softmax input contains NaN or +inf")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+def router_scores(logits: Tensor) -> Tensor:
+    """[T, N+1] router scores from logits [T, N+1]: the max-subtracted
+    softmax over the N routed logits in columns 0..N-1, and the sigmoid of
+    the shared expert's logit in column N."""
+    if logits.data.ndim != 2 or logits.shape[1] < 2:
+        raise ShapeError(f"router_scores needs logits [T, N+1] with N >= 1, got {logits.shape}")
+    z = logits.data
+    n = z.shape[1] - 1
+    e = np.exp(z[:, :n] - z[:, :n].max(axis=-1, keepdims=True))
+    y = np.empty_like(z)
+    np.divide(e, e.sum(axis=-1, keepdims=True), out=y[:, :n])
+    y[:, n] = _sigmoid(z[:, n])
 
     def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        routed, s = y[:, :n], y[:, n]
+        gz = np.empty_like(g)
+        gz[:, :n] = routed * (g[:, :n] - (g[:, :n] * routed).sum(axis=-1, keepdims=True))
+        gz[:, n] = g[:, n] * s * (1.0 - s)
+        return (gz,)
 
-    return _finish("softmax", y, (x,), vjp)
+    return _finish("router_scores", y, (logits,), vjp)
 
 
 def huber(pred: Tensor, target, delta: float) -> Tensor:
@@ -670,6 +671,12 @@ def _check_distinct(rows: np.ndarray, size: int, what: str) -> None:
         raise ShapeError(f"{what} must be distinct indices into {size} rows")
 
 
+def _check_distinct_per_row(a: np.ndarray, what: str) -> None:
+    """Each row of a 2-D integer array must hold distinct values."""
+    if np.any(np.diff(np.sort(a, axis=1), axis=1) == 0):
+        raise ShapeError(f"each row of {what} must be distinct")
+
+
 def swiglu(x: Tensor, experts: list, bounds, slots: np.ndarray) -> Tensor:
     """Gated feed-forward nets down(silu(gate(r)) * up(r)), one per group of
     the grouped rows r that slots lays out from x.
@@ -677,15 +684,16 @@ def swiglu(x: Tensor, experts: list, bounds, slots: np.ndarray) -> Tensor:
     slots is [T, K] and holds every grouped row index once: token t of
     x[T, D] is grouped rows slots[t, 0], ..., slots[t, K-1]. experts[i] is
     (w_gate [hidden, D], w_up [hidden, D], w_down [D, hidden]) and applies
-    to grouped rows bounds[i]:bounds[i+1], bounds running from 0 to T * K;
-    the result is [T * K, D] in grouped order. Each group gathers its own
-    rows of x, in the forward and again in the vjp, so no grouped copy of x
-    is made or kept, and the vjp sums each token's K row gradients in slot
-    order. An empty group is skipped, and its weights get no gradient. Each
-    product is by a contiguous transposed copy of the weight, so a row comes
-    out bit for bit the same whatever else shares the call. While a graph
-    records, each group keeps only its sigmoid, and the vjp rebuilds the two
-    products from the same rows and the same weight copies.
+    to grouped rows bounds[i]:bounds[i+1], bounds running from 0 to T * K,
+    a token's K rows in K distinct groups; the result is [T * K, D] in
+    grouped order. Each group gathers its own rows of x, in the forward and
+    again in the vjp, which adds them straight into x's gradient, so no
+    grouped copy of x is made or kept and a token's K row gradients are
+    summed in group order. An empty group is skipped, and its weights get
+    no gradient. Each product is by a contiguous transposed copy of the
+    weight, so a row comes out bit for bit the same whatever else shares
+    the call. While a graph records, each group keeps only its sigmoid, and
+    the vjp rebuilds the two products from the same rows and weight copies.
     """
     slots = np.asarray(slots, dtype=np.intp)
     t, d = x.data.shape
@@ -697,6 +705,8 @@ def swiglu(x: Tensor, experts: list, bounds, slots: np.ndarray) -> Tensor:
     if (len(bounds) != len(experts) + 1 or bounds[0] != 0 or bounds[-1] != r
             or any(a > b for a, b in zip(bounds, bounds[1:]))):
         raise ShapeError(f"bounds must ascend from 0 to {r}, one group per expert")
+    _check_distinct_per_row(np.repeat(np.arange(len(experts)), np.diff(bounds))[slots],
+                            "the groups of slots")
     weights = [tuple(_as_operand(w, x) for w in ws) for ws in experts]
     for w_gate, w_up, w_down in weights:
         h = w_gate.shape[0]
@@ -722,47 +732,44 @@ def swiglu(x: Tensor, experts: list, bounds, slots: np.ndarray) -> Tensor:
             saved.append((a, b, i, wgt, wut, s))
 
     def vjp(g):
-        g_rows = np.empty((r, d), dtype=g.dtype)
+        # A group's tokens are distinct, so each adds its row gradients
+        # straight into theirs, and a token's sum runs in group order.
+        gx = np.zeros_like(x_data)
         grads = [None] * (3 * len(weights))
         for a, b, i, wgt, wut, s in saved:
             w_gate, w_up, w_down = weights[i]
-            rows, go = x_data[order[a:b]], g[a:b]
+            tokens = order[a:b]
+            rows, go = x_data[tokens], g[a:b]
             pre, _, up = _gated_hidden(rows, wgt, wut, s)
             g_pre, g_up, gate = _gated_hidden_grads(go @ w_down.data, pre, s, up)
-            g_rows[a:b] = g_pre @ w_gate.data + g_up @ w_up.data
+            gx[tokens] += g_pre @ w_gate.data + g_up @ w_up.data
             grads[3 * i: 3 * i + 3] = g_pre.T @ rows, g_up.T @ rows, go.T @ (gate * up)
-        return (g_rows[slots].sum(axis=1), *grads)
+        return (gx, *grads)
 
     return _finish("swiglu", out, inputs, vjp)
 
 
-def combine_rows(base: Tensor, base_gate: Tensor, y: Tensor, gates: Tensor,
-                 slots: np.ndarray, cols: np.ndarray) -> Tensor:
-    """base[t] * base_gate[t] + sum over j of gates[t, cols[t, j]] * y[slots[t, j]],
-    the base row scaled first and the terms added j ascending.
+def combine_rows(y: Tensor, gates: Tensor, slots: np.ndarray, cols: np.ndarray) -> Tensor:
+    """sum over j of gates[t, cols[t, j]] * y[slots[t, j]] for each token t,
+    the terms added j ascending.
 
-    base is [T, D], base_gate [T], y [R, D], gates [T, N]; slots and cols are
-    [T, K], each slots entry a distinct row of y and each row of cols
-    distinct columns. The adjoint writes every gradient row once, with no
-    scatter-add.
+    y is [R, D] and gates [T, C]; slots and cols are [T, K], each slots
+    entry a distinct row of y and each row of cols distinct columns. The
+    adjoint writes every gradient row once, with no scatter-add.
     """
     slots = np.asarray(slots, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    t = base.data.shape[0]
-    if slots.shape != cols.shape or slots.ndim != 2 or slots.shape[0] != t:
-        raise ShapeError(f"slots {slots.shape} and cols {cols.shape} must both be [{t}, K]")
-    if base_gate.shape != (t,):
-        raise ShapeError(f"base_gate must be [{t}], got {base_gate.shape}")
-    base_gate, y, gates = (_as_operand(x, base) for x in (base_gate, y, gates))
+    t = gates.data.shape[0]
+    if slots.ndim != 2 or slots.shape != cols.shape or slots.shape[0] != t or slots.shape[1] < 1:
+        raise ShapeError(f"slots {slots.shape} and cols {cols.shape} must both be [{t}, K >= 1]")
+    gates = _as_operand(gates, y)
     _check_distinct(slots, y.data.shape[0], "slots")
-    if np.any(np.diff(np.sort(cols, axis=1), axis=1) == 0):
-        raise ShapeError("each row of cols must name distinct columns")
+    _check_distinct_per_row(cols, "cols")
     tokens = np.arange(t)
-    scale = base_gate.data[:, None]
     picked = [gates.data[tokens, cols[:, j]][:, None] for j in range(slots.shape[1])]
-    out = base.data * scale
-    for j, w in enumerate(picked):
-        out += y.data[slots[:, j]] * w
+    out = y.data[slots[:, 0]] * picked[0]
+    for j in range(1, len(picked)):
+        out += y.data[slots[:, j]] * picked[j]
 
     def vjp(g):
         gy = np.zeros_like(y.data) if slots.size < y.data.shape[0] else np.empty_like(y.data)
@@ -770,25 +777,9 @@ def combine_rows(base: Tensor, base_gate: Tensor, y: Tensor, gates: Tensor,
         for j, w in enumerate(picked):
             gy[slots[:, j]] = g * w
             g_gates[tokens, cols[:, j]] = (g * y.data[slots[:, j]]).sum(axis=1)
-        return g * scale, (g * base.data).sum(axis=1), gy, g_gates
+        return gy, g_gates
 
-    return _finish("combine_rows", out, (base, base_gate, y, gates), vjp)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Columns [start, stop) of a 2-D tensor."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"slice_cols needs a 2-D tensor, got {x.shape}")
-    if not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"column range [{start}, {stop}) out of bounds for {x.shape}")
-    in_shape = x.data.shape
-
-    def vjp(g):
-        acc = np.zeros(in_shape, dtype=g.dtype)
-        acc[:, start:stop] = g
-        return (acc,)
-
-    return _finish("slice_cols", x.data[:, start:stop].copy(), (x,), vjp)
+    return _finish("combine_rows", out, (y, gates), vjp)
 
 
 def concat_rows(parts: list) -> Tensor:

@@ -182,11 +182,11 @@ def batch_loss(model: Forecaster, batch: PackedBatch, config: TrainConfig) -> tu
     head average; when every head is empty the batch is degenerate and
     raises TrainingError. With alpha > 0, each mixture layer adds alpha
     times its balance penalty N * sum_i f_i * mean_t(scores[t, i]),
-    averaged over layers: its scores weigh alpha * N * f_i / (T * layers),
-    the selection fractions f entering as constants. A batch row shorter
-    than the largest horizon raises ConfigError. Returns (loss tensor, info
-    dict of diagnostics: the losses, f per layer, and f_min / f_max of its
-    layer mean).
+    averaged over layers: routed score i weighs alpha * N * f_i / (T *
+    layers), the shared gate 0, and f enters as a constant. A batch row
+    shorter than the largest horizon raises ConfigError. Returns (loss
+    tensor, info dict of diagnostics: the losses, f per layer, and f_min /
+    f_max of its layer mean).
     """
     horizons = model.config.head_horizons
     _check_horizon(batch.length, horizons[-1])
@@ -215,11 +215,11 @@ def batch_loss(model: Forecaster, batch: PackedBatch, config: TrainConfig) -> tu
         info["f_max"] = float(mean_f.max())
         if config.alpha > 0:
             for routing in layers:
-                scores = routing.scores
-                tokens_routed, n = scores.shape
-                scale = config.alpha * n / (tokens_routed * len(layers))
-                weights = np.broadcast_to((scale * routing.f).astype(scores.dtype), scores.shape)
-                loss = T.add(loss, T.weighted_sum(scores, weights))
+                scores, n = routing.scores, len(routing.f)
+                scale = config.alpha * n / (scores.shape[0] * len(layers))
+                # Column N, the shared expert's gate, has no part in the penalty.
+                weights = np.append(scale * routing.f, 0.0).astype(scores.dtype)
+                loss = T.add(loss, T.weighted_sum(scores, np.broadcast_to(weights, scores.shape)))
     else:
         info.update(loss_aux=0.0, f=None, f_min=None, f_max=None)
     info["loss"] = float(loss.data)
@@ -270,10 +270,6 @@ class AdamW:
             if decays and cfg.weight_decay:
                 tensor.data -= lr * cfg.weight_decay * tensor.data
 
-    def zero_grad(self) -> None:
-        for _, tensor, _ in self.slots:
-            tensor.grad = None
-
     def state_dict(self) -> dict:
         return {"t": self.t, "m": dict(self.m), "v": dict(self.v)}
 
@@ -312,7 +308,7 @@ def train_step(model: Forecaster, optimizer: AdamW, batch: PackedBatch, config: 
     Returns batch_loss's info dict plus tape_nodes, the ops recorded for
     backward, and grad_norm, the global gradient norm before any clipping.
     """
-    optimizer.zero_grad()
+    model.zero_grad()
     with Graph() as graph:
         loss, info = batch_loss(model, batch, config)
     tape_nodes = len(graph)

@@ -10,9 +10,10 @@ from sparsecast import tensor as T
 from sparsecast.data import CsvSchema, FormatError, LoadedCsv, _resolve_splits
 from sparsecast.heads import plan_horizons
 from sparsecast.model import segment_bounds
-from sparsecast.tensor import (ATTENTION_TILE, _FUTURE, Graph, ShapeError, Tensor, _active_graph,
-                               _as_operand, _check_distinct, _finish, _graph_stack, _is_scalar,
-                               _recording, _segment_spans, _sigmoid)
+from sparsecast.moe import RouterOutput, load_stats, topk_indices
+from sparsecast.tensor import (ATTENTION_TILE, _FUTURE, Graph, NumericError, ShapeError, Tensor,
+                               _active_graph, _as_operand, _check_distinct, _finish, _graph_stack,
+                               _is_scalar, _recording, _segment_spans, _sigmoid)
 from sparsecast.train import TrainingError, head_targets
 
 
@@ -407,6 +408,49 @@ def mul(a: Tensor, b) -> Tensor:
     return _finish("mul", a_data * b_data, (a, b), vjp)
 
 
+def sigmoid(x: Tensor) -> Tensor:
+    s = _sigmoid(x.data)
+
+    def vjp(g):
+        return (g * s * (1.0 - s),)
+
+    return _finish("sigmoid", s, (x,), vjp)
+
+
+def softmax_lastdim(x: Tensor) -> Tensor:
+    """Row-stochastic softmax over the last dimension, with max-subtraction."""
+    if x.data.shape[-1] < 1:
+        raise ShapeError("softmax over an empty dimension")
+    if not np.all(np.isfinite(np.nan_to_num(x.data, nan=np.nan, posinf=np.nan, neginf=0.0))):
+        # -inf entries are legal (masking); NaN/+inf are not.
+        raise NumericError("softmax input contains NaN or +inf")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        return (y * (g - dot),)
+
+    return _finish("softmax", y, (x,), vjp)
+
+
+def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
+    """Columns [start, stop) of a 2-D tensor."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"slice_cols needs a 2-D tensor, got {x.shape}")
+    if not (0 <= start < stop <= x.shape[1]):
+        raise ShapeError(f"column range [{start}, {stop}) out of bounds for {x.shape}")
+    in_shape = x.data.shape
+
+    def vjp(g):
+        acc = np.zeros(in_shape, dtype=g.dtype)
+        acc[:, start:stop] = g
+        return (acc,)
+
+    return _finish("slice_cols", x.data[:, start:stop].copy(), (x,), vjp)
+
+
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x) (the gate activation used throughout the model)."""
     s = _sigmoid(x.data)
@@ -581,6 +625,29 @@ def reference_expert_ffn(x: Tensor, ffn) -> Tensor:
     return matmul(mul(gate, up), transpose(ffn.w_down))
 
 
+def reference_route_topk(u_norm: Tensor, params, k: int) -> tuple:
+    """(routing, shared_gate) by the router's five ops: linear, two column
+    slices, a softmax over the routed logits and a sigmoid of the shared
+    one, reshaped to [T]. routing is a RouterOutput whose scores are the
+    [T, N] routed softmax alone.
+
+    This is the router chain that tensor.router_scores replaced, kept as
+    its oracle.
+    """
+    n = params.num_experts
+    if not 1 <= k <= n:
+        raise ValueError(f"top-k must satisfy 1 <= K <= {n}, got {k}")
+    logits = T.linear(u_norm, params.router)  # [T, N+1]
+    scores = softmax_lastdim(slice_cols(logits, 0, n))
+    shared_gate = T.reshape(sigmoid(slice_cols(logits, n, n + 1)), (u_norm.shape[0],))
+    selected = topk_indices(scores.data, k)
+    mask = np.zeros_like(scores.data)
+    np.put_along_axis(mask, selected, 1.0, axis=-1)
+    gates = T.constant(scores.data * mask, scores.dtype)
+    f, r = load_stats(selected, scores.data, k)
+    return RouterOutput(scores=scores, gates=gates, selected=selected, f=f, r=r), shared_gate
+
+
 def reference_moe_forward(u_norm: Tensor, params, routing) -> Tensor:
     """Gated sum of the shared expert and each token's selected routed experts.
 
@@ -588,7 +655,9 @@ def reference_moe_forward(u_norm: Tensor, params, routing) -> Tensor:
     exactly K + 1 expert FFNs.
     """
     t = u_norm.shape[0]
-    out = row_scale(reference_expert_ffn(u_norm, params.shared), routing.shared_gate)
+    shared_gate = reference_gather_entries(routing.scores, np.arange(t),
+                                           np.full(t, params.num_experts))
+    out = row_scale(reference_expert_ffn(u_norm, params.shared), shared_gate)
     for i in range(params.num_experts):
         rows = np.nonzero((routing.selected == i).any(axis=1))[0]
         if rows.size == 0:
@@ -606,8 +675,9 @@ def reference_balance_loss(per_layer_routings: list) -> tuple:
     terms = []
     f_layers = []
     for routings in per_layer_routings:
-        scores = T.concat_rows([r.scores for r in routings])
-        total, n = scores.shape
+        n = len(routings[0].f)
+        scores = slice_cols(T.concat_rows([r.scores for r in routings]), 0, n)
+        total = scores.shape[0]
         f = sum(r.f * (r.scores.shape[0] / total) for r in routings)
         f_layers.append(f)
         ones = T.constant(np.full((1, total), 1.0 / total), scores.dtype)

@@ -119,7 +119,7 @@ def test_criterion_02_routing_invariants():
     assert abs(routing.r.sum() - 1.0) <= 1e-6
 
     sparse = moe_forward(u, params, routing).data
-    dense = routing.shared_gate.data[:, None] * expert_ffn(u, params.shared).data
+    dense = routing.scores.data[:, n, None] * expert_ffn(u, params.shared).data
     for i, exp in enumerate(params.experts):
         dense = dense + routing.gates.data[:, i:i + 1] * expert_ffn(u, exp).data
     gap = float(np.max(np.abs(sparse - dense)))

@@ -1,10 +1,15 @@
 """Backbone contracts: embedding, norms, attention, blocks, parameter counts."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsecast
 from sparsecast import tensor as T
 from sparsecast.model import (
     RMSNORM_EPS,
@@ -180,6 +185,23 @@ def test_non_contiguous_sequence_ids_rejected(ids):
     model = Forecaster.init(tiny_config(), seed=0)
     with pytest.raises(DataError):
         model.forward(np.zeros(len(ids), dtype=np.float32), seq_ids=np.array(ids))
+
+
+def test_packed_forward_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 1 MB traced, which
+    # the step-peak guards would charge to whichever test first checks ids.
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from sparsecast.model import Forecaster, ModelConfig\n"
+            "model = Forecaster.init(ModelConfig(d_model=8, num_layers=1, num_heads=2, "
+            "num_experts=4, top_k=2, d_expert=8, head_horizons=(1, 8)), seed=0)\n"
+            "model.forward(np.zeros(30, dtype=np.float32), seq_ids=np.repeat([3, 1, 2], 10))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(sparsecast.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # --- attention ----------------------------------------------------------------------

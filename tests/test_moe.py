@@ -8,7 +8,7 @@ from sparsecast import tensor as T
 from sparsecast.moe import ExpertFFN, MoeParams, expert_ffn, load_stats, moe_forward, route_topk
 from sparsecast.tensor import Graph, Tensor
 
-from helpers import mul, reference_moe_forward, sum_all
+from helpers import mul, reference_moe_forward, reference_route_topk, sum_all
 
 
 def make_moe_params(rng, d_model=8, n_experts=4, d_expert=16, dtype=np.float64):
@@ -30,7 +30,7 @@ def dense_mixture_oracle(u: np.ndarray, params: MoeParams, routing) -> np.ndarra
     """Evaluate ALL experts and weight by the (mostly zero) gate matrix."""
     out = np.zeros_like(u)
     shared = expert_ffn(Tensor(u, dtype=u.dtype), params.shared).data
-    out += routing.shared_gate.data[:, None] * shared
+    out += routing.scores.data[:, params.num_experts, None] * shared
     gates = routing.gates.data
     for i, exp in enumerate(params.experts):
         y = expert_ffn(Tensor(u, dtype=u.dtype), exp).data
@@ -43,7 +43,7 @@ def test_full_selection_gates_equal_scores():
     params = make_moe_params(rng)
     u = Tensor(rng.normal(size=(16, 8)), dtype=np.float64)
     routing = route_topk(u, params, k=4)
-    np.testing.assert_array_equal(routing.gates.data, routing.scores.data)
+    np.testing.assert_array_equal(routing.gates.data, routing.scores.data[:, :4])
 
 
 def test_topk_monotone_under_softmax():
@@ -88,12 +88,13 @@ def test_router_invariants_random_batch():
     params = make_moe_params(rng)
     u = Tensor(rng.normal(size=(128, 8)), dtype=np.float64)
     routing = route_topk(u, params, k=2)
-    np.testing.assert_allclose(routing.scores.data.sum(axis=1), 1.0, atol=1e-6)
+    np.testing.assert_allclose(routing.scores.data[:, :4].sum(axis=1), 1.0, atol=1e-6)
     nonzero = (routing.gates.data != 0).sum(axis=1)
     np.testing.assert_array_equal(nonzero, np.full(128, 2))
     assert routing.f.sum() == pytest.approx(1.0, abs=1e-6)
     assert routing.r.sum() == pytest.approx(1.0, abs=1e-6)
-    assert np.all((routing.shared_gate.data > 0) & (routing.shared_gate.data < 1))
+    shared_gate = routing.scores.data[:, 4]
+    assert np.all((shared_gate > 0) & (shared_gate < 1))
 
 
 def test_moe_forward_matches_dense_sum_oracle():
@@ -115,7 +116,7 @@ def test_moe_forward_zero_experts_leaves_shared_path():
     u = Tensor(rng.normal(size=(8, 8)), dtype=np.float64)
     routing = route_topk(u, params, k=2)
     out = moe_forward(u, params, routing).data
-    shared_only = routing.shared_gate.data[:, None] * expert_ffn(u, params.shared).data
+    shared_only = routing.scores.data[:, 4, None] * expert_ffn(u, params.shared).data
     np.testing.assert_allclose(out, shared_only, atol=1e-12)
 
 
@@ -127,14 +128,15 @@ def test_identical_experts_make_selection_irrelevant():
     u = Tensor(rng.normal(size=(5, 8)), dtype=np.float64)
 
     def routing_with(selected):
-        scores = Tensor(np.full((5, 4), 0.25), dtype=np.float64)
+        # Routed scores 0.25 each, and the shared expert's gate 0.5.
+        scores = Tensor(np.hstack([np.full((5, 4), 0.25), np.full((5, 1), 0.5)]),
+                        dtype=np.float64)
         mask = np.zeros((5, 4))
         np.put_along_axis(mask, selected, 1.0, axis=-1)
         return moe.RouterOutput(
             scores=scores,
-            gates=Tensor(scores.data * mask, dtype=np.float64),
+            gates=Tensor(scores.data[:, :4] * mask, dtype=np.float64),
             selected=selected,
-            shared_gate=Tensor(np.full(5, 0.5), dtype=np.float64),
             f=np.full(4, 0.25), r=np.full(4, 0.25),
         )
 
@@ -171,17 +173,16 @@ def test_unselected_experts_not_evaluated(monkeypatch):
         loss = sum_all(mul(out, T.constant(np.ones((16, 8)), np.float64)))
     g.backward(loss)
     shared_id = id(params.shared.w_gate)
-    shared_calls = [c for c in calls if c[0][0] == shared_id]
-    routed_calls = [c for c in calls if c[0][0] != shared_id]
-    # One grouped call runs the routed experts; only those some token
-    # selected get rows, and the op skips an empty group.
-    assert len(routed_calls) == 1
-    groups = routed_calls[0]
+    # One grouped call runs the routed experts and, as its last group, the
+    # shared one; only the routed experts some token selected get rows, and
+    # the op skips an empty group.
+    assert len(calls) == 1
+    *groups, shared = calls[0]
     selected_ids = {id(params.experts[i].w_gate) for i in np.unique(routing.selected)}
     assert {w for w, rows in groups if rows} == selected_ids
     # Every token is processed once by the shared expert and K times by routed ones.
     assert sum(rows for _, rows in groups) == 16 * 1
-    assert shared_calls == [[(shared_id, 16)]]
+    assert shared == (shared_id, 16)
     # An idle expert gets no gradient; a selected one does.
     for i, ffn in enumerate(params.experts):
         grads = [w.grad for w in (ffn.w_gate, ffn.w_up, ffn.w_down)]
@@ -231,6 +232,44 @@ def test_moe_gradients_match_per_expert_oracle():
                                        err_msg=name)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_route_topk_matches_five_op_router_oracle_bitwise(dtype):
+    # router_scores replaced the router's column slices, routed softmax,
+    # shared sigmoid and reshape: the scores, the picks, the gates, f and r,
+    # and the router's and the input's gradients keep their bits.
+    rng = np.random.default_rng(13)
+    tokens, d, n, k = 1024, 32, 4, 2
+    params = make_moe_params(rng, d_model=d, n_experts=n, dtype=dtype)
+    params.router.requires_grad = True
+    u_arr, g = (rng.normal(size=shape).astype(dtype) for shape in ((tokens, d), (tokens, n + 1)))
+
+    def new(u):
+        routing = route_topk(u, params, k)
+        scores = routing.scores
+        return routing, scores.data[:, :n], scores.data[:, n], T.weighted_sum(scores, g)
+
+    def old(u):
+        routing, shared_gate = reference_route_topk(u, params, k)
+        loss = T.add(T.weighted_sum(routing.scores, g[:, :n]), T.weighted_sum(shared_gate, g[:, n]))
+        return routing, routing.scores.data, shared_gate.data, loss
+
+    runs = []
+    for route in (new, old):
+        u = Tensor(u_arr.copy(), requires_grad=True)
+        params.router.grad = None
+        with Graph() as graph:
+            routing, routed, shared_gate, loss = route(u)
+        graph.backward(loss)
+        runs.append({"routed": routed, "shared_gate": shared_gate, "gates": routing.gates.data,
+                     "selected": routing.selected, "f": routing.f, "r": routing.r,
+                     "d_router": params.router.grad, "du": u.grad})
+    got, want = runs
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+    assert got["routed"].dtype == dtype
+
+
 def test_load_stats_uniform_symmetry():
     n, k, t = 4, 2, 8
     scores = np.full((t, n), 1.0 / n)
@@ -261,7 +300,7 @@ def test_load_stats_matches_counting_oracle():
     np.testing.assert_array_equal(routing.f, counts / (k * 40))
     expect_r = np.zeros(5)
     for t in range(40):
-        expect_r += routing.scores.data[t]
+        expect_r += routing.scores.data[t, :5]
     np.testing.assert_allclose(routing.r, expect_r / 40, atol=1e-12)
 
 

@@ -26,7 +26,10 @@ from helpers import (
     reference_swiglu,
     reference_tiled_attention,
     row_scale,
+    sigmoid,
     silu,
+    slice_cols,
+    softmax_lastdim,
     sum_all,
     transpose,
 )
@@ -51,9 +54,7 @@ from sparsecast.tensor import (
     rmsnorm,
     rope,
     rope_tables,
-    sigmoid,
-    slice_cols,
-    softmax_lastdim,
+    router_scores,
     swiglu,
     weighted_sum,
 )
@@ -158,13 +159,14 @@ def test_one_column_linear_row_does_not_depend_on_row_count():
         assert linear(Tensor(x[rows]), Tensor(w), b).data.tobytes() == full[rows].tobytes()
 
 
-@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("n", [5, 8, 16, 32])
 @pytest.mark.parametrize("rows", [7, 517, 8192])
 def test_narrow_linear_rows_match_single_row_calls_bitwise(n, rows):
     # On OpenBLAS, x @ w.T for a weight of 5 or 8 rows (the router, the
     # horizon-8 head) rounds a row by the call's row count and the row's
-    # place in it, and so does the x-gradient g @ w.T-view at 8 rows. linear
-    # pads a narrow weight with zero rows and takes g @ w instead.
+    # place in it, and so does the x-gradient g @ w.T-view at 8, 16 and 32
+    # rows. linear pads a narrow weight with zero rows and takes g @ w up to
+    # 32 rows instead.
     rng = np.random.default_rng([n, rows])
     x, w, g = (rng.normal(size=shape).astype(np.float32)
                for shape in ((rows, 32), (n, 32), (rows, n)))
@@ -332,14 +334,14 @@ def test_dispatch_ops_reject_bad_indices():
     for slots in (np.array([[0, 1], [1, 2], [3, 4]]),  # row 1 twice, row 5 never
                   np.array([[0, 1], [2, 3]]),  # one token short
                   np.array([0, 1, 2]),  # no K axis
-                  np.array([[0, 1], [2, 3], [4, 6]])):  # row 6 of six
+                  np.array([[0, 1], [2, 3], [4, 6]]),  # row 6 of six
+                  np.array([[0, 1], [2, 3], [4, 5]])):  # token 0 twice in group 0
         with pytest.raises(ShapeError):
             swiglu(x, w + w, [0, 3, 6], slots)
     y = Tensor(np.ones((6, 2), dtype=np.float32))
     gates = Tensor(np.ones((3, 4), dtype=np.float32))
     with pytest.raises(ShapeError):
-        combine_rows(x, Tensor(np.ones(3, dtype=np.float32)), y, gates,
-                     np.array([[0, 1], [2, 3], [4, 5]]),
+        combine_rows(y, gates, np.array([[0, 1], [2, 3], [4, 5]]),
                      np.array([[0, 1], [2, 2], [0, 3]]))  # token 1 names column 2 twice
 
 
@@ -498,6 +500,13 @@ def _(rng):
     return leaves, lambda: sum_all(mul(softmax_lastdim(leaves["a"]), w))
 
 
+@op_case("router_scores")
+def _(rng):
+    leaves = _leafify(rng, {"z": (4, 5)})
+    w = constant(_rand(rng, (4, 5)), np.float64)
+    return leaves, lambda: sum_all(mul(router_scores(leaves["z"]), w))
+
+
 @op_case("rmsnorm")
 def _(rng):
     leaves = _leafify(rng, {"x": (4, 6), "w": (6,)})
@@ -553,8 +562,8 @@ def _(rng):
 
 @op_case("swiglu")
 def _(rng):
-    # Three tokens routed to two experts each: groups of grouped rows 0:2,
-    # (empty), 2:6; the empty group's weights are never read, so they are
+    # Three tokens routed to two experts each: groups of grouped rows 0:3,
+    # (empty), 3:6; the empty group's weights are never read, so they are
     # constants here.
     leaves = _leafify(rng, {"x": (3, 4), "g0": (3, 4), "u0": (3, 4), "d0": (4, 3),
                             "g2": (2, 4), "u2": (2, 4), "d2": (4, 2)})
@@ -563,7 +572,7 @@ def _(rng):
     w = constant(_rand(rng, (6, 4)), np.float64)
     experts = [tuple(leaves[n] for n in ("g0", "u0", "d0")), idle,
                tuple(leaves[n] for n in ("g2", "u2", "d2"))]
-    return leaves, lambda: sum_all(mul(swiglu(leaves["x"], experts, [0, 2, 2, 6], slots), w))
+    return leaves, lambda: sum_all(mul(swiglu(leaves["x"], experts, [0, 3, 3, 6], slots), w))
 
 
 @op_case("reference_swiglu")
@@ -594,12 +603,11 @@ def _(rng):
 
 @op_case("combine_rows")
 def _(rng):
-    leaves = _leafify(rng, {"base": (3, 2), "base_gate": (3,), "y": (7, 2), "gates": (3, 4)})
-    slots = np.array([[4, 0], [6, 1], [2, 5]])  # row 3 of y is unused
-    cols = np.array([[0, 3], [1, 2], [0, 1]])
+    leaves = _leafify(rng, {"y": (10, 2), "gates": (3, 5)})
+    slots = np.array([[7, 4, 0], [8, 6, 1], [9, 2, 5]])  # row 3 of y is unused
+    cols = np.array([[4, 0, 3], [4, 1, 2], [4, 0, 1]])
     w = constant(_rand(rng, (3, 2)), np.float64)
-    return leaves, lambda: sum_all(mul(combine_rows(leaves["base"], leaves["base_gate"],
-                                                    leaves["y"], leaves["gates"], slots, cols), w))
+    return leaves, lambda: sum_all(mul(combine_rows(leaves["y"], leaves["gates"], slots, cols), w))
 
 
 @op_case("row_scale")

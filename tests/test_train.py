@@ -461,9 +461,10 @@ def test_step_tape_per_op_counts_at_benchmark_model(tmp_path, monkeypatch):
     """One batch_loss at the benchmark model and batch shape (4 x 256): each
     weight product outside the embedding and the experts is one linear node,
     each loss term (four heads, two balance layers) one weighted_sum, the
-    embedding one glu and each layer's routed and shared experts one swiglu
-    each, and no matmul, mul, silu, dispatch_rows, transpose, row_scale or
-    bias add is recorded."""
+    embedding one glu, each layer's router scores one router_scores and its
+    routed and shared experts together one swiglu, and no matmul, mul,
+    silu, dispatch_rows, transpose, row_scale, sigmoid, softmax, column
+    slice or bias add is recorded."""
     model, batch = benchmark_model_and_batch(tmp_path)
     # A node is (key, input refs, vjp) and holds no operand, so each add's
     # operand shapes are logged as it is called.
@@ -473,11 +474,12 @@ def test_step_tape_per_op_counts_at_benchmark_model(tmp_path, monkeypatch):
         batch_loss(model, batch, TrainConfig(batch=4, context=256))
     nodes = graph._nodes
     ops = Counter(vjp.__qualname__.split(".")[0] for _, _, vjp in nodes)
-    assert len(nodes) == 69
+    assert len(nodes) == 59
     assert ops["linear"] == 14 and ops["weighted_sum"] == 6
-    assert ops["glu"] == 1 and ops["swiglu"] == 4
+    assert ops["glu"] == 1 and ops["swiglu"] == 2 and ops["router_scores"] == 2
     assert ops["matmul"] == ops["mul"] == ops["silu"] == ops["dispatch_rows"] == 0
     assert ops["transpose"] == ops["row_scale"] == 0
+    assert ops["sigmoid"] == ops["softmax_lastdim"] == ops["slice_cols"] == 0
     assert len(adds) == ops["add"]
     assert adds and all(b.shape in (a.shape, ()) for a, b in adds)
 
