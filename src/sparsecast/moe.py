@@ -128,8 +128,7 @@ def moe_forward(u_norm: Tensor, params: MoeParams, routing: RouterOutput) -> Ten
     each token touches exactly K + 1 expert FFNs, and its output adds its
     gated rows one at a time: the shared expert's, then lowest index first.
     """
-    t, k = routing.selected.shape
-    n = params.num_experts
+    t, n = routing.selected.shape[0], params.num_experts
     # cols[t]: token t's experts, the shared expert N first, then its picks.
     cols = np.concatenate((np.full((t, 1), n), np.sort(routing.selected, axis=1)), axis=1)
     # slots[t, j]: the grouped row of token t's j-th expert; a stable sort by

@@ -286,10 +286,6 @@ def add(a: Tensor, b) -> Tensor:
 # forward product: OpenBLAS rounds a narrower product (or numpy's gemv for
 # one row) differently with the row count and a row's place in the call.
 _NARROW = 16
-# Up to this many output rows the x-gradient is g @ w, which OpenBLAS rounds
-# per row alike at any row count, where g @ (transposed copy).T does not;
-# wider weights keep the latter, whose bits the tests pin at 48 rows.
-_GRAD_BY_W = 32
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -297,10 +293,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     The product is by a contiguous transposed copy of w, never by the
     transposed view, and a w of fewer than _NARROW rows is zero-padded to
-    _NARROW rows and its product sliced back, while the x-gradient of a w
-    of up to _GRAD_BY_W rows is g @ w: on OpenBLAS those are the forms
-    whose rows come out the same whatever the row count, and packed rows
-    must compute what they compute alone.
+    _NARROW rows and its product sliced back, while the x-gradient is
+    g @ w: on OpenBLAS those are the forms whose rows come out the same
+    whatever the row count, and packed rows must compute what they compute
+    alone. (g @ w holds to that up to 48 weight rows; at 64 no form tried
+    does.)
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear needs x [m, k] and w [n, k], got {x.shape} and {w.shape}")
@@ -314,7 +311,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     else:
         wt = w_data.T.copy()
         out = x_data @ wt
-    w_back = w_data if n <= _GRAD_BY_W else wt.T
     if b is None:
         inputs = (x, w)
     else:
@@ -325,7 +321,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         inputs = (x, w, b)
 
     def vjp(g):
-        grads = (g @ w_back, (x_data.T @ g).T.copy())
+        grads = (g @ w_data, (x_data.T @ g).T.copy())
         return grads if b is None else grads + (g.sum(axis=0),)
 
     return _finish("linear", out, inputs, vjp)
@@ -673,7 +669,10 @@ def _check_distinct(rows: np.ndarray, size: int, what: str) -> None:
 
 def _check_distinct_per_row(a: np.ndarray, what: str) -> None:
     """Each row of a 2-D integer array must hold distinct values."""
-    if np.any(np.diff(np.sort(a, axis=1), axis=1) == 0):
+    # Column pairs, not a sort along rows: numpy sorts a row of a few
+    # entries at about four times the cost of the K(K-1)/2 comparisons.
+    k = a.shape[1]
+    if any(np.any(a[:, i] == a[:, j]) for i in range(k) for j in range(i + 1, k)):
         raise ShapeError(f"each row of {what} must be distinct")
 
 

@@ -128,15 +128,18 @@ def _linear_and_grads(fn, x, w, g):
 
 @pytest.mark.parametrize("rows", [3, 1024])
 def test_linear_matches_matmul_by_transposed_copy_bitwise(rows):
-    # linear replaced matmul(x, transpose(w)); output and both gradients keep
-    # their bits. With a few rows, g @ w instead of g @ wt.T changes dx's bits.
+    # linear replaced matmul(x, transpose(w)); the output and dw keep their
+    # bits. dx is g @ w, whose rows do not depend on the row count; with a
+    # few rows the matmul's g @ (transposed copy).T rounds dx differently.
     rng = np.random.default_rng(rows)
     x, w, g = (rng.normal(size=shape).astype(np.float32)
                for shape in ((rows, 32), (48, 32), (rows, 48)))
-    got = _linear_and_grads(linear, x, w, g)
-    want = _linear_and_grads(lambda a, b: matmul(a, transpose(b)), x, w, g)
-    for name, a, b in zip(("out", "dx", "dw"), got, want):
-        assert a.tobytes() == b.tobytes(), name
+    out, dx, dw = _linear_and_grads(linear, x, w, g)
+    want_out, want_dx, want_dw = _linear_and_grads(lambda a, b: matmul(a, transpose(b)), x, w, g)
+    assert out.tobytes() == want_out.tobytes()
+    assert dw.tobytes() == want_dw.tobytes()
+    assert dx.tobytes() == (g @ w).tobytes()
+    np.testing.assert_allclose(dx, want_dx, rtol=1e-5, atol=1e-6)
 
 
 def test_linear_row_does_not_depend_on_row_count():
@@ -159,14 +162,14 @@ def test_one_column_linear_row_does_not_depend_on_row_count():
         assert linear(Tensor(x[rows]), Tensor(w), b).data.tobytes() == full[rows].tobytes()
 
 
-@pytest.mark.parametrize("n", [5, 8, 16, 32])
+@pytest.mark.parametrize("n", [5, 8, 16, 32, 48])
 @pytest.mark.parametrize("rows", [7, 517, 8192])
 def test_narrow_linear_rows_match_single_row_calls_bitwise(n, rows):
     # On OpenBLAS, x @ w.T for a weight of 5 or 8 rows (the router, the
     # horizon-8 head) rounds a row by the call's row count and the row's
-    # place in it, and so does the x-gradient g @ w.T-view at 8, 16 and 32
-    # rows. linear pads a narrow weight with zero rows and takes g @ w up to
-    # 32 rows instead.
+    # place in it, and so does the x-gradient g @ w.T-view at 8 to 48 rows.
+    # linear pads a narrow weight with zero rows and takes g @ w instead.
+    # (At 64 rows, the horizon-64 head, g @ w rounds by the row count too.)
     rng = np.random.default_rng([n, rows])
     x, w, g = (rng.normal(size=shape).astype(np.float32)
                for shape in ((rows, 32), (n, 32), (rows, n)))
