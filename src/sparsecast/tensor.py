@@ -6,9 +6,8 @@ router's scores (a softmax over the routed experts plus the shared
 expert's sigmoid), the Huber loss, fused norm/rotation/attention kernels
 and two gated units (glu for the point embedding, swiglu for the experts)
 with analytic adjoints, and the row gathers and permutations behind sparse
-expert dispatch. Ops are
-plain functions, with no operator overloading on Tensor, and Graph.backward
-is the one way to backpropagate.
+expert dispatch. Ops are plain functions, with no operator overloading on
+Tensor, and Graph.backward is the one way to backpropagate.
 
 A recorded op keeps only what its vjp reads, and only while a graph
 records it (one check, _recording, decides that for every op). The tape
