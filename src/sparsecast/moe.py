@@ -11,13 +11,13 @@ linear node and one router_scores node, whose [T, N+1] scores hold the
 routed softmax in columns 0..N-1 and the shared gate in column N. Dispatch
 is dropless and expert-sorted: each token's experts (the shared one, then
 its K picks ascending) are stable-sorted by expert into a slot table. One
-swiglu op takes the token rows and that table, gathers each expert's group
-of rows itself and runs every selected expert on its group; while a graph
-records it keeps only each group's sigmoid, and no routed copy of the rows.
-One combine op adds each token's K + 1 gated rows, the shared expert's
-first. No expert capacity, no dropped tokens, and four tape nodes whatever
-the number of experts. The gates are a constant read off the scores, since
-the combine op takes its gradient through the scores themselves.
+mixture op takes the token rows, that table and the scores: it gathers each
+expert's group of rows itself, runs every selected expert on its group,
+scales each output row by its expert's column of the scores and adds each
+token's K + 1 rows, the shared expert's first. While a graph records it
+keeps only the experts' transposed weight copies; its vjp rebuilds every
+activation and output row. No expert capacity, no dropped tokens, and three
+tape nodes whatever the number of experts.
 """
 
 from __future__ import annotations
@@ -69,13 +69,11 @@ class RouterOutput:
 
     scores: [T, N+1], a row-stochastic softmax over the routed experts in
     columns 0..N-1 and the shared expert's gate, in (0, 1), in column N;
-    gates: [T, N] constant, equal to scores on the selected experts and
-    zero elsewhere; selected: [T, K] expert indices; f/r: per-expert
+    selected: [T, K] expert indices, each row ascending; f/r: per-expert
     selection fraction and mean score, each summing to 1.
     """
 
     scores: Tensor
-    gates: Tensor
     selected: np.ndarray
     f: np.ndarray
     r: np.ndarray
@@ -84,7 +82,8 @@ class RouterOutput:
 def expert_ffn(x: Tensor, ffn: ExpertFFN) -> Tensor:
     """Apply one gated FFN to x[T, D]."""
     t = x.shape[0]
-    return T.swiglu(x, [(ffn.w_gate, ffn.w_up, ffn.w_down)], [0, t], np.arange(t)[:, None])
+    return T.mixture(x, [(ffn.w_gate, ffn.w_up, ffn.w_down)], [0, t], np.arange(t)[:, None],
+                     T.constant(np.ones((t, 1)), x.dtype))
 
 
 def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -95,18 +94,19 @@ def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def route_topk(u_norm: Tensor, params: MoeParams, k: int) -> RouterOutput:
-    """Score all experts for each token of u_norm[T, D] and keep the top K routed ones."""
+    """Score all experts for each token of u_norm[T, D] and keep the top K
+    routed ones, each token's picks in ascending expert order."""
     n = params.num_experts
     if not 1 <= k <= n:
         raise ValueError(f"top-k must satisfy 1 <= K <= {n}, got {k}")
     scores = T.router_scores(T.linear(u_norm, params.router))  # [T, N+1]
     routed = scores.data[:, :n]
-    selected = topk_indices(routed, k)
-    mask = np.zeros_like(routed)
-    np.put_along_axis(mask, selected, 1.0, axis=-1)
-    gates = T.constant(routed * mask, scores.dtype)
+    picked = np.zeros(routed.shape, dtype=bool)
+    np.put_along_axis(picked, topk_indices(routed, k), True, axis=-1)
+    # Read row-major, the mask lists each token's picks ascending: no sort.
+    selected = np.nonzero(picked)[1].reshape(-1, k)
     f, r = load_stats(selected, routed, k)
-    return RouterOutput(scores=scores, gates=gates, selected=selected, f=f, r=r)
+    return RouterOutput(scores=scores, selected=selected, f=f, r=r)
 
 
 def load_stats(selected: np.ndarray, scores: np.ndarray, k: int) -> tuple:
@@ -126,18 +126,18 @@ def moe_forward(u_norm: Tensor, params: MoeParams, routing: RouterOutput) -> Ten
 
     Experts that no token selected are never evaluated and get no gradient;
     each token touches exactly K + 1 expert FFNs, and its output adds its
-    gated rows one at a time: the shared expert's, then lowest index first.
+    gated rows one at a time: the shared expert's, then its picks in
+    routing.selected's order, ascending.
     """
     t, n = routing.selected.shape[0], params.num_experts
     # cols[t]: token t's experts, the shared expert N first, then its picks.
-    cols = np.concatenate((np.full((t, 1), n), np.sort(routing.selected, axis=1)), axis=1)
+    cols = np.concatenate((np.full((t, 1), n), routing.selected), axis=1)
     # slots[t, j]: the grouped row of token t's j-th expert; a stable sort by
     # expert keeps each group's tokens ascending.
     slots = np.empty(cols.size, dtype=np.intp)
     slots[np.argsort(cols.reshape(-1), kind="stable")] = np.arange(cols.size)
     slots = slots.reshape(cols.shape)
     counts = np.bincount(cols.reshape(-1), minlength=n + 1)
-    grouped = T.swiglu(u_norm, [(e.w_gate, e.w_up, e.w_down)
-                                for e in params.experts + [params.shared]],
-                       np.concatenate(([0], np.cumsum(counts))), slots)
-    return T.combine_rows(grouped, routing.scores, slots, cols)
+    experts = [(e.w_gate, e.w_up, e.w_down) for e in params.experts + [params.shared]]
+    return T.mixture(u_norm, experts, np.concatenate(([0], np.cumsum(counts))), slots,
+                     routing.scores)

@@ -355,22 +355,21 @@ def weighted_sum(x: Tensor, weights) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; each sign takes the form that stays exact there.
+    # exp(-|x|) never overflows. The numerator is 1 where x >= 0 (e <= 1
+    # there) and e below 0: the same bits as choosing 1 / d or e / d by sign,
+    # without np.where's mispredicted branch on every random sign.
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
-def _gated_hidden(rows: np.ndarray, wgt: np.ndarray, wut: np.ndarray, s=None) -> tuple:
+def _gated_hidden(rows: np.ndarray, wgt: np.ndarray, wut: np.ndarray) -> tuple:
     """(pre, s, up) of a gated unit silu(pre) * up: pre = rows @ wgt, its
     sigmoid s, and up = rows @ wut, by contiguous transposed weight copies.
 
-    glu and swiglu keep only s for their vjps, which pass it back in: the
-    two products are rebuilt by the forward's own ops on the same operands,
-    so they come out bit for bit, and the sigmoid, several passes over its
-    array, is not paid twice."""
+    glu and mixture keep none of the three for their vjps, which call this
+    again: the forward's own ops on the same operands give them bit for bit."""
     pre = rows @ wgt
-    return pre, _sigmoid(pre) if s is None else s, rows @ wut
+    return pre, _sigmoid(pre), rows @ wut
 
 
 def _gated_hidden_grads(g: np.ndarray, pre: np.ndarray, s: np.ndarray, up: np.ndarray) -> tuple:
@@ -383,9 +382,10 @@ def glu(x: Tensor, w: Tensor, v: Tensor) -> Tensor:
     """silu(x @ w.T) * (x @ v.T) for x [m, k] and w, v [n, k]: a gated linear
     unit as one op (the point embedding).
 
-    While a graph records it keeps only the sigmoid; the vjp rebuilds both
-    products by the forward's ops. x's gradient is computed only when x
-    requires one, and the embedding's x is the data, a constant.
+    While a graph records it keeps only the transposed weight copies; the
+    vjp rebuilds both products and the sigmoid by the forward's ops. x's
+    gradient is computed only when x requires one, and the embedding's x is
+    the data, a constant.
     """
     if (x.data.ndim != 2 or w.data.ndim != 2 or w.shape != v.shape
             or x.shape[1] != w.shape[1]):
@@ -396,7 +396,7 @@ def glu(x: Tensor, w: Tensor, v: Tensor) -> Tensor:
     pre, s, up = _gated_hidden(x_data, wt, vt)
 
     def vjp(g):
-        g_pre, g_up, _ = _gated_hidden_grads(g, *_gated_hidden(x_data, wt, vt, s))
+        g_pre, g_up, _ = _gated_hidden_grads(g, *_gated_hidden(x_data, wt, vt))
         gx = g_pre @ w.data + g_up @ v.data if x_grad else None
         return gx, (x_data.T @ g_pre).T.copy(), (x_data.T @ g_up).T.copy()
 
@@ -675,28 +675,33 @@ def _check_distinct_per_row(a: np.ndarray, what: str) -> None:
         raise ShapeError(f"each row of {what} must be distinct")
 
 
-def swiglu(x: Tensor, experts: list, bounds, slots: np.ndarray) -> Tensor:
-    """Gated feed-forward nets down(silu(gate(r)) * up(r)), one per group of
-    the grouped rows r that slots lays out from x.
+def mixture(x: Tensor, experts: list, bounds, slots: np.ndarray, gates: Tensor) -> Tensor:
+    """For each token t of x[T, D], the sum over j of gates[t, i] * ffn_i(x[t]),
+    i the group of grouped row slots[t, j], the terms added j ascending;
+    ffn_i is the gated feed-forward net down(silu(gate(r)) * up(r)) of
+    experts[i].
 
-    slots is [T, K] and holds every grouped row index once: token t of
-    x[T, D] is grouped rows slots[t, 0], ..., slots[t, K-1]. experts[i] is
-    (w_gate [hidden, D], w_up [hidden, D], w_down [D, hidden]) and applies
-    to grouped rows bounds[i]:bounds[i+1], bounds running from 0 to T * K,
-    a token's K rows in K distinct groups; the result is [T * K, D] in
-    grouped order. Each group gathers its own rows of x, in the forward and
-    again in the vjp, which adds them straight into x's gradient, so no
-    grouped copy of x is made or kept and a token's K row gradients are
-    summed in group order. An empty group is skipped, and its weights get
-    no gradient. Each product is by a contiguous transposed copy of the
-    weight, so a row comes out bit for bit the same whatever else shares
-    the call. While a graph records, each group keeps only its sigmoid, and
-    the vjp rebuilds the two products from the same rows and weight copies.
+    slots is [T, K] and holds every grouped row index once: token t is
+    grouped rows slots[t, 0], ..., slots[t, K-1]. experts[i] is
+    (w_gate [hidden, D], w_up [hidden, D], w_down [D, hidden]) and owns
+    grouped rows bounds[i]:bounds[i+1], bounds running from 0 to T * K, a
+    token's K rows in K distinct groups. gates is [T, len(experts)], and
+    group i reads its column i. Each group gathers its own rows of x; an
+    empty group is skipped, and its weights get no gradient. Each product
+    is by a contiguous transposed copy of the weight, so a row comes out
+    bit for bit the same whatever else shares the call.
+
+    While a graph records, each group keeps only its weight copies: no
+    activation, no expert output and no copy of the rows. The vjp rebuilds
+    a group's rows, pre-activation, sigmoid, up projection and output rows
+    by the forward's own ops, takes gate column i as the row sums of
+    g * output, and adds the group's row gradients straight into x's
+    gradient, so a token's K row gradients are summed in group order.
     """
     slots = np.asarray(slots, dtype=np.intp)
     t, d = x.data.shape
-    if slots.ndim != 2 or slots.shape[0] != t:
-        raise ShapeError(f"slots must be [{t}, K], got {slots.shape}")
+    if slots.ndim != 2 or slots.shape[0] != t or slots.shape[1] < 1:
+        raise ShapeError(f"slots must be [{t}, K >= 1], got {slots.shape}")
     r = slots.size
     _check_distinct(slots, r, "slots")
     bounds = [int(b) for b in bounds]
@@ -705,79 +710,67 @@ def swiglu(x: Tensor, experts: list, bounds, slots: np.ndarray) -> Tensor:
         raise ShapeError(f"bounds must ascend from 0 to {r}, one group per expert")
     _check_distinct_per_row(np.repeat(np.arange(len(experts)), np.diff(bounds))[slots],
                             "the groups of slots")
+    gates = _as_operand(gates, x)
+    if gates.shape != (t, len(experts)):
+        raise ShapeError(f"gates must be [{t}, {len(experts)}], a column per expert, "
+                         f"got {gates.shape}")
     weights = [tuple(_as_operand(w, x) for w in ws) for ws in experts]
     for w_gate, w_up, w_down in weights:
         h = w_gate.shape[0]
         if w_gate.shape != (h, d) or w_up.shape != (h, d) or w_down.shape != (d, h):
-            raise ShapeError(f"swiglu weights {w_gate.shape}, {w_up.shape}, {w_down.shape} "
+            raise ShapeError(f"mixture weights {w_gate.shape}, {w_up.shape}, {w_down.shape} "
                              f"do not fit rows of width {d}")
-    inputs = (x, *(w for ws in weights for w in ws))
+    inputs = (x, gates, *(w for ws in weights for w in ws))
     keep = _recording(inputs) is not None
-    x_data = x.data
+    x_data, gate_data, gate_grad = x.data, gates.data, gates.requires_grad
     # order[j]: the token whose copy grouped row j is.
     order = np.empty(r, dtype=np.intp)
     order[slots] = np.arange(t)[:, None]
-    out = np.empty((r, d), dtype=x_data.dtype)
+    # Gated expert outputs in grouped order, dropped once the tokens have summed them.
+    y = np.empty((r, d), dtype=x_data.dtype)
     saved = []
     for i, (w_gate, w_up, w_down) in enumerate(weights):
         a, b = bounds[i], bounds[i + 1]
         if a == b:
             continue
-        wgt, wut = w_gate.data.T.copy(), w_up.data.T.copy()
-        pre, s, up = _gated_hidden(x_data[order[a:b]], wgt, wut)
-        out[a:b] = (pre * s * up) @ w_down.data.T.copy()
+        copies = w_gate.data.T.copy(), w_up.data.T.copy(), w_down.data.T.copy()
+        tokens = order[a:b]
+        pre, s, up = _gated_hidden(x_data[tokens], copies[0], copies[1])
+        y[a:b] = (pre * s * up) @ copies[2]
+        del pre, s, up
+        y[a:b] *= gate_data[tokens, i, None]
         if keep:
-            saved.append((a, b, i, wgt, wut, s))
+            saved.append((a, b, i, copies))
+    out = y[slots[:, 0]]
+    for j in range(1, slots.shape[1]):
+        out += y[slots[:, j]]
+    del y
 
     def vjp(g):
         # A group's tokens are distinct, so each adds its row gradients
         # straight into theirs, and a token's sum runs in group order.
         gx = np.zeros_like(x_data)
+        g_gates = np.zeros_like(gate_data) if gate_grad else None
         grads = [None] * (3 * len(weights))
-        for a, b, i, wgt, wut, s in saved:
+        for a, b, i, (wgt, wut, wdt) in saved:
             w_gate, w_up, w_down = weights[i]
             tokens = order[a:b]
-            rows, go = x_data[tokens], g[a:b]
-            pre, _, up = _gated_hidden(rows, wgt, wut, s)
-            g_pre, g_up, gate = _gated_hidden_grads(go @ w_down.data, pre, s, up)
+            rows, go = x_data[tokens], g[tokens]
+            pre, s, up = _gated_hidden(rows, wgt, wut)
+            hidden = pre * s * up
+            if gate_grad:
+                g_gates[tokens, i] = (go * (hidden @ wdt)).sum(axis=1)
+            go *= gate_data[tokens, i, None]
+            g_down = go.T @ hidden
+            del hidden
+            g_pre, g_up, _ = _gated_hidden_grads(go @ w_down.data, pre, s, up)
+            del pre, s, up
             gx[tokens] += g_pre @ w_gate.data + g_up @ w_up.data
-            grads[3 * i: 3 * i + 3] = g_pre.T @ rows, g_up.T @ rows, go.T @ (gate * up)
-        return (gx, *grads)
+            grads[3 * i: 3 * i + 3] = g_pre.T @ rows, g_up.T @ rows, g_down
+            del rows, go, g_pre, g_up
+        return (gx, g_gates, *grads)
 
-    return _finish("swiglu", out, inputs, vjp)
-
-
-def combine_rows(y: Tensor, gates: Tensor, slots: np.ndarray, cols: np.ndarray) -> Tensor:
-    """sum over j of gates[t, cols[t, j]] * y[slots[t, j]] for each token t,
-    the terms added j ascending.
-
-    y is [R, D] and gates [T, C]; slots and cols are [T, K], each slots
-    entry a distinct row of y and each row of cols distinct columns. The
-    adjoint writes every gradient row once, with no scatter-add.
-    """
-    slots = np.asarray(slots, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    t = gates.data.shape[0]
-    if slots.ndim != 2 or slots.shape != cols.shape or slots.shape[0] != t or slots.shape[1] < 1:
-        raise ShapeError(f"slots {slots.shape} and cols {cols.shape} must both be [{t}, K >= 1]")
-    gates = _as_operand(gates, y)
-    _check_distinct(slots, y.data.shape[0], "slots")
-    _check_distinct_per_row(cols, "cols")
-    tokens = np.arange(t)
-    picked = [gates.data[tokens, cols[:, j]][:, None] for j in range(slots.shape[1])]
-    out = y.data[slots[:, 0]] * picked[0]
-    for j in range(1, len(picked)):
-        out += y.data[slots[:, j]] * picked[j]
-
-    def vjp(g):
-        gy = np.zeros_like(y.data) if slots.size < y.data.shape[0] else np.empty_like(y.data)
-        g_gates = np.zeros_like(gates.data)
-        for j, w in enumerate(picked):
-            gy[slots[:, j]] = g * w
-            g_gates[tokens, cols[:, j]] = (g * y.data[slots[:, j]]).sum(axis=1)
-        return gy, g_gates
-
-    return _finish("combine_rows", out, (y, gates), vjp)
+    return _finish("mixture", out, inputs, vjp)
 
 
 def concat_rows(parts: list) -> Tensor:

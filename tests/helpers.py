@@ -12,8 +12,10 @@ from sparsecast.heads import plan_horizons
 from sparsecast.model import segment_bounds
 from sparsecast.moe import RouterOutput, load_stats, topk_indices
 from sparsecast.tensor import (ATTENTION_TILE, _FUTURE, Graph, NumericError, ShapeError, Tensor,
-                               _active_graph, _as_operand, _check_distinct, _finish, _graph_stack,
-                               _is_scalar, _recording, _segment_spans, _sigmoid)
+                               _active_graph, _as_operand, _check_distinct,
+                               _check_distinct_per_row, _finish, _gated_hidden,
+                               _gated_hidden_grads, _graph_stack, _is_scalar, _recording,
+                               _segment_spans, _sigmoid)
 from sparsecast.train import TrainingError, head_targets
 
 
@@ -554,6 +556,133 @@ def reference_swiglu(x: Tensor, experts: list, bounds) -> Tensor:
     return _finish("swiglu", out, inputs, vjp)
 
 
+# --- the grouped swiglu that kept each group's sigmoid and the combine op
+# that kept its expert outputs: the two-op expert path that tensor.mixture
+# replaced, kept as its oracle ------------------------------------------------
+
+
+def swiglu(x: Tensor, experts: list, bounds, slots: np.ndarray) -> Tensor:
+    """Gated feed-forward nets down(silu(gate(r)) * up(r)), one per group of
+    the grouped rows r that slots lays out from x.
+
+    slots is [T, K] and holds every grouped row index once: token t of
+    x[T, D] is grouped rows slots[t, 0], ..., slots[t, K-1]. experts[i] is
+    (w_gate [hidden, D], w_up [hidden, D], w_down [D, hidden]) and applies
+    to grouped rows bounds[i]:bounds[i+1], bounds running from 0 to T * K,
+    a token's K rows in K distinct groups; the result is [T * K, D] in
+    grouped order. Each group gathers its own rows of x, in the forward and
+    again in the vjp, which adds them straight into x's gradient, so no
+    grouped copy of x is made or kept and a token's K row gradients are
+    summed in group order. An empty group is skipped, and its weights get
+    no gradient. Each product is by a contiguous transposed copy of the
+    weight, so a row comes out bit for bit the same whatever else shares
+    the call. While a graph records, each group keeps only its sigmoid, and
+    the vjp rebuilds the two products from the same rows and weight copies.
+    """
+    slots = np.asarray(slots, dtype=np.intp)
+    t, d = x.data.shape
+    if slots.ndim != 2 or slots.shape[0] != t:
+        raise ShapeError(f"slots must be [{t}, K], got {slots.shape}")
+    r = slots.size
+    _check_distinct(slots, r, "slots")
+    bounds = [int(b) for b in bounds]
+    if (len(bounds) != len(experts) + 1 or bounds[0] != 0 or bounds[-1] != r
+            or any(a > b for a, b in zip(bounds, bounds[1:]))):
+        raise ShapeError(f"bounds must ascend from 0 to {r}, one group per expert")
+    _check_distinct_per_row(np.repeat(np.arange(len(experts)), np.diff(bounds))[slots],
+                            "the groups of slots")
+    weights = [tuple(_as_operand(w, x) for w in ws) for ws in experts]
+    for w_gate, w_up, w_down in weights:
+        h = w_gate.shape[0]
+        if w_gate.shape != (h, d) or w_up.shape != (h, d) or w_down.shape != (d, h):
+            raise ShapeError(f"swiglu weights {w_gate.shape}, {w_up.shape}, {w_down.shape} "
+                             f"do not fit rows of width {d}")
+    inputs = (x, *(w for ws in weights for w in ws))
+    keep = _recording(inputs) is not None
+    x_data = x.data
+    # order[j]: the token whose copy grouped row j is.
+    order = np.empty(r, dtype=np.intp)
+    order[slots] = np.arange(t)[:, None]
+    out = np.empty((r, d), dtype=x_data.dtype)
+    saved = []
+    for i, (w_gate, w_up, w_down) in enumerate(weights):
+        a, b = bounds[i], bounds[i + 1]
+        if a == b:
+            continue
+        wgt, wut = w_gate.data.T.copy(), w_up.data.T.copy()
+        pre, s, up = _gated_hidden(x_data[order[a:b]], wgt, wut)
+        out[a:b] = (pre * s * up) @ w_down.data.T.copy()
+        if keep:
+            saved.append((a, b, i, wgt, wut, s))
+
+    def vjp(g):
+        # A group's tokens are distinct, so each adds its row gradients
+        # straight into theirs, and a token's sum runs in group order.
+        gx = np.zeros_like(x_data)
+        grads = [None] * (3 * len(weights))
+        for a, b, i, wgt, wut, s in saved:
+            w_gate, w_up, w_down = weights[i]
+            tokens = order[a:b]
+            rows, go = x_data[tokens], g[a:b]
+            pre, up = rows @ wgt, rows @ wut
+            g_pre, g_up, gate = _gated_hidden_grads(go @ w_down.data, pre, s, up)
+            gx[tokens] += g_pre @ w_gate.data + g_up @ w_up.data
+            grads[3 * i: 3 * i + 3] = g_pre.T @ rows, g_up.T @ rows, go.T @ (gate * up)
+        return (gx, *grads)
+
+    return _finish("swiglu", out, inputs, vjp)
+
+
+def combine_rows(y: Tensor, gates: Tensor, slots: np.ndarray, cols: np.ndarray) -> Tensor:
+    """sum over j of gates[t, cols[t, j]] * y[slots[t, j]] for each token t,
+    the terms added j ascending.
+
+    y is [R, D] and gates [T, C]; slots and cols are [T, K], each slots
+    entry a distinct row of y and each row of cols distinct columns. The
+    adjoint writes every gradient row once, with no scatter-add.
+    """
+    slots = np.asarray(slots, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    t = gates.data.shape[0]
+    if slots.ndim != 2 or slots.shape != cols.shape or slots.shape[0] != t or slots.shape[1] < 1:
+        raise ShapeError(f"slots {slots.shape} and cols {cols.shape} must both be [{t}, K >= 1]")
+    gates = _as_operand(gates, y)
+    _check_distinct(slots, y.data.shape[0], "slots")
+    _check_distinct_per_row(cols, "cols")
+    tokens = np.arange(t)
+    picked = [gates.data[tokens, cols[:, j]][:, None] for j in range(slots.shape[1])]
+    out = y.data[slots[:, 0]] * picked[0]
+    for j in range(1, len(picked)):
+        out += y.data[slots[:, j]] * picked[j]
+
+    def vjp(g):
+        gy = np.zeros_like(y.data) if slots.size < y.data.shape[0] else np.empty_like(y.data)
+        g_gates = np.zeros_like(gates.data)
+        for j, w in enumerate(picked):
+            gy[slots[:, j]] = g * w
+            g_gates[tokens, cols[:, j]] = (g * y.data[slots[:, j]]).sum(axis=1)
+        return gy, g_gates
+
+    return _finish("combine_rows", out, (y, gates), vjp)
+
+
+def reference_mixture(x: Tensor, experts: list, bounds, slots: np.ndarray, gates: Tensor) -> Tensor:
+    """tensor.mixture's result as swiglu's grouped rows summed by combine_rows,
+    each row scaled by its group's column of gates."""
+    groups = np.repeat(np.arange(len(experts)), np.diff([int(b) for b in bounds]))
+    slots = np.asarray(slots, dtype=np.intp)
+    return combine_rows(swiglu(x, experts, bounds, slots), gates, slots, groups[slots])
+
+
+def routed_gates(routing) -> np.ndarray:
+    """[T, N]: each token's routed scores on its selected experts, zero
+    elsewhere (the gate table that RouterOutput no longer carries)."""
+    routed = routing.scores.data[:, :len(routing.f)]
+    mask = np.zeros_like(routed)
+    np.put_along_axis(mask, routing.selected, 1.0, axis=-1)
+    return routed * mask
+
+
 # --- the per-expert, per-row training path that grouped dispatch, linear and
 # the one-row batch replaced, kept as their oracle ----------------------------
 
@@ -641,11 +770,8 @@ def reference_route_topk(u_norm: Tensor, params, k: int) -> tuple:
     scores = softmax_lastdim(slice_cols(logits, 0, n))
     shared_gate = T.reshape(sigmoid(slice_cols(logits, n, n + 1)), (u_norm.shape[0],))
     selected = topk_indices(scores.data, k)
-    mask = np.zeros_like(scores.data)
-    np.put_along_axis(mask, selected, 1.0, axis=-1)
-    gates = T.constant(scores.data * mask, scores.dtype)
     f, r = load_stats(selected, scores.data, k)
-    return RouterOutput(scores=scores, gates=gates, selected=selected, f=f, r=r), shared_gate
+    return RouterOutput(scores=scores, selected=selected, f=f, r=r), shared_gate
 
 
 def reference_moe_forward(u_norm: Tensor, params, routing) -> Tensor:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_NOTES
-from helpers import central_diff_grad, max_rel_err
+from helpers import central_diff_grad, max_rel_err, routed_gates
 from test_data import corrupt_series, ref_pipeline
 
 from sparsecast.data import (
@@ -109,19 +109,20 @@ def test_criterion_02_routing_invariants():
     )
     u = Tensor(rng.normal(size=(tokens, d)), dtype=np.float64)
     routing = route_topk(u, params, k=k)
+    gates = routed_gates(routing)
 
-    nonzero_per_row = (routing.gates.data != 0).sum(axis=1)
+    nonzero_per_row = (gates != 0).sum(axis=1)
     assert np.all(nonzero_per_row == k), "every token must carry exactly K gates"
     for t in range(tokens):
         for i in routing.selected[t]:
-            assert routing.gates.data[t, i] == routing.scores.data[t, i]
+            assert gates[t, i] == routing.scores.data[t, i]
     assert abs(routing.f.sum() - 1.0) <= 1e-6
     assert abs(routing.r.sum() - 1.0) <= 1e-6
 
     sparse = moe_forward(u, params, routing).data
     dense = routing.scores.data[:, n, None] * expert_ffn(u, params.shared).data
     for i, exp in enumerate(params.experts):
-        dense = dense + routing.gates.data[:, i:i + 1] * expert_ffn(u, exp).data
+        dense = dense + gates[:, i:i + 1] * expert_ffn(u, exp).data
     gap = float(np.max(np.abs(sparse - dense)))
     assert gap <= 1e-6, f"sparse vs dense-sum mismatch {gap:.3g}"
     ACCEPTANCE_NOTES["test_criterion_02_routing_invariants"] = \

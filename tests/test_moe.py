@@ -8,7 +8,7 @@ from sparsecast import tensor as T
 from sparsecast.moe import ExpertFFN, MoeParams, expert_ffn, load_stats, moe_forward, route_topk
 from sparsecast.tensor import Graph, Tensor
 
-from helpers import mul, reference_moe_forward, reference_route_topk, sum_all
+from helpers import mul, reference_moe_forward, reference_route_topk, routed_gates, sum_all
 
 
 def make_moe_params(rng, d_model=8, n_experts=4, d_expert=16, dtype=np.float64):
@@ -31,7 +31,7 @@ def dense_mixture_oracle(u: np.ndarray, params: MoeParams, routing) -> np.ndarra
     out = np.zeros_like(u)
     shared = expert_ffn(Tensor(u, dtype=u.dtype), params.shared).data
     out += routing.scores.data[:, params.num_experts, None] * shared
-    gates = routing.gates.data
+    gates = routed_gates(routing)
     for i, exp in enumerate(params.experts):
         y = expert_ffn(Tensor(u, dtype=u.dtype), exp).data
         out += gates[:, i:i + 1] * y
@@ -43,7 +43,7 @@ def test_full_selection_gates_equal_scores():
     params = make_moe_params(rng)
     u = Tensor(rng.normal(size=(16, 8)), dtype=np.float64)
     routing = route_topk(u, params, k=4)
-    np.testing.assert_array_equal(routing.gates.data, routing.scores.data[:, :4])
+    np.testing.assert_array_equal(routed_gates(routing), routing.scores.data[:, :4])
 
 
 def test_topk_monotone_under_softmax():
@@ -69,12 +69,13 @@ def test_topk_matches_full_sort_oracle():
     k = 3
     routing = route_topk(u, params, k=k)
     scores = routing.scores.data
+    gates = routed_gates(routing)
     for t in range(64):
         ranked = sorted(range(6), key=lambda i: (-scores[t, i], i))
         assert set(routing.selected[t]) == set(ranked[:k])
         for i in range(6):
             expect = scores[t, i] if i in ranked[:k] else 0.0
-            assert routing.gates.data[t, i] == pytest.approx(expect, abs=0)
+            assert gates[t, i] == pytest.approx(expect, abs=0)
 
 
 def test_topk_tie_breaks_toward_lower_index():
@@ -89,7 +90,7 @@ def test_router_invariants_random_batch():
     u = Tensor(rng.normal(size=(128, 8)), dtype=np.float64)
     routing = route_topk(u, params, k=2)
     np.testing.assert_allclose(routing.scores.data[:, :4].sum(axis=1), 1.0, atol=1e-6)
-    nonzero = (routing.gates.data != 0).sum(axis=1)
+    nonzero = (routed_gates(routing) != 0).sum(axis=1)
     np.testing.assert_array_equal(nonzero, np.full(128, 2))
     assert routing.f.sum() == pytest.approx(1.0, abs=1e-6)
     assert routing.r.sum() == pytest.approx(1.0, abs=1e-6)
@@ -131,11 +132,8 @@ def test_identical_experts_make_selection_irrelevant():
         # Routed scores 0.25 each, and the shared expert's gate 0.5.
         scores = Tensor(np.hstack([np.full((5, 4), 0.25), np.full((5, 1), 0.5)]),
                         dtype=np.float64)
-        mask = np.zeros((5, 4))
-        np.put_along_axis(mask, selected, 1.0, axis=-1)
         return moe.RouterOutput(
             scores=scores,
-            gates=Tensor(scores.data[:, :4] * mask, dtype=np.float64),
             selected=selected,
             f=np.full(4, 0.25), r=np.full(4, 0.25),
         )
@@ -160,14 +158,14 @@ def test_unselected_experts_not_evaluated(monkeypatch):
     unselected = set(range(4)) - set(np.unique(routing.selected).tolist())
     assert unselected == {3}
     calls = []
-    original = T.swiglu
+    original = T.mixture
 
-    def counting(x, experts, bounds, slots):
+    def counting(x, experts, bounds, slots, gates):
         calls.append([(id(w_gate), b - a)
                       for (w_gate, _, _), a, b in zip(experts, bounds[:-1], bounds[1:])])
-        return original(x, experts, bounds, slots)
+        return original(x, experts, bounds, slots, gates)
 
-    monkeypatch.setattr(T, "swiglu", counting)
+    monkeypatch.setattr(T, "mixture", counting)
     with Graph() as g:
         out = moe_forward(u, params, routing)
         loss = sum_all(mul(out, T.constant(np.ones((16, 8)), np.float64)))
@@ -260,8 +258,9 @@ def test_route_topk_matches_five_op_router_oracle_bitwise(dtype):
         with Graph() as graph:
             routing, routed, shared_gate, loss = route(u)
         graph.backward(loss)
-        runs.append({"routed": routed, "shared_gate": shared_gate, "gates": routing.gates.data,
-                     "selected": routing.selected, "f": routing.f, "r": routing.r,
+        # route_topk lists a token's picks ascending, the oracle by score.
+        runs.append({"routed": routed, "shared_gate": shared_gate, "gates": routed_gates(routing),
+                     "selected": np.sort(routing.selected, axis=1), "f": routing.f, "r": routing.r,
                      "d_router": params.router.grad, "du": u.grad})
     got, want = runs
     for name in want:

@@ -14,6 +14,7 @@ import sparsecast
 
 from helpers import (
     check_against_fd,
+    combine_rows,
     dispatch_rows,
     matmul,
     max_rel_err,
@@ -22,6 +23,7 @@ from helpers import (
     reference_attention,
     reference_gather_entries,
     reference_huber,
+    reference_mixture,
     reference_sigmoid,
     reference_swiglu,
     reference_tiled_attention,
@@ -31,6 +33,7 @@ from helpers import (
     slice_cols,
     softmax_lastdim,
     sum_all,
+    swiglu,
     transpose,
 )
 from sparsecast.model import attention_bias
@@ -42,7 +45,6 @@ from sparsecast.tensor import (
     Tensor,
     _sigmoid,
     add,
-    combine_rows,
     concat_rows,
     constant,
     gather_rows,
@@ -50,12 +52,12 @@ from sparsecast.tensor import (
     huber,
     linear,
     masked_attention,
+    mixture,
     reshape,
     rmsnorm,
     rope,
     rope_tables,
     router_scores,
-    swiglu,
     weighted_sum,
 )
 
@@ -247,14 +249,21 @@ def test_sigmoid_extreme_negative_stays_finite():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_branch_free_sigmoid_matches_masked_form_bitwise(dtype):
+    # max(e, x >= 0) / (1 + e) picks its numerator by arithmetic, not by a
+    # branch per sign: the same bits on zeros of both signs, subnormals and
+    # magnitudes far past exp's range.
     info = np.finfo(dtype)
-    edges = [0.0, -0.0, 1e-30, 0.5, 1.0, 17.0, 88.0, 88.7, 89.0, 700.0, 709.0, 710.0, 1e4,
-             float(info.tiny), float(info.max), float(np.nextafter(info.max, 0, dtype=dtype))]
-    grid = np.concatenate([edges, np.linspace(-100, 100, 20001), np.geomspace(1e-6, 1e6, 501)])
+    edges = [0.0, -0.0, 1e-30, 0.5, 1.0, 17.0, 88.0, 88.7, 89.0, 700.0, 709.0, 710.0, 1e4, 1e30,
+             float(info.smallest_subnormal), float(info.smallest_subnormal) * 3,
+             float(info.tiny) / 2, float(info.tiny), float(info.max),
+             float(np.nextafter(info.max, 0, dtype=dtype))]
+    grid = np.concatenate([edges, np.linspace(-100, 100, 20001), np.geomspace(1e-6, 1e30, 721)])
     x = np.concatenate([grid, -grid]).astype(dtype)
+    assert np.any((x != 0) & (np.abs(x) < info.tiny)), "no subnormal input"
     got, want = _sigmoid(x), reference_sigmoid(x)
     assert got.dtype == dtype
     assert got.tobytes() == want.tobytes()
+    assert _sigmoid(np.array([-0.0, 0.0], dtype=dtype)).tolist() == [0.5, 0.5]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -332,15 +341,19 @@ def test_dispatch_ops_reject_bad_indices():
     with pytest.raises(ShapeError):
         dispatch_rows(x, np.array([[0, 1], [1, 2], [3, 4]]))  # row 1 twice, row 5 never
     w = [tuple(Tensor(np.ones(shape, dtype=np.float32)) for shape in ((4, 2), (4, 2), (2, 4)))]
+    one, two = (Tensor(np.ones((3, n), dtype=np.float32)) for n in (1, 2))
     with pytest.raises(ShapeError):
-        swiglu(x, w, [0, 2], np.arange(3)[:, None])  # groups must cover all three rows
+        mixture(x, w, [0, 2], np.arange(3)[:, None], one)  # groups must cover all three rows
     for slots in (np.array([[0, 1], [1, 2], [3, 4]]),  # row 1 twice, row 5 never
                   np.array([[0, 1], [2, 3]]),  # one token short
                   np.array([0, 1, 2]),  # no K axis
                   np.array([[0, 1], [2, 3], [4, 6]]),  # row 6 of six
                   np.array([[0, 1], [2, 3], [4, 5]])):  # token 0 twice in group 0
         with pytest.raises(ShapeError):
-            swiglu(x, w + w, [0, 3, 6], slots)
+            mixture(x, w + w, [0, 3, 6], slots, two)
+    for gates in (one, Tensor(np.ones((2, 2), dtype=np.float32))):  # a column or a token short
+        with pytest.raises(ShapeError):
+            mixture(x, w + w, [0, 3, 6], np.array([[0, 3], [1, 4], [2, 5]]), gates)
     y = Tensor(np.ones((6, 2), dtype=np.float32))
     gates = Tensor(np.ones((3, 4), dtype=np.float32))
     with pytest.raises(ShapeError):
@@ -578,6 +591,23 @@ def _(rng):
     return leaves, lambda: sum_all(mul(swiglu(leaves["x"], experts, [0, 3, 3, 6], slots), w))
 
 
+@op_case("mixture")
+def _(rng):
+    # Three tokens, each in the shared group 3 first and then two of groups
+    # 0 and 2; group 1 is empty, so its weights are constants here. The
+    # gates are a leaf, and group i reads column i.
+    leaves = _leafify(rng, {"x": (3, 4), "gates": (3, 4), "g0": (3, 4), "u0": (3, 4),
+                            "d0": (4, 3), "g2": (3, 4), "u2": (3, 4), "d2": (4, 3),
+                            "g3": (2, 4), "u3": (2, 4), "d3": (4, 2)})
+    idle = tuple(constant(_rand(rng, shape), np.float64) for shape in ((6, 4), (6, 4), (4, 6)))
+    slots = np.array([[6, 0, 3], [7, 1, 4], [8, 2, 5]])
+    w = constant(_rand(rng, (3, 4)), np.float64)
+    experts = [tuple(leaves[f"{n}{i}"] for n in "gud") for i in (0,)] + [idle] + \
+        [tuple(leaves[f"{n}{i}"] for n in "gud") for i in (2, 3)]
+    return leaves, lambda: sum_all(mul(mixture(leaves["x"], experts, [0, 3, 3, 6, 9], slots,
+                                               leaves["gates"]), w))
+
+
 @op_case("reference_swiglu")
 def _(rng):
     leaves = _leafify(rng, {"x": (5, 4), "g0": (3, 4), "u0": (3, 4), "d0": (4, 3),
@@ -771,17 +801,19 @@ def test_recorded_attention_keeps_row_statistics_not_tile_weights():
     assert peak < 2 * tile_bytes, f"peak {peak / 1e6:.1f} MB, one tile {tile_bytes / 1e6:.1f} MB"
 
 
-def test_swiglu_outside_a_graph_keeps_no_group_workspace():
+def test_mixture_outside_a_graph_keeps_no_group_workspace():
     rows, d, hidden, groups = 4096, 8, 64, 8
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(rows, d)).astype(np.float32))
+    gates = Tensor(rng.random(size=(rows, groups)).astype(np.float32))
     experts = [tuple(Tensor(rng.normal(size=shape).astype(np.float32))
                      for shape in ((hidden, d), (hidden, d), (d, hidden)))
                for _ in range(groups)]
     group_bytes = rows // groups * hidden * 4
     tracemalloc.start()
     try:
-        out = swiglu(x, experts, range(0, rows + 1, rows // groups), np.arange(rows)[:, None])
+        out = mixture(x, experts, range(0, rows + 1, rows // groups), np.arange(rows)[:, None],
+                      gates)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -842,6 +874,62 @@ def test_swiglu_matches_dispatch_rows_oracle_bitwise(dtype, k, idle, one_group):
     assert sum(a is None for a in got) == 3 * len(idle)
 
 
+def _mixture_and_grads(kernel, x, experts, gates, g):
+    x, gates = (Tensor(a.copy(), requires_grad=True) for a in (x, gates))
+    weights = [tuple(Tensor(w.copy(), requires_grad=True) for w in ws) for ws in experts]
+    with Graph() as graph:
+        out = kernel(x, weights, gates)
+        loss = sum_all(mul(out, constant(g, g.dtype)))
+    graph.backward(loss)
+    return [out.data, x.grad, gates.grad] + [w.grad for ws in weights for w in ws]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, idle, one_group", [(2, (), False), (2, (1,), False), (1, (), False),
+                                                (1, (0, 3), False), (1, (), True), (1, (), None)],
+                         ids=["K2", "K2-idle", "K1", "K1-two-idle", "one-group", "dense"])
+def test_mixture_matches_swiglu_and_combine_rows_bitwise(dtype, k, idle, one_group):
+    # One op against the grouped swiglu and combine_rows it replaced: the
+    # output and the gradients of x, the gates and every weight bit for bit,
+    # though mixture keeps no expert output and no sigmoid for its vjp. The
+    # routed cases put the shared expert 4 first, as moe_forward does; the
+    # dense case is expert_ffn's one group, identity table and ones column.
+    rng = np.random.default_rng([k, len(idle), bool(one_group)])
+    tokens, d, hidden, experts = 300, 16, 24, 4
+    if one_group is None:
+        experts, slots, bounds = 1, np.arange(tokens)[:, None], [0, tokens]
+        gates = np.ones((tokens, 1), dtype=dtype)
+    else:
+        if one_group:
+            idle = (0, 1, 3)
+        live = [e for e in range(experts) if e not in idle]
+        picks = np.sort([rng.choice(live, size=k, replace=False) for _ in range(tokens)], axis=1)
+        cols = np.concatenate((np.full((tokens, 1), experts), picks), axis=1)
+        experts += 1
+        slots = np.empty(cols.size, dtype=np.intp)
+        slots[np.argsort(cols.reshape(-1), kind="stable")] = np.arange(cols.size)
+        slots = slots.reshape(cols.shape)
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(cols.reshape(-1),
+                                                            minlength=experts))))
+        gates = rng.random(size=(tokens, experts)).astype(dtype)
+    x, g = (rng.normal(size=(tokens, d)).astype(dtype) for _ in range(2))
+    weights = [tuple(rng.normal(scale=0.3, size=shape).astype(dtype)
+                     for shape in ((hidden, d), (hidden, d), (d, hidden)))
+               for _ in range(experts)]
+    got, want = (_mixture_and_grads(lambda x, ws, gates: kernel(x, ws, bounds, slots, gates),
+                                    x, weights, gates, g)
+                 for kernel in (mixture, reference_mixture))
+    names = ["out", "dx", "d_gates"] + [f"{n}{e}" for e in range(experts)
+                                        for n in ("d_gate", "d_up", "d_down")]
+    for name, a, b in zip(names, got, want):
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.dtype == dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert sum(a is None for a in got) == 3 * len(idle)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [8, 32])
 @pytest.mark.parametrize("x_grad", [False, True])
@@ -868,22 +956,26 @@ def test_glu_matches_silu_mul_of_linears_bitwise(dtype, n, x_grad):
         assert a.tobytes() == b.tobytes(), name
 
 
-def test_recorded_gated_ops_keep_only_their_sigmoid():
-    # While a graph records, swiglu keeps each group's sigmoid and glu its
-    # one sigmoid; no group's pre-activation or up projection, and no copy
-    # of the routed rows, outlives the forward.
+def test_recorded_gated_ops_keep_no_activation():
+    # While a graph records, mixture keeps each group's three transposed
+    # weight copies and its row-to-token table, and glu its two weight
+    # copies: no sigmoid, pre-activation, up projection or expert output,
+    # and no copy of the routed rows, outlives the forward.
     rng = np.random.default_rng(5)
     tokens, d, hidden, experts, k = 2048, 16, 32, 4, 2
     slots, bounds = _routed(rng, tokens, experts, k)
     x = Tensor(rng.normal(size=(tokens, d)).astype(np.float32), requires_grad=True)
+    gates = Tensor(rng.random(size=(tokens, experts)).astype(np.float32), requires_grad=True)
     weights = [tuple(Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
                      for shape in ((hidden, d), (hidden, d), (d, hidden)))
                for _ in range(experts)]
     points = Tensor(rng.normal(size=(tokens, 1)).astype(np.float32))
     w, v = (Tensor(rng.normal(size=(hidden, 1)).astype(np.float32), requires_grad=True)
             for _ in range(2))
-    for run, sigmoid_bytes in ((lambda: swiglu(x, weights, bounds, slots), tokens * k * hidden * 4),
-                               (lambda: glu(points, w, v), tokens * hidden * 4)):
+    for run, copy_bytes, sigmoid_bytes in (
+            (lambda: mixture(x, weights, bounds, slots, gates),
+             experts * 3 * hidden * d * 4 + tokens * k * 8, tokens * k * hidden * 4),
+            (lambda: glu(points, w, v), 2 * hidden * 4, tokens * hidden * 4)):
         tracemalloc.start()
         try:
             with Graph() as graph:  # the tape lives as long as graph
@@ -892,9 +984,9 @@ def test_recorded_gated_ops_keep_only_their_sigmoid():
         finally:
             tracemalloc.stop()
         kept = held - out.data.nbytes
-        # pre, s and up per group would be three times the sigmoids.
-        assert sigmoid_bytes <= kept < 1.25 * sigmoid_bytes, \
-            f"{kept / 1e6:.3f} MB kept, sigmoids {sigmoid_bytes / 1e6:.3f} MB"
+        # Keeping the sigmoids alone would add sigmoid_bytes (256 KB and 128 KB).
+        assert copy_bytes <= kept < copy_bytes + 0.05 * sigmoid_bytes, \
+            f"{kept / 1e3:.1f} KB kept, weight copies {copy_bytes / 1e3:.1f} KB"
 
 
 def test_inference_attention_holds_one_tile_workspace():

@@ -462,9 +462,10 @@ def test_step_tape_per_op_counts_at_benchmark_model(tmp_path, monkeypatch):
     weight product outside the embedding and the experts is one linear node,
     each loss term (four heads, two balance layers) one weighted_sum, the
     embedding one glu, each layer's router scores one router_scores and its
-    routed and shared experts together one swiglu, and no matmul, mul,
-    silu, dispatch_rows, transpose, row_scale, sigmoid, softmax, column
-    slice or bias add is recorded."""
+    routed and shared experts, their gates and their sum together one
+    mixture, and no matmul, mul, silu, dispatch_rows, swiglu, combine_rows,
+    transpose, row_scale, sigmoid, softmax, column slice or bias add is
+    recorded."""
     model, batch = benchmark_model_and_batch(tmp_path)
     # A node is (key, input refs, vjp) and holds no operand, so each add's
     # operand shapes are logged as it is called.
@@ -474,9 +475,10 @@ def test_step_tape_per_op_counts_at_benchmark_model(tmp_path, monkeypatch):
         batch_loss(model, batch, TrainConfig(batch=4, context=256))
     nodes = graph._nodes
     ops = Counter(vjp.__qualname__.split(".")[0] for _, _, vjp in nodes)
-    assert len(nodes) == 59
+    assert len(nodes) == 57
     assert ops["linear"] == 14 and ops["weighted_sum"] == 6
-    assert ops["glu"] == 1 and ops["swiglu"] == 2 and ops["router_scores"] == 2
+    assert ops["glu"] == 1 and ops["mixture"] == 2 and ops["router_scores"] == 2
+    assert ops["swiglu"] == ops["combine_rows"] == 0
     assert ops["matmul"] == ops["mul"] == ops["silu"] == ops["dispatch_rows"] == 0
     assert ops["transpose"] == ops["row_scale"] == 0
     assert ops["sigmoid"] == ops["softmax_lastdim"] == ops["slice_cols"] == 0
@@ -529,6 +531,23 @@ def test_benchmark_step_peaks_under_7_mb(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 7e6, f"train_step peaked at {peak / 1e6:.2f} MB"
+
+
+def test_benchmark_step_peaks_under_5_5_mb(tmp_path):
+    # One mixture op per layer keeps only weight copies, not the experts'
+    # [T (K + 1), D] output rows nor any sigmoid, and glu keeps no sigmoid:
+    # the sigmoid is cheap enough to run again in the vjps (6.2 MB when
+    # swiglu kept its sigmoids and combine_rows the expert outputs).
+    model, batch = benchmark_model_and_batch(tmp_path)
+    config = TrainConfig(batch=4, context=256)
+    optimizer = AdamW(model, config)
+    tracemalloc.start()
+    try:
+        train_step(model, optimizer, batch, config, config.lr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5e6, f"train_step peaked at {peak / 1e6:.2f} MB"
 
 
 def test_batch_loss_frees_every_output_no_vjp_reads_before_backward(tmp_path, monkeypatch):
