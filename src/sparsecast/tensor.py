@@ -285,6 +285,10 @@ def add(a: Tensor, b) -> Tensor:
 # forward product: OpenBLAS rounds a narrower product (or numpy's gemv for
 # one row) differently with the row count and a row's place in the call.
 _NARROW = 16
+# linear's x-gradient g @ w rounds a row by the call's row count for a w of
+# more than _WIDE rows, and not when summed over blocks of _X_GRAD_BLOCK rows.
+_WIDE = 48
+_X_GRAD_BLOCK = 32
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -293,10 +297,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     The product is by a contiguous transposed copy of w, never by the
     transposed view, and a w of fewer than _NARROW rows is zero-padded to
     _NARROW rows and its product sliced back, while the x-gradient is
-    g @ w: on OpenBLAS those are the forms whose rows come out the same
-    whatever the row count, and packed rows must compute what they compute
-    alone. (g @ w holds to that up to 48 weight rows; at 64 no form tried
-    does.)
+    g @ w, summed over blocks of _X_GRAD_BLOCK weight rows in order for a
+    w of more than _WIDE rows: on OpenBLAS those are the forms whose rows
+    come out the same whatever the row count, and packed rows must compute
+    what they compute alone. (Whole, g @ w rounds a row by the row count
+    at 64 weight rows, the horizon-64 head.)
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear needs x [m, k] and w [n, k], got {x.shape} and {w.shape}")
@@ -320,7 +325,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         inputs = (x, w, b)
 
     def vjp(g):
-        grads = (g @ w_data, (x_data.T @ g).T.copy())
+        if n > _WIDE:
+            gx = g[:, :_X_GRAD_BLOCK] @ w_data[:_X_GRAD_BLOCK]
+            for j in range(_X_GRAD_BLOCK, n, _X_GRAD_BLOCK):
+                gx += g[:, j:j + _X_GRAD_BLOCK] @ w_data[j:j + _X_GRAD_BLOCK]
+        else:
+            gx = g @ w_data
+        grads = (gx, (x_data.T @ g).T.copy())
         return grads if b is None else grads + (g.sum(axis=0),)
 
     return _finish("linear", out, inputs, vjp)

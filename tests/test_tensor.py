@@ -164,14 +164,15 @@ def test_one_column_linear_row_does_not_depend_on_row_count():
         assert linear(Tensor(x[rows]), Tensor(w), b).data.tobytes() == full[rows].tobytes()
 
 
-@pytest.mark.parametrize("n", [5, 8, 16, 32, 48])
+@pytest.mark.parametrize("n", [5, 8, 16, 32, 48, 64])
 @pytest.mark.parametrize("rows", [7, 517, 8192])
 def test_narrow_linear_rows_match_single_row_calls_bitwise(n, rows):
     # On OpenBLAS, x @ w.T for a weight of 5 or 8 rows (the router, the
     # horizon-8 head) rounds a row by the call's row count and the row's
     # place in it, and so does the x-gradient g @ w.T-view at 8 to 48 rows.
     # linear pads a narrow weight with zero rows and takes g @ w instead.
-    # (At 64 rows, the horizon-64 head, g @ w rounds by the row count too.)
+    # At 64 rows, the horizon-64 head, g @ w rounds by the row count too,
+    # and linear sums g @ w over 32-row blocks of the weight.
     rng = np.random.default_rng([n, rows])
     x, w, g = (rng.normal(size=shape).astype(np.float32)
                for shape in ((rows, 32), (n, 32), (rows, n)))
