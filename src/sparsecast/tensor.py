@@ -4,9 +4,8 @@ The op set is exactly what the forecaster's math needs: linear, explicit
 elementwise addition, reshape, constant-weighted sums (the loss terms), the
 router's scores (a softmax over the routed experts plus the shared
 expert's sigmoid), the Huber loss, fused norm/rotation/attention kernels
-and two gated units (glu for the point embedding, swiglu for the experts)
-with analytic adjoints, and the row gathers and permutations behind sparse
-expert dispatch. Ops are plain functions, with no operator overloading on
+and two gated units (glu for the point embedding, mixture for the experts)
+with analytic adjoints, and the row gathers behind sparse expert dispatch. Ops are plain functions, with no operator overloading on
 Tensor, and Graph.backward is the one way to backpropagate.
 
 A recorded op keeps only what its vjp reads, and only while a graph
@@ -16,22 +15,25 @@ holds keys, not outputs: a node is its own serial key, its inputs' keys
 vjp reads, such as a projection that rope rotates or a residual branch that
 add sums, is freed as soon as the forward drops it. Attention keeps each
 tile's row max and row sum, not its weights, and its vjp replays the
-forward's ops to rebuild them bit for bit. glu and swiglu keep only their
-sigmoids (per group for swiglu), the costly part to rebuild; their vjps
-rebuild the gate pre-activation and the up projection by the forward's own
-products, and swiglu gathers its rows from the token rows again rather than
-keep a routed copy. Graph.backward drops each node as its vjp runs, so
-each saved array is freed once backward has passed its node. A training
-step of the benchmark model at 4 x 256 peaks at about 6.5 MB traced (8.9 MB
-when the gated ops kept their pre-activations, up projections and a copy
-of the routed rows).
+forward's ops to rebuild them bit for bit. glu and mixture keep no
+activation, only their transposed weight copies: their vjps rebuild the
+gate pre-activation, its sigmoid and the up projection by the forward's
+own ops, and mixture gathers its rows from the token rows again and
+rebuilds its expert outputs for the gates' gradient rather than keep them.
+Graph.backward drops each node as its vjp runs, so each saved array is
+freed once backward has passed its node. A training step of the benchmark
+model at 4 x 256 peaks at about 4.7 MB traced (6.5 MB when the gated ops
+kept their sigmoids and the expert outputs were kept for the gates'
+gradient, 8.9 MB when the pre-activations, up projections and a copy of
+the routed rows were kept too).
 
 Every weight product goes through linear (x @ w.T, plus an optional bias),
-glu or swiglu, and each multiplies by contiguous transposed copies of the
+glu or mixture, and each multiplies by contiguous transposed copies of the
 weights, never by transposed views, so a row's result does not depend on
 how many rows share the call; linear pads a weight of fewer than 16 rows
 (the router, the short heads) with zero rows and slices the product back,
-since OpenBLAS rounds a narrower product by the row count.
+since OpenBLAS rounds a narrower product by the row count, and sums the
+x-gradient of a weight of more than 48 rows over 32-row blocks.
 
 Attention is blocked by segment and tiled by query. A packed row of T
 tokens is cut into segments given by their bounds [0, b_1, ..., T]; tokens
@@ -45,12 +47,12 @@ with no [T, T] mask. Every call, recorded or not, holds one tile's
 workspace at a time. The same kernel serves cached decoding, where keys
 and values run longer than the queries by a cached prefix.
 
-Expert dispatch is dropless and expert-sorted: swiglu takes the token rows
-and a slot table that lays each token out once per expert it selects in
-expert-contiguous groups, gathers each group's rows itself and runs every
-group's gated FFN in one op, and combine_rows adds each token's rows back,
-each scaled by its column of the router scores. The shared expert is one
-more group, which every token selects.
+Expert dispatch is dropless and expert-sorted: mixture takes the token
+rows, the router scores and a slot table that lays each token out once per
+expert it selects in expert-contiguous groups. In one op it gathers each
+group's rows itself, runs every group's gated FFN, scales each output row
+by its expert's column of the scores and adds each token's rows back. The
+shared expert is one more group, which every token selects.
 
 Shape discipline is strict: elementwise ops accept equal shapes or a
 scalar, nothing else. Anything fancier (biases, per-row scaling, column
@@ -367,8 +369,9 @@ def weighted_sum(x: Tensor, weights) -> Tensor:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows. The numerator is 1 where x >= 0 (e <= 1
-    # there) and e below 0: the same bits as choosing 1 / d or e / d by sign,
-    # without np.where's mispredicted branch on every random sign.
+    # there) and e below 0: the bits of choosing 1 / d or e / d by sign, at
+    # under half the cost of np.where, whose select mispredicts on random
+    # signs, so the gated ops can run it again in their vjps.
     e = np.exp(-np.abs(x))
     return np.maximum(e, x >= 0) / (1.0 + e)
 
@@ -733,7 +736,7 @@ def mixture(x: Tensor, experts: list, bounds, slots: np.ndarray, gates: Tensor) 
                              f"do not fit rows of width {d}")
     inputs = (x, gates, *(w for ws in weights for w in ws))
     keep = _recording(inputs) is not None
-    x_data, gate_data, gate_grad = x.data, gates.data, gates.requires_grad
+    x_data, gate_data = x.data, gates.data
     # order[j]: the token whose copy grouped row j is.
     order = np.empty(r, dtype=np.intp)
     order[slots] = np.arange(t)[:, None]
@@ -744,14 +747,14 @@ def mixture(x: Tensor, experts: list, bounds, slots: np.ndarray, gates: Tensor) 
         a, b = bounds[i], bounds[i + 1]
         if a == b:
             continue
-        copies = w_gate.data.T.copy(), w_up.data.T.copy(), w_down.data.T.copy()
+        wgt, wut, wdt = w_gate.data.T.copy(), w_up.data.T.copy(), w_down.data.T.copy()
         tokens = order[a:b]
-        pre, s, up = _gated_hidden(x_data[tokens], copies[0], copies[1])
-        y[a:b] = (pre * s * up) @ copies[2]
-        del pre, s, up
+        pre, s, up = _gated_hidden(x_data[tokens], wgt, wut)
+        y[a:b] = (pre * s * up) @ wdt
+        del pre, s, up  # one group's workspace at a time
         y[a:b] *= gate_data[tokens, i, None]
         if keep:
-            saved.append((a, b, i, copies))
+            saved.append((a, b, i, wgt, wut, wdt))
     out = y[slots[:, 0]]
     for j in range(1, slots.shape[1]):
         out += y[slots[:, j]]
@@ -759,18 +762,18 @@ def mixture(x: Tensor, experts: list, bounds, slots: np.ndarray, gates: Tensor) 
 
     def vjp(g):
         # A group's tokens are distinct, so each adds its row gradients
-        # straight into theirs, and a token's sum runs in group order.
-        gx = np.zeros_like(x_data)
-        g_gates = np.zeros_like(gate_data) if gate_grad else None
+        # straight into theirs, and a token's sum runs in group order. Each
+        # temporary is dropped once read, so backward holds one group's
+        # workspace at a time and stays under the forward's peak.
+        gx, g_gates = np.zeros_like(x_data), np.zeros_like(gate_data)
         grads = [None] * (3 * len(weights))
-        for a, b, i, (wgt, wut, wdt) in saved:
+        for a, b, i, wgt, wut, wdt in saved:
             w_gate, w_up, w_down = weights[i]
             tokens = order[a:b]
             rows, go = x_data[tokens], g[tokens]
             pre, s, up = _gated_hidden(rows, wgt, wut)
             hidden = pre * s * up
-            if gate_grad:
-                g_gates[tokens, i] = (go * (hidden @ wdt)).sum(axis=1)
+            g_gates[tokens, i] = (go * (hidden @ wdt)).sum(axis=1)
             go *= gate_data[tokens, i, None]
             g_down = go.T @ hidden
             del hidden
