@@ -46,7 +46,6 @@ class RawSeries:
 
     values: np.ndarray
     domain: str = "default"
-    frequency: str = ""
     source: str = ""
 
 
@@ -311,7 +310,6 @@ class PackedBatch:
     tokens: np.ndarray       # [B, L, 1] float32
     seq_ids: np.ndarray      # [B, L] int64
     pad_mask: np.ndarray     # [B, L] bool
-    crop_domains: list       # per row, domain of each packed crop
 
     @property
     def rows(self) -> int:
@@ -368,11 +366,9 @@ def sample_batch(store: SequenceStore, rng: np.random.Generator, batch_size: int
     tokens = np.zeros((batch_size, context_len, 1), dtype=np.float32)
     seq_ids = np.zeros((batch_size, context_len), dtype=np.int64)
     pad_mask = np.zeros((batch_size, context_len), dtype=bool)
-    crop_domains: list = []
     for b in range(batch_size):
         pos = 0
         sid = 0
-        row_domains = []
         while context_len - pos >= 2:
             domain = draw_domain(rng, names, probs)
             seq_index = by_domain[domain][rng.integers(len(by_domain[domain]))]
@@ -381,15 +377,12 @@ def sample_batch(store: SequenceStore, rng: np.random.Generator, batch_size: int
             crop = values[start: start + (context_len - pos)]
             tokens[b, pos: pos + len(crop), 0] = crop
             seq_ids[b, pos: pos + len(crop)] = sid
-            row_domains.append(domain)
             pos += len(crop)
             sid += 1
         if pos < context_len:
             seq_ids[b, pos:] = sid
             pad_mask[b, pos:] = True
-        crop_domains.append(row_domains)
-    return PackedBatch(tokens=tokens, seq_ids=seq_ids, pad_mask=pad_mask,
-                       crop_domains=crop_domains)
+    return PackedBatch(tokens=tokens, seq_ids=seq_ids, pad_mask=pad_mask)
 
 
 # --- CSV ingestion ----------------------------------------------------------------

@@ -187,7 +187,6 @@ def one_epoch_fine_tune(model: Forecaster, train_values: np.ndarray,
             tokens=chunk[:, :, None],
             seq_ids=np.zeros(chunk.shape[:2], dtype=np.int64),
             pad_mask=np.zeros(chunk.shape[:2], dtype=bool),
-            crop_domains=[["fine_tune"]] * chunk.shape[0],
         )
         records.append(train_step(model, optimizer, batch, config, config.lr))
     return records

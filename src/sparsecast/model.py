@@ -18,7 +18,9 @@ block_forward(x, params, config, layer, rotary, bounds, cache) -> (x, routing).
 
 For decoding, Forecaster.forward takes a KVCache: each block appends the
 row's post-rotary keys and values and attends over everything cached, and
-the final block, final norm and heads run on the last row only.
+the final block, final norm and heads run on the last row only. A cached
+forward is inference-only: it records no tape, and inside a recording
+Graph it raises DataError.
 """
 
 from __future__ import annotations
@@ -172,8 +174,11 @@ class KVCache:
 
     keys[i] and values[i] hold layer i's post-rotary keys and values,
     [length, heads, d_head], of every token pushed through so far; length
-    is also the rotary position of the next token. A forward that raises
-    leaves the cache part-extended, so drop it then.
+    is also the rotary position of the next token. The cache holds plain
+    arrays, so a cached forward is inference-only: keys or values that
+    require a gradient (a forward inside a recording Graph) are a
+    DataError. A forward that raises leaves the cache part-extended, so
+    drop it then.
     """
 
     keys: list
@@ -186,11 +191,14 @@ class KVCache:
 
     def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple:
         """Append one layer's new keys and values; return those of every cached token."""
+        if k.requires_grad or v.requires_grad:
+            raise DataError("a cached forward is inference-only; run it outside a recording Graph")
+        keys, values = k.data, v.data
         if self.keys[layer] is not None:
-            k = T.concat_rows([T.constant(self.keys[layer], k.dtype), k])
-            v = T.concat_rows([T.constant(self.values[layer], v.dtype), v])
-        self.keys[layer], self.values[layer] = k.data, v.data
-        return k, v
+            keys = np.concatenate([self.keys[layer], keys])
+            values = np.concatenate([self.values[layer], values])
+        self.keys[layer], self.values[layer] = keys, values
+        return T.constant(keys, k.dtype), T.constant(values, v.dtype)
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD,
@@ -335,7 +343,7 @@ def causal_self_attention(x: Tensor, params: AttentionParams, config: ModelConfi
     t, d = x.shape
     heads = config.num_heads
     head_dim = d // heads
-    x_q = T.gather_rows(x, [t - 1]) if last_row else x
+    x_q = T.constant(x.data[-1:], x.dtype) if last_row else x
     n_q = x_q.shape[0]
     q = T.reshape(T.linear(x_q, params.wq, params.bq), (n_q, heads, head_dim))
     k = T.reshape(T.linear(x, params.wk, params.bk), (t, heads, head_dim))
@@ -363,7 +371,7 @@ def block_forward(x: Tensor, params: BlockParams, config: ModelConfig, layer: in
                                      params.attn, config, rotary, bounds, cache, layer,
                                      last_row)
     if last_row:
-        x = T.gather_rows(x, [x.shape[0] - 1])
+        x = T.constant(x.data[-1:], x.dtype)
     u = T.add(attended, x)
     u_norm = T.rmsnorm(u, params.ffn_norm, eps=RMSNORM_EPS)
     routing = None
@@ -417,7 +425,8 @@ class Forecaster:
         and values and appends the row's own. The final block, the final
         norm and the heads then run on the last row only, so hidden is
         [1, D] and head j's output [1, p_j]. The cache and the row together
-        may not exceed max_context.
+        may not exceed max_context. A cached forward is inference-only:
+        inside a recording Graph it raises DataError.
         """
         arr = np.asarray(values, dtype=self.dtype)
         if arr.ndim == 1:

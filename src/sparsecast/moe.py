@@ -41,10 +41,6 @@ class ExpertFFN:
     w_up: Tensor
     w_down: Tensor
 
-    @property
-    def hidden(self) -> int:
-        return self.w_gate.shape[0]
-
 
 @dataclass
 class MoeParams:

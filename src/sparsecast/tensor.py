@@ -5,8 +5,8 @@ elementwise addition, reshape, constant-weighted sums (the loss terms), the
 router's scores (a softmax over the routed experts plus the shared
 expert's sigmoid), the Huber loss, fused norm/rotation/attention kernels
 and two gated units (glu for the point embedding, mixture for the experts)
-with analytic adjoints, and the row gathers behind sparse expert dispatch. Ops are plain functions, with no operator overloading on
-Tensor, and Graph.backward is the one way to backpropagate.
+with analytic adjoints. Ops are plain functions, with no operator
+overloading on Tensor, and Graph.backward is the one way to backpropagate.
 
 A recorded op keeps only what its vjp reads, and only while a graph
 records it (one check, _recording, decides that for every op). The tape
@@ -30,10 +30,11 @@ the routed rows were kept too).
 Every weight product goes through linear (x @ w.T, plus an optional bias),
 glu or mixture, and each multiplies by contiguous transposed copies of the
 weights, never by transposed views, so a row's result does not depend on
-how many rows share the call; linear pads a weight of fewer than 16 rows
-(the router, the short heads) with zero rows and slices the product back,
-since OpenBLAS rounds a narrower product by the row count, and sums the
-x-gradient of a weight of more than 48 rows over 32-row blocks.
+how many rows share the call; linear pads a weight with zero rows to a
+multiple of 16 rows (the router and the short heads to 16) and slices the
+product back, since OpenBLAS rounds a product of another width by the row
+count, and takes the x-gradient as the in-order sum over 32-row blocks of
+the weight, one block for a weight of up to 32 rows.
 
 Attention is blocked by segment and tiled by query. A packed row of T
 tokens is cut into segments given by their bounds [0, b_1, ..., T]; tokens
@@ -283,13 +284,13 @@ def add(a: Tensor, b) -> Tensor:
     return _finish("add", a.data + b.data, (a, b), vjp)
 
 
-# A weight with fewer output rows than this is zero-padded to it for the
-# forward product: OpenBLAS rounds a narrower product (or numpy's gemv for
-# one row) differently with the row count and a row's place in the call.
-_NARROW = 16
-# linear's x-gradient g @ w rounds a row by the call's row count for a w of
-# more than _WIDE rows, and not when summed over blocks of _X_GRAD_BLOCK rows.
-_WIDE = 48
+# linear's forward zero-pads a weight to a multiple of this many rows:
+# OpenBLAS rounds a product of another width (or numpy's gemv for one row)
+# differently with the row count and a row's place in the call.
+_PAD_ROWS = 16
+# linear's x-gradient g @ w rounds a row by the call's row count for some
+# wider w (49 and 64 rows), and not when summed over blocks of this many
+# weight rows in order.
 _X_GRAD_BLOCK = 32
 
 
@@ -297,26 +298,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x[m×k] @ w[n×k].T, plus b[n] on every row when given.
 
     The product is by a contiguous transposed copy of w, never by the
-    transposed view, and a w of fewer than _NARROW rows is zero-padded to
-    _NARROW rows and its product sliced back, while the x-gradient is
-    g @ w, summed over blocks of _X_GRAD_BLOCK weight rows in order for a
-    w of more than _WIDE rows: on OpenBLAS those are the forms whose rows
-    come out the same whatever the row count, and packed rows must compute
-    what they compute alone. (Whole, g @ w rounds a row by the row count
-    at 64 weight rows, the horizon-64 head.)
+    transposed view, zero-padded to a multiple of _PAD_ROWS rows of w and
+    sliced back, while the x-gradient is g @ w summed in order over blocks
+    of _X_GRAD_BLOCK weight rows, one block for a w of up to _X_GRAD_BLOCK
+    rows: on OpenBLAS those are the forms whose rows come out the same
+    whatever the row count, and packed rows must compute what they compute
+    alone. (Unpadded, the product rounds a row by the row count at 5, 8,
+    33, 40 and 49 weight rows, and whole, g @ w does at 49 and 64.)
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear needs x [m, k] and w [n, k], got {x.shape} and {w.shape}")
     w = _as_operand(w, x)
     x_data, w_data = x.data, w.data
     n = w_data.shape[0]
-    if n < _NARROW:
-        wt = np.zeros((w_data.shape[1], _NARROW), dtype=w_data.dtype)
-        wt[:, :n] = w_data.T
-        out = np.ascontiguousarray((x_data @ wt)[:, :n])
-    else:
-        wt = w_data.T.copy()
-        out = x_data @ wt
+    wt = np.zeros((w_data.shape[1], n + -n % _PAD_ROWS), dtype=w_data.dtype)
+    wt[:, :n] = w_data.T
+    out = x_data @ wt
+    if n % _PAD_ROWS:
+        out = np.ascontiguousarray(out[:, :n])
     if b is None:
         inputs = (x, w)
     else:
@@ -327,12 +326,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         inputs = (x, w, b)
 
     def vjp(g):
-        if n > _WIDE:
-            gx = g[:, :_X_GRAD_BLOCK] @ w_data[:_X_GRAD_BLOCK]
-            for j in range(_X_GRAD_BLOCK, n, _X_GRAD_BLOCK):
-                gx += g[:, j:j + _X_GRAD_BLOCK] @ w_data[j:j + _X_GRAD_BLOCK]
-        else:
-            gx = g @ w_data
+        gx = g[:, :_X_GRAD_BLOCK] @ w_data[:_X_GRAD_BLOCK]
+        for j in range(_X_GRAD_BLOCK, n, _X_GRAD_BLOCK):
+            gx += g[:, j:j + _X_GRAD_BLOCK] @ w_data[j:j + _X_GRAD_BLOCK]
         grads = (gx, (x_data.T @ g).T.copy())
         return grads if b is None else grads + (g.sum(axis=0),)
 
@@ -656,20 +652,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
     return _finish("attention", out, (q, k, v), vjp)
 
 
-# --- gather / dispatch ---------------------------------------------------------
-
-
-def gather_rows(x: Tensor, rows: np.ndarray) -> Tensor:
-    """Select rows of x (leading axis); adjoint scatter-adds back."""
-    rows = np.asarray(rows, dtype=np.intp)
-    in_shape = x.data.shape
-
-    def vjp(g):
-        acc = np.zeros(in_shape, dtype=g.dtype)
-        np.add.at(acc, rows, g)
-        return (acc,)
-
-    return _finish("gather_rows", x.data[rows], (x,), vjp)
+# --- expert dispatch -----------------------------------------------------------
 
 
 def _check_distinct(rows: np.ndarray, size: int, what: str) -> None:
@@ -786,15 +769,3 @@ def mixture(x: Tensor, experts: list, bounds, slots: np.ndarray, gates: Tensor) 
 
     return _finish("mixture", out, inputs, vjp)
 
-
-def concat_rows(parts: list) -> Tensor:
-    """Concatenate tensors along the leading axis."""
-    if not parts:
-        raise ShapeError("concat_rows of nothing")
-    sizes = [p.data.shape[0] for p in parts]
-    bounds = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(g[bounds[i]:bounds[i + 1]] for i in range(len(sizes)))
-
-    return _finish("concat_rows", np.concatenate([p.data for p in parts], axis=0), tuple(parts), vjp)

@@ -7,15 +7,15 @@ from pathlib import Path
 import numpy as np
 
 from sparsecast import tensor as T
-from sparsecast.data import CsvSchema, FormatError, LoadedCsv, _resolve_splits
+from sparsecast.data import CsvSchema, FormatError, LoadedCsv, _resolve_splits, sample_batch
 from sparsecast.heads import plan_horizons
-from sparsecast.model import segment_bounds
+from sparsecast.model import Forecaster, ModelConfig, segment_bounds
 from sparsecast.moe import RouterOutput, load_stats, topk_indices
+from sparsecast.synthetic import build_regime_store
 from sparsecast.tensor import (ATTENTION_TILE, _FUTURE, Graph, NumericError, ShapeError, Tensor,
                                _active_graph, _as_operand, _check_distinct,
-                               _check_distinct_per_row, _finish, _gated_hidden,
-                               _gated_hidden_grads, _graph_stack, _is_scalar, _recording,
-                               _segment_spans, _sigmoid)
+                               _check_distinct_per_row, _finish, _graph_stack, _is_scalar,
+                               _recording, _segment_spans, _sigmoid)
 from sparsecast.train import TrainingError, head_targets
 
 
@@ -363,6 +363,14 @@ def reference_write_csv(path, values: np.ndarray, columns: list | None = None) -
             writer.writerow([repr(float(v)) for v in row])
 
 
+def benchmark_model_and_batch(tmp_path):
+    """The benchmark's model and a batch of its shape (4 x 256)."""
+    cfg = ModelConfig(d_model=32, num_layers=2, num_heads=4, num_experts=4, top_k=2,
+                      d_expert=32, head_horizons=(1, 8, 32, 64))
+    store = build_regime_store(tmp_path, np.random.default_rng(1), per_regime=2, length=400)
+    return Forecaster.init(cfg, seed=0), sample_batch(store, np.random.default_rng(2), 4, 256)
+
+
 # --- ops no model path uses, kept for the tests and oracles -----------------
 
 
@@ -453,6 +461,32 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return _finish("slice_cols", x.data[:, start:stop].copy(), (x,), vjp)
 
 
+def gather_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """Select rows of x (leading axis); adjoint scatter-adds back."""
+    rows = np.asarray(rows, dtype=np.intp)
+    in_shape = x.data.shape
+
+    def vjp(g):
+        acc = np.zeros(in_shape, dtype=g.dtype)
+        np.add.at(acc, rows, g)
+        return (acc,)
+
+    return _finish("gather_rows", x.data[rows], (x,), vjp)
+
+
+def concat_rows(parts: list) -> Tensor:
+    """Concatenate tensors along the leading axis."""
+    if not parts:
+        raise ShapeError("concat_rows of nothing")
+    sizes = [p.data.shape[0] for p in parts]
+    bounds = np.cumsum([0] + sizes)
+
+    def vjp(g):
+        return tuple(g[bounds[i]:bounds[i + 1]] for i in range(len(sizes)))
+
+    return _finish("concat_rows", np.concatenate([p.data for p in parts], axis=0), tuple(parts), vjp)
+
+
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x) (the gate activation used throughout the model)."""
     s = _sigmoid(x.data)
@@ -477,15 +511,17 @@ def reference_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 # --- grouped dispatch as a copy of the routed rows plus a swiglu that keeps
-# every group's activations: the expert path that swiglu's own row gather
-# and sigmoid-only tape replaced, kept as its oracle ---------------------------
+# every group's activations: the expert path that tensor.mixture's own row
+# gathers and activation-free tape replaced, kept as its oracle ---------------
 
 
 def dispatch_rows(x: Tensor, slots: np.ndarray) -> Tensor:
     """Copy row t of x[T, ...] to rows slots[t, 0], ..., slots[t, K-1] of a
     [T * K, ...] result; slots is [T, K] and holds every row index once.
 
-    The adjoint sums each token's K copies in slot order, with no scatter-add.
+    The adjoint sums each token's K copies in grouped-row order, which is
+    the order of their expert groups, as tensor.mixture's vjp does, with no
+    scatter-add.
     """
     slots = np.asarray(slots, dtype=np.intp)
     t = x.data.shape[0]
@@ -496,7 +532,7 @@ def dispatch_rows(x: Tensor, slots: np.ndarray) -> Tensor:
     out[slots] = x.data[:, None]
 
     def vjp(g):
-        return (g[slots].sum(axis=1),)
+        return (g[np.sort(slots, axis=1)].sum(axis=1),)
 
     return _finish("dispatch_rows", out, (x,), vjp)
 
@@ -556,81 +592,9 @@ def reference_swiglu(x: Tensor, experts: list, bounds) -> Tensor:
     return _finish("swiglu", out, inputs, vjp)
 
 
-# --- the grouped swiglu that kept each group's sigmoid and the combine op
-# that kept its expert outputs: the two-op expert path that tensor.mixture
-# replaced, kept as its oracle ------------------------------------------------
-
-
-def swiglu(x: Tensor, experts: list, bounds, slots: np.ndarray) -> Tensor:
-    """Gated feed-forward nets down(silu(gate(r)) * up(r)), one per group of
-    the grouped rows r that slots lays out from x.
-
-    slots is [T, K] and holds every grouped row index once: token t of
-    x[T, D] is grouped rows slots[t, 0], ..., slots[t, K-1]. experts[i] is
-    (w_gate [hidden, D], w_up [hidden, D], w_down [D, hidden]) and applies
-    to grouped rows bounds[i]:bounds[i+1], bounds running from 0 to T * K,
-    a token's K rows in K distinct groups; the result is [T * K, D] in
-    grouped order. Each group gathers its own rows of x, in the forward and
-    again in the vjp, which adds them straight into x's gradient, so no
-    grouped copy of x is made or kept and a token's K row gradients are
-    summed in group order. An empty group is skipped, and its weights get
-    no gradient. Each product is by a contiguous transposed copy of the
-    weight, so a row comes out bit for bit the same whatever else shares
-    the call. While a graph records, each group keeps only its sigmoid, and
-    the vjp rebuilds the two products from the same rows and weight copies.
-    """
-    slots = np.asarray(slots, dtype=np.intp)
-    t, d = x.data.shape
-    if slots.ndim != 2 or slots.shape[0] != t:
-        raise ShapeError(f"slots must be [{t}, K], got {slots.shape}")
-    r = slots.size
-    _check_distinct(slots, r, "slots")
-    bounds = [int(b) for b in bounds]
-    if (len(bounds) != len(experts) + 1 or bounds[0] != 0 or bounds[-1] != r
-            or any(a > b for a, b in zip(bounds, bounds[1:]))):
-        raise ShapeError(f"bounds must ascend from 0 to {r}, one group per expert")
-    _check_distinct_per_row(np.repeat(np.arange(len(experts)), np.diff(bounds))[slots],
-                            "the groups of slots")
-    weights = [tuple(_as_operand(w, x) for w in ws) for ws in experts]
-    for w_gate, w_up, w_down in weights:
-        h = w_gate.shape[0]
-        if w_gate.shape != (h, d) or w_up.shape != (h, d) or w_down.shape != (d, h):
-            raise ShapeError(f"swiglu weights {w_gate.shape}, {w_up.shape}, {w_down.shape} "
-                             f"do not fit rows of width {d}")
-    inputs = (x, *(w for ws in weights for w in ws))
-    keep = _recording(inputs) is not None
-    x_data = x.data
-    # order[j]: the token whose copy grouped row j is.
-    order = np.empty(r, dtype=np.intp)
-    order[slots] = np.arange(t)[:, None]
-    out = np.empty((r, d), dtype=x_data.dtype)
-    saved = []
-    for i, (w_gate, w_up, w_down) in enumerate(weights):
-        a, b = bounds[i], bounds[i + 1]
-        if a == b:
-            continue
-        wgt, wut = w_gate.data.T.copy(), w_up.data.T.copy()
-        pre, s, up = _gated_hidden(x_data[order[a:b]], wgt, wut)
-        out[a:b] = (pre * s * up) @ w_down.data.T.copy()
-        if keep:
-            saved.append((a, b, i, wgt, wut, s))
-
-    def vjp(g):
-        # A group's tokens are distinct, so each adds its row gradients
-        # straight into theirs, and a token's sum runs in group order.
-        gx = np.zeros_like(x_data)
-        grads = [None] * (3 * len(weights))
-        for a, b, i, wgt, wut, s in saved:
-            w_gate, w_up, w_down = weights[i]
-            tokens = order[a:b]
-            rows, go = x_data[tokens], g[a:b]
-            pre, up = rows @ wgt, rows @ wut
-            g_pre, g_up, gate = _gated_hidden_grads(go @ w_down.data, pre, s, up)
-            gx[tokens] += g_pre @ w_gate.data + g_up @ w_up.data
-            grads[3 * i: 3 * i + 3] = g_pre.T @ rows, g_up.T @ rows, go.T @ (gate * up)
-        return (gx, *grads)
-
-    return _finish("swiglu", out, inputs, vjp)
+# --- the combine op that kept its expert outputs: with dispatch_rows and
+# reference_swiglu, the expert path that tensor.mixture replaced, kept as its
+# oracle ------------------------------------------------------------------------
 
 
 def combine_rows(y: Tensor, gates: Tensor, slots: np.ndarray, cols: np.ndarray) -> Tensor:
@@ -667,11 +631,13 @@ def combine_rows(y: Tensor, gates: Tensor, slots: np.ndarray, cols: np.ndarray) 
 
 
 def reference_mixture(x: Tensor, experts: list, bounds, slots: np.ndarray, gates: Tensor) -> Tensor:
-    """tensor.mixture's result as swiglu's grouped rows summed by combine_rows,
-    each row scaled by its group's column of gates."""
+    """tensor.mixture's result as reference_swiglu's rows of dispatch_rows'
+    copy, summed by combine_rows, each row scaled by its group's column of
+    gates."""
     groups = np.repeat(np.arange(len(experts)), np.diff([int(b) for b in bounds]))
     slots = np.asarray(slots, dtype=np.intp)
-    return combine_rows(swiglu(x, experts, bounds, slots), gates, slots, groups[slots])
+    return combine_rows(reference_swiglu(dispatch_rows(x, slots), experts, bounds), gates,
+                        slots, groups[slots])
 
 
 def routed_gates(routing) -> np.ndarray:
@@ -788,7 +754,7 @@ def reference_moe_forward(u_norm: Tensor, params, routing) -> Tensor:
         rows = np.nonzero((routing.selected == i).any(axis=1))[0]
         if rows.size == 0:
             continue
-        tokens = T.gather_rows(u_norm, rows)
+        tokens = gather_rows(u_norm, rows)
         gates = reference_gather_entries(routing.scores, rows, np.full(rows.size, i))
         contribution = row_scale(reference_expert_ffn(tokens, params.experts[i]), gates)
         out = T.add(out, reference_scatter_rows(contribution, rows, t))
@@ -802,7 +768,7 @@ def reference_balance_loss(per_layer_routings: list) -> tuple:
     f_layers = []
     for routings in per_layer_routings:
         n = len(routings[0].f)
-        scores = slice_cols(T.concat_rows([r.scores for r in routings]), 0, n)
+        scores = slice_cols(concat_rows([r.scores for r in routings]), 0, n)
         total = scores.shape[0]
         f = sum(r.f * (r.scores.shape[0] / total) for r in routings)
         f_layers.append(f)

@@ -455,6 +455,19 @@ def test_cached_forward_rejects_seq_ids_and_overflow():
     assert cache.length == 16
 
 
+def test_cached_forward_inside_a_recording_graph_raises():
+    # The cache holds plain arrays, so a tape recorded through it would stop
+    # there: a cached forward is inference-only and refuses to record.
+    model = Forecaster.init(tiny_config(), seed=0)
+    cache = KVCache.empty(model.config.num_layers)
+    with T.Graph():
+        with pytest.raises(DataError):
+            model.forward(np.zeros(4), cache=cache)
+    assert cache.length == 0 and cache.keys == [None, None]
+    model.forward(np.zeros(4), cache=cache)
+    assert cache.length == 4
+
+
 def test_count_params_hand_enumeration():
     cfg = tiny_config(num_layers=2, d_model=8, num_experts=4, top_k=2, d_expert=16)
     d = 8

@@ -13,9 +13,12 @@ import pytest
 import sparsecast
 
 from helpers import (
+    benchmark_model_and_batch,
     check_against_fd,
     combine_rows,
+    concat_rows,
     dispatch_rows,
+    gather_rows,
     matmul,
     max_rel_err,
     mean_all,
@@ -33,10 +36,10 @@ from helpers import (
     slice_cols,
     softmax_lastdim,
     sum_all,
-    swiglu,
     transpose,
 )
 from sparsecast.model import attention_bias
+from sparsecast.train import TrainConfig, batch_loss
 from sparsecast.tensor import (
     ATTENTION_TILE,
     Graph,
@@ -45,9 +48,7 @@ from sparsecast.tensor import (
     Tensor,
     _sigmoid,
     add,
-    concat_rows,
     constant,
-    gather_rows,
     glu,
     huber,
     linear,
@@ -131,8 +132,11 @@ def _linear_and_grads(fn, x, w, g):
 @pytest.mark.parametrize("rows", [3, 1024])
 def test_linear_matches_matmul_by_transposed_copy_bitwise(rows):
     # linear replaced matmul(x, transpose(w)); the output and dw keep their
-    # bits. dx is g @ w, whose rows do not depend on the row count; with a
-    # few rows the matmul's g @ (transposed copy).T rounds dx differently.
+    # bits. dx is g @ w summed over the weight's 32-row blocks in order,
+    # whose rows do not depend on the row count; the matmul's
+    # g @ (transposed copy).T rounds dx in another order, so dx is held to
+    # the float32 error bound of a 48-term dot product, which every order
+    # meets: |dx - g @ w| <= 48 eps (|g| @ |w|), exact product in float64.
     rng = np.random.default_rng(rows)
     x, w, g = (rng.normal(size=shape).astype(np.float32)
                for shape in ((rows, 32), (48, 32), (rows, 48)))
@@ -140,8 +144,10 @@ def test_linear_matches_matmul_by_transposed_copy_bitwise(rows):
     want_out, want_dx, want_dw = _linear_and_grads(lambda a, b: matmul(a, transpose(b)), x, w, g)
     assert out.tobytes() == want_out.tobytes()
     assert dw.tobytes() == want_dw.tobytes()
-    assert dx.tobytes() == (g @ w).tobytes()
-    np.testing.assert_allclose(dx, want_dx, rtol=1e-5, atol=1e-6)
+    assert dx.tobytes() == (g[:, :32] @ w[:32] + g[:, 32:] @ w[32:]).tobytes()
+    bound = 48 * np.finfo(np.float32).eps * (np.abs(g).astype(np.float64) @ np.abs(w))
+    for got in (dx, want_dx):
+        assert np.all(np.abs(got - g.astype(np.float64) @ w) <= bound)
 
 
 def test_linear_row_does_not_depend_on_row_count():
@@ -164,7 +170,7 @@ def test_one_column_linear_row_does_not_depend_on_row_count():
         assert linear(Tensor(x[rows]), Tensor(w), b).data.tobytes() == full[rows].tobytes()
 
 
-@pytest.mark.parametrize("n", [5, 8, 16, 32, 48, 64])
+@pytest.mark.parametrize("n", [5, 8, 16, 32, 33, 40, 48, 64])
 @pytest.mark.parametrize("rows", [7, 517, 8192])
 def test_narrow_linear_rows_match_single_row_calls_bitwise(n, rows):
     # On OpenBLAS, x @ w.T for a weight of 5 or 8 rows (the router, the
@@ -172,7 +178,8 @@ def test_narrow_linear_rows_match_single_row_calls_bitwise(n, rows):
     # place in it, and so does the x-gradient g @ w.T-view at 8 to 48 rows.
     # linear pads a narrow weight with zero rows and takes g @ w instead.
     # At 64 rows, the horizon-64 head, g @ w rounds by the row count too,
-    # and linear sums g @ w over 32-row blocks of the weight.
+    # so linear sums g @ w over 32-row blocks of the weight at every width;
+    # 33 and 40 rows end in a partial block.
     rng = np.random.default_rng([n, rows])
     x, w, g = (rng.normal(size=shape).astype(np.float32)
                for shape in ((rows, 32), (n, 32), (rows, n)))
@@ -577,21 +584,6 @@ def _(rng):
     return leaves, lambda: sum_all(mul(reference_gather_entries(leaves["x"], rows, cols), w))
 
 
-@op_case("swiglu")
-def _(rng):
-    # Three tokens routed to two experts each: groups of grouped rows 0:3,
-    # (empty), 3:6; the empty group's weights are never read, so they are
-    # constants here.
-    leaves = _leafify(rng, {"x": (3, 4), "g0": (3, 4), "u0": (3, 4), "d0": (4, 3),
-                            "g2": (2, 4), "u2": (2, 4), "d2": (4, 2)})
-    idle = tuple(constant(_rand(rng, shape), np.float64) for shape in ((6, 4), (6, 4), (4, 6)))
-    slots = np.array([[4, 0], [2, 5], [1, 3]])
-    w = constant(_rand(rng, (6, 4)), np.float64)
-    experts = [tuple(leaves[n] for n in ("g0", "u0", "d0")), idle,
-               tuple(leaves[n] for n in ("g2", "u2", "d2"))]
-    return leaves, lambda: sum_all(mul(swiglu(leaves["x"], experts, [0, 3, 3, 6], slots), w))
-
-
 @op_case("mixture")
 def _(rng):
     # Three tokens, each in the shared group 3 first and then two of groups
@@ -835,46 +827,6 @@ def _routed(rng, tokens, experts, k, idle=()):
     return slots.reshape(tokens, k), np.concatenate(([0], np.cumsum(counts)))
 
 
-def _swiglu_and_grads(kernel, x, experts, g):
-    x = Tensor(x.copy(), requires_grad=True)
-    weights = [tuple(Tensor(w.copy(), requires_grad=True) for w in ws) for ws in experts]
-    with Graph() as graph:
-        out = kernel(x, weights)
-        loss = sum_all(mul(out, constant(g, g.dtype)))
-    graph.backward(loss)
-    return [out.data, x.grad] + [w.grad for ws in weights for w in ws]
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("k, idle, one_group", [(2, (), False), (2, (1,), False), (1, (), False),
-                                                (1, (0, 3), False), (1, (), True)],
-                         ids=["K2", "K2-idle", "K1", "K1-two-idle", "one-group"])
-def test_swiglu_matches_dispatch_rows_oracle_bitwise(dtype, k, idle, one_group):
-    # swiglu gathers each group's rows itself and rebuilds pre and up from
-    # the kept sigmoid: output, dx and every weight gradient equal those of
-    # dispatch_rows' copy fed to the swiglu that kept every activation.
-    rng = np.random.default_rng([k, len(idle), one_group])
-    tokens, d, hidden, experts = 300, 16, 24, 4
-    if one_group:
-        idle = (0, 1, 3)
-    slots, bounds = _routed(rng, tokens, experts, k, idle)
-    x, g = (rng.normal(size=shape).astype(dtype) for shape in ((tokens, d), (tokens * k, d)))
-    weights = [tuple(rng.normal(scale=0.3, size=shape).astype(dtype)
-                     for shape in ((hidden, d), (hidden, d), (d, hidden)))
-               for _ in range(experts)]
-    got = _swiglu_and_grads(lambda x, ws: swiglu(x, ws, bounds, slots), x, weights, g)
-    want = _swiglu_and_grads(lambda x, ws: reference_swiglu(dispatch_rows(x, slots), ws, bounds),
-                             x, weights, g)
-    names = ["out", "dx"] + [f"{n}{e}" for e in range(experts) for n in ("d_gate", "d_up", "d_down")]
-    for name, a, b in zip(names, got, want):
-        if b is None:
-            assert a is None, name
-            continue
-        assert a.dtype == dtype, name
-        assert a.tobytes() == b.tobytes(), name
-    assert sum(a is None for a in got) == 3 * len(idle)
-
-
 def _mixture_and_grads(kernel, x, experts, gates, g):
     x, gates = (Tensor(a.copy(), requires_grad=True) for a in (x, gates))
     weights = [tuple(Tensor(w.copy(), requires_grad=True) for w in ws) for ws in experts]
@@ -890,11 +842,12 @@ def _mixture_and_grads(kernel, x, experts, gates, g):
                                                 (1, (0, 3), False), (1, (), True), (1, (), None)],
                          ids=["K2", "K2-idle", "K1", "K1-two-idle", "one-group", "dense"])
 def test_mixture_matches_swiglu_and_combine_rows_bitwise(dtype, k, idle, one_group):
-    # One op against the grouped swiglu and combine_rows it replaced: the
-    # output and the gradients of x, the gates and every weight bit for bit,
-    # though mixture keeps no expert output and no sigmoid for its vjp. The
-    # routed cases put the shared expert 4 first, as moe_forward does; the
-    # dense case is expert_ffn's one group, identity table and ones column.
+    # One op against the expert path it replaced, dispatch_rows' copy fed to
+    # reference_swiglu and summed by combine_rows: the output and the
+    # gradients of x, the gates and every weight bit for bit, though mixture
+    # keeps no activation and no expert output for its vjp. The routed cases
+    # put the shared expert 4 first, as moe_forward does; the dense case is
+    # expert_ffn's one group, identity table and ones column.
     rng = np.random.default_rng([k, len(idle), bool(one_group)])
     tokens, d, hidden, experts = 300, 16, 24, 4
     if one_group is None:
@@ -1178,14 +1131,19 @@ def test_independent_graphs_on_separate_threads():
 # --- package hygiene -----------------------------------------------------------------
 
 
+def _public_tensor_names() -> set:
+    """The public functions and classes of sparsecast.tensor."""
+    tree = ast.parse((Path(sparsecast.__file__).parent / "tensor.py").read_text())
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+
+
 def test_every_public_tensor_op_has_a_caller_in_src():
     # Ops that only tests use live in tests/helpers.py: every public function
     # or class of sparsecast.tensor is reached from another module of the
     # package, as T.<name> or through `from .tensor import`.
     package = Path(sparsecast.__file__).parent
-    tree = ast.parse((package / "tensor.py").read_text())
-    public = {node.name for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    public = _public_tensor_names()
     reached = set()
     for path in package.glob("*.py"):
         if path.name == "tensor.py":
@@ -1198,3 +1156,16 @@ def test_every_public_tensor_op_has_a_caller_in_src():
                 reached.update(alias.name for alias in node.names)
     assert len(public) > 15
     assert sorted(public - reached) == []
+
+
+def test_one_training_step_records_every_public_tensor_op(tmp_path):
+    # Decoding records no tape, so an op is public only if training records
+    # it: one batch_loss of the benchmark model at 4 x 256 records a vjp of
+    # every public name but the types, the errors, and constant and
+    # rope_tables, which record nothing.
+    model, batch = benchmark_model_and_batch(tmp_path)
+    with Graph() as graph:
+        batch_loss(model, batch, TrainConfig(batch=4, context=256))
+    recorded = {vjp.__qualname__.split(".")[0] for _, _, vjp in graph._nodes}
+    exempt = {"Tensor", "Graph", "ShapeError", "NumericError", "constant", "rope_tables"}
+    assert sorted(_public_tensor_names() - exempt - recorded) == []

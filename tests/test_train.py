@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     ReferenceGraph,
+    benchmark_model_and_batch,
     check_against_fd,
     max_rel_err,
     reference_batch_loss,
@@ -22,7 +23,7 @@ from sparsecast import train as train_module
 from sparsecast.data import CleanSeries, PackedBatch, SequenceStore, sample_batch
 from sparsecast.evaluate import model_hash
 from sparsecast.model import ConfigError, Forecaster, ForwardResult, ModelConfig, segment_bounds
-from sparsecast.synthetic import build_regime_store, build_tone_store, multi_tone
+from sparsecast.synthetic import build_tone_store, multi_tone
 from sparsecast.tensor import Graph, Tensor
 from sparsecast.train import (
     AdamW,
@@ -264,8 +265,7 @@ def one_row_batch(tokens, pad=None):
     length = len(tokens)
     return PackedBatch(tokens=np.asarray(tokens, dtype=np.float32)[None, :, None],
                        seq_ids=np.zeros((1, length), dtype=np.int64),
-                       pad_mask=np.zeros((1, length), dtype=bool) if pad is None else pad[None],
-                       crop_domains=[["test"]])
+                       pad_mask=np.zeros((1, length), dtype=bool) if pad is None else pad[None])
 
 
 class FixedPredictions:
@@ -341,8 +341,7 @@ def random_batch(rng, rows: int, length: int) -> PackedBatch:
             pos, sid = pos + n, sid + 1
         seq_ids[b, end:] = sid
         pad_mask[b, end:] = True
-    return PackedBatch(tokens=tokens, seq_ids=seq_ids, pad_mask=pad_mask,
-                       crop_domains=[["test"]] * rows)
+    return PackedBatch(tokens=tokens, seq_ids=seq_ids, pad_mask=pad_mask)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.02])
@@ -447,14 +446,6 @@ def test_grad_norm_is_recorded_before_clipping(tmp_path):
                         toy_train(steps=1, grad_clip=clip))[0]["grad_norm"]
              for clip in (None, 1e-6)]
     assert norms[0] == norms[1] > 1e-3
-
-
-def benchmark_model_and_batch(tmp_path):
-    """The benchmark's model and a batch of its shape (4 x 256)."""
-    cfg = ModelConfig(d_model=32, num_layers=2, num_heads=4, num_experts=4, top_k=2,
-                      d_expert=32, head_horizons=(1, 8, 32, 64))
-    store = build_regime_store(tmp_path, np.random.default_rng(1), per_regime=2, length=400)
-    return Forecaster.init(cfg, seed=0), sample_batch(store, np.random.default_rng(2), 4, 256)
 
 
 def test_step_tape_per_op_counts_at_benchmark_model(tmp_path, monkeypatch):
