@@ -43,7 +43,6 @@ from .train import (
     TrainConfig,
     TrainingError,
     aux_loss,
-    huber,
     load_checkpoint,
     lr_at_step,
     save_checkpoint,

@@ -63,10 +63,10 @@ def _read_json(path: Path) -> dict:
 
 def cmd_clean(args) -> int:
     src = Path(args.input)
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = CleanConfig(window_size=args.window, zero_threshold=args.threshold,
                          min_len=args.min_len)
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
     files = sorted(src.glob("*.csv")) if src.is_dir() else [src]
     if not files:
         raise FormatError(f"no CSV files under {src}")

@@ -4,11 +4,17 @@ Cleaning is two-staged: sequences are first split at NaN/Inf points, then a
 fixed-length window scan drops stretches whose values, first differences
 (x[t+1]-x[t]), or second differences (x[t+2]-x[t]) are zero too often —
 the signature of constant-filled gaps. Surviving windows are concatenated
-and short leftovers dropped.
+and short leftovers dropped. Both stages run as whole-array passes, with no
+per-window Python loop: one kernel (_window_gate) takes the zero ratios of
+a [k, w] stack of windows at once, check_window being its one-row case, and
+one run-finder (_runs) cuts a per-point mask into its maximal runs, the
+finite points for the first stage and the points of passing windows for
+the second.
 
 Cleaned sequences live in flat binary files of little-endian float32 points,
 indexed by a JSON metafile of {file, offset_points, length_points, domain}.
-Reads are seek-based; nothing ever scans a whole file.
+Reads are seek-based; nothing ever scans a whole file. A store holds finite
+values only, and each entry names a file in the metafile's own directory.
 """
 
 from __future__ import annotations
@@ -74,8 +80,41 @@ class CleanConfig:
     zero_threshold: float = 0.2
     min_len: int = 256
 
+    def __post_init__(self):
+        if self.window_size < 1 or self.min_len < 1:
+            raise ValueError(f"window_size and min_len must be >= 1, got {self.window_size} "
+                             f"and {self.min_len}")
+        if not 0 <= self.zero_threshold <= 1:  # also false for NaN
+            raise ValueError(f"zero_threshold must lie in [0, 1], got {self.zero_threshold}")
+
 
 # --- cleaning ----------------------------------------------------------------
+
+
+def _window_gate(windows: np.ndarray, zero_threshold: float) -> tuple:
+    """(ratios [k, 3], passed [k]) for a [k, w] float64 stack of windows.
+
+    A row's ratios are the zero shares of its values, its first differences
+    and its second differences; an empty difference array has a NaN ratio,
+    which never trips the gate. A row passes when it is finite and no ratio
+    exceeds zero_threshold.
+    """
+    w = windows.shape[1]
+    with np.errstate(invalid="ignore"):
+        zeros = np.stack([(windows == 0).sum(axis=1),
+                          (windows[:, 1:] - windows[:, :-1] == 0).sum(axis=1),
+                          (windows[:, 2:] - windows[:, :-2] == 0).sum(axis=1)], axis=1)
+        ratios = np.divide(zeros, [w, w - 1, w - 2], out=np.full(zeros.shape, np.nan),
+                           where=[True, w > 1, w > 2])
+    passed = np.isfinite(windows).all(axis=1) & ~(ratios > zero_threshold).any(axis=1)
+    return ratios, passed
+
+
+def _runs(keep: np.ndarray, min_len: int) -> list:
+    """(start, stop) Python ints of each maximal run of True in keep whose
+    length is at least min_len."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], keep.view(np.int8), [0]])))
+    return [(int(a), int(b)) for a, b in zip(edges[0::2], edges[1::2]) if b - a >= min_len]
 
 
 def check_window(window, zero_threshold: float):
@@ -88,26 +127,16 @@ def check_window(window, zero_threshold: float):
     seq = np.asarray(window, dtype=np.float64)
     if seq.ndim != 1:
         raise ValueError(f"check_window expects a 1-D window, got shape {seq.shape}")
-    info: dict = {}
-    info["nan_count"] = int(np.isnan(seq).sum())
+    info: dict = {"nan_count": int(np.isnan(seq).sum())}
     if info["nan_count"] > 0:
         return False, info
     info["inf_count"] = int(np.isinf(seq).sum())
     if info["inf_count"] > 0:
         return False, info
-    flag = True
-    info["zero_ratio"] = float(np.sum(seq == 0) / len(seq))
-    if info["zero_ratio"] > zero_threshold:
-        flag = False
-    first = seq[1:] - seq[:-1]
-    info["first_diff_zero_ratio"] = float(np.sum(first == 0) / len(first)) if len(first) else float("nan")
-    if len(first) and info["first_diff_zero_ratio"] > zero_threshold:
-        flag = False
-    second = seq[2:] - seq[:-2]
-    info["second_diff_zero_ratio"] = float(np.sum(second == 0) / len(second)) if len(second) else float("nan")
-    if len(second) and info["second_diff_zero_ratio"] > zero_threshold:
-        flag = False
-    return flag, info
+    ratios, passed = _window_gate(seq[None], zero_threshold)
+    info.update(zip(("zero_ratio", "first_diff_zero_ratio", "second_diff_zero_ratio"),
+                    ratios[0].tolist()))
+    return bool(passed[0]), info
 
 
 def split_by_nan_inf(values, min_len: int = 1):
@@ -115,56 +144,31 @@ def split_by_nan_inf(values, min_len: int = 1):
     if min_len < 1:
         raise ValueError("min_len must be >= 1")
     seq = np.asarray(values, dtype=np.float64)
-    finite = np.isfinite(seq)
-    out = []
-    edges = np.flatnonzero(np.diff(np.concatenate([[0], finite.view(np.int8), [0]])))
-    for start, stop in zip(edges[0::2], edges[1::2]):
-        if stop - start >= min_len:
-            out.append((int(start), seq[start:stop].copy()))
-    return out
+    return [(start, seq[start:stop].copy()) for start, stop in _runs(np.isfinite(seq), min_len)]
 
 
 def split_by_window_quality(values, window_size: int = 128, zero_threshold: float = 0.2,
                             min_len: int = 256):
     """Window-scan an already-finite sequence, keeping runs of passing windows.
 
-    Scans non-overlapping windows; the final partial window is merged into the
-    last full one. The windows tile the sequence, so a run of consecutive
-    passing windows is one interval; a failing window flushes the run, which
-    is kept only at length >= min_len. Inputs no longer than one window pass
-    or fail whole. Returns ([interval], values) pairs.
+    Non-overlapping windows tile the sequence; the final partial window is
+    merged into the last full one. Every window is gated in one pass, and
+    each run of consecutive passing windows is one interval, kept at length
+    >= min_len. Inputs no longer than one window pass or fail whole. Returns
+    ([interval], values) pairs.
     """
+    if window_size < 1:
+        raise ValueError("window_size must be >= 1")
     seq = np.asarray(values, dtype=np.float64)
     n = len(seq)
     if n <= window_size:
         ok, _ = check_window(seq, zero_threshold)
         return [([(0, n)], seq.copy())] if ok else []
-
-    out = []
-    run = None  # (start, stop) of the current run of passing windows
-
-    def flush():
-        if run is not None and run[1] - run[0] >= min_len:
-            out.append(([run], seq[run[0]:run[1]].copy()))
-
-    i = window_size
-    while True:
-        if i + window_size > n:
-            start, stop = i - window_size, n
-            i = n
-        else:
-            start, stop = i - window_size, i
-        ok, _ = check_window(seq[start:stop], zero_threshold)
-        if ok:
-            run = (start if run is None else run[0], stop)
-        else:
-            flush()
-            run = None
-        if i >= n:
-            break
-        i += window_size
-    flush()
-    return out
+    last = (n // window_size - 1) * window_size  # start of the merged last window
+    passed = np.concatenate([_window_gate(seq[:last].reshape(-1, window_size), zero_threshold)[1],
+                             _window_gate(seq[None, last:], zero_threshold)[1]])
+    keep = np.repeat(passed, [window_size] * (len(passed) - 1) + [n - last])
+    return [([run], seq[run[0]:run[1]].copy()) for run in _runs(keep, min_len)]
 
 
 def clean_series(raw: RawSeries, config: CleanConfig | None = None):
@@ -207,6 +211,13 @@ class SequenceStore:
     def write(cls, series: list, directory, name: str = "store") -> "SequenceStore":
         if not series:
             raise ValueError("refusing to write an empty store")
+        with np.errstate(over="ignore"):
+            for i, s in enumerate(series):
+                if not isinstance(s.domain, str):
+                    raise FormatError(f"sequence {i}: domain must be a str, got {s.domain!r}")
+                if not np.isfinite(np.asarray(s.values, dtype=STORE_DTYPE)).all():
+                    raise FormatError(f"sequence {i} holds NaN or Inf as float32; "
+                                      f"a store keeps finite values only")
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         file = f"{name}.bin"
@@ -238,17 +249,30 @@ class SequenceStore:
             meta = json.loads(path.read_text())
         except json.JSONDecodeError as e:
             raise FormatError(f"unreadable metafile {path}: {e}") from e
+        if not isinstance(meta, dict):
+            raise FormatError(f"{path}: expected a JSON object, got a JSON {type(meta).__name__}")
         if meta.get("version") != META_VERSION:
             raise FormatError(f"unsupported store version {meta.get('version')!r}")
+        sequences = meta.get("sequences", [])
+        if not isinstance(sequences, list):
+            raise FormatError(f"{path}: sequences must be a list, got {sequences!r}")
         directory = path.parent
         name = path.name[: -len(".meta.json")]
         entries = []
         spans: dict[str, list] = {}
-        for idx, doc in enumerate(meta.get("sequences", [])):
+        for idx, doc in enumerate(sequences):
             try:
                 entry = StoreEntry(**doc)
             except TypeError as e:
                 raise FormatError(f"metafile entry {idx} malformed: {e}") from e
+            # A file outside the store's directory is a fault, not a path to follow.
+            if (any(isinstance(v, bool) or not isinstance(v, int)
+                    for v in (entry.offset_points, entry.length_points))
+                    or not isinstance(entry.domain, str) or not isinstance(entry.file, str)
+                    or entry.file in ("", "..") or Path(entry.file).name != entry.file):
+                raise FormatError(f"metafile entry {idx} malformed: offset_points and "
+                                  f"length_points must be ints, domain a str and file a "
+                                  f"bare file name, got {doc}")
             data_file = directory / entry.file
             if not data_file.exists():
                 raise FormatError(f"metafile entry {idx}: missing data file {entry.file}")

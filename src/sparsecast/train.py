@@ -79,17 +79,16 @@ class TrainConfig(ConfigCodec):
                 raise ValueError("betas must lie in (0, 1)")
         if self.steps < 1 or self.batch < 1 or self.context < 2:
             raise ValueError("steps and batch must be >= 1, context >= 2")
+        if not all(v >= 0 for v in (self.lr, self.weight_decay, self.warmup_steps)):
+            raise ValueError("lr, weight_decay and warmup_steps must be >= 0")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be > 0 when set, got {self.grad_clip}")
+        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
+            raise ValueError(f"checkpoint_interval must be >= 1 when set, "
+                             f"got {self.checkpoint_interval}")
 
 
 # --- loss pieces -----------------------------------------------------------------
-
-
-def huber(x: float, x_hat: float, delta: float = 1.0) -> float:
-    """Scalar robust loss: quadratic inside |r| <= delta, linear outside."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    r = abs(x - x_hat)
-    return 0.5 * r * r if r <= delta else delta * (r - 0.5 * delta)
 
 
 def aux_loss(f: np.ndarray, r: np.ndarray) -> float:

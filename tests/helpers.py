@@ -653,6 +653,15 @@ def routed_gates(routing) -> np.ndarray:
 # the one-row batch replaced, kept as their oracle ----------------------------
 
 
+def scalar_huber(x: float, x_hat: float, delta: float = 1.0) -> float:
+    """Scalar robust loss: quadratic inside |r| <= delta, linear outside. The
+    loss runs tensor.huber; this one-value form is kept as its oracle."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    r = abs(x - x_hat)
+    return 0.5 * r * r if r <= delta else delta * (r - 0.5 * delta)
+
+
 def reference_huber(r: np.ndarray, delta: float) -> tuple:
     """(values, slope) of the Huber loss at residuals r: the where/sign chain
     that tensor.huber's clipped slope and in-place values replaced, kept as

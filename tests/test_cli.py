@@ -11,7 +11,7 @@ import pytest
 
 import sparsecast
 from sparsecast.cli import main
-from sparsecast.data import SequenceStore, write_csv
+from sparsecast.data import CleanSeries, FormatError, SequenceStore, write_csv
 from sparsecast.model import Forecaster, ModelConfig
 from sparsecast.synthetic import build_regime_store
 from sparsecast.train import load_checkpoint, save_checkpoint
@@ -86,6 +86,15 @@ def test_clean_all_nan_warns_and_writes_empty_manifest(tmp_path, capsys):
     assert "warning" in err
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["segments"] == []
+
+
+@pytest.mark.parametrize("flag,value", [("--window", "0"), ("--window", "-5"),
+                                        ("--min-len", "0"), ("--threshold", "nan")])
+def test_clean_bad_option_is_a_typed_error(tmp_path, capsys, flag, value):
+    raw = noisy_csv(tmp_path / "raw.csv", rows=40, channels=1)
+    code, _, err = run(capsys, "clean", str(raw), str(tmp_path / "out"), flag, value)
+    assert code == 1 and err.startswith("error:"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_forecast_eval_pipeline(tmp_path, capsys):
@@ -296,6 +305,59 @@ def test_badly_typed_run_input_is_a_typed_error(tmp_path, case):
         doc.write_text(json.dumps({"moe": model_doc(), "train": train, **extra}))
         argv = ("bench", "--pair", str(doc), "--workdir", str(tmp_path / "work"))
     assert_clean_failure(*run_process(*argv), mentions)
+
+
+def with_entry(**fields):
+    """A metafile edit that overrides fields of the first sequence entry."""
+    def edit(meta):
+        return {**meta, "sequences": [{**meta["sequences"][0], **fields}, *meta["sequences"][1:]]}
+    return edit
+
+
+# Faulty store metafiles: an AttributeError or TypeError at open or at the first
+# read, or (the file cases) a store that read a file outside its directory.
+BAD_METAFILES = {
+    "json_list": (lambda meta: [meta], "JSON object"),
+    "null_sequences": (lambda meta: {**meta, "sequences": None}, "sequences must be a list"),
+    "string_offset": (with_entry(offset_points="0"), "entry 0"),
+    "bool_offset": (with_entry(offset_points=True, length_points=32), "entry 0"),
+    "float_length": (with_entry(length_points=2.5), "entry 0"),
+    "int_domain": (with_entry(domain=5), "entry 0"),
+    "int_file": (with_entry(file=5), "entry 0"),
+    "parent_file": (with_entry(file="../good/store.bin"), "entry 0"),
+    "dot_file": (with_entry(file="."), "entry 0"),
+    "dot_dot_file": (with_entry(file=".."), "entry 0"),
+    "empty_file": (with_entry(file=""), "entry 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_METAFILES))
+def test_bad_store_metafile_is_a_typed_error(tmp_path, case):
+    edit, mentions = BAD_METAFILES[case]
+    rng = np.random.default_rng(0)
+    good = SequenceStore.write([CleanSeries(values=rng.normal(size=64), domain="d")
+                                for _ in range(2)], tmp_path / "good")
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "store.bin").write_bytes((good.directory / "store.bin").read_bytes())
+    meta = json.loads((good.directory / "store.meta.json").read_text())
+    (bad / "store.meta.json").write_text(json.dumps(edit(meta)))
+    with pytest.raises(FormatError, match=mentions):
+        SequenceStore.open(bad)
+    config = write_train_config(tmp_path / "config.json")
+    assert_clean_failure(*run_process("train", "--config", str(config), "--store", str(bad),
+                                      "--out", str(tmp_path / "m.ckpt")), mentions)
+
+
+def test_pack_rejects_a_non_finite_segment(tmp_path, capsys):
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    write_csv(clean / "seg.csv", np.array([1.0, float("nan"), 2.0]), ["x"])
+    (clean / "manifest.json").write_text(json.dumps(
+        {"segments": [{"file": "seg.csv", "domain": "d"}]}))
+    code, _, err = run(capsys, "pack", str(clean), str(tmp_path / "store"))
+    assert code == 1 and err.startswith("error: sequence 0 holds NaN or Inf"), err
+    assert not (tmp_path / "store").exists()
 
 
 # Badly shaped bench pair files: each ended in a KeyError, AttributeError or TypeError.

@@ -27,8 +27,9 @@ from sparsecast.data import (
 )
 
 # --- independent loop-form reference implementation of the cleaning pass ---------
-# Deliberately written element-by-element, mirroring how one would clean by
-# hand; the package's vectorized pipeline must agree segment-for-segment.
+# Deliberately written element-by-element and window by window, mirroring how
+# one would clean by hand. The package gates every window and finds both
+# splits' runs in whole-array passes; it must agree segment-for-segment.
 
 
 def ref_split_nan_inf(seq, minimum_seq_length=1):
@@ -199,6 +200,21 @@ def test_short_failing_input_gives_nothing():
     assert split_by_window_quality(np.zeros(100), 128, 0.2, 256) == []
 
 
+@pytest.mark.parametrize("bad", [dict(window_size=0), dict(window_size=-5), dict(min_len=0),
+                                 dict(zero_threshold=-0.1), dict(zero_threshold=1.5),
+                                 dict(zero_threshold=float("nan")),
+                                 dict(zero_threshold=float("inf"))])
+def test_clean_config_rejects_bad_values(bad):
+    # A window of 0 or below never advanced the window scan: clean hung.
+    with pytest.raises(ValueError):
+        CleanConfig(**bad)
+
+
+def test_window_scan_rejects_a_window_below_one():
+    with pytest.raises(ValueError, match="window_size"):
+        split_by_window_quality(np.arange(10.0), 0)
+
+
 def test_short_passing_input_returned_whole():
     rng = np.random.default_rng(2)
     x = noisy_ramp(rng, 100)
@@ -325,6 +341,23 @@ def test_store_detects_overlap(tmp_path):
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(FormatError, match="overlap"):
         SequenceStore.open(tmp_path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+def test_store_write_rejects_non_finite_values(tmp_path, bad):
+    # 1e39 is finite in float64 but overflows to inf as a stored float32.
+    rng = np.random.default_rng(12)
+    with pytest.raises(FormatError, match="sequence 1 holds NaN or Inf"):
+        SequenceStore.write([make_series(rng, 10), CleanSeries(values=np.array([1.0, bad]))],
+                            tmp_path)
+    assert not tmp_path.joinpath("store.bin").exists()
+
+
+def test_store_write_rejects_a_domain_that_is_not_a_str(tmp_path):
+    # open rejects such an entry, so write must not make one.
+    with pytest.raises(FormatError, match="sequence 0: domain must be a str"):
+        SequenceStore.write([CleanSeries(values=np.ones(4), domain=3)], tmp_path)
+    assert not tmp_path.joinpath("store.bin").exists()
 
 
 def test_store_rejects_empty_write(tmp_path):

@@ -31,6 +31,7 @@ from helpers import (
     reference_swiglu,
     reference_tiled_attention,
     row_scale,
+    scalar_huber,
     sigmoid,
     silu,
     slice_cols,
@@ -291,6 +292,14 @@ def test_huber_matches_where_sign_chain_bitwise(dtype, delta):
     assert values.data.dtype == dtype
     assert values.data.tobytes() == want_values.tobytes()
     assert pred.grad.tobytes() == want_slope.tobytes()
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.1, 2.5])
+def test_huber_matches_scalar_huber_elementwise(delta):
+    r = np.concatenate([[0.0, delta, float(np.nextafter(delta, 10))],
+                        np.linspace(-50, 50, 2001), np.geomspace(1e-6, 1e6, 101)])
+    values = huber(Tensor(r), np.zeros_like(r), delta)
+    assert values.data.tolist() == [scalar_huber(x, 0.0, delta) for x in r]
 
 
 # --- elementwise rules -----------------------------------------------------------

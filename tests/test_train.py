@@ -16,6 +16,7 @@ from helpers import (
     reference_batch_loss,
     reference_head_targets,
     reference_moe_forward,
+    scalar_huber,
 )
 from sparsecast import model as model_module
 from sparsecast import tensor as T
@@ -34,7 +35,6 @@ from sparsecast.train import (
     batch_loss,
     flat_batch,
     head_targets,
-    huber,
     load_checkpoint,
     lr_at_step,
     save_checkpoint,
@@ -60,21 +60,22 @@ def toy_train(**kw):
 
 
 def test_huber_closed_forms():
-    assert huber(1.0, 1.0) == 0.0
-    assert huber(1.0, 0.5, delta=1.0) == pytest.approx(0.125)
-    assert huber(3.0, 1.0, delta=1.0) == pytest.approx(1.5)
+    assert scalar_huber(1.0, 1.0) == 0.0
+    assert scalar_huber(1.0, 0.5, delta=1.0) == pytest.approx(0.125)
+    assert scalar_huber(3.0, 1.0, delta=1.0) == pytest.approx(1.5)
 
 
 def test_huber_continuous_and_smooth_at_knee():
     delta = 1.0
     eps = 1e-7
-    below = huber(delta - eps, 0.0, delta)
-    above = huber(delta + eps, 0.0, delta)
+    below = scalar_huber(delta - eps, 0.0, delta)
+    above = scalar_huber(delta + eps, 0.0, delta)
     assert abs(above - below) < 1e-6
     # first derivative from both sides of the knee
     h = 1e-6
-    d_below = (huber(delta - eps + h, 0.0, delta) - huber(delta - eps - h, 0.0, delta)) / (2 * h)
-    d_above = (huber(delta + eps + h, 0.0, delta) - huber(delta + eps - h, 0.0, delta)) / (2 * h)
+    def slope(x):
+        return (scalar_huber(x + h, 0.0, delta) - scalar_huber(x - h, 0.0, delta)) / (2 * h)
+    d_below, d_above = slope(delta - eps), slope(delta + eps)
     assert d_below == pytest.approx(d_above, abs=1e-5)
     assert d_above == pytest.approx(1.0, abs=1e-5)
 
@@ -313,7 +314,7 @@ def test_batch_loss_single_head_reduces_to_masked_huber():
     pred = Tensor(rng.normal(size=(10, 1)).astype(np.float32))
     loss, _ = batch_loss(FixedPredictions(cfg, [pred]), one_row_batch(tokens),
                          toy_train(alpha=0.0))
-    manual = np.mean([huber(float(t), float(p)) for t, p, v
+    manual = np.mean([scalar_huber(float(t), float(p)) for t, p, v
                       in zip(tgt[:, 0], pred.data[:, 0], valid) if v])
     assert loss.item() == pytest.approx(manual, rel=1e-6)
 
@@ -541,17 +542,52 @@ def test_benchmark_step_peaks_under_5_5_mb(tmp_path):
     assert peak < 5.5e6, f"train_step peaked at {peak / 1e6:.2f} MB"
 
 
+def memory_ref(a: np.ndarray) -> weakref.ref:
+    """A weakref to the array that owns a's memory: a itself, or the buffer
+    a is a view of. It dies exactly when nothing holds that memory, so an
+    output that is a view of a buffer something still holds reads as alive,
+    where a weakref to the view itself would read as freed."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    assert a.flags.owndata
+    return weakref.ref(a)
+
+
+def test_memory_ref_sees_a_view_of_a_buffer_the_tape_holds():
+    def doubled_view(x):
+        """2 x, returned as a view of a wider buffer that the vjp reads."""
+        buf = np.zeros((x.shape[0], x.shape[1] + 1), dtype=x.data.dtype)
+        buf[:, :-1] = 2 * x.data
+
+        def vjp(g):
+            return (g * (buf[:, :-1] / x.data),)
+
+        return T._finish("doubled_view", buf[:, :-1], (x,), vjp)
+
+    x = Tensor(np.arange(1.0, 7.0).reshape(2, 3), requires_grad=True)
+    with Graph() as graph:
+        out = doubled_view(x)
+        view, owner = weakref.ref(out.data), memory_ref(out.data)
+        loss = T.weighted_sum(out, np.ones((2, 3)))
+        del out
+    assert view() is None and owner() is not None
+    graph.backward(loss)
+    assert owner() is None
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
 def test_batch_loss_frees_every_output_no_vjp_reads_before_backward(tmp_path, monkeypatch):
     """Of a step's 14 linear outputs only those a vjp reads outlive the
     forward: each layer's value projection (attention reads it). The q, k
     and wo projections, the routers and the heads are gone, and so are the
-    heads' Huber values. The embedding is one glu op, with no linear."""
+    heads' Huber values. The embedding is one glu op, with no linear. An
+    output counts as alive while anything holds its memory (memory_ref)."""
     model, batch = benchmark_model_and_batch(tmp_path)
     refs = {"linear": [], "huber": []}
     for name in refs:
         def logged(*args, op=getattr(T, name), name=name):
             out = op(*args)
-            refs[name].append(weakref.ref(out.data))
+            refs[name].append(memory_ref(out.data))
             return out
         monkeypatch.setattr(T, name, logged)
     with Graph() as graph:
@@ -810,5 +846,13 @@ def test_train_config_validation():
         TrainConfig(delta=0.0)
     with pytest.raises(ValueError):
         TrainConfig(beta1=1.0)
+    # A negative clip scales every gradient by -clip / norm: Adam would ascend.
+    for bad in (dict(grad_clip=-1.0), dict(grad_clip=0.0), dict(grad_clip=float("nan")),
+                dict(lr=-1e-3), dict(lr=float("nan")), dict(weight_decay=-0.5),
+                dict(warmup_steps=-3), dict(checkpoint_interval=0),
+                dict(checkpoint_interval=-2)):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+    TrainConfig(grad_clip=1e-9, lr=0.0, weight_decay=0.0, warmup_steps=0, checkpoint_interval=1)
     cfg = TrainConfig()
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
