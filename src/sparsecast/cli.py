@@ -23,6 +23,7 @@ from .data import (
     RawSeries,
     SequenceStore,
     clean_series,
+    is_bare_file_name,
     load_csv,
     write_csv,
 )
@@ -99,8 +100,17 @@ def cmd_pack(args) -> int:
     manifest_path = clean_dir / "manifest.json"
     manifest = _read_json(manifest_path)
     segments = manifest.get("segments", [])
+    if not isinstance(segments, list):
+        raise FormatError(f"{manifest_path}: segments must be a list, got a JSON "
+                          f"{type(segments).__name__}")
     if not segments:
         raise FormatError(f"{manifest_path} lists no segments")
+    # Checked whole before any file is read, so a bad entry never leaves a store.
+    for idx, doc in enumerate(segments):
+        if not (isinstance(doc, dict) and isinstance(doc.get("domain"), str)
+                and is_bare_file_name(doc.get("file"))):
+            raise FormatError(f"{manifest_path}: segment {idx} must be an object with a str "
+                              f"domain and a file that is a bare file name, got {doc!r}")
     series = []
     for doc in segments:
         loaded = load_csv(clean_dir / doc["file"], CsvSchema(splits=(1.0, 0.0, 0.0)))

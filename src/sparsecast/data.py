@@ -187,6 +187,13 @@ def clean_series(raw: RawSeries, config: CleanConfig | None = None):
 # --- binary store ----------------------------------------------------------------
 
 
+def is_bare_file_name(name) -> bool:
+    """Whether name is a str naming a file in the directory it is read from:
+    not empty, not "..", and with no directory part. A metafile entry or a
+    manifest segment names its file so; anything else could reach outside."""
+    return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
+
+
 @dataclass
 class StoreEntry:
     file: str
@@ -268,8 +275,7 @@ class SequenceStore:
             # A file outside the store's directory is a fault, not a path to follow.
             if (any(isinstance(v, bool) or not isinstance(v, int)
                     for v in (entry.offset_points, entry.length_points))
-                    or not isinstance(entry.domain, str) or not isinstance(entry.file, str)
-                    or entry.file in ("", "..") or Path(entry.file).name != entry.file):
+                    or not isinstance(entry.domain, str) or not is_bare_file_name(entry.file)):
                 raise FormatError(f"metafile entry {idx} malformed: offset_points and "
                                   f"length_points must be ints, domain a str and file a "
                                   f"bare file name, got {doc}")

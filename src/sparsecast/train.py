@@ -10,7 +10,10 @@ averaged over mixture layers. Every term is one constant-weighted sum, the
 weights holding the mask and the averaging. An anchor is valid for a head
 of horizon p when the p following tokens exist, stay inside the anchor's
 packed sequence, and are not padding. train_step is the one optimization
-step, shared by pre-training (train_loop) and fine-tuning.
+step, shared by pre-training (train_loop) and fine-tuning. AdamW.step takes
+the global gradient norm in one pass over the gradients; from that number
+it rejects a step with a non-finite gradient and clips to grad_clip, and it
+returns it for the step record.
 
 Checkpoints are a seekable little-endian binary format (version 2): magic
 "TMOE", a version word, the JSON-encoded model configuration, the training
@@ -232,7 +235,9 @@ class AdamW:
     """Bias-corrected Adam with decoupled weight decay.
 
     Decay touches weight matrices only — norm gains and attention biases are
-    exempt. A step with any non-finite gradient is rejected whole.
+    exempt. Each step takes the global gradient norm once, rejects the step
+    whole when a gradient is non-finite, clips to config.grad_clip when set,
+    and returns the norm.
     """
 
     def __init__(self, model: Forecaster, config: TrainConfig):
@@ -242,13 +247,29 @@ class AdamW:
         self.v = {name: np.zeros_like(t.data) for name, t, _ in self.slots}
         self.t = 0
 
-    def step(self, lr: float) -> None:
+    def step(self, lr: float) -> float:
+        """One update at learning rate lr; returns the global gradient norm
+        before clipping.
+
+        The norm is the square root of the gradients' float64 sum of squares,
+        taken once, in slot order. A NaN or Inf gradient makes it non-finite
+        and rejects the step, naming the first such tensor, before anything
+        moves; finite float64 gradients whose squares overflow read inf and
+        are accepted. When config.grad_clip is set and the norm exceeds it,
+        every gradient is scaled by grad_clip / norm and tensor.grad holds the
+        clipped array.
+        """
         cfg = self.config
-        for name, tensor, _ in self.slots:
-            if tensor.grad is None:
-                continue
-            if not np.all(np.isfinite(tensor.grad)):
-                raise TrainingError(f"non-finite gradient in {name}; step rejected")
+        total = 0.0
+        for _, tensor, _ in self.slots:
+            if tensor.grad is not None:
+                total += float((tensor.grad.astype(np.float64) ** 2).sum())
+        if not math.isfinite(total):
+            for name, tensor, _ in self.slots:
+                if tensor.grad is not None and not np.all(np.isfinite(tensor.grad)):
+                    raise TrainingError(f"non-finite gradient in {name}; step rejected")
+        norm = math.sqrt(total)
+        scale = cfg.grad_clip / norm if cfg.grad_clip is not None and norm > cfg.grad_clip else None
         self.t += 1
         b1, b2 = cfg.beta1, cfg.beta2
         correction1 = 1.0 - b1 ** self.t
@@ -257,6 +278,8 @@ class AdamW:
             g = tensor.grad
             if g is None:
                 g = np.zeros_like(tensor.data)
+            elif scale is not None:
+                g = tensor.grad = g * scale
             g = g.astype(tensor.data.dtype, copy=False)
             m = self.m[name]
             v = self.v[name]
@@ -268,31 +291,27 @@ class AdamW:
             tensor.data -= lr * update
             if decays and cfg.weight_decay:
                 tensor.data -= lr * cfg.weight_decay * tensor.data
+        return norm
 
     def state_dict(self) -> dict:
         return {"t": self.t, "m": dict(self.m), "v": dict(self.v)}
 
     def load_state_dict(self, state: dict) -> None:
-        if set(state["m"]) != set(self.m):
-            raise CheckpointError("optimizer state does not match model parameters")
+        """Take t and copies of the moments from state. Both moment maps must
+        name exactly this optimizer's parameters, each moment with its
+        parameter's shape; all of it is checked before anything is assigned,
+        and a mismatch is a CheckpointError."""
+        for key in ("m", "v"):
+            if set(state[key]) != set(self.m):
+                raise CheckpointError(f"optimizer state {key} does not match model parameters")
+            for name, tensor, _ in self.slots:
+                if state[key][name].shape != tensor.data.shape:
+                    raise CheckpointError(f"shape mismatch for {key}.{name}: "
+                                          f"{state[key][name].shape} vs {tensor.data.shape}")
         self.t = int(state["t"])
         for name in self.m:
             self.m[name] = state["m"][name].copy()
             self.v[name] = state["v"][name].copy()
-
-
-def clip_global_norm(model: Forecaster, max_norm: float) -> float:
-    total = 0.0
-    for p in model.parameters():
-        if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
-    norm = math.sqrt(total)
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for p in model.parameters():
-            if p.grad is not None:
-                p.grad = p.grad * scale
-    return norm
 
 
 # --- the loop --------------------------------------------------------------------
@@ -301,8 +320,8 @@ def clip_global_norm(model: Forecaster, max_norm: float) -> float:
 def train_step(model: Forecaster, optimizer: AdamW, batch: PackedBatch, config: TrainConfig,
                lr: float) -> dict:
     """One optimization step on batch at learning rate lr: batch_loss under a
-    fresh graph, backward, clipping of the global gradient norm to
-    config.grad_clip (when set), then the optimizer step.
+    fresh graph, backward, then the optimizer step, which takes the global
+    gradient norm and clips to optimizer.config.grad_clip (when set).
 
     Returns batch_loss's info dict plus tape_nodes, the ops recorded for
     backward, and grad_norm, the global gradient norm before any clipping.
@@ -312,9 +331,7 @@ def train_step(model: Forecaster, optimizer: AdamW, batch: PackedBatch, config: 
         loss, info = batch_loss(model, batch, config)
     tape_nodes = len(graph)
     graph.backward(loss)
-    grad_norm = clip_global_norm(model, math.inf if config.grad_clip is None else config.grad_clip)
-    optimizer.step(lr)
-    return {**info, "tape_nodes": tape_nodes, "grad_norm": grad_norm}
+    return {**info, "tape_nodes": tape_nodes, "grad_norm": optimizer.step(lr)}
 
 
 def train_loop(model: Forecaster, store: SequenceStore, config: TrainConfig,
@@ -358,23 +375,10 @@ def train_loop(model: Forecaster, store: SequenceStore, config: TrainConfig,
 # --- checkpoints ------------------------------------------------------------------
 
 
-class _BlockWriter:
-    """Writes a checkpoint and a CRC32 of each block's bytes after the block."""
-
-    def __init__(self, f):
-        self.f = f
-        self.crc = 0
-
-    def write(self, raw: bytes) -> None:
-        self.f.write(raw)
-        self.crc = zlib.crc32(raw, self.crc)
-
-    def pack(self, fmt: str, *values) -> None:
-        self.write(struct.pack(fmt, *values))
-
-    def end_block(self) -> None:
-        self.f.write(struct.pack("<I", self.crc))
-        self.crc = 0
+def _block(*parts: bytes) -> bytes:
+    """One checkpoint block: the parts end to end, then the CRC32 of their bytes."""
+    raw = b"".join(parts)
+    return raw + struct.pack("<I", zlib.crc32(raw))
 
 
 class _BlockReader:
@@ -406,14 +410,11 @@ class _BlockReader:
         self.crc = 0
 
 
-def _write_block(f: _BlockWriter, name: str, arr: np.ndarray) -> None:
+def _write_block(f, name: str, arr: np.ndarray) -> None:
     encoded = name.encode("utf-8")
-    f.pack("<I", len(encoded))
-    f.write(encoded)
-    f.pack("<I", arr.ndim)
-    f.pack(f"<{arr.ndim}Q", *arr.shape)
-    f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    f.end_block()
+    f.write(_block(struct.pack(f"<I{len(encoded)}sI{arr.ndim}Q", len(encoded), encoded,
+                               arr.ndim, *arr.shape),
+                   np.ascontiguousarray(arr, dtype="<f4").tobytes()))
 
 
 def _decode(raw: bytes, what: str) -> str:
@@ -435,27 +436,19 @@ def _read_block(f: _BlockReader) -> tuple:
 
 
 def _write_checkpoint(f, model: Forecaster, optimizer: AdamW | None, step: int) -> None:
-    f = _BlockWriter(f)
     named = list(model.named_parameters())
-    f.write(CHECKPOINT_MAGIC)
-    f.pack("<I", CHECKPOINT_VERSION)
     config_doc = json.dumps(model.config.to_dict()).encode("utf-8")
-    f.pack("<I", len(config_doc))
-    f.write(config_doc)
-    f.pack("<Q", step)
-    f.pack("<I", len(named))
-    f.end_block()
+    f.write(_block(CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(config_doc)),
+                   config_doc, struct.pack("<QI", step, len(named))))
     for name, tensor, _ in named:
         _write_block(f, name, tensor.data)
-    f.pack("<B", 1 if optimizer is not None else 0)
-    if optimizer is not None:
-        f.pack("<Q", optimizer.t)
-        f.pack("<I", 2 * len(optimizer.m))
-    f.end_block()
-    if optimizer is not None:
-        for name in sorted(optimizer.m):
-            _write_block(f, f"m.{name}", optimizer.m[name])
-            _write_block(f, f"v.{name}", optimizer.v[name])
+    if optimizer is None:
+        f.write(_block(struct.pack("<B", 0)))
+        return
+    f.write(_block(struct.pack("<BQI", 1, optimizer.t, 2 * len(optimizer.m))))
+    for name in sorted(optimizer.m):
+        _write_block(f, f"m.{name}", optimizer.m[name])
+        _write_block(f, f"v.{name}", optimizer.v[name])
 
 
 def save_checkpoint(path, model: Forecaster, optimizer: AdamW | None = None,
@@ -486,13 +479,11 @@ def load_checkpoint(path) -> tuple:
         f = _BlockReader(raw, os.fstat(raw.fileno()).st_size)
         if f.read(4, "magic") != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-        (version,) = f.unpack("<I", "version")
+        version, config_len = f.unpack("<II", "version and config length")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (config_len,) = f.unpack("<I", "config length")
         config_doc = f.read(config_len, "config")
-        (step,) = f.unpack("<Q", "step")
-        (n_params,) = f.unpack("<I", "parameter count")
+        step, n_params = f.unpack("<QI", "step and parameter count")
         f.end_block("the header")
         try:
             doc = json.loads(_decode(config_doc, "the config"))
@@ -502,8 +493,7 @@ def load_checkpoint(path) -> tuple:
         tensors = dict(_read_block(f) for _ in range(n_params))
         (has_opt,) = f.unpack("<B", "optimizer flag")
         if has_opt:
-            (t,) = f.unpack("<Q", "optimizer step")
-            (n_slots,) = f.unpack("<I", "optimizer slot count")
+            t, n_slots = f.unpack("<QI", "optimizer step and slot count")
         f.end_block("the optimizer header")
         opt_state = None
         if has_opt:

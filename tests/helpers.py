@@ -2,6 +2,7 @@
 slow reference kernels that fast paths are checked against."""
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from sparsecast.tensor import (ATTENTION_TILE, _FUTURE, Graph, NumericError, Sha
                                _active_graph, _as_operand, _check_distinct,
                                _check_distinct_per_row, _finish, _graph_stack, _is_scalar,
                                _recording, _segment_spans, _sigmoid)
-from sparsecast.train import TrainingError, head_targets
+from sparsecast.train import ADAM_EPS, TrainingError, head_targets
 
 
 class ReferenceGraph:
@@ -855,3 +856,61 @@ def reference_batch_loss(model, batch, config) -> tuple:
         info["f_max"] = None
     info["loss"] = float(loss.data)
     return loss, info
+
+
+def clip_global_norm(model, max_norm: float) -> float:
+    """Scale every gradient by max_norm / norm when the global norm exceeds
+    max_norm; returns the norm before clipping. With reference_adamw_step,
+    the two passes over the gradients that AdamW.step's one norm replaced,
+    kept as its oracle."""
+    total = 0.0
+    for p in model.parameters():
+        if p.grad is not None:
+            total += float((p.grad.astype(np.float64) ** 2).sum())
+    norm = math.sqrt(total)
+    if norm > max_norm and norm > 0:
+        scale = max_norm / norm
+        for p in model.parameters():
+            if p.grad is not None:
+                p.grad = p.grad * scale
+    return norm
+
+
+def reference_adamw_step(self, lr: float) -> None:
+    """AdamW.step as a finite check over every gradient, then the update
+    loop; self is the train.AdamW whose state it moves."""
+    cfg = self.config
+    for name, tensor, _ in self.slots:
+        if tensor.grad is None:
+            continue
+        if not np.all(np.isfinite(tensor.grad)):
+            raise TrainingError(f"non-finite gradient in {name}; step rejected")
+    self.t += 1
+    b1, b2 = cfg.beta1, cfg.beta2
+    correction1 = 1.0 - b1 ** self.t
+    correction2 = 1.0 - b2 ** self.t
+    for name, tensor, decays in self.slots:
+        g = tensor.grad
+        if g is None:
+            g = np.zeros_like(tensor.data)
+        g = g.astype(tensor.data.dtype, copy=False)
+        m = self.m[name]
+        v = self.v[name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * (g * g)
+        update = (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
+        tensor.data -= lr * update
+        if decays and cfg.weight_decay:
+            tensor.data -= lr * cfg.weight_decay * tensor.data
+
+
+def reference_optimizer_step(model, optimizer, lr: float) -> float:
+    """What train_step ran after backward before AdamW.step took the norm:
+    clip_global_norm at the optimizer's grad_clip (inf when unset), then
+    the two-loop step. Returns the norm before clipping."""
+    clip = optimizer.config.grad_clip
+    norm = clip_global_norm(model, math.inf if clip is None else clip)
+    reference_adamw_step(optimizer, lr)
+    return norm

@@ -264,6 +264,8 @@ def bad_eval_docs(dataset):
         "string_stride": ({**spec, "stride": "2"}, "EvalSpec"),
         "string_bool": ({**spec, "standardize": "yes"}, "standardize must be bool"),
         "json_array": ([spec], "JSON object"),
+        # Exited 0 with NaN averages after two "Mean of empty slice" warnings.
+        "no_pairs": ({**spec, "horizons": [], "contexts": []}, "at least one pair"),
         "unknown_fine_tune_key": ({**spec, "mode": "fine_tune", "fine_tune": {"bogus": 1}},
                                   "TrainConfig"),
     }
@@ -357,6 +359,34 @@ def test_pack_rejects_a_non_finite_segment(tmp_path, capsys):
         {"segments": [{"file": "seg.csv", "domain": "d"}]}))
     code, _, err = run(capsys, "pack", str(clean), str(tmp_path / "store"))
     assert code == 1 and err.startswith("error: sequence 0 holds NaN or Inf"), err
+    assert not (tmp_path / "store").exists()
+
+
+# Faulty pack manifests: a KeyError or TypeError traceback, or (the outside
+# case) a segment packed from a file outside the clean directory.
+BAD_MANIFESTS = {
+    "missing_domain": ({"segments": [{"file": "seg.csv"}]}, "segment 0"),
+    "int_domain": ({"segments": [{"file": "seg.csv", "domain": 5}]}, "segment 0"),
+    "dict_segments": ({"segments": {"file": "seg.csv", "domain": "d"}},
+                      "segments must be a list, got a JSON dict"),
+    "string_segments": ({"segments": ["seg.csv"]}, "segment 0"),
+    "int_file": ({"segments": [{"file": 5, "domain": "d"}]}, "segment 0"),
+    "outside_file": ({"segments": [{"file": "seg.csv", "domain": "d"},
+                                   {"file": "../outside/evil.csv", "domain": "d"}]},
+                     "segment 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+def test_pack_bad_manifest_is_a_typed_error(tmp_path, case):
+    doc, mentions = BAD_MANIFESTS[case]
+    for directory in ("clean", "outside"):
+        (tmp_path / directory).mkdir()
+    write_csv(tmp_path / "clean" / "seg.csv", np.arange(8.0), ["x"])
+    write_csv(tmp_path / "outside" / "evil.csv", np.arange(8.0), ["x"])
+    (tmp_path / "clean" / "manifest.json").write_text(json.dumps(doc))
+    assert_clean_failure(*run_process("pack", str(tmp_path / "clean"), str(tmp_path / "store")),
+                         mentions)
     assert not (tmp_path / "store").exists()
 
 

@@ -179,6 +179,12 @@ def test_eval_spec_validation():
     assert EvalSpec.from_dict(spec.to_dict()) == spec
 
 
+def test_eval_spec_rejects_an_empty_list_of_pairs():
+    # An empty spec would evaluate nothing and report NaN averages.
+    with pytest.raises(ValueError, match="at least one pair"):
+        EvalSpec(dataset="x", horizons=(), contexts=())
+
+
 @pytest.mark.parametrize("field, doc", [("horizons", {"horizons": [96.9], "contexts": [512]}),
                                         ("contexts", {"horizons": [96], "contexts": ["512"]}),
                                         ("horizons", {"horizons": [False], "contexts": [512]})])

@@ -1,6 +1,9 @@
 """Losses, optimizer, schedule, training loop, and checkpoints."""
 
+import copy
+import hashlib
 import json
+import math
 import tracemalloc
 import weakref
 from collections import Counter
@@ -16,6 +19,7 @@ from helpers import (
     reference_batch_loss,
     reference_head_targets,
     reference_moe_forward,
+    reference_optimizer_step,
     scalar_huber,
 )
 from sparsecast import model as model_module
@@ -191,6 +195,87 @@ def test_adamw_rejects_nonfinite_gradient():
     with pytest.raises(TrainingError):
         opt.step(lr=0.1)
     assert model.tensor.data[0] == 1.0  # step rejected, parameter untouched
+
+
+def optimizer_state(optimizer: AdamW) -> list:
+    """Every bit a step may move: t, and per slot the parameter, its
+    gradient and both moments."""
+    return [optimizer.t] + [
+        (name, tensor.data.tobytes(), None if tensor.grad is None else tensor.grad.tobytes(),
+         optimizer.m[name].tobytes(), optimizer.v[name].tobytes())
+        for name, tensor, _ in optimizer.slots]
+
+
+@pytest.mark.parametrize("grad_clip", [None, 0.05, 10.0])
+def test_adamw_step_matches_clip_then_step_oracle(tmp_path, grad_clip):
+    # The benchmark model's first gradients norm about 0.2, so a clip of
+    # 0.05 binds on every step and one of 10 on none.
+    model, batch = benchmark_model_and_batch(tmp_path)
+    oracle = copy.deepcopy(model)
+    config = TrainConfig(batch=4, context=256, grad_clip=grad_clip)
+    opt, ref = AdamW(model, config), AdamW(oracle, config)
+    clipped = []
+    for step in range(3):
+        model.zero_grad()
+        with Graph() as graph:
+            loss, _ = batch_loss(model, batch, config)
+        graph.backward(loss)
+        for i, ((_, a, _), (_, b, _)) in enumerate(zip(opt.slots, ref.slots)):
+            if i % 5 == step:  # some tensors have no gradient
+                a.grad = None
+            b.grad = None if a.grad is None else a.grad.copy()
+        norm = opt.step(1e-3)
+        assert norm == reference_optimizer_step(oracle, ref, 1e-3)
+        assert optimizer_state(opt) == optimizer_state(ref), f"step {step}"
+        clipped.append(grad_clip is not None and norm > grad_clip)
+    assert clipped == [grad_clip == 0.05] * 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("grad_clip", [None, 0.05])
+def test_adamw_step_rejects_a_non_finite_gradient_before_anything_moves(tmp_path, grad_clip,
+                                                                       bad):
+    model, _ = benchmark_model_and_batch(tmp_path)
+    oracle = copy.deepcopy(model)
+    config = TrainConfig(grad_clip=grad_clip)
+    opt, ref = AdamW(model, config), AdamW(oracle, config)
+    rng = np.random.default_rng(5)
+    for (name, a, _), (_, b, _) in zip(opt.slots, ref.slots):
+        a.grad = rng.standard_normal(a.data.shape).astype(np.float32)
+        if name == "layers.0.attn.wk":
+            a.grad[1, 2] = bad
+        elif name == "layers.1.attn.wq":  # a later one: the first bad tensor is named
+            a.grad[0, 0] = bad
+        b.grad = a.grad.copy()
+    before = optimizer_state(opt)
+    for step in (lambda: opt.step(1e-3), lambda: reference_optimizer_step(oracle, ref, 1e-3)):
+        with pytest.raises(TrainingError, match="non-finite gradient in layers.0.attn.wk;"), \
+                np.errstate(invalid="ignore"):
+            step()
+    assert optimizer_state(opt) == before
+    # The oracle clips before its check, so an Inf under a clip leaves NaN
+    # gradients behind in it; its t, parameters and moments stay put.
+    def without_grads(state):
+        return [state[0]] + [(name, p, m, v) for name, p, _, m, v in state[1:]]
+    assert without_grads(optimizer_state(ref)) == without_grads(before)
+
+
+@pytest.mark.parametrize("grad_clip", [None, 0.05])
+def test_adamw_step_accepts_float64_gradients_whose_squares_overflow(grad_clip):
+    # Every gradient is finite but the sum of squares is not: the norm reads
+    # inf, and a set clip scales the gradients by 0.
+    model = Forecaster.init(toy_config(), seed=3, dtype=np.float64)
+    oracle = copy.deepcopy(model)
+    config = toy_train(grad_clip=grad_clip)
+    opt, ref = AdamW(model, config), AdamW(oracle, config)
+    rng = np.random.default_rng(4)
+    for (_, a, _), (_, b, _) in zip(opt.slots, ref.slots):
+        a.grad = rng.standard_normal(a.data.shape) * 1e200
+        b.grad = a.grad.copy()
+    with np.errstate(over="ignore"):
+        assert opt.step(1e-3) == reference_optimizer_step(oracle, ref, 1e-3) == math.inf
+    assert opt.t == 1
+    assert optimizer_state(opt) == optimizer_state(ref)
 
 
 def test_norm_gains_and_biases_not_decayed():
@@ -726,6 +811,26 @@ def test_checkpoint_config_block_and_model_hash_are_golden(tmp_path):
     assert model_hash(model) == "55899565a9a5874b"
 
 
+def test_checkpoint_bytes_are_golden(tmp_path):
+    """Whole checkpoint files of the default model, pinned by SHA-256: bare,
+    and with AdamW state after one step on seeded gradients. Format version
+    2 must not move by a byte."""
+    model = Forecaster.init(ModelConfig(), seed=0)
+    save_checkpoint(tmp_path / "bare.ckpt", model)
+    opt = AdamW(model, TrainConfig())
+    rng = np.random.default_rng(0)
+    for _, tensor, _ in opt.slots:
+        tensor.grad = rng.standard_normal(tensor.data.shape).astype(np.float32)
+    opt.step(lr=1e-3)
+    save_checkpoint(tmp_path / "adam.ckpt", model, opt, step=1)
+    digests = {name: hashlib.sha256((tmp_path / f"{name}.ckpt").read_bytes()).hexdigest()
+               for name in ("bare", "adam")}
+    assert digests == {
+        "bare": "4166692504d227fc43f24e269ee1c008b8c643a836cc7067e68ef5c11829f475",
+        "adam": "2a74e2d59328217e27ec0ddc7366f3613a5773304bd194ecf2eead63f5b94758",
+    }
+
+
 def test_checkpoint_load_draws_no_random_init(tmp_path, monkeypatch):
     model = Forecaster.init(toy_config(), seed=17)
     path = tmp_path / "model.ckpt"
@@ -837,6 +942,35 @@ def test_optimizer_state_mismatch_rejected(tmp_path):
     opt_other = AdamW(other, toy_train())
     with pytest.raises(CheckpointError):
         opt_other.load_state_dict(opt.state_dict())
+
+
+def test_optimizer_state_with_a_misshapen_moment_is_rejected_whole(tmp_path):
+    # The writer stores what it is given; the check belongs to the load.
+    model = Forecaster.init(toy_config(), seed=15)
+    opt = AdamW(model, toy_train())
+    opt.t = 4
+    opt.m["layers.0.attn.wq"] = np.zeros(3, dtype=np.float32)
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, model, opt, step=4)
+    restored, opt_state, _ = load_checkpoint(path)
+    fresh = AdamW(restored, toy_train())
+    before = optimizer_state(fresh)
+    with pytest.raises(CheckpointError, match=r"m\.layers\.0\.attn\.wq: \(3,\)"):
+        fresh.load_state_dict(opt_state)
+    assert optimizer_state(fresh) == before
+
+
+def test_optimizer_state_with_other_v_names_is_rejected_whole():
+    model = Forecaster.init(toy_config(), seed=15)
+    opt = AdamW(model, toy_train())
+    state = opt.state_dict()
+    state["t"] = 4
+    state["v"] = {f"x{name}": v for name, v in state["v"].items()}
+    fresh = AdamW(Forecaster.init(toy_config(), seed=15), toy_train())
+    before = optimizer_state(fresh)
+    with pytest.raises(CheckpointError, match="optimizer state v does not match"):
+        fresh.load_state_dict(state)
+    assert optimizer_state(fresh) == before
 
 
 def test_train_config_validation():
