@@ -13,8 +13,14 @@ the second.
 
 Cleaned sequences live in flat binary files of little-endian float32 points,
 indexed by a JSON metafile of {file, offset_points, length_points, domain}.
-Reads are seek-based; nothing ever scans a whole file. A store holds finite
-values only, and each entry names a file in the metafile's own directory.
+A store holds finite values only, and each entry names a file in the
+metafile's own directory. Opening or writing a store maps each data file
+read-only once and indexes, per domain, the sequences a crop can start in;
+a read is then a view of the map, with no open, seek or copy, and only the
+pages a crop touches are ever loaded. write puts each file in place by a
+rename, so a store that is open keeps reading the files it mapped. No data
+file may be truncated in place while a store that maps it is open: reading
+a page past the new end kills the process with SIGBUS.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -202,17 +209,34 @@ class StoreEntry:
     domain: str
 
 
+def _map(path: Path) -> np.ndarray:
+    """The whole points of a data file, mapped read-only."""
+    points = path.stat().st_size // 4
+    if not points:  # an empty file cannot be mapped
+        return np.empty(0, dtype=STORE_DTYPE)
+    return np.memmap(path, dtype=STORE_DTYPE, mode="r", shape=(points,))
+
+
 class SequenceStore:
     """Cleaned sequences in flat f32-LE binary files plus a JSON metafile.
 
-    write lays the sequences end to end in one file, <name>.bin; open reads
-    every file the metafile names, checking each entry's span.
+    write lays the sequences end to end in one file, <name>.bin, and renames
+    it and the metafile into place from .tmp names, so a store that maps the
+    old file keeps it whole; open maps every file the metafile names,
+    checking each entry's span. maps holds each data file's points;
+    croppable lists per domain, in index order, the sequences of two points
+    or more, where a crop can start.
     """
 
-    def __init__(self, directory: Path, entries: list, name: str = "store"):
+    def __init__(self, directory: Path, entries: list, name: str, maps: dict):
         self.directory = Path(directory)
         self.entries = entries
         self.name = name
+        self.maps = maps
+        self.croppable: dict[str, list] = {}
+        for i, e in enumerate(entries):
+            if e.length_points >= 2:
+                self.croppable.setdefault(e.domain, []).append(i)
 
     @classmethod
     def write(cls, series: list, directory, name: str = "store") -> "SequenceStore":
@@ -228,21 +252,18 @@ class SequenceStore:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         file = f"{name}.bin"
-        entries: list[StoreEntry] = []
-        offset = 0
-        with open(directory / file, "wb") as handle:
+        lengths = [len(s.values) for s in series]
+        entries = [StoreEntry(file, offset, n, s.domain) for s, offset, n
+                   in zip(series, itertools.accumulate(lengths, initial=0), lengths)]
+        tmp = directory / f"{file}.tmp", directory / f"{name}.meta.json.tmp"
+        with open(tmp[0], "wb") as handle:
             for s in series:
-                values = np.ascontiguousarray(np.asarray(s.values), dtype=STORE_DTYPE)
-                handle.write(values.tobytes())
-                entries.append(StoreEntry(file=file, offset_points=offset,
-                                          length_points=len(values), domain=s.domain))
-                offset += len(values)
-        meta = {
-            "version": META_VERSION,
-            "sequences": [vars(e) for e in entries],
-        }
-        (directory / f"{name}.meta.json").write_text(json.dumps(meta, indent=1))
-        return cls(directory, entries, name)
+                handle.write(np.asarray(s.values, dtype=STORE_DTYPE).tobytes())
+        meta = {"version": META_VERSION, "sequences": [vars(e) for e in entries]}
+        tmp[1].write_text(json.dumps(meta, indent=1))
+        for path in tmp:
+            os.replace(path, path.with_suffix(""))
+        return cls(directory, entries, name, {file: _map(directory / file)})
 
     @classmethod
     def open(cls, path) -> "SequenceStore":
@@ -266,6 +287,7 @@ class SequenceStore:
         directory = path.parent
         name = path.name[: -len(".meta.json")]
         entries = []
+        maps: dict[str, np.ndarray] = {}  # one per data file, each stat-ed once
         spans: dict[str, list] = {}
         for idx, doc in enumerate(sequences):
             try:
@@ -279,10 +301,11 @@ class SequenceStore:
                 raise FormatError(f"metafile entry {idx} malformed: offset_points and "
                                   f"length_points must be ints, domain a str and file a "
                                   f"bare file name, got {doc}")
-            data_file = directory / entry.file
-            if not data_file.exists():
-                raise FormatError(f"metafile entry {idx}: missing data file {entry.file}")
-            file_points = data_file.stat().st_size // 4
+            if entry.file not in maps:
+                if not (directory / entry.file).exists():
+                    raise FormatError(f"metafile entry {idx}: missing data file {entry.file}")
+                maps[entry.file] = _map(directory / entry.file)
+            file_points = len(maps[entry.file])
             if entry.offset_points < 0 or entry.length_points < 0 or \
                     entry.offset_points + entry.length_points > file_points:
                 raise FormatError(
@@ -297,7 +320,7 @@ class SequenceStore:
             for (_, stop_a, idx_a), (start_b, _, idx_b) in zip(file_spans, file_spans[1:]):
                 if start_b < stop_a:
                     raise FormatError(f"metafile entries {idx_a} and {idx_b} overlap in {file}")
-        return cls(directory, entries, name)
+        return cls(directory, entries, name, maps)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -309,22 +332,13 @@ class SequenceStore:
     def domains(self) -> list:
         return sorted({e.domain for e in self.entries})
 
-    def indices_by_domain(self) -> dict:
-        out: dict[str, list] = {}
-        for i, e in enumerate(self.entries):
-            out.setdefault(e.domain, []).append(i)
-        return out
-
     def read(self, index: int) -> CleanSeries:
+        """Sequence index as a read-only view of its file's map."""
         if not 0 <= index < len(self.entries):
             raise IndexError(f"sequence index {index} out of range [0, {len(self.entries)})")
         entry = self.entries[index]
-        with open(self.directory / entry.file, "rb") as f:
-            f.seek(entry.offset_points * 4)
-            buf = f.read(entry.length_points * 4)
-        if len(buf) != entry.length_points * 4:
-            raise FormatError(f"short read for entry {index} in {entry.file}")
-        values = np.frombuffer(buf, dtype=STORE_DTYPE).copy()
+        start = entry.offset_points
+        values = self.maps[entry.file][start: start + entry.length_points]
         return CleanSeries(values=values, domain=entry.domain,
                            origin=SeriesOrigin(source=str(self.directory / entry.file)))
 
@@ -383,9 +397,7 @@ def sample_batch(store: SequenceStore, rng: np.random.Generator, batch_size: int
     row as remains. Sequences shorter than two points are skipped. Leftover
     positions carry a fresh sequence id and the pad flag.
     """
-    by_domain = {d: [i for i in idxs if store.entries[i].length_points >= 2]
-                 for d, idxs in store.indices_by_domain().items()}
-    by_domain = {d: idxs for d, idxs in by_domain.items() if idxs}
+    by_domain = store.croppable
     if not by_domain:
         raise ValueError("store has no sequences of length >= 2")
     present = sorted(by_domain)

@@ -284,7 +284,7 @@ def add(a: Tensor, b) -> Tensor:
     return _finish("add", a.data + b.data, (a, b), vjp)
 
 
-# linear's forward zero-pads a weight to a multiple of this many rows:
+# linear, glu and mixture zero-pad a weight to a multiple of this many rows:
 # OpenBLAS rounds a product of another width (or numpy's gemv for one row)
 # differently with the row count and a row's place in the call.
 _PAD_ROWS = 16
@@ -292,6 +292,21 @@ _PAD_ROWS = 16
 # wider w (49 and 64 rows), and not when summed over blocks of this many
 # weight rows in order.
 _X_GRAD_BLOCK = 32
+
+
+def _padded_t(w: np.ndarray) -> np.ndarray:
+    """w [n, k] as a contiguous transposed copy [k, n'], zero-padded to
+    n' = n rounded up to a multiple of _PAD_ROWS."""
+    n = w.shape[0]
+    wt = np.zeros((w.shape[1], n + -n % _PAD_ROWS), dtype=w.dtype)
+    wt[:, :n] = w.T
+    return wt
+
+
+def _times(x: np.ndarray, wt: np.ndarray, n: int) -> np.ndarray:
+    """x @ wt for a weight copy from _padded_t, sliced back to its n columns."""
+    out = x @ wt
+    return out if out.shape[1] == n else np.ascontiguousarray(out[:, :n])
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -311,11 +326,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     w = _as_operand(w, x)
     x_data, w_data = x.data, w.data
     n = w_data.shape[0]
-    wt = np.zeros((w_data.shape[1], n + -n % _PAD_ROWS), dtype=w_data.dtype)
-    wt[:, :n] = w_data.T
-    out = x_data @ wt
-    if n % _PAD_ROWS:
-        out = np.ascontiguousarray(out[:, :n])
+    out = _times(x_data, _padded_t(w_data), n)
     if b is None:
         inputs = (x, w)
     else:
@@ -372,14 +383,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.maximum(e, x >= 0) / (1.0 + e)
 
 
-def _gated_hidden(rows: np.ndarray, wgt: np.ndarray, wut: np.ndarray) -> tuple:
-    """(pre, s, up) of a gated unit silu(pre) * up: pre = rows @ wgt, its
-    sigmoid s, and up = rows @ wut, by contiguous transposed weight copies.
+def _gated_hidden(rows: np.ndarray, wgt: np.ndarray, wut: np.ndarray, n: int) -> tuple:
+    """(pre, s, up) of a gated unit silu(pre) * up of width n: pre = rows @
+    wgt, its sigmoid s, and up = rows @ wut, by linear's padded weight copies
+    (_padded_t), so a row comes out the same whatever the row count.
 
     glu and mixture keep none of the three for their vjps, which call this
     again: the forward's own ops on the same operands give them bit for bit."""
-    pre = rows @ wgt
-    return pre, _sigmoid(pre), rows @ wut
+    pre = _times(rows, wgt, n)
+    return pre, _sigmoid(pre), _times(rows, wut, n)
 
 
 def _gated_hidden_grads(g: np.ndarray, pre: np.ndarray, s: np.ndarray, up: np.ndarray) -> tuple:
@@ -392,7 +404,7 @@ def glu(x: Tensor, w: Tensor, v: Tensor) -> Tensor:
     """silu(x @ w.T) * (x @ v.T) for x [m, k] and w, v [n, k]: a gated linear
     unit as one op (the point embedding).
 
-    While a graph records it keeps only the transposed weight copies; the
+    While a graph records it keeps only the padded weight copies; the
     vjp rebuilds both products and the sigmoid by the forward's ops. x's
     gradient is computed only when x requires one, and the embedding's x is
     the data, a constant.
@@ -401,12 +413,12 @@ def glu(x: Tensor, w: Tensor, v: Tensor) -> Tensor:
             or x.shape[1] != w.shape[1]):
         raise ShapeError(f"glu needs x [m, k] and w, v [n, k], got {x.shape}, {w.shape}, {v.shape}")
     w, v = _as_operand(w, x), _as_operand(v, x)
-    x_data, x_grad = x.data, x.requires_grad
-    wt, vt = w.data.T.copy(), v.data.T.copy()
-    pre, s, up = _gated_hidden(x_data, wt, vt)
+    x_data, x_grad, n = x.data, x.requires_grad, w.shape[0]
+    wt, vt = _padded_t(w.data), _padded_t(v.data)
+    pre, s, up = _gated_hidden(x_data, wt, vt, n)
 
     def vjp(g):
-        g_pre, g_up, _ = _gated_hidden_grads(g, *_gated_hidden(x_data, wt, vt))
+        g_pre, g_up, _ = _gated_hidden_grads(g, *_gated_hidden(x_data, wt, vt, n))
         gx = g_pre @ w.data + g_up @ v.data if x_grad else None
         return gx, (x_data.T @ g_pre).T.copy(), (x_data.T @ g_up).T.copy()
 
@@ -685,8 +697,8 @@ def mixture(x: Tensor, experts: list, bounds, slots: np.ndarray, gates: Tensor) 
     token's K rows in K distinct groups. gates is [T, len(experts)], and
     group i reads its column i. Each group gathers its own rows of x; an
     empty group is skipped, and its weights get no gradient. Each product
-    is by a contiguous transposed copy of the weight, so a row comes out
-    bit for bit the same whatever else shares the call.
+    is by linear's padded transposed copy of the weight (_padded_t), so a
+    row comes out bit for bit the same whatever else shares the call.
 
     While a graph records, each group keeps only its weight copies: no
     activation, no expert output and no copy of the rows. The vjp rebuilds
@@ -730,10 +742,10 @@ def mixture(x: Tensor, experts: list, bounds, slots: np.ndarray, gates: Tensor) 
         a, b = bounds[i], bounds[i + 1]
         if a == b:
             continue
-        wgt, wut, wdt = w_gate.data.T.copy(), w_up.data.T.copy(), w_down.data.T.copy()
+        wgt, wut, wdt = _padded_t(w_gate.data), _padded_t(w_up.data), _padded_t(w_down.data)
         tokens = order[a:b]
-        pre, s, up = _gated_hidden(x_data[tokens], wgt, wut)
-        y[a:b] = (pre * s * up) @ wdt
+        pre, s, up = _gated_hidden(x_data[tokens], wgt, wut, w_gate.shape[0])
+        y[a:b] = _times(pre * s * up, wdt, d)
         del pre, s, up  # one group's workspace at a time
         y[a:b] *= gate_data[tokens, i, None]
         if keep:
@@ -754,9 +766,9 @@ def mixture(x: Tensor, experts: list, bounds, slots: np.ndarray, gates: Tensor) 
             w_gate, w_up, w_down = weights[i]
             tokens = order[a:b]
             rows, go = x_data[tokens], g[tokens]
-            pre, s, up = _gated_hidden(rows, wgt, wut)
+            pre, s, up = _gated_hidden(rows, wgt, wut, w_gate.shape[0])
             hidden = pre * s * up
-            g_gates[tokens, i] = (go * (hidden @ wdt)).sum(axis=1)
+            g_gates[tokens, i] = (go * _times(hidden, wdt, d)).sum(axis=1)
             go *= gate_data[tokens, i, None]
             g_down = go.T @ hidden
             del hidden

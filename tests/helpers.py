@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 
 from sparsecast import tensor as T
-from sparsecast.data import CsvSchema, FormatError, LoadedCsv, _resolve_splits, sample_batch
+from sparsecast.data import (STORE_DTYPE, CleanSeries, CsvSchema, FormatError, LoadedCsv,
+                             PackedBatch, SeriesOrigin, _resolve_splits, draw_domain,
+                             normalize_weights, sample_batch)
 from sparsecast.heads import plan_horizons
 from sparsecast.model import Forecaster, ModelConfig, segment_bounds
 from sparsecast.moe import RouterOutput, load_stats, topk_indices
@@ -370,6 +372,72 @@ def benchmark_model_and_batch(tmp_path):
                       d_expert=32, head_horizons=(1, 8, 32, 64))
     store = build_regime_store(tmp_path, np.random.default_rng(1), per_regime=2, length=400)
     return Forecaster.init(cfg, seed=0), sample_batch(store, np.random.default_rng(2), 4, 256)
+
+
+# --- the sampler that indexed the store and read each crop's whole sequence
+# from its file on every call, kept as the oracle of sample_batch -------------
+
+
+def indices_by_domain(store) -> dict:
+    out: dict[str, list] = {}
+    for i, e in enumerate(store.entries):
+        out.setdefault(e.domain, []).append(i)
+    return out
+
+
+def reference_read(store, index: int) -> CleanSeries:
+    if not 0 <= index < len(store.entries):
+        raise IndexError(f"sequence index {index} out of range [0, {len(store.entries)})")
+    entry = store.entries[index]
+    with open(store.directory / entry.file, "rb") as f:
+        f.seek(entry.offset_points * 4)
+        buf = f.read(entry.length_points * 4)
+    if len(buf) != entry.length_points * 4:
+        raise FormatError(f"short read for entry {index} in {entry.file}")
+    values = np.frombuffer(buf, dtype=STORE_DTYPE).copy()
+    return CleanSeries(values=values, domain=entry.domain,
+                       origin=SeriesOrigin(source=str(store.directory / entry.file)))
+
+
+def reference_sample_batch(store, rng: np.random.Generator, batch_size: int,
+                           context_len: int, domain_weights: dict | None = None) -> PackedBatch:
+    """Pack random crops into batch rows, domains drawn by weight.
+
+    Crops are drawn by domain (per weights), then uniformly among that
+    domain's sequences, with a uniform start; each crop fills as much of the
+    row as remains. Sequences shorter than two points are skipped. Leftover
+    positions carry a fresh sequence id and the pad flag.
+    """
+    by_domain = {d: [i for i in idxs if store.entries[i].length_points >= 2]
+                 for d, idxs in indices_by_domain(store).items()}
+    by_domain = {d: idxs for d, idxs in by_domain.items() if idxs}
+    if not by_domain:
+        raise ValueError("store has no sequences of length >= 2")
+    present = sorted(by_domain)
+    if domain_weights is None:
+        domain_weights = {d: 1.0 for d in present}
+    names, probs = normalize_weights(domain_weights, present)
+
+    tokens = np.zeros((batch_size, context_len, 1), dtype=np.float32)
+    seq_ids = np.zeros((batch_size, context_len), dtype=np.int64)
+    pad_mask = np.zeros((batch_size, context_len), dtype=bool)
+    for b in range(batch_size):
+        pos = 0
+        sid = 0
+        while context_len - pos >= 2:
+            domain = draw_domain(rng, names, probs)
+            seq_index = by_domain[domain][rng.integers(len(by_domain[domain]))]
+            values = reference_read(store, seq_index).values
+            start = int(rng.integers(0, len(values) - 1))  # start <= len - 2
+            crop = values[start: start + (context_len - pos)]
+            tokens[b, pos: pos + len(crop), 0] = crop
+            seq_ids[b, pos: pos + len(crop)] = sid
+            pos += len(crop)
+            sid += 1
+        if pos < context_len:
+            seq_ids[b, pos:] = sid
+            pad_mask[b, pos:] = True
+    return PackedBatch(tokens=tokens, seq_ids=seq_ids, pad_mask=pad_mask)
 
 
 # --- ops no model path uses, kept for the tests and oracles -----------------

@@ -1,12 +1,17 @@
 """Cleaning pipeline, binary store, packing, and CSV ingestion."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import reference_load_csv, reference_write_csv
+from helpers import reference_load_csv, reference_sample_batch, reference_write_csv
 
+import sparsecast
 from sparsecast.data import (
     CleanConfig,
     CleanSeries,
@@ -365,6 +370,51 @@ def test_store_rejects_empty_write(tmp_path):
         SequenceStore.write([], tmp_path)
 
 
+def test_store_read_is_a_read_only_view_of_the_map(tmp_path):
+    rng = np.random.default_rng(18)
+    series = [make_series(rng, 10), make_series(rng, 20)]
+    SequenceStore.write(series, tmp_path)
+    store = SequenceStore.open(tmp_path)
+    values = store.read(1).values
+    assert not values.flags.writeable
+    assert np.shares_memory(values, store.maps["store.bin"])
+    assert values.tobytes() == series[1].values.tobytes()
+
+
+def test_store_rewritten_while_open_keeps_its_own_values(tmp_path):
+    """write renames its files into place, so a store that is open keeps the
+    files it mapped; truncating one in place would end the process with
+    SIGBUS on the first page past the new end, hence the subprocess."""
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from sparsecast.data import CleanSeries, SequenceStore\n"
+            "own = [np.arange(n, dtype=np.float32) + 0.5 for n in (4000, 3000)]\n"
+            "SequenceStore.write([CleanSeries(values=v, domain='a') for v in own], sys.argv[1])\n"
+            "a = SequenceStore.open(sys.argv[1])\n"
+            "SequenceStore.write([CleanSeries(values=np.ones(10), domain='b')], sys.argv[1])\n"
+            "for i, v in enumerate(own):\n"
+            "    assert a.read(i).values.tobytes() == v.tobytes(), i\n"
+            "b = SequenceStore.open(sys.argv[1])\n"
+            "assert len(b) == 1 and b.read(0).values.tobytes() == np.ones(10, '<f4').tobytes()\n"
+            "print('ok')\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(sparsecast.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert proc.stdout.strip() == "ok"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.bin", "store.meta.json"]
+
+
+def test_store_of_empty_sequences_opens_and_has_nothing_to_sample(tmp_path):
+    SequenceStore.write([CleanSeries(values=np.zeros(0)), CleanSeries(values=np.zeros(0))],
+                        tmp_path)
+    assert (tmp_path / "store.bin").stat().st_size == 0
+    store = SequenceStore.open(tmp_path)
+    assert len(store) == 2 and store.read(1).values.size == 0
+    with pytest.raises(ValueError, match="no sequences of length >= 2"):
+        sample_batch(store, np.random.default_rng(0), 1, 16)
+
+
 # --- packing ----------------------------------------------------------------------
 
 
@@ -410,6 +460,34 @@ def test_sample_batch_requires_weight_coverage(tmp_path):
     store = SequenceStore.write([make_series(rng, 50, "A"), make_series(rng, 50, "B")], tmp_path)
     with pytest.raises(ValueError, match="missing"):
         sample_batch(store, np.random.default_rng(2), 1, 16, domain_weights={"A": 1.0})
+
+
+def sharded_store(tmp_path, rng):
+    """Sequences of 0, 1, 2 and up to about 900 points in four domains, over
+    three data files; domain "d" has no sequence a crop can start in."""
+    lengths = [0, 1, 2, 3, 17, 64, 255, 256, 257, 511, 900, 2, 0, 130, 1, 880]
+    series = [make_series(rng, n, "abc"[k % 3] if n >= 2 else "d")
+              for k, n in enumerate(lengths)]
+    docs = []
+    for k, part in enumerate((series[:5], series[5:11], series[11:])):
+        SequenceStore.write(part, tmp_path, name=f"part{k}")
+        meta_path = tmp_path / f"part{k}.meta.json"
+        docs += json.loads(meta_path.read_text())["sequences"]
+        meta_path.unlink()
+    (tmp_path / "store.meta.json").write_text(json.dumps({"version": META_VERSION,
+                                                          "sequences": docs}))
+    return SequenceStore.open(tmp_path)
+
+
+@pytest.mark.parametrize("weights", [None, {"a": 1.0, "b": 0.0, "c": 2.5}])
+def test_sample_batch_matches_the_per_call_index_and_whole_sequence_reads(tmp_path, weights):
+    store = sharded_store(tmp_path, np.random.default_rng(19))
+    assert len({e.file for e in store.entries}) == 3 and store.domains() == ["a", "b", "c", "d"]
+    for seed in range(40):
+        got = sample_batch(store, np.random.default_rng(seed), 3, 256, weights)
+        want = reference_sample_batch(store, np.random.default_rng(seed), 3, 256, weights)
+        for name in ("tokens", "seq_ids", "pad_mask"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (seed, name)
 
 
 def test_sample_batch_deterministic_under_seed(tmp_path):

@@ -579,3 +579,24 @@ def test_packed_segments_of_any_length_match_solo_forwards_bitwise(lengths):
             assert packed.hidden.data[a:b].tobytes() == alone.hidden.data.tobytes(), (draw, a)
             for j, (p, s) in enumerate(zip(packed.head_outputs, alone.head_outputs)):
                 assert p.data[a:b].tobytes() == s.data.tobytes(), (draw, a, j)
+
+
+@pytest.mark.parametrize("d_expert", [8, 24])
+def test_packed_segments_match_solo_forwards_bitwise_at_narrow_expert_widths(d_expert):
+    """Expert widths that are not a multiple of 16 pad their products as
+    linear does. Unpadded, a segment's expert rows rounded by the routed
+    group sizes, which only some draws hit, so ten seeds are taken."""
+    lengths = (300, 257, 33, 5, 130)
+    bounds = np.cumsum((0,) + lengths)
+    ids = np.repeat(np.arange(len(lengths)), lengths)
+    for seed in range(10):
+        cfg = ModelConfig(d_model=32, num_layers=2, num_heads=4, num_experts=4, top_k=2,
+                          d_expert=d_expert, head_horizons=(1, 8, 32, 64))
+        model = Forecaster.init(cfg, seed=seed)
+        x = np.random.default_rng(seed).normal(size=bounds[-1])
+        packed = model.forward(x, seq_ids=ids)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            alone = model.forward(x[a:b])
+            assert packed.hidden.data[a:b].tobytes() == alone.hidden.data.tobytes(), (seed, a)
+            for j, (p, s) in enumerate(zip(packed.head_outputs, alone.head_outputs)):
+                assert p.data[a:b].tobytes() == s.data.tobytes(), (seed, a, j)
