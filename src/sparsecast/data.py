@@ -294,10 +294,14 @@ class SequenceStore:
                 entry = StoreEntry(**doc)
             except TypeError as e:
                 raise FormatError(f"metafile entry {idx} malformed: {e}") from e
-            # A file outside the store's directory is a fault, not a path to follow.
+            # A file outside the store's directory is a fault, not a path to
+            # follow. A name already in maps passed the check: each distinct
+            # name is checked once.
             if (any(isinstance(v, bool) or not isinstance(v, int)
                     for v in (entry.offset_points, entry.length_points))
-                    or not isinstance(entry.domain, str) or not is_bare_file_name(entry.file)):
+                    or not isinstance(entry.domain, str)
+                    or not (isinstance(entry.file, str) and entry.file in maps
+                            or is_bare_file_name(entry.file))):
                 raise FormatError(f"metafile entry {idx} malformed: offset_points and "
                                   f"length_points must be ints, domain a str and file a "
                                   f"bare file name, got {doc}")

@@ -351,9 +351,14 @@ def causal_self_attention(x: Tensor, params: AttentionParams, config: ModelConfi
     cos, sin = rotary
     q = T.rope(q, (cos[t - n_q:], sin[t - n_q:]))
     k = T.rope(k, rotary)
+    source = None
     if cache is not None:
         k, v = cache.extend(layer, k, v)
-    attended = T.masked_attention(q, k, v, bounds)
+    else:
+        # A recorded call rebuilds q, k and v from these in its vjp rather than keep them.
+        source = (x, ((params.wq, params.bq), (params.wk, params.bk), (params.wv, params.bv)),
+                  rotary)
+    attended = T.masked_attention(q, k, v, bounds, source=source)
     return T.linear(T.reshape(attended, (n_q, d)), params.wo)
 
 

@@ -13,19 +13,23 @@ records it (one check, _recording, decides that for every op). The tape
 holds keys, not outputs: a node is its own serial key, its inputs' keys
 (or the Tensor of a requires_grad leaf), and its vjp, so an output that no
 vjp reads, such as a projection that rope rotates or a residual branch that
-add sums, is freed as soon as the forward drops it. Attention keeps each
-tile's row max and row sum, not its weights, and its vjp replays the
-forward's ops to rebuild them bit for bit. glu and mixture keep no
+add sums, is freed as soon as the forward drops it. Attention keeps its
+output and each tile's row max and row sum, not its weights, and its vjp
+replays the forward's ops to rebuild them bit for bit; given the rows and
+weights its q, k and v were projected from, as the model's attention
+gives them, it keeps none of q, k and v either and rebuilds them too, by
+linear's, reshape's and rope's own array math. glu and mixture keep no
 activation, only their transposed weight copies: their vjps rebuild the
 gate pre-activation, its sigmoid and the up projection by the forward's
 own ops, and mixture gathers its rows from the token rows again and
 rebuilds its expert outputs for the gates' gradient rather than keep them.
 Graph.backward drops each node as its vjp runs, so each saved array is
 freed once backward has passed its node. A training step of the benchmark
-model at 4 x 256 peaks at about 4.7 MB traced (6.5 MB when the gated ops
-kept their sigmoids and the expert outputs were kept for the gates'
-gradient, 8.9 MB when the pre-activations, up projections and a copy of
-the routed rows were kept too).
+model at 4 x 256 peaks at about 3.9 MB traced (4.6 MB when attention kept
+q, k and v, 6.5 MB when the gated ops also kept their sigmoids and the
+expert outputs were kept for the gates' gradient, 8.9 MB when the
+pre-activations, up projections and a copy of the routed rows were kept
+too).
 
 Every weight product goes through linear (x @ w.T, plus an optional bias),
 glu or mixture, and each multiplies by contiguous transposed copies of the
@@ -33,8 +37,9 @@ weights, never by transposed views, so a row's result does not depend on
 how many rows share the call; linear pads a weight with zero rows to a
 multiple of 16 rows (the router and the short heads to 16) and slices the
 product back, since OpenBLAS rounds a product of another width by the row
-count, and takes the x-gradient as the in-order sum over 32-row blocks of
-the weight, one block for a weight of up to 32 rows.
+count, sums a contraction wider than 32 in order over 32-column blocks of
+x, and takes the x-gradient as the in-order sum over 32-row blocks of the
+weight, one block for a weight of up to 32 rows.
 
 Attention is blocked by segment and tiled by query. A packed row of T
 tokens is cut into segments given by their bounds [0, b_1, ..., T]; tokens
@@ -289,8 +294,9 @@ def add(a: Tensor, b) -> Tensor:
 # differently with the row count and a row's place in the call.
 _PAD_ROWS = 16
 # linear's x-gradient g @ w rounds a row by the call's row count for some
-# wider w (49 and 64 rows), and not when summed over blocks of this many
-# weight rows in order.
+# wider w (49 and 64 rows), and so does a padded product x @ wt for a
+# contraction of 64 or 96, and neither does when summed over blocks of this
+# many weight rows (or columns of x) in order.
 _X_GRAD_BLOCK = 32
 
 
@@ -304,8 +310,14 @@ def _padded_t(w: np.ndarray) -> np.ndarray:
 
 
 def _times(x: np.ndarray, wt: np.ndarray, n: int) -> np.ndarray:
-    """x @ wt for a weight copy from _padded_t, sliced back to its n columns."""
-    out = x @ wt
+    """x @ wt for a weight copy from _padded_t, sliced back to its n columns.
+
+    A contraction wider than _X_GRAD_BLOCK is summed in order over blocks of
+    that many columns of x and rows of wt: whole, a row of a 64- or 96-wide
+    product rounds by the row count, and blocked it does not."""
+    out = x[:, :_X_GRAD_BLOCK] @ wt[:_X_GRAD_BLOCK]
+    for j in range(_X_GRAD_BLOCK, x.shape[1], _X_GRAD_BLOCK):
+        out += x[:, j:j + _X_GRAD_BLOCK] @ wt[j:j + _X_GRAD_BLOCK]
     return out if out.shape[1] == n else np.ascontiguousarray(out[:, :n])
 
 
@@ -319,7 +331,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     rows: on OpenBLAS those are the forms whose rows come out the same
     whatever the row count, and packed rows must compute what they compute
     alone. (Unpadded, the product rounds a row by the row count at 5, 8,
-    33, 40 and 49 weight rows, and whole, g @ w does at 49 and 64.)
+    33, 40 and 49 weight rows; whole, it does at a contraction of 64 and
+    96, which _times therefore blocks, and g @ w does at 49 and 64 rows.)
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear needs x [m, k] and w [n, k], got {x.shape} and {w.shape}")
@@ -528,17 +541,19 @@ def rope(x: Tensor, tables: tuple) -> Tensor:
     if cos.dtype != x.data.dtype or sin.dtype != x.data.dtype:
         raise TypeError(f"mixed precisions: {x.data.dtype} vs rope tables {cos.dtype}")
 
-    def rotate(arr, c, s):
-        a, b = arr[..., 0::2], arr[..., 1::2]
-        out = np.empty_like(arr)
-        out[..., 0::2] = a * c - b * s
-        out[..., 1::2] = a * s + b * c
-        return out
-
     def vjp(g):
-        return (rotate(g, cos, -sin),)
+        return (_rotate(g, cos, -sin),)
 
-    return _finish("rope", rotate(x.data, cos, sin), (x,), vjp)
+    return _finish("rope", _rotate(x.data, cos, sin), (x,), vjp)
+
+
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """rope's rotation of the adjacent feature pairs of x[T, heads, d_head]."""
+    a, b = x[..., 0::2], x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = a * cos - b * sin
+    out[..., 1::2] = a * sin + b * cos
+    return out
 
 
 # Query tile of masked_attention: a tile's workspace is [heads, ATTENTION_TILE, keys].
@@ -557,7 +572,7 @@ def _segment_spans(segments, t: int) -> list:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments, source=None) -> Tensor:
     """Causal scaled dot-product attention, blocked by segment and tiled by query.
 
     k and v are [n_k, heads, d_head]; q is [n_q, heads, d_head] with
@@ -587,15 +602,30 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
     weights by the forward's own ops (the same matmul on the same slices,
     the scale, the diagonal mask, minus the saved max, exp, over the saved
     sum), so they and every gradient match bit for bit, and sums the key
-    and value gradients over the tiles. A logsumexp or online softmax would
-    round differently.
+    and value gradients over the tiles, holding one tile's weights and
+    their gradient at a time. A logsumexp or online softmax would round
+    differently.
+
+    source, when given, is (x, ((wq, bq), (wk, bk), (wv, bv)), tables): the
+    rows x [n_k, heads * d_head] and the weights that q, k and v were
+    projected from, with q = rope(reshape(linear(x, wq, bq)), tables), k
+    the same by wk and bk, and v = reshape(linear(x, wv, bv)), n_q == n_k.
+    A recorded call given a source keeps only its output and the row
+    statistics, not q, k or v: its vjp rebuilds the three by those ops' own
+    array math (linear's padded product plus the bias, the reshape, rope's
+    rotation by the same tables), bit for bit, and the linear nodes keep x
+    anyway. Without a source a recorded call keeps q, k and v. With it, a
+    training step of the benchmark model at 4 x 256 peaks at about 3.9 MB
+    traced, against 4.6 MB when attention kept q, k and v (0.79 MB of
+    them), and a one-segment 4096-point step at about 18.7 MB.
     """
     if (q.data.ndim != 3 or k.shape != v.shape or k.data.ndim != 3
             or q.shape[1:] != k.shape[1:] or q.shape[0] > k.shape[0]):
         raise ShapeError(f"attention expects q [n_q, heads, d_head] and k, v [n_k >= n_q, heads, "
                          f"d_head], got {q.shape}, {k.shape}, {v.shape}")
     n_q, _, d_head = q.shape
-    n_k = k.shape[0]
+    shape = k.shape
+    n_k = shape[0]
     prefix = n_k - n_q
     # (first query row, end query row, segment start, tile start, tile end) per
     # tile that holds a query: from the tile of a segment's first query on.
@@ -608,14 +638,28 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
             t1 = min(t0 + ATTENTION_TILE, b)
             tiles.append((max(t0, prefix) - prefix, t1 - prefix, a, t0, t1))
     k, v = _as_operand(k, q), _as_operand(v, q)
+    if source is None:
+        kept = q.data, k.data, v.data
+    else:
+        x, projections, (cos, sin) = source
+        if n_q != n_k or x.shape[0] != n_k:
+            raise ShapeError(f"attention source rows {x.shape} do not fit q {q.shape} and "
+                             f"k {k.shape}")
+        rows, projections = x.data, [(w.data, b.data) for w, b in projections]
+        kept = None
+
+        def rebuilt():
+            """q, k and v again, by the forward's own ops on its own operands."""
+            qd, kd, vd = ((_times(rows, _padded_t(w), len(w)) + b).reshape(shape)
+                          for w, b in projections)
+            return _rotate(qd, cos, sin), _rotate(kd, cos, sin), vd
+
     keep = _recording((q, k, v)) is not None
     scale = float(1.0 / np.sqrt(d_head))
-    # [heads, T, d_head] views of the [T, heads, d_head] operands.
-    qh, kh, vh = (x.data.transpose(1, 0, 2) for x in (q, k, v))
     out = np.empty_like(q.data)
     oh = out.transpose(1, 0, 2)
 
-    def scores(s, e, a, t0, t1):
+    def scores(qh, kh, s, e, a, t0, t1):
         """One tile's scaled scores, its future keys at -inf: [heads, e - s, t1 - a]."""
         ws = np.matmul(qh[:, s:e], kh[:, a:t1].transpose(0, 2, 1))
         ws *= scale
@@ -623,10 +667,12 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
         np.copyto(ws[:, :, t0 - a:], -np.inf, where=_FUTURE[m - (e - s):m, :m])
         return ws
 
+    # [heads, T, d_head] views of the [T, heads, d_head] operands.
+    qh, kh, vh = (a.transpose(1, 0, 2) for a in (q.data, k.data, v.data))
     stats = []
     for tile in tiles:
         s, e, a, _, t1 = tile
-        ws = scores(*tile)
+        ws = scores(qh, kh, *tile)
         row_max = ws.max(axis=-1, keepdims=True)
         ws -= row_max
         np.exp(ws, out=ws)
@@ -638,14 +684,14 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
         del ws
 
     def vjp(g):
-        gh = g.transpose(1, 0, 2)
+        qh, kh, vh, gh = (a.transpose(1, 0, 2) for a in (*(kept or rebuilt()), g))
         # Tiles add into the key and value gradients; keys no query reaches get 0.
-        gq, gk, gv = np.empty_like(g), np.zeros_like(k.data), np.zeros_like(v.data)
-        gqh, gkh, gvh = (x.transpose(1, 0, 2) for x in (gq, gk, gv))
+        gq, gk, gv = np.empty_like(g), np.zeros(shape, g.dtype), np.zeros(shape, g.dtype)
+        gqh, gkh, gvh = (a.transpose(1, 0, 2) for a in (gq, gk, gv))
         for tile, (row_max, row_sum) in zip(tiles, stats):
             s, e, a, _, t1 = tile
             # The forward's weights again, by its own ops on its own operands.
-            ws = scores(*tile)
+            ws = scores(qh, kh, *tile)
             ws -= row_max
             np.exp(ws, out=ws)
             ws /= row_sum
@@ -657,6 +703,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
             gw *= ws
             np.matmul(gw, kh[:, a:t1], out=gqh[:, s:e])
             gkh[:, a:t1] += np.matmul(gw.transpose(0, 2, 1), qh[:, s:e])
+            del ws, gw  # before the next tile is scored: two blocks at a time, not three
         gq *= scale
         gk *= scale
         return gq, gk, gv

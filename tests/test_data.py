@@ -326,6 +326,18 @@ def test_store_sharding(tmp_path):
         np.testing.assert_array_equal(reopened.read(i).values, s.values)
 
 
+def test_store_open_checks_each_file_name_once(tmp_path, monkeypatch):
+    # A store names few files and many sequences: open checks each distinct
+    # name, not each metafile entry.
+    rng = np.random.default_rng(19)
+    SequenceStore.write([make_series(rng, 4) for _ in range(1000)], tmp_path)
+    names, check = [], sparsecast.data.is_bare_file_name
+    monkeypatch.setattr(sparsecast.data, "is_bare_file_name",
+                        lambda name: names.append(name) or check(name))
+    assert len(SequenceStore.open(tmp_path)) == 1000
+    assert names == ["store.bin"]
+
+
 def test_store_detects_corrupt_offsets(tmp_path):
     rng = np.random.default_rng(10)
     SequenceStore.write([make_series(rng, 10)], tmp_path)

@@ -581,16 +581,14 @@ def test_packed_segments_of_any_length_match_solo_forwards_bitwise(lengths):
                 assert p.data[a:b].tobytes() == s.data.tobytes(), (draw, a, j)
 
 
-@pytest.mark.parametrize("d_expert", [8, 24])
-def test_packed_segments_match_solo_forwards_bitwise_at_narrow_expert_widths(d_expert):
-    """Expert widths that are not a multiple of 16 pad their products as
-    linear does. Unpadded, a segment's expert rows rounded by the routed
-    group sizes, which only some draws hit, so ten seeds are taken."""
+def assert_packed_segments_match_solo_forwards(d_model, d_expert, seeds):
+    """Segments of 300, 257, 33, 5 and 130 points packed in one row give
+    every hidden and head row bit for bit what each gives alone."""
     lengths = (300, 257, 33, 5, 130)
     bounds = np.cumsum((0,) + lengths)
     ids = np.repeat(np.arange(len(lengths)), lengths)
-    for seed in range(10):
-        cfg = ModelConfig(d_model=32, num_layers=2, num_heads=4, num_experts=4, top_k=2,
+    for seed in range(seeds):
+        cfg = ModelConfig(d_model=d_model, num_layers=2, num_heads=4, num_experts=4, top_k=2,
                           d_expert=d_expert, head_horizons=(1, 8, 32, 64))
         model = Forecaster.init(cfg, seed=seed)
         x = np.random.default_rng(seed).normal(size=bounds[-1])
@@ -600,3 +598,19 @@ def test_packed_segments_match_solo_forwards_bitwise_at_narrow_expert_widths(d_e
             assert packed.hidden.data[a:b].tobytes() == alone.hidden.data.tobytes(), (seed, a)
             for j, (p, s) in enumerate(zip(packed.head_outputs, alone.head_outputs)):
                 assert p.data[a:b].tobytes() == s.data.tobytes(), (seed, a, j)
+
+
+@pytest.mark.parametrize("d_expert", [8, 24])
+def test_packed_segments_match_solo_forwards_bitwise_at_narrow_expert_widths(d_expert):
+    """Expert widths that are not a multiple of 16 pad their products as
+    linear does. Unpadded, a segment's expert rows rounded by the routed
+    group sizes, which only some draws hit, so ten seeds are taken."""
+    assert_packed_segments_match_solo_forwards(32, d_expert, seeds=10)
+
+
+def test_packed_segments_match_solo_forwards_bitwise_at_d_model_64():
+    """Every product whose input is a row of the model (q, k, v, wo, router,
+    heads, expert gate and up) contracts over d_model, and a 64-wide
+    contraction is summed over 32-column blocks. Whole, a row rounded by
+    the row count: seeds 5 and 9 of these 12 differed."""
+    assert_packed_segments_match_solo_forwards(64, 32, seeds=12)

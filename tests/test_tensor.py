@@ -190,6 +190,26 @@ def test_narrow_linear_rows_match_single_row_calls_bitwise(n, rows):
     assert np.concatenate([one[1] for one in singles]).tobytes() == dx.tobytes()
 
 
+@pytest.mark.parametrize("k", [48, 64, 96])
+@pytest.mark.parametrize("rows", [7, 517])
+def test_wide_contraction_linear_rows_match_single_row_calls_bitwise(k, rows):
+    # Whole, x @ w.T rounds a row by the call's row count at a contraction
+    # of 64 or 96 (d_model 64 and wider models), so the product is summed
+    # in order over 32-column blocks of x and 32-row blocks of the padded
+    # weight copy; 48 ends in a partial block.
+    rng = np.random.default_rng([k, rows])
+    x, w, g = (rng.normal(size=shape).astype(np.float32)
+               for shape in ((rows, k), (32, k), (rows, 32)))
+    out, dx, _ = _linear_and_grads(linear, x, w, g)
+    want = x[:, :32] @ w[:, :32].T.copy()
+    for j in range(32, k, 32):
+        want += x[:, j:j + 32] @ w[:, j:j + 32].T.copy()
+    assert out.tobytes() == want.tobytes()
+    singles = [_linear_and_grads(linear, x[i:i + 1], w, g[i:i + 1]) for i in range(rows)]
+    assert np.concatenate([one[0] for one in singles]).tobytes() == out.tobytes()
+    assert np.concatenate([one[1] for one in singles]).tobytes() == dx.tobytes()
+
+
 def test_linear_rejects_mismatched_operands():
     x = Tensor(np.ones((3, 4), dtype=np.float32))
     with pytest.raises(ShapeError):
@@ -780,6 +800,50 @@ def test_attention_replay_matches_keep_the_weights_kernel_bitwise(segments, n_q,
     for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
         assert a.dtype == dtype, name
         np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("segments", [[0, 200], [0, 64, 65, 200]])
+def test_attention_given_its_source_rebuilds_q_k_v_bitwise_and_keeps_none(segments):
+    # Given the rows and weights that q, k and v were projected from, a
+    # recorded call keeps none of the three: its vjp rebuilds them by
+    # linear's, reshape's and rope's own ops, so the output and every
+    # gradient equal those of the call that kept them, bit for bit.
+    t, heads, d_head = segments[-1], 4, 8
+    d = heads * d_head
+    rng = np.random.default_rng(t)
+    x0 = rng.normal(size=(t, d)).astype(np.float32)
+    p0 = [(0.3 * rng.normal(size=shape)).astype(np.float32) for shape in ((d, d), (d,)) * 3]
+    w = constant(rng.normal(size=(t, heads, d_head)))
+    tables = rope_tables(np.arange(t), heads, d_head)
+    runs = []
+    for given in (False, True):
+        x = Tensor(x0.copy(), requires_grad=True)
+        params = [Tensor(p.copy(), requires_grad=True) for p in p0]
+        pairs = list(zip(params[0::2], params[1::2]))
+        with Graph() as graph:
+            q, k, v = (reshape(linear(x, wp, b), (t, heads, d_head)) for wp, b in pairs)
+            q, k = rope(q, tables), rope(k, tables)
+            held = [weakref.ref(q.data), weakref.ref(k.data), weakref.ref(v.data.base)]
+            out = masked_attention(q, k, v, np.array(segments),
+                                   source=(x, pairs, tables) if given else None)
+            del q, k, v
+            loss = sum_all(mul(out, w))
+        assert [ref() is not None for ref in held] == [not given] * 3
+        graph.backward(loss)
+        runs.append([out.data.tobytes()] + [a.grad.tobytes() for a in [x] + params])
+    assert runs[0] == runs[1]
+
+
+def test_attention_source_must_fit_its_operands():
+    x = Tensor(np.zeros((4, 1, 2), dtype=np.float32))
+    rows = Tensor(np.zeros((3, 2), dtype=np.float32))
+    w, b = Tensor(np.zeros((2, 2), dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32))
+    tables = rope_tables(np.arange(4), 1, 2)
+    for q, source in ((x, (rows, [(w, b)] * 3, tables)),  # rows are 3, not 4
+                      (Tensor(np.zeros((3, 1, 2), dtype=np.float32)),  # a cached prefix
+                       (rows, [(w, b)] * 3, tables))):
+        with pytest.raises(ShapeError):
+            masked_attention(q, x, x, np.array([0, 4]), source=source)
 
 
 def test_recorded_attention_keeps_row_statistics_not_tile_weights():

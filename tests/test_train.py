@@ -627,6 +627,44 @@ def test_benchmark_step_peaks_under_5_5_mb(tmp_path):
     assert peak < 5.5e6, f"train_step peaked at {peak / 1e6:.2f} MB"
 
 
+def test_benchmark_step_peaks_under_4_mb(tmp_path):
+    # A recorded attention keeps only its output and row statistics, not
+    # its rotated q and k nor its value projection: its vjp rebuilds them
+    # from the rows the q, k and v linear nodes keep (4.4-4.7 MB when it
+    # kept them).
+    model, batch = benchmark_model_and_batch(tmp_path)
+    config = TrainConfig(batch=4, context=256)
+    optimizer = AdamW(model, config)
+    tracemalloc.start()
+    try:
+        train_step(model, optimizer, batch, config, config.lr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"train_step peaked at {peak / 1e6:.2f} MB"
+
+
+def test_long_context_step_peaks_under_20_mb(tmp_path):
+    # One 4096-point segment: each layer's attention vjp peaks over its last
+    # tiles' two [heads, 64, 4096] blocks (4 MB each). It holds two blocks at
+    # a time and attention keeps no q, k or v (23.8 MB when the vjp kept the
+    # last tile's blocks while scoring the next and attention kept q, k and
+    # v, 22.2 MB with only the blocks kept).
+    model, _ = benchmark_model_and_batch(tmp_path)
+    x = np.random.default_rng(3).normal(size=(1, 4096, 1)).astype(np.float32)
+    batch = PackedBatch(tokens=x, seq_ids=np.zeros((1, 4096), dtype=np.int64),
+                        pad_mask=np.zeros((1, 4096), dtype=bool))
+    config = TrainConfig(batch=1, context=4096)
+    optimizer = AdamW(model, config)
+    tracemalloc.start()
+    try:
+        train_step(model, optimizer, batch, config, config.lr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"train_step peaked at {peak / 1e6:.2f} MB"
+
+
 def memory_ref(a: np.ndarray) -> weakref.ref:
     """A weakref to the array that owns a's memory: a itself, or the buffer
     a is a view of. It dies exactly when nothing holds that memory, so an
@@ -662,13 +700,15 @@ def test_memory_ref_sees_a_view_of_a_buffer_the_tape_holds():
 
 
 def test_batch_loss_frees_every_output_no_vjp_reads_before_backward(tmp_path, monkeypatch):
-    """Of a step's 14 linear outputs only those a vjp reads outlive the
-    forward: each layer's value projection (attention reads it). The q, k
-    and wo projections, the routers and the heads are gone, and so are the
-    heads' Huber values. The embedding is one glu op, with no linear. An
-    output counts as alive while anything holds its memory (memory_ref)."""
+    """No linear, rope or Huber output outlives the forward: attention
+    rebuilds its rotated q and k and its value projection in its vjp from
+    the rows the q, k and v linear nodes keep, so none of the 14 linear
+    outputs (q, k, v, wo and router per layer, then the heads) and none of
+    the 4 rope outputs is held, nor any head's Huber values. The embedding
+    is one glu op, with no linear. An output counts as alive while anything
+    holds its memory (memory_ref)."""
     model, batch = benchmark_model_and_batch(tmp_path)
-    refs = {"linear": [], "huber": []}
+    refs = {"linear": [], "rope": [], "huber": []}
     for name in refs:
         def logged(*args, op=getattr(T, name), name=name):
             out = op(*args)
@@ -680,8 +720,8 @@ def test_batch_loss_frees_every_output_no_vjp_reads_before_backward(tmp_path, mo
     alive = {name: [i for i, ref in enumerate(found) if ref() is not None]
              for name, found in refs.items()}
     # Calls in order: per layer q, k, v, wo, router, then the heads.
-    assert [len(refs["linear"]), len(refs["huber"])] == [14, 4]
-    assert alive == {"linear": [2, 7], "huber": []}
+    assert [len(refs["linear"]), len(refs["rope"]), len(refs["huber"])] == [14, 4, 4]
+    assert alive == {"linear": [], "rope": [], "huber": []}
     graph.backward(loss)
     assert all(p.grad is not None for p in model.params.heads)
 
