@@ -8,6 +8,7 @@ nonzero; argparse reports unknown flags on its own.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import tempfile
@@ -157,10 +158,9 @@ def cmd_forecast(args) -> int:
         write_csv(args.out, prediction, loaded.columns)
         print(f"wrote {args.horizon} rows x {len(loaded.columns)} channels to {args.out}")
     else:
-        writer = sys.stdout
-        writer.write(",".join(loaded.columns) + "\n")
+        csv.writer(sys.stdout, lineterminator="\n").writerow(loaded.columns)
         for row in prediction:
-            writer.write(",".join(repr(float(v)) for v in row) + "\n")
+            sys.stdout.write(",".join(repr(float(v)) for v in row) + "\n")
     return 0
 
 

@@ -31,15 +31,23 @@ expert outputs were kept for the gates' gradient, 8.9 MB when the
 pre-activations, up projections and a copy of the routed rows were kept
 too).
 
-Every weight product goes through linear (x @ w.T, plus an optional bias),
-glu or mixture, and each multiplies by contiguous transposed copies of the
-weights, never by transposed views, so a row's result does not depend on
-how many rows share the call; linear pads a weight with zero rows to a
-multiple of 16 rows (the router and the short heads to 16) and slices the
-product back, since OpenBLAS rounds a product of another width by the row
-count, sums a contraction wider than 32 in order over 32-column blocks of
-x, and takes the x-gradient as the in-order sum over 32-row blocks of the
-weight, one block for a weight of up to 32 rows.
+Every product of a weight with an activation or a gradient (forward,
+x-gradient and weight gradient) goes through one helper, _times, by one
+rule, so a row's result does not depend on how many rows share the call
+and a weight gradient does not depend on the BLAS thread count:
+- a contraction of up to 256 runs whole, and a wider one is summed in
+  order over 256-wide blocks (whole, OpenBLAS rounds a row of a 512-wide
+  or wider contraction by the row count, and a weight gradient's
+  contraction over the tokens by the thread count);
+- a one-row left operand is multiplied as two rows, itself and a zero
+  row, and the first is sliced back: numpy's one-row path rounds a row
+  differently at contractions of 56 or more in float32, and at every
+  width in float64;
+- a forward product is by a contiguous transposed copy of the weight,
+  never by the transposed view, zero-padded to a multiple of 16 weight
+  rows and sliced back, since OpenBLAS rounds a product of another width
+  by the row count.
+linear, glu and mixture follow it.
 
 Attention is blocked by segment and tiled by query. A packed row of T
 tokens is cut into segments given by their bounds [0, b_1, ..., T]; tokens
@@ -289,15 +297,10 @@ def add(a: Tensor, b) -> Tensor:
     return _finish("add", a.data + b.data, (a, b), vjp)
 
 
-# linear, glu and mixture zero-pad a weight to a multiple of this many rows:
-# OpenBLAS rounds a product of another width (or numpy's gemv for one row)
-# differently with the row count and a row's place in the call.
+# Forward products zero-pad a weight to a multiple of this many rows.
 _PAD_ROWS = 16
-# linear's x-gradient g @ w rounds a row by the call's row count for some
-# wider w (49 and 64 rows), and so does a padded product x @ wt for a
-# contraction of 64 or 96, and neither does when summed over blocks of this
-# many weight rows (or columns of x) in order.
-_X_GRAD_BLOCK = 32
+# _times contracts whole up to this width and in order over blocks of it above.
+_BLOCK = 256
 
 
 def _padded_t(w: np.ndarray) -> np.ndarray:
@@ -309,31 +312,20 @@ def _padded_t(w: np.ndarray) -> np.ndarray:
     return wt
 
 
-def _times(x: np.ndarray, wt: np.ndarray, n: int) -> np.ndarray:
-    """x @ wt for a weight copy from _padded_t, sliced back to its n columns.
-
-    A contraction wider than _X_GRAD_BLOCK is summed in order over blocks of
-    that many columns of x and rows of wt: whole, a row of a 64- or 96-wide
-    product rounds by the row count, and blocked it does not."""
-    out = x[:, :_X_GRAD_BLOCK] @ wt[:_X_GRAD_BLOCK]
-    for j in range(_X_GRAD_BLOCK, x.shape[1], _X_GRAD_BLOCK):
-        out += x[:, j:j + _X_GRAD_BLOCK] @ wt[j:j + _X_GRAD_BLOCK]
-    return out if out.shape[1] == n else np.ascontiguousarray(out[:, :n])
+def _times(a: np.ndarray, b: np.ndarray, n: int | None = None) -> np.ndarray:
+    """a @ b by the product rule (module docstring), sliced back to its
+    first n columns, all of b's by default."""
+    if len(a) == 1:
+        return _times(np.concatenate((a, np.zeros_like(a))), b, n)[:1]
+    out = a[:, :_BLOCK] @ b[:_BLOCK]
+    for j in range(_BLOCK, a.shape[1], _BLOCK):
+        out += a[:, j:j + _BLOCK] @ b[j:j + _BLOCK]
+    return out if n in (None, out.shape[1]) else np.ascontiguousarray(out[:, :n])
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x[m×k] @ w[n×k].T, plus b[n] on every row when given.
-
-    The product is by a contiguous transposed copy of w, never by the
-    transposed view, zero-padded to a multiple of _PAD_ROWS rows of w and
-    sliced back, while the x-gradient is g @ w summed in order over blocks
-    of _X_GRAD_BLOCK weight rows, one block for a w of up to _X_GRAD_BLOCK
-    rows: on OpenBLAS those are the forms whose rows come out the same
-    whatever the row count, and packed rows must compute what they compute
-    alone. (Unpadded, the product rounds a row by the row count at 5, 8,
-    33, 40 and 49 weight rows; whole, it does at a contraction of 64 and
-    96, which _times therefore blocks, and g @ w does at 49 and 64 rows.)
-    """
+    """x[m×k] @ w[n×k].T, plus b[n] on every row when given; the product
+    and both gradients by the product rule (module docstring)."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear needs x [m, k] and w [n, k], got {x.shape} and {w.shape}")
     w = _as_operand(w, x)
@@ -350,10 +342,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         inputs = (x, w, b)
 
     def vjp(g):
-        gx = g[:, :_X_GRAD_BLOCK] @ w_data[:_X_GRAD_BLOCK]
-        for j in range(_X_GRAD_BLOCK, n, _X_GRAD_BLOCK):
-            gx += g[:, j:j + _X_GRAD_BLOCK] @ w_data[j:j + _X_GRAD_BLOCK]
-        grads = (gx, (x_data.T @ g).T.copy())
+        grads = (_times(g, w_data), _times(g.T, x_data))
         return grads if b is None else grads + (g.sum(axis=0),)
 
     return _finish("linear", out, inputs, vjp)
@@ -398,8 +387,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _gated_hidden(rows: np.ndarray, wgt: np.ndarray, wut: np.ndarray, n: int) -> tuple:
     """(pre, s, up) of a gated unit silu(pre) * up of width n: pre = rows @
-    wgt, its sigmoid s, and up = rows @ wut, by linear's padded weight copies
-    (_padded_t), so a row comes out the same whatever the row count.
+    wgt, its sigmoid s, and up = rows @ wut, by _times on padded weight
+    copies (_padded_t).
 
     glu and mixture keep none of the three for their vjps, which call this
     again: the forward's own ops on the same operands give them bit for bit."""
@@ -415,7 +404,8 @@ def _gated_hidden_grads(g: np.ndarray, pre: np.ndarray, s: np.ndarray, up: np.nd
 
 def glu(x: Tensor, w: Tensor, v: Tensor) -> Tensor:
     """silu(x @ w.T) * (x @ v.T) for x [m, k] and w, v [n, k]: a gated linear
-    unit as one op (the point embedding).
+    unit as one op (the point embedding), its products and gradients by the
+    product rule (module docstring).
 
     While a graph records it keeps only the padded weight copies; the
     vjp rebuilds both products and the sigmoid by the forward's ops. x's
@@ -432,8 +422,8 @@ def glu(x: Tensor, w: Tensor, v: Tensor) -> Tensor:
 
     def vjp(g):
         g_pre, g_up, _ = _gated_hidden_grads(g, *_gated_hidden(x_data, wt, vt, n))
-        gx = g_pre @ w.data + g_up @ v.data if x_grad else None
-        return gx, (x_data.T @ g_pre).T.copy(), (x_data.T @ g_up).T.copy()
+        gx = _times(g_pre, w.data) + _times(g_up, v.data) if x_grad else None
+        return gx, _times(g_pre.T, x_data), _times(g_up.T, x_data)
 
     return _finish("glu", pre * s * up, (x, w, v), vjp)
 
@@ -743,9 +733,9 @@ def mixture(x: Tensor, experts: list, bounds, slots: np.ndarray, gates: Tensor) 
     grouped rows bounds[i]:bounds[i+1], bounds running from 0 to T * K, a
     token's K rows in K distinct groups. gates is [T, len(experts)], and
     group i reads its column i. Each group gathers its own rows of x; an
-    empty group is skipped, and its weights get no gradient. Each product
-    is by linear's padded transposed copy of the weight (_padded_t), so a
-    row comes out bit for bit the same whatever else shares the call.
+    empty group is skipped, and its weights get no gradient. Every product
+    and gradient follows the product rule (module docstring), so a row
+    comes out bit for bit the same whatever else shares the call.
 
     While a graph records, each group keeps only its weight copies: no
     activation, no expert output and no copy of the rows. The vjp rebuilds
@@ -817,12 +807,12 @@ def mixture(x: Tensor, experts: list, bounds, slots: np.ndarray, gates: Tensor) 
             hidden = pre * s * up
             g_gates[tokens, i] = (go * _times(hidden, wdt, d)).sum(axis=1)
             go *= gate_data[tokens, i, None]
-            g_down = go.T @ hidden
+            g_down = _times(go.T, hidden)
             del hidden
-            g_pre, g_up, _ = _gated_hidden_grads(go @ w_down.data, pre, s, up)
+            g_pre, g_up, _ = _gated_hidden_grads(_times(go, w_down.data), pre, s, up)
             del pre, s, up
-            gx[tokens] += g_pre @ w_gate.data + g_up @ w_up.data
-            grads[3 * i: 3 * i + 3] = g_pre.T @ rows, g_up.T @ rows, g_down
+            gx[tokens] += _times(g_pre, w_gate.data) + _times(g_up, w_up.data)
+            grads[3 * i: 3 * i + 3] = _times(g_pre.T, rows), _times(g_up.T, rows), g_down
             del rows, go, g_pre, g_up
         return (gx, g_gates, *grads)
 

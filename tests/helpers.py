@@ -606,13 +606,38 @@ def dispatch_rows(x: Tensor, slots: np.ndarray) -> Tensor:
     return _finish("dispatch_rows", out, (x,), vjp)
 
 
+def rule_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b by tensor's product rule, written out as its oracle: a one-row
+    a as the first row of a call on a and a zero row; otherwise the partial
+    products over 256-wide blocks of the contraction, added in order (one
+    block up to 256)."""
+    if a.shape[0] == 1:
+        pair = np.zeros((2, a.shape[1]), dtype=a.dtype)
+        pair[0] = a[0]
+        return rule_product(pair, b)[:1]
+    parts = [a[:, j:j + 256] @ b[j:j + 256] for j in range(0, a.shape[1], 256)]
+    out = parts[0]
+    for part in parts[1:]:
+        out = out + part
+    return out
+
+
+def rule_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w.T by tensor's product rule for a forward product: by w's
+    transposed copy with zero columns up to a multiple of 16, the padding
+    sliced off again."""
+    n, k = w.shape
+    wt = np.concatenate((w.T, np.zeros((k, -n % 16), dtype=w.dtype)), axis=1)
+    return rule_product(x, wt)[:, :n]
+
+
 def reference_swiglu(x: Tensor, experts: list, bounds) -> Tensor:
     """Gated feed-forward nets down(silu(gate(x)) * up(x)), one per group of rows.
 
     experts[i] is (w_gate [hidden, D], w_up [hidden, D], w_down [D, hidden])
     and applies to rows bounds[i]:bounds[i+1] of x[R, D], bounds running
     from 0 to R. An empty group is skipped, and its weights get no gradient.
-    Each product is by a contiguous transposed copy of the weight, so a row
+    Each product and gradient is by rule_forward or rule_product, so a row
     comes out bit for bit the same whatever else shares the call. While a
     graph records, each group keeps gate(x), its sigmoid and up(x), and the
     vjp rebuilds the gated product from them by the forward's ops.
@@ -637,10 +662,10 @@ def reference_swiglu(x: Tensor, experts: list, bounds) -> Tensor:
         if a == b:
             continue
         rows = x.data[a:b]
-        pre = rows @ w_gate.data.T.copy()
+        pre = rule_forward(rows, w_gate.data)
         s = _sigmoid(pre)
-        up = rows @ w_up.data.T.copy()
-        out[a:b] = (pre * s * up) @ w_down.data.T.copy()
+        up = rule_forward(rows, w_up.data)
+        out[a:b] = rule_forward(pre * s * up, w_down.data)
         if keep:
             saved.append((a, b, i, pre, s, up))
 
@@ -651,11 +676,12 @@ def reference_swiglu(x: Tensor, experts: list, bounds) -> Tensor:
             w_gate, w_up, w_down = weights[i]
             rows, go = x.data[a:b], g[a:b]
             gate = pre * s
-            g_hidden = go @ w_down.data
+            g_hidden = rule_product(go, w_down.data)
             g_up = g_hidden * gate
             g_pre = g_hidden * up * (s + pre * s * (1.0 - s))
-            gx[a:b] = g_pre @ w_gate.data + g_up @ w_up.data
-            grads[3 * i: 3 * i + 3] = g_pre.T @ rows, g_up.T @ rows, go.T @ (gate * up)
+            gx[a:b] = rule_product(g_pre, w_gate.data) + rule_product(g_up, w_up.data)
+            grads[3 * i: 3 * i + 3] = (rule_product(g_pre.T, rows), rule_product(g_up.T, rows),
+                                       rule_product(go.T, gate * up))
         return (gx, *grads)
 
     return _finish("swiglu", out, inputs, vjp)

@@ -11,7 +11,7 @@ import pytest
 
 import sparsecast
 from sparsecast.cli import main
-from sparsecast.data import CleanSeries, FormatError, SequenceStore, write_csv
+from sparsecast.data import CleanSeries, FormatError, SequenceStore, load_csv, write_csv
 from sparsecast.model import Forecaster, ModelConfig
 from sparsecast.synthetic import build_regime_store
 from sparsecast.train import load_checkpoint, save_checkpoint
@@ -151,6 +151,24 @@ def test_forecast_to_stdout(tmp_path, capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 8  # header + 7 values
+
+
+def test_forecast_to_stdout_quotes_its_header(tmp_path, capsys):
+    # Column names with a comma or a quote are quoted as write_csv quotes
+    # them, so the printed forecast reads back with its own columns.
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, Forecaster.init(ModelConfig(**model_doc()), seed=0))
+    columns = ["load, kW", 'temp "C"']
+    ctx = tmp_path / "ctx.csv"
+    write_csv(ctx, np.random.default_rng(0).normal(size=(32, 2)), columns)
+    code, out, err = run(capsys, "forecast", "--ckpt", str(ckpt), "--input", str(ctx),
+                         "--horizon", "4")
+    assert code == 0, err
+    printed = tmp_path / "printed.csv"
+    printed.write_text(out)
+    loaded = load_csv(printed)
+    assert loaded.columns == columns
+    assert loaded.values.shape == (4, 2)
 
 
 def test_bench_subcommand(tmp_path, capsys):

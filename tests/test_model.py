@@ -581,10 +581,10 @@ def test_packed_segments_of_any_length_match_solo_forwards_bitwise(lengths):
                 assert p.data[a:b].tobytes() == s.data.tobytes(), (draw, a, j)
 
 
-def assert_packed_segments_match_solo_forwards(d_model, d_expert, seeds):
-    """Segments of 300, 257, 33, 5 and 130 points packed in one row give
-    every hidden and head row bit for bit what each gives alone."""
-    lengths = (300, 257, 33, 5, 130)
+def assert_packed_segments_match_solo_forwards(d_model, d_expert, seeds,
+                                               lengths=(300, 257, 33, 5, 130)):
+    """Segments of the given lengths packed in one row give every hidden and
+    head row bit for bit what each gives alone."""
     bounds = np.cumsum((0,) + lengths)
     ids = np.repeat(np.arange(len(lengths)), lengths)
     for seed in range(seeds):
@@ -610,7 +610,12 @@ def test_packed_segments_match_solo_forwards_bitwise_at_narrow_expert_widths(d_e
 
 def test_packed_segments_match_solo_forwards_bitwise_at_d_model_64():
     """Every product whose input is a row of the model (q, k, v, wo, router,
-    heads, expert gate and up) contracts over d_model, and a 64-wide
-    contraction is summed over 32-column blocks. Whole, a row rounded by
-    the row count: seeds 5 and 9 of these 12 differed."""
+    heads, expert gate and up) contracts over d_model. A 64-wide
+    contraction runs whole, and a one-row call (a 1-point segment, a
+    one-token expert group) as two rows: numpy's one-row path rounds a row
+    differently at contractions of 56 or more. The d_model 128 case packs a
+    1-point and a 5-point segment; without the two-row floor it failed at
+    all six seeds."""
     assert_packed_segments_match_solo_forwards(64, 32, seeds=12)
+    assert_packed_segments_match_solo_forwards(128, 96, seeds=6,
+                                               lengths=(300, 1, 5, 33, 130, 257))

@@ -31,6 +31,8 @@ from helpers import (
     reference_swiglu,
     reference_tiled_attention,
     row_scale,
+    rule_forward,
+    rule_product,
     scalar_huber,
     sigmoid,
     silu,
@@ -132,23 +134,27 @@ def _linear_and_grads(fn, x, w, g):
 
 @pytest.mark.parametrize("rows", [3, 1024])
 def test_linear_matches_matmul_by_transposed_copy_bitwise(rows):
-    # linear replaced matmul(x, transpose(w)); the output and dw keep their
-    # bits. dx is g @ w summed over the weight's 32-row blocks in order,
-    # whose rows do not depend on the row count; the matmul's
-    # g @ (transposed copy).T rounds dx in another order, so dx is held to
-    # the float32 error bound of a 48-term dot product, which every order
-    # meets: |dx - g @ w| <= 48 eps (|g| @ |w|), exact product in float64.
+    # linear replaced matmul(x, transpose(w)); the output keeps its bits.
+    # Both gradients follow the product rule, rule_product: dx is g @ w
+    # whole (48 terms), and dw is g.T @ x, whole up to 256 rows and summed
+    # over 256-row blocks in order above, whose bits do not depend on the
+    # BLAS thread count. The matmul's g @ (transposed copy).T and
+    # (x.T @ g).T round in other orders, so each gradient of both is held to
+    # the float32 error bound of its dot products, which every order meets:
+    # |got - exact| <= terms * eps * (|a| @ |b|), exact product in float64.
     rng = np.random.default_rng(rows)
     x, w, g = (rng.normal(size=shape).astype(np.float32)
                for shape in ((rows, 32), (48, 32), (rows, 48)))
     out, dx, dw = _linear_and_grads(linear, x, w, g)
     want_out, want_dx, want_dw = _linear_and_grads(lambda a, b: matmul(a, transpose(b)), x, w, g)
     assert out.tobytes() == want_out.tobytes()
-    assert dw.tobytes() == want_dw.tobytes()
-    assert dx.tobytes() == (g[:, :32] @ w[:32] + g[:, 32:] @ w[32:]).tobytes()
-    bound = 48 * np.finfo(np.float32).eps * (np.abs(g).astype(np.float64) @ np.abs(w))
-    for got in (dx, want_dx):
-        assert np.all(np.abs(got - g.astype(np.float64) @ w) <= bound)
+    assert dx.tobytes() == rule_product(g, w).tobytes()
+    assert dw.tobytes() == rule_product(g.T, x).tobytes()
+    eps = np.finfo(np.float32).eps
+    for got, want, (a, b) in ((dx, want_dx, (g, w)), (dw, want_dw, (g.T, x))):
+        bound = a.shape[1] * eps * (np.abs(a).astype(np.float64) @ np.abs(b))
+        for grad in (got, want):
+            assert np.all(np.abs(grad - a.astype(np.float64) @ b) <= bound)
 
 
 def test_linear_row_does_not_depend_on_row_count():
@@ -177,10 +183,9 @@ def test_narrow_linear_rows_match_single_row_calls_bitwise(n, rows):
     # On OpenBLAS, x @ w.T for a weight of 5 or 8 rows (the router, the
     # horizon-8 head) rounds a row by the call's row count and the row's
     # place in it, and so does the x-gradient g @ w.T-view at 8 to 48 rows.
-    # linear pads a narrow weight with zero rows and takes g @ w instead.
-    # At 64 rows, the horizon-64 head, g @ w rounds by the row count too,
-    # so linear sums g @ w over 32-row blocks of the weight at every width;
-    # 33 and 40 rows end in a partial block.
+    # linear pads a narrow weight with zero rows and takes g @ w instead,
+    # whole: at 64 rows, the horizon-64 head, only a one-row g @ w rounds
+    # differently, and the product rule runs it as two rows.
     rng = np.random.default_rng([n, rows])
     x, w, g = (rng.normal(size=shape).astype(np.float32)
                for shape in ((rows, 32), (n, 32), (rows, n)))
@@ -190,21 +195,19 @@ def test_narrow_linear_rows_match_single_row_calls_bitwise(n, rows):
     assert np.concatenate([one[1] for one in singles]).tobytes() == dx.tobytes()
 
 
-@pytest.mark.parametrize("k", [48, 64, 96])
+@pytest.mark.parametrize("k", [48, 64, 96, 512])
 @pytest.mark.parametrize("rows", [7, 517])
 def test_wide_contraction_linear_rows_match_single_row_calls_bitwise(k, rows):
-    # Whole, x @ w.T rounds a row by the call's row count at a contraction
-    # of 64 or 96 (d_model 64 and wider models), so the product is summed
-    # in order over 32-column blocks of x and 32-row blocks of the padded
-    # weight copy; 48 ends in a partial block.
+    # The product rule: a contraction of up to 256 (d_model 64 and 96) runs
+    # whole, a wider one is summed in order over 256-wide blocks (whole,
+    # a row of a 512-wide product rounds by the row count), and a one-row
+    # call runs as two rows (numpy's one-row path rounds a 64-wide row
+    # differently).
     rng = np.random.default_rng([k, rows])
     x, w, g = (rng.normal(size=shape).astype(np.float32)
                for shape in ((rows, k), (32, k), (rows, 32)))
     out, dx, _ = _linear_and_grads(linear, x, w, g)
-    want = x[:, :32] @ w[:, :32].T.copy()
-    for j in range(32, k, 32):
-        want += x[:, j:j + 32] @ w[:, j:j + 32].T.copy()
-    assert out.tobytes() == want.tobytes()
+    assert out.tobytes() == rule_forward(x, w).tobytes()
     singles = [_linear_and_grads(linear, x[i:i + 1], w, g[i:i + 1]) for i in range(rows)]
     assert np.concatenate([one[0] for one in singles]).tobytes() == out.tobytes()
     assert np.concatenate([one[1] for one in singles]).tobytes() == dx.tobytes()
@@ -918,7 +921,9 @@ def test_mixture_matches_swiglu_and_combine_rows_bitwise(dtype, k, idle, one_gro
     # One op against the expert path it replaced, dispatch_rows' copy fed to
     # reference_swiglu and summed by combine_rows: the output and the
     # gradients of x, the gates and every weight bit for bit, though mixture
-    # keeps no activation and no expert output for its vjp. The routed cases
+    # keeps no activation and no expert output for its vjp. The reference
+    # multiplies by the product rule as helpers.rule_product writes it out,
+    # one-row groups and float64 included. The routed cases
     # put the shared expert 4 first, as moe_forward does; the dense case is
     # expert_ffn's one group, identity table and ones column.
     rng = np.random.default_rng([k, len(idle), bool(one_group)])

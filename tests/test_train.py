@@ -4,9 +4,13 @@ import copy
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from helpers import (
     reference_optimizer_step,
     scalar_huber,
 )
+import sparsecast
 from sparsecast import model as model_module
 from sparsecast import tensor as T
 from sparsecast import train as train_module
@@ -849,6 +854,36 @@ def test_checkpoint_config_block_and_model_hash_are_golden(tmp_path):
         '"d_ff": 128, "d_expert": 32, "head_horizons": [1, 8, 32, 64], "max_context": 4096, '
         '"rope_base": 10000.0, "use_moe": true}')
     assert model_hash(model) == "55899565a9a5874b"
+
+
+def test_training_bits_do_not_depend_on_blas_thread_count(tmp_path):
+    """Six benchmark-model steps at 4 x 256 on a store of six 768-point
+    series end with the same parameter bytes at one and at two BLAS
+    threads. A weight gradient contracts over token rows, and whole,
+    OpenBLAS rounds such a contraction by its thread count at most lengths
+    from 977 rows on, which expert groups reach; the product rule sums it
+    over 256-row blocks. The thread count is read when numpy loads, hence
+    the subprocesses."""
+    code = ("import hashlib, sys\n"
+            "import numpy as np\n"
+            "from sparsecast.model import Forecaster, ModelConfig\n"
+            "from sparsecast.synthetic import build_regime_store\n"
+            "from sparsecast.train import TrainConfig, train_loop\n"
+            "store = build_regime_store(sys.argv[1], np.random.default_rng(1), per_regime=2)\n"
+            "model = Forecaster.init(ModelConfig(d_model=32, num_layers=2, num_heads=4, "
+            "num_experts=4, top_k=2, d_expert=32, head_horizons=(1, 8, 32, 64)), seed=0)\n"
+            "train_loop(model, store, TrainConfig(steps=6, batch=4, context=256, seed=0))\n"
+            "print(hashlib.sha256(model.param_bytes()).hexdigest())\n")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(sparsecast.__file__).resolve().parent.parent)}
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / threads)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_checkpoint_bytes_are_golden(tmp_path):
