@@ -38,6 +38,7 @@ from .evaluate import (
 from .heads import forecast_multivariate
 from .model import ConfigError, Forecaster, ModelConfig, count_params
 from .synthetic import build_regime_store
+from .tensor import NumericError
 from .train import (
     AdamW,
     CheckpointError,
@@ -48,7 +49,8 @@ from .train import (
     train_loop,
 )
 
-USER_ERRORS = (FormatError, ConfigError, CheckpointError, TrainingError, ValueError, OSError)
+USER_ERRORS = (FormatError, ConfigError, CheckpointError, TrainingError, NumericError,
+               ValueError, OSError)
 
 
 def _read_json(path: Path) -> dict:

@@ -17,6 +17,7 @@ for pick, as recomputing the whole window every time.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class ForecastPlan:
 
 def plan_horizons(h: int, horizons) -> ForecastPlan:
     """Greedy schedule: repeatedly take the largest horizon that still fits."""
-    if h < 1:
-        raise ValueError(f"forecast horizon must be >= 1, got {h}")
+    if isinstance(h, bool) or not isinstance(h, numbers.Integral) or h < 1:
+        raise ValueError(f"forecast horizon must be an integer >= 1, got {h!r}")
     horizons = list(horizons)
     if not horizons or horizons[0] != 1:
         raise ConfigError("head horizons must start at 1")

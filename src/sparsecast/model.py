@@ -123,6 +123,12 @@ class ModelConfig(ConfigCodec):
 
     def __post_init__(self):
         self.head_horizons = int_items("ModelConfig", "head_horizons", self.head_horizons)
+        for name in ("num_layers", "num_heads", "num_experts", "d_model", "d_ff",
+                     "d_expert", "max_context"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive")
+        if not 0 < self.rope_base < np.inf:
+            raise ConfigError(f"rope_base must be positive and finite, got {self.rope_base}")
         if self.d_model % self.num_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by {self.num_heads} heads")
         if (self.d_model // self.num_heads) % 2 != 0:
@@ -133,12 +139,6 @@ class ModelConfig(ConfigCodec):
             raise ConfigError("head_horizons must be strictly ascending")
         if not 1 <= self.top_k <= self.num_experts:
             raise ConfigError(f"top_k {self.top_k} outside [1, {self.num_experts}]")
-        for name in ("num_layers", "num_heads", "num_experts", "d_model", "d_ff",
-                     "d_expert", "max_context"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        if self.rope_base <= 0:
-            raise ConfigError("rope_base must be positive")
 
 
 @dataclass

@@ -9,15 +9,14 @@ router matrix. Ties in the top-K are broken toward the lower expert index.
 The shared expert is expert N, which every token selects. The router is one
 linear node and one router_scores node, whose [T, N+1] scores hold the
 routed softmax in columns 0..N-1 and the shared gate in column N. Dispatch
-is dropless and expert-sorted: each token's experts (the shared one, then
-its K picks ascending) are stable-sorted by expert into a slot table. One
-mixture op takes the token rows, that table and the scores: it gathers each
-expert's group of rows itself, runs every selected expert on its group,
-scales each output row by its expert's column of the scores and adds each
-token's K + 1 rows, the shared expert's first. While a graph records it
-keeps only the experts' transposed weight copies; its vjp rebuilds every
-activation and output row. No expert capacity, no dropped tokens, and three
-tape nodes whatever the number of experts.
+is dropless: one mixture op takes the token rows, each token's K + 1
+experts (the shared one, then its K picks ascending) and the scores. It
+groups the tokens by expert itself, runs every selected expert on its
+group, scales each output row by its expert's column of the scores and
+adds each token's K + 1 rows, the shared expert's first. While a graph
+records it keeps only the experts' transposed weight copies; its vjp
+rebuilds every activation and output row. No expert capacity, no dropped
+tokens, and three tape nodes whatever the number of experts.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ class RouterOutput:
 def expert_ffn(x: Tensor, ffn: ExpertFFN) -> Tensor:
     """Apply one gated FFN to x[T, D]."""
     t = x.shape[0]
-    return T.mixture(x, [(ffn.w_gate, ffn.w_up, ffn.w_down)], [0, t], np.arange(t)[:, None],
+    return T.mixture(x, [(ffn.w_gate, ffn.w_up, ffn.w_down)], np.zeros((t, 1), dtype=np.intp),
                      T.constant(np.ones((t, 1)), x.dtype))
 
 
@@ -126,14 +125,7 @@ def moe_forward(u_norm: Tensor, params: MoeParams, routing: RouterOutput) -> Ten
     routing.selected's order, ascending.
     """
     t, n = routing.selected.shape[0], params.num_experts
-    # cols[t]: token t's experts, the shared expert N first, then its picks.
+    # Token t's terms: the shared expert N first, then its picks ascending.
     cols = np.concatenate((np.full((t, 1), n), routing.selected), axis=1)
-    # slots[t, j]: the grouped row of token t's j-th expert; a stable sort by
-    # expert keeps each group's tokens ascending.
-    slots = np.empty(cols.size, dtype=np.intp)
-    slots[np.argsort(cols.reshape(-1), kind="stable")] = np.arange(cols.size)
-    slots = slots.reshape(cols.shape)
-    counts = np.bincount(cols.reshape(-1), minlength=n + 1)
     experts = [(e.w_gate, e.w_up, e.w_down) for e in params.experts + [params.shared]]
-    return T.mixture(u_norm, experts, np.concatenate(([0], np.cumsum(counts))), slots,
-                     routing.scores)
+    return T.mixture(u_norm, experts, cols, routing.scores)

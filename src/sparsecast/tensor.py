@@ -62,11 +62,12 @@ workspace at a time. The same kernel serves cached decoding, where keys
 and values run longer than the queries by a cached prefix.
 
 Expert dispatch is dropless and expert-sorted: mixture takes the token
-rows, the router scores and a slot table that lays each token out once per
-expert it selects in expert-contiguous groups. In one op it gathers each
-group's rows itself, runs every group's gated FFN, scales each output row
-by its expert's column of the scores and adds each token's rows back. The
-shared expert is one more group, which every token selects.
+rows, the router scores and each token's experts, cols[T, K], and groups
+the tokens by expert itself, with one stable sort. In one op it gathers
+each group's rows, runs every group's gated FFN, scales each output row by
+its expert's column of the scores and adds each token's K rows back in
+cols order. The shared expert is one more column, which every token
+selects.
 
 Shape discipline is strict: elementwise ops accept equal shapes or a
 scalar, nothing else. Anything fancier (biases, per-row scaling, column
@@ -704,14 +705,6 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments, source=None) -> 
 # --- expert dispatch -----------------------------------------------------------
 
 
-def _check_distinct(rows: np.ndarray, size: int, what: str) -> None:
-    """rows must index distinct entries of range(size)."""
-    flat = rows.reshape(-1)
-    if flat.size and (flat.min() < 0 or flat.max() >= size
-                      or np.bincount(flat, minlength=size).max() > 1):
-        raise ShapeError(f"{what} must be distinct indices into {size} rows")
-
-
 def _check_distinct_per_row(a: np.ndarray, what: str) -> None:
     """Each row of a 2-D integer array must hold distinct values."""
     # Column pairs, not a sort along rows: numpy sorts a row of a few
@@ -721,41 +714,36 @@ def _check_distinct_per_row(a: np.ndarray, what: str) -> None:
         raise ShapeError(f"each row of {what} must be distinct")
 
 
-def mixture(x: Tensor, experts: list, bounds, slots: np.ndarray, gates: Tensor) -> Tensor:
+def mixture(x: Tensor, experts: list, cols: np.ndarray, gates: Tensor) -> Tensor:
     """For each token t of x[T, D], the sum over j of gates[t, i] * ffn_i(x[t]),
-    i the group of grouped row slots[t, j], the terms added j ascending;
-    ffn_i is the gated feed-forward net down(silu(gate(r)) * up(r)) of
-    experts[i].
+    i = cols[t, j], the terms added j ascending; ffn_i is the gated
+    feed-forward net down(silu(gate(r)) * up(r)) of experts[i].
 
-    slots is [T, K] and holds every grouped row index once: token t is
-    grouped rows slots[t, 0], ..., slots[t, K-1]. experts[i] is
-    (w_gate [hidden, D], w_up [hidden, D], w_down [D, hidden]) and owns
-    grouped rows bounds[i]:bounds[i+1], bounds running from 0 to T * K, a
-    token's K rows in K distinct groups. gates is [T, len(experts)], and
-    group i reads its column i. Each group gathers its own rows of x; an
-    empty group is skipped, and its weights get no gradient. Every product
-    and gradient follows the product rule (module docstring), so a row
-    comes out bit for bit the same whatever else shares the call.
+    cols is [T, K >= 1], each row distinct indices below len(experts).
+    experts[i] is (w_gate [hidden, D], w_up [hidden, D], w_down [D, hidden]),
+    and gates is [T, len(experts)], expert i reading its column i. The op
+    groups the tokens by expert itself, once: a stable sort of cols by
+    expert gives each expert's group of tokens, ascending, and the grouped
+    row of each term, which the combine step reads. Each group gathers its
+    own rows of x; an empty group is skipped, and its weights get no
+    gradient. Every product and gradient follows the product rule (module
+    docstring), so a row comes out bit for bit the same whatever else
+    shares the call.
 
     While a graph records, each group keeps only its weight copies: no
     activation, no expert output and no copy of the rows. The vjp rebuilds
     a group's rows, pre-activation, sigmoid, up projection and output rows
     by the forward's own ops, takes gate column i as the row sums of
     g * output, and adds the group's row gradients straight into x's
-    gradient, so a token's K row gradients are summed in group order.
+    gradient, so a token's K row gradients are summed in expert order.
     """
-    slots = np.asarray(slots, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
     t, d = x.data.shape
-    if slots.ndim != 2 or slots.shape[0] != t or slots.shape[1] < 1:
-        raise ShapeError(f"slots must be [{t}, K >= 1], got {slots.shape}")
-    r = slots.size
-    _check_distinct(slots, r, "slots")
-    bounds = [int(b) for b in bounds]
-    if (len(bounds) != len(experts) + 1 or bounds[0] != 0 or bounds[-1] != r
-            or any(a > b for a, b in zip(bounds, bounds[1:]))):
-        raise ShapeError(f"bounds must ascend from 0 to {r}, one group per expert")
-    _check_distinct_per_row(np.repeat(np.arange(len(experts)), np.diff(bounds))[slots],
-                            "the groups of slots")
+    if cols.ndim != 2 or cols.shape[0] != t or cols.shape[1] < 1:
+        raise ShapeError(f"cols must be [{t}, K >= 1], got {cols.shape}")
+    if cols.size and (cols.min() < 0 or cols.max() >= len(experts)):
+        raise ShapeError(f"cols must index the {len(experts)} experts")
+    _check_distinct_per_row(cols, "cols")
     gates = _as_operand(gates, x)
     if gates.shape != (t, len(experts)):
         raise ShapeError(f"gates must be [{t}, {len(experts)}], a column per expert, "
@@ -769,11 +757,18 @@ def mixture(x: Tensor, experts: list, bounds, slots: np.ndarray, gates: Tensor) 
     inputs = (x, gates, *(w for ws in weights for w in ws))
     keep = _recording(inputs) is not None
     x_data, gate_data = x.data, gates.data
-    # order[j]: the token whose copy grouped row j is.
-    order = np.empty(r, dtype=np.intp)
-    order[slots] = np.arange(t)[:, None]
+    # The grouping, built once: a stable sort by expert lists each group's
+    # terms with their tokens ascending, and expert i owns grouped rows
+    # bounds[i]:bounds[i+1]. slots[t, j] is the grouped row of token t's
+    # j-th term, and order[r] the token of grouped row r.
+    k, order = cols.shape[1], np.argsort(cols.reshape(-1), kind="stable")
+    slots = np.empty_like(order)
+    slots[order] = np.arange(cols.size)
+    slots = slots.reshape(cols.shape)
+    order //= k
+    bounds = [0, *np.cumsum(np.bincount(cols.reshape(-1), minlength=len(experts))).tolist()]
     # Gated expert outputs in grouped order, dropped once the tokens have summed them.
-    y = np.empty((r, d), dtype=x_data.dtype)
+    y = np.empty((cols.size, d), dtype=x_data.dtype)
     saved = []
     for i, (w_gate, w_up, w_down) in enumerate(weights):
         a, b = bounds[i], bounds[i + 1]
@@ -788,7 +783,7 @@ def mixture(x: Tensor, experts: list, bounds, slots: np.ndarray, gates: Tensor) 
         if keep:
             saved.append((a, b, i, wgt, wut, wdt))
     out = y[slots[:, 0]]
-    for j in range(1, slots.shape[1]):
+    for j in range(1, k):
         out += y[slots[:, j]]
     del y
 

@@ -73,10 +73,10 @@ class TrainConfig(ConfigCodec):
     checkpoint_interval: int | None = None
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.delta <= 0:
-            raise ValueError("delta must be > 0")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not self.delta > 0:
+            raise ValueError(f"delta must be > 0, got {self.delta}")
         for b in (self.beta1, self.beta2):
             if not 0 < b < 1:
                 raise ValueError("betas must lie in (0, 1)")

@@ -16,9 +16,8 @@ from sparsecast.model import Forecaster, ModelConfig, segment_bounds
 from sparsecast.moe import RouterOutput, load_stats, topk_indices
 from sparsecast.synthetic import build_regime_store
 from sparsecast.tensor import (ATTENTION_TILE, _FUTURE, Graph, NumericError, ShapeError, Tensor,
-                               _active_graph, _as_operand, _check_distinct,
-                               _check_distinct_per_row, _finish, _graph_stack, _is_scalar,
-                               _recording, _segment_spans, _sigmoid)
+                               _active_graph, _as_operand, _check_distinct_per_row, _finish,
+                               _graph_stack, _is_scalar, _recording, _segment_spans, _sigmoid)
 from sparsecast.train import ADAM_EPS, TrainingError, head_targets
 
 
@@ -584,6 +583,14 @@ def reference_sigmoid(x: np.ndarray) -> np.ndarray:
 # gathers and activation-free tape replaced, kept as its oracle ---------------
 
 
+def _check_distinct(rows: np.ndarray, size: int, what: str) -> None:
+    """rows must index distinct entries of range(size)."""
+    flat = rows.reshape(-1)
+    if flat.size and (flat.min() < 0 or flat.max() >= size
+                      or np.bincount(flat, minlength=size).max() > 1):
+        raise ShapeError(f"{what} must be distinct indices into {size} rows")
+
+
 def dispatch_rows(x: Tensor, slots: np.ndarray) -> Tensor:
     """Copy row t of x[T, ...] to rows slots[t, 0], ..., slots[t, K-1] of a
     [T * K, ...] result; slots is [T, K] and holds every row index once.
@@ -725,14 +732,19 @@ def combine_rows(y: Tensor, gates: Tensor, slots: np.ndarray, cols: np.ndarray) 
     return _finish("combine_rows", out, (y, gates), vjp)
 
 
-def reference_mixture(x: Tensor, experts: list, bounds, slots: np.ndarray, gates: Tensor) -> Tensor:
+def reference_mixture(x: Tensor, experts: list, cols: np.ndarray, gates: Tensor) -> Tensor:
     """tensor.mixture's result as reference_swiglu's rows of dispatch_rows'
-    copy, summed by combine_rows, each row scaled by its group's column of
-    gates."""
-    groups = np.repeat(np.arange(len(experts)), np.diff([int(b) for b in bounds]))
-    slots = np.asarray(slots, dtype=np.intp)
+    copy, summed by combine_rows, each row scaled by its expert's column of
+    gates. The grouping is its own: a stable sort of cols by expert gives
+    each term's grouped row, and a count per expert the group bounds."""
+    cols = np.asarray(cols, dtype=np.intp)
+    slots = np.empty(cols.size, dtype=np.intp)
+    slots[np.argsort(cols.reshape(-1), kind="stable")] = np.arange(cols.size)
+    slots = slots.reshape(cols.shape)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(cols.reshape(-1),
+                                                        minlength=len(experts)))))
     return combine_rows(reference_swiglu(dispatch_rows(x, slots), experts, bounds), gates,
-                        slots, groups[slots])
+                        slots, cols)
 
 
 def routed_gates(routing) -> np.ndarray:

@@ -242,6 +242,8 @@ BAD_MODEL_DOCS = {
     "float_horizon": ({"model": model_doc(head_horizons=[1, 4.5])},
                       "head_horizons must hold ints, got 4.5"),
     "json_array": ([1, 2], "JSON object"),
+    # Was a ZeroDivisionError traceback: divisibility was checked first.
+    "zero_heads": ({"model": {"num_heads": 0}}, "num_heads must be positive"),
 }
 
 
@@ -260,6 +262,11 @@ BAD_TRAIN_DOCS = {
     # Without the type check, this string fails only after a whole training step.
     "string_checkpoint_interval": ({"model": model_doc(), "train": {"checkpoint_interval": "1"}},
                                    "checkpoint_interval must be int | None, got '1'"),
+    # A NaN delta was a NumericError traceback at the first step; a NaN
+    # alpha trained to exit 0 with no balance loss.
+    "nan_delta": ({"model": model_doc(), "train": {"delta": float("nan")}}, "delta must be > 0"),
+    "nan_alpha": ({"model": model_doc(), "train": {"alpha": float("nan")}}, "alpha must be"),
+    "inf_alpha": ({"model": model_doc(), "train": {"alpha": float("inf")}}, "alpha must be"),
 }
 
 
@@ -272,6 +279,17 @@ def test_train_bad_config_is_a_typed_error(tmp_path, case):
     code, err = run_process("train", "--config", str(config), "--store",
                             str(tmp_path / "store"), "--out", str(tmp_path / "m.ckpt"))
     assert_clean_failure(code, err, mentions)
+
+
+def test_forecast_that_overflows_is_a_typed_error(tmp_path):
+    # Unstandardized values near 1e30 overflow float32 in the point
+    # embedding; the NumericError was a traceback.
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, Forecaster.init(ModelConfig(**model_doc()), seed=0))
+    huge = tmp_path / "huge.csv"
+    write_csv(huge, np.full((32, 1), 1e30), ["ch0"])
+    assert_clean_failure(*run_process("forecast", "--ckpt", str(ckpt), "--input", str(huge),
+                                      "--horizon", "4", "--no-standardize"), "non-finite")
 
 
 def bad_eval_docs(dataset):

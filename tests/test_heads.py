@@ -65,6 +65,13 @@ def test_plan_rejects_bad_inputs():
         plan_horizons(5, (2, 8))
 
 
+@pytest.mark.parametrize("h", [1.5, 2.5, True])
+def test_plan_rejects_a_horizon_that_is_not_an_int(h):
+    # 1.5 looped forever: after one pick of 1, no horizon fits the half left.
+    with pytest.raises(ValueError, match="must be an integer"):
+        plan_horizons(h, HORIZONS)
+
+
 def test_plan_sums_exactly_for_all_horizons_to_1000():
     for h in range(1, 1001):
         plan = plan_horizons(h, HORIZONS)

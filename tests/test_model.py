@@ -91,6 +91,17 @@ def test_config_rejects_non_int_horizons(horizons):
         ModelConfig(head_horizons=tuple(horizons))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("num_heads", 0), ("num_heads", -2), ("rope_base", math.nan), ("rope_base", math.inf),
+    ("rope_base", -1.0),
+])
+def test_config_from_dict_rejects_out_of_range_value(field, value):
+    # num_heads 0 divided by zero before the positivity check ran; a NaN
+    # rope_base passed "<= 0" and failed only at the first forward.
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig.from_dict({field: value})
+
+
 def test_config_from_dict_widens_int_to_float_and_list_to_tuple():
     cfg = ModelConfig.from_dict({"rope_base": 500, "head_horizons": [1, 8], "use_moe": False})
     assert cfg.rope_base == 500 and cfg.head_horizons == (1, 8) and cfg.use_moe is False

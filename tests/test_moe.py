@@ -160,10 +160,10 @@ def test_unselected_experts_not_evaluated(monkeypatch):
     calls = []
     original = T.mixture
 
-    def counting(x, experts, bounds, slots, gates):
-        calls.append([(id(w_gate), b - a)
-                      for (w_gate, _, _), a, b in zip(experts, bounds[:-1], bounds[1:])])
-        return original(x, experts, bounds, slots, gates)
+    def counting(x, experts, cols, gates):
+        rows = np.bincount(np.asarray(cols).reshape(-1), minlength=len(experts))
+        calls.append([(id(w_gate), int(n)) for (w_gate, _, _), n in zip(experts, rows)])
+        return original(x, experts, cols, gates)
 
     monkeypatch.setattr(T, "mixture", counting)
     with Graph() as g:

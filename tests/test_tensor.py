@@ -382,18 +382,16 @@ def test_dispatch_ops_reject_bad_indices():
         dispatch_rows(x, np.array([[0, 1], [1, 2], [3, 4]]))  # row 1 twice, row 5 never
     w = [tuple(Tensor(np.ones(shape, dtype=np.float32)) for shape in ((4, 2), (4, 2), (2, 4)))]
     one, two = (Tensor(np.ones((3, n), dtype=np.float32)) for n in (1, 2))
-    with pytest.raises(ShapeError):
-        mixture(x, w, [0, 2], np.arange(3)[:, None], one)  # groups must cover all three rows
-    for slots in (np.array([[0, 1], [1, 2], [3, 4]]),  # row 1 twice, row 5 never
-                  np.array([[0, 1], [2, 3]]),  # one token short
-                  np.array([0, 1, 2]),  # no K axis
-                  np.array([[0, 1], [2, 3], [4, 6]]),  # row 6 of six
-                  np.array([[0, 1], [2, 3], [4, 5]])):  # token 0 twice in group 0
+    for cols in (np.array([[0, 1], [1, 0], [1, 2]]),  # expert 2 of two
+                 np.array([[0, 1], [1, -1], [1, 0]]),  # expert -1
+                 np.array([0, 1, 0]),  # no K axis
+                 np.array([[0, 1], [1, 0]]),  # one token short
+                 np.array([[0, 1], [1, 1], [1, 0]])):  # token 1 names expert 1 twice
         with pytest.raises(ShapeError):
-            mixture(x, w + w, [0, 3, 6], slots, two)
+            mixture(x, w + w, cols, two)
     for gates in (one, Tensor(np.ones((2, 2), dtype=np.float32))):  # a column or a token short
         with pytest.raises(ShapeError):
-            mixture(x, w + w, [0, 3, 6], np.array([[0, 3], [1, 4], [2, 5]]), gates)
+            mixture(x, w + w, np.array([[0, 1], [1, 0], [0, 1]]), gates)
     y = Tensor(np.ones((6, 2), dtype=np.float32))
     gates = Tensor(np.ones((3, 4), dtype=np.float32))
     with pytest.raises(ShapeError):
@@ -618,19 +616,18 @@ def _(rng):
 
 @op_case("mixture")
 def _(rng):
-    # Three tokens, each in the shared group 3 first and then two of groups
+    # Three tokens, each naming the shared expert 3 first and then experts
     # 0 and 2; group 1 is empty, so its weights are constants here. The
-    # gates are a leaf, and group i reads column i.
+    # gates are a leaf, and expert i reads column i.
     leaves = _leafify(rng, {"x": (3, 4), "gates": (3, 4), "g0": (3, 4), "u0": (3, 4),
                             "d0": (4, 3), "g2": (3, 4), "u2": (3, 4), "d2": (4, 3),
                             "g3": (2, 4), "u3": (2, 4), "d3": (4, 2)})
     idle = tuple(constant(_rand(rng, shape), np.float64) for shape in ((6, 4), (6, 4), (4, 6)))
-    slots = np.array([[6, 0, 3], [7, 1, 4], [8, 2, 5]])
+    cols = np.array([[3, 0, 2]] * 3)
     w = constant(_rand(rng, (3, 4)), np.float64)
     experts = [tuple(leaves[f"{n}{i}"] for n in "gud") for i in (0,)] + [idle] + \
         [tuple(leaves[f"{n}{i}"] for n in "gud") for i in (2, 3)]
-    return leaves, lambda: sum_all(mul(mixture(leaves["x"], experts, [0, 3, 3, 6, 9], slots,
-                                               leaves["gates"]), w))
+    return leaves, lambda: sum_all(mul(mixture(leaves["x"], experts, cols, leaves["gates"]), w))
 
 
 @op_case("reference_swiglu")
@@ -881,8 +878,7 @@ def test_mixture_outside_a_graph_keeps_no_group_workspace():
     group_bytes = rows // groups * hidden * 4
     tracemalloc.start()
     try:
-        out = mixture(x, experts, range(0, rows + 1, rows // groups), np.arange(rows)[:, None],
-                      gates)
+        out = mixture(x, experts, (np.arange(rows) // (rows // groups))[:, None], gates)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -893,14 +889,10 @@ def test_mixture_outside_a_graph_keeps_no_group_workspace():
 
 
 def _routed(rng, tokens, experts, k, idle=()):
-    """(slots, bounds) of moe_forward's dispatch for random top-k picks that
-    leave the experts in idle unpicked."""
+    """[tokens, k] random top-k picks, each row ascending, that leave the
+    experts in idle unpicked."""
     live = [e for e in range(experts) if e not in idle]
-    picks = np.sort([rng.choice(live, size=k, replace=False) for _ in range(tokens)], axis=1)
-    slots = np.empty(tokens * k, dtype=np.intp)
-    slots[np.argsort(picks.reshape(-1), kind="stable")] = np.arange(tokens * k)
-    counts = np.bincount(picks.reshape(-1), minlength=experts)
-    return slots.reshape(tokens, k), np.concatenate(([0], np.cumsum(counts)))
+    return np.sort([rng.choice(live, size=k, replace=False) for _ in range(tokens)], axis=1)
 
 
 def _mixture_and_grads(kernel, x, experts, gates, g):
@@ -925,30 +917,24 @@ def test_mixture_matches_swiglu_and_combine_rows_bitwise(dtype, k, idle, one_gro
     # multiplies by the product rule as helpers.rule_product writes it out,
     # one-row groups and float64 included. The routed cases
     # put the shared expert 4 first, as moe_forward does; the dense case is
-    # expert_ffn's one group, identity table and ones column.
+    # expert_ffn's one expert, zero column and ones column.
     rng = np.random.default_rng([k, len(idle), bool(one_group)])
     tokens, d, hidden, experts = 300, 16, 24, 4
     if one_group is None:
-        experts, slots, bounds = 1, np.arange(tokens)[:, None], [0, tokens]
+        experts, cols = 1, np.zeros((tokens, 1), dtype=np.intp)
         gates = np.ones((tokens, 1), dtype=dtype)
     else:
         if one_group:
             idle = (0, 1, 3)
-        live = [e for e in range(experts) if e not in idle]
-        picks = np.sort([rng.choice(live, size=k, replace=False) for _ in range(tokens)], axis=1)
-        cols = np.concatenate((np.full((tokens, 1), experts), picks), axis=1)
+        cols = np.concatenate((np.full((tokens, 1), experts),
+                               _routed(rng, tokens, experts, k, idle)), axis=1)
         experts += 1
-        slots = np.empty(cols.size, dtype=np.intp)
-        slots[np.argsort(cols.reshape(-1), kind="stable")] = np.arange(cols.size)
-        slots = slots.reshape(cols.shape)
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(cols.reshape(-1),
-                                                            minlength=experts))))
         gates = rng.random(size=(tokens, experts)).astype(dtype)
     x, g = (rng.normal(size=(tokens, d)).astype(dtype) for _ in range(2))
     weights = [tuple(rng.normal(scale=0.3, size=shape).astype(dtype)
                      for shape in ((hidden, d), (hidden, d), (d, hidden)))
                for _ in range(experts)]
-    got, want = (_mixture_and_grads(lambda x, ws, gates: kernel(x, ws, bounds, slots, gates),
+    got, want = (_mixture_and_grads(lambda x, ws, gates: kernel(x, ws, cols, gates),
                                     x, weights, gates, g)
                  for kernel in (mixture, reference_mixture))
     names = ["out", "dx", "d_gates"] + [f"{n}{e}" for e in range(experts)
@@ -995,7 +981,7 @@ def test_recorded_gated_ops_keep_no_activation():
     # and no copy of the routed rows, outlives the forward.
     rng = np.random.default_rng(5)
     tokens, d, hidden, experts, k = 2048, 16, 32, 4, 2
-    slots, bounds = _routed(rng, tokens, experts, k)
+    cols = _routed(rng, tokens, experts, k)
     x = Tensor(rng.normal(size=(tokens, d)).astype(np.float32), requires_grad=True)
     gates = Tensor(rng.random(size=(tokens, experts)).astype(np.float32), requires_grad=True)
     weights = [tuple(Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
@@ -1005,7 +991,7 @@ def test_recorded_gated_ops_keep_no_activation():
     w, v = (Tensor(rng.normal(size=(hidden, 1)).astype(np.float32), requires_grad=True)
             for _ in range(2))
     for run, copy_bytes, sigmoid_bytes in (
-            (lambda: mixture(x, weights, bounds, slots, gates),
+            (lambda: mixture(x, weights, cols, gates),
              experts * 3 * hidden * d * 4 + tokens * k * 8, tokens * k * hidden * 4),
             (lambda: glu(points, w, v), 2 * hidden * 4, tokens * hidden * 4)):
         tracemalloc.start()

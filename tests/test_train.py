@@ -1063,5 +1063,10 @@ def test_train_config_validation():
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     TrainConfig(grad_clip=1e-9, lr=0.0, weight_decay=0.0, warmup_steps=0, checkpoint_interval=1)
+    # A NaN delta failed at the first step; a NaN alpha trained with no
+    # balance loss, and an infinite one passed too.
+    for bad in (dict(delta=math.nan), dict(alpha=math.nan), dict(alpha=math.inf)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrainConfig.from_dict(bad)
     cfg = TrainConfig()
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
