@@ -25,6 +25,7 @@ Graph it raises DataError.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import typing
 from dataclasses import asdict, dataclass, fields
@@ -163,9 +164,18 @@ class BlockParams:
 
 @dataclass
 class ForwardResult:
+    """The final-norm rows, the routing of each mixture layer, and the head
+    weights. head_outputs runs the heads on hidden when first read, so a
+    caller that scores the heads itself, as training's loss does, never
+    computes their outputs."""
+
     hidden: Tensor
-    head_outputs: list
     routing: list  # one RouterOutput per layer when the mixture is active
+    heads: list
+
+    @functools.cached_property
+    def head_outputs(self) -> list:
+        return head_forward(self.hidden, self.heads)
 
 
 @dataclass
@@ -418,9 +428,10 @@ class Forecaster:
         """Run a packed token row [T] or [T, 1] through the full stack.
 
         Without a cache every position is computed and head j's output is
-        [T, p_j]. The row may pack many sequences (a training batch is one
-        such row, its batch rows laid end to end under distinct ids); each
-        segment then computes bit for bit what it would alone. max_context
+        [T, p_j]; the heads run when result.head_outputs is first read. The
+        row may pack many sequences (a training batch is one such row, its
+        batch rows laid end to end under distinct ids); each segment then
+        computes bit for bit what it would alone. max_context
         bounds the rotary positions, so it is the longest segment, not the
         row, that may not pass it.
 
@@ -464,9 +475,7 @@ class Forecaster:
         if cache is not None:
             cache.length += t
         hidden = T.rmsnorm(x, self.params.final_norm, eps=RMSNORM_EPS)
-        return ForwardResult(hidden=hidden,
-                             head_outputs=head_forward(hidden, self.params.heads),
-                             routing=routing)
+        return ForwardResult(hidden=hidden, routing=routing, heads=self.params.heads)
 
     def named_parameters(self):
         """Yield (name, tensor, decays) for every learnable tensor.

@@ -1,12 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation on a recorded tape.
 
 The op set is exactly what the forecaster's math needs: linear, explicit
-elementwise addition, reshape, constant-weighted sums (the loss terms), the
-router's scores (a softmax over the routed experts plus the shared
-expert's sigmoid), the Huber loss, fused norm/rotation/attention kernels
-and two gated units (glu for the point embedding, mixture for the experts)
-with analytic adjoints. Ops are plain functions, with no operator
-overloading on Tensor, and Graph.backward is the one way to backpropagate.
+elementwise addition, reshape, constant-weighted sums (the balance terms),
+the router's scores (a softmax over the routed experts plus the shared
+expert's sigmoid), a forecast head with its weighted Huber loss
+(head_loss), fused norm/rotation/attention kernels and two gated units
+(glu for the point embedding, mixture for the experts) with analytic
+adjoints. Ops are plain functions, with no operator overloading on
+Tensor, and Graph.backward is the one way to backpropagate.
 
 A recorded op keeps only what its vjp reads, and only while a graph
 records it (one check, _recording, decides that for every op). The tape
@@ -17,17 +18,22 @@ add sums, is freed as soon as the forward drops it. Attention keeps its
 output and each tile's row max and row sum, not its weights, and its vjp
 replays the forward's ops to rebuild them bit for bit; given the rows and
 weights its q, k and v were projected from, as the model's attention
-gives them, it keeps none of q, k and v either and rebuilds them too, by
-linear's, reshape's and rope's own array math. glu and mixture keep no
-activation, only their transposed weight copies: their vjps rebuild the
-gate pre-activation, its sigmoid and the up projection by the forward's
-own ops, and mixture gathers its rows from the token rows again and
-rebuilds its expert outputs for the gates' gradient rather than keep them.
-Graph.backward drops each node as its vjp runs, so each saved array is
-freed once backward has passed its node. A training step of the benchmark
-model at 4 x 256 peaks at about 3.9 MB traced (4.6 MB when attention kept
-q, k and v, 6.5 MB when the gated ops also kept their sigmoids and the
-expert outputs were kept for the gates' gradient, 8.9 MB when the
+gives them, it keeps none of q, k and v either and rebuilds them too, one
+segment at a time, by linear's, reshape's and rope's own array math. glu
+and mixture keep no activation, only their transposed weight copies:
+their vjps rebuild the gate pre-activation, its sigmoid and the up
+projection by the forward's own ops, and mixture gathers its rows from
+the token rows again and rebuilds its expert outputs for the gates'
+gradient rather than keep them, 256 rows of a group at a time. head_loss
+keeps only its operands and runs the head's product, its residuals and
+their gradients 256 rows at a time. Graph.backward drops each node as its
+vjp runs, so each saved array is freed once backward has passed its
+node. A training step of the benchmark model at 4 x 256 peaks at about
+3.2 MB traced, in the second mixture's forward (3.9 MB when each head ran
+a linear, a Huber op and a weighted sum on whole [1024, p] tables and
+mixture's vjp rebuilt each group whole, 4.6 MB when attention kept q, k
+and v, 6.5 MB when the gated ops also kept their sigmoids and the expert
+outputs were kept for the gates' gradient, 8.9 MB when the
 pre-activations, up projections and a copy of the routed rows were kept
 too).
 
@@ -47,7 +53,11 @@ and a weight gradient does not depend on the BLAS thread count:
   never by the transposed view, zero-padded to a multiple of 16 weight
   rows and sliced back, since OpenBLAS rounds a product of another width
   by the row count.
-linear, glu and mixture follow it.
+linear, glu, mixture and head_loss follow it. mixture's vjp and head_loss
+walk their rows in blocks of 256, adding a weight gradient's parts in the
+order _times adds them; a row of a padded forward product, or of an
+x-gradient whose width is a multiple of 16, has the same bits in a block
+as in the whole call.
 
 Attention is blocked by segment and tiled by query. A packed row of T
 tokens is cut into segments given by their bounds [0, b_1, ..., T]; tokens
@@ -452,27 +462,61 @@ def router_scores(logits: Tensor) -> Tensor:
     return _finish("router_scores", y, (logits,), vjp)
 
 
-def huber(pred: Tensor, target, delta: float) -> Tensor:
-    """Elementwise robust loss: quadratic within |r| <= delta, linear beyond."""
-    if delta <= 0:
+def head_loss(hidden: Tensor, w: Tensor, targets, weights, delta: float) -> Tensor:
+    """sum(weights * huber(hidden @ w.T - targets)): a forecast head and its
+    weighted Huber loss as one scalar op. hidden is [T, k], w [p, k], and
+    targets and weights are constants of shape [T, p]; a cell with residual
+    r costs 0.5 * r * r where |r| <= delta and delta * (|r| - delta / 2)
+    beyond.
+
+    It holds one block of _BLOCK rows' predictions and residuals at a time
+    and keeps only its operands: the vjp rebuilds each block's residual by
+    the forward's ops. Products and gradients are linear's (module
+    docstring), and the weighted cells are summed at once, as weighted_sum
+    sums them.
+    """
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    target = _as_operand(target, pred)
-    target_grad = target.requires_grad
-    r = pred.data - target.data
-    dr = np.clip(r, -delta, delta)
-    # With a = |r| and m = min(a, delta), (a - m / 2) * m is 0.5 * r * r
-    # where |r| <= delta (a - a / 2 is exact) and delta * (|r| - delta / 2)
-    # beyond, bit for bit; r's buffer becomes the output.
-    a = np.abs(r, out=r)
-    m = np.minimum(a, delta)
-    a -= 0.5 * m
-    a *= m
+    if hidden.data.ndim != 2 or w.data.ndim != 2 or hidden.shape[1] != w.shape[1]:
+        raise ShapeError(f"head_loss needs hidden [T, k] and w [p, k], got {hidden.shape} "
+                         f"and {w.shape}")
+    w = _as_operand(w, hidden)
+    x_data, w_data = hidden.data, w.data
+    shape = (len(x_data), len(w_data))
+    targets, weights = (np.asarray(a, dtype=x_data.dtype) for a in (targets, weights))
+    if targets.shape != shape or weights.shape != shape:
+        raise ShapeError(f"head_loss targets {targets.shape} and weights {weights.shape} "
+                         f"must be {shape}")
+    wt = _padded_t(w_data)
+
+    def residuals():
+        """(span, residual) per block of rows: linear's product minus the targets."""
+        for start in range(0, shape[0], _BLOCK):
+            span = slice(start, start + _BLOCK)
+            yield span, _times(x_data[span], wt, shape[1]) - targets[span]
+
+    cells = np.empty(shape, dtype=x_data.dtype)
+    for span, r in residuals():
+        # With a = |r| and m = min(a, delta), (a - m / 2) * m is 0.5 * r * r
+        # where |r| <= delta (a - a / 2 is exact) and delta * (|r| - delta / 2)
+        # beyond, bit for bit.
+        a = np.abs(r, out=r)
+        m = np.minimum(a, delta)
+        a -= 0.5 * m
+        a *= m
+        np.multiply(a, weights[span], out=cells[span])
 
     def vjp(g):
-        g_pred = g * dr
-        return g_pred, -g_pred if target_grad else None
+        gx, gw = np.empty_like(x_data), None
+        for span, r in residuals():
+            g_pred = g * weights[span]
+            g_pred *= np.clip(r, -delta, delta, out=r)
+            gx[span] = _times(g_pred, w_data)
+            part = _times(g_pred.T, x_data[span])
+            gw = part if gw is None else gw + part
+        return gx, gw
 
-    return _finish("huber", a, (pred, target), vjp)
+    return _finish("head_loss", cells.sum().reshape(()), (hidden, w), vjp)
 
 
 # --- fused model kernels -------------------------------------------------------
@@ -605,10 +649,13 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments, source=None) -> 
     statistics, not q, k or v: its vjp rebuilds the three by those ops' own
     array math (linear's padded product plus the bias, the reshape, rope's
     rotation by the same tables), bit for bit, and the linear nodes keep x
-    anyway. Without a source a recorded call keeps q, k and v. With it, a
-    training step of the benchmark model at 4 x 256 peaks at about 3.9 MB
-    traced, against 4.6 MB when attention kept q, k and v (0.79 MB of
-    them), and a one-segment 4096-point step at about 18.7 MB.
+    anyway. It rebuilds them one segment at a time, just before that
+    segment's tiles, so backward holds one segment's q, k and v, not the
+    row's. Without a source a recorded call keeps q, k and v. With it, a
+    training step of the benchmark model at 4 x 256 peaks at about 3.2 MB
+    traced (3.9 MB before the heads' loss and mixture's vjp were
+    row-blocked, 4.6 MB when attention kept q, k and v, 0.79 MB of them),
+    and a one-segment 4096-point step at about 18.7 MB.
     """
     if (q.data.ndim != 3 or k.shape != v.shape or k.data.ndim != 3
             or q.shape[1:] != k.shape[1:] or q.shape[0] > k.shape[0]):
@@ -618,16 +665,19 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments, source=None) -> 
     shape = k.shape
     n_k = shape[0]
     prefix = n_k - n_q
-    # (first query row, end query row, segment start, tile start, tile end) per
-    # tile that holds a query: from the tile of a segment's first query on.
-    tiles = []
+    # Per segment that holds a query: its keys a:b, its first query row q0,
+    # and its tiles (s, e, t0, t1), from the tile of its first query on:
+    # query rows s:e counted from q0 and key positions t0:t1 counted from a.
+    segs = []
     for a, b in _segment_spans(segments, n_k):
         if b <= prefix:
             continue
-        for t0 in range(a + max(prefix - a, 0) // ATTENTION_TILE * ATTENTION_TILE, b,
-                        ATTENTION_TILE):
-            t1 = min(t0 + ATTENTION_TILE, b)
-            tiles.append((max(t0, prefix) - prefix, t1 - prefix, a, t0, t1))
+        p0 = max(prefix - a, 0)  # the first query's key position, counted from a
+        tiles = []
+        for t0 in range(p0 // ATTENTION_TILE * ATTENTION_TILE, b - a, ATTENTION_TILE):
+            t1 = min(t0 + ATTENTION_TILE, b - a)
+            tiles.append((max(t0, p0) - p0, t1 - p0, t0, t1))
+        segs.append((a, b, a + p0 - prefix, tiles))
     k, v = _as_operand(k, q), _as_operand(v, q)
     if source is None:
         kept = q.data, k.data, v.data
@@ -639,62 +689,73 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments, source=None) -> 
         rows, projections = x.data, [(w.data, b.data) for w, b in projections]
         kept = None
 
-        def rebuilt():
-            """q, k and v again, by the forward's own ops on its own operands."""
-            qd, kd, vd = ((_times(rows, _padded_t(w), len(w)) + b).reshape(shape)
-                          for w, b in projections)
-            return _rotate(qd, cos, sin), _rotate(kd, cos, sin), vd
-
     keep = _recording((q, k, v)) is not None
     scale = float(1.0 / np.sqrt(d_head))
     out = np.empty_like(q.data)
-    oh = out.transpose(1, 0, 2)
 
-    def scores(qh, kh, s, e, a, t0, t1):
-        """One tile's scaled scores, its future keys at -inf: [heads, e - s, t1 - a]."""
-        ws = np.matmul(qh[:, s:e], kh[:, a:t1].transpose(0, 2, 1))
+    def scores(qs, ks, s, e, t0, t1):
+        """One tile's scaled scores, its future keys at -inf: [heads, e - s, t1]."""
+        ws = np.matmul(qs[:, s:e], ks[:, :t1].transpose(0, 2, 1))
         ws *= scale
         m = t1 - t0
-        np.copyto(ws[:, :, t0 - a:], -np.inf, where=_FUTURE[m - (e - s):m, :m])
+        np.copyto(ws[:, :, t0:], -np.inf, where=_FUTURE[m - (e - s):m, :m])
         return ws
 
-    # [heads, T, d_head] views of the [T, heads, d_head] operands.
-    qh, kh, vh = (a.transpose(1, 0, 2) for a in (q.data, k.data, v.data))
-    stats = []
-    for tile in tiles:
-        s, e, a, _, t1 = tile
-        ws = scores(qh, kh, *tile)
-        row_max = ws.max(axis=-1, keepdims=True)
-        ws -= row_max
-        np.exp(ws, out=ws)
-        row_sum = ws.sum(axis=-1, keepdims=True)
-        ws /= row_sum
-        np.matmul(ws, vh[:, a:t1], out=oh[:, s:e])
-        if keep:
-            stats.append((row_max, row_sum))
-        del ws
+    def heads_first(*arrays):
+        """[heads, T, d_head] views of [T, heads, d_head] arrays."""
+        return (a.transpose(1, 0, 2) for a in arrays)
 
-    def vjp(g):
-        qh, kh, vh, gh = (a.transpose(1, 0, 2) for a in (*(kept or rebuilt()), g))
-        # Tiles add into the key and value gradients; keys no query reaches get 0.
-        gq, gk, gv = np.empty_like(g), np.zeros(shape, g.dtype), np.zeros(shape, g.dtype)
-        gqh, gkh, gvh = (a.transpose(1, 0, 2) for a in (gq, gk, gv))
-        for tile, (row_max, row_sum) in zip(tiles, stats):
-            s, e, a, _, t1 = tile
-            # The forward's weights again, by its own ops on its own operands.
-            ws = scores(qh, kh, *tile)
+    stats = []
+    for a, b, q0, tiles in segs:
+        qs, outs = heads_first(q.data[q0:b - prefix], out[q0:b - prefix])
+        ks, vs = heads_first(k.data[a:b], v.data[a:b])
+        seg_stats = []
+        for tile in tiles:
+            s, e, _, t1 = tile
+            ws = scores(qs, ks, *tile)
+            row_max = ws.max(axis=-1, keepdims=True)
             ws -= row_max
             np.exp(ws, out=ws)
+            row_sum = ws.sum(axis=-1, keepdims=True)
             ws /= row_sum
-            go = gh[:, s:e]
-            gvh[:, a:t1] += np.matmul(ws.transpose(0, 2, 1), go)
-            # d(scores) = w * (g v^T - rowsum(w * g v^T)), and that row sum is g . out.
-            gw = np.matmul(go, vh[:, a:t1].transpose(0, 2, 1))
-            gw -= (go * oh[:, s:e]).sum(axis=-1, keepdims=True)
-            gw *= ws
-            np.matmul(gw, kh[:, a:t1], out=gqh[:, s:e])
-            gkh[:, a:t1] += np.matmul(gw.transpose(0, 2, 1), qh[:, s:e])
-            del ws, gw  # before the next tile is scored: two blocks at a time, not three
+            np.matmul(ws, vs[:, :t1], out=outs[:, s:e])
+            if keep:
+                seg_stats.append((row_max, row_sum))
+            del ws
+        stats.append(seg_stats)
+
+    def vjp(g):
+        # Tiles add into the key and value gradients; keys no query reaches get 0.
+        gq, gk, gv = np.empty_like(g), np.zeros(shape, g.dtype), np.zeros(shape, g.dtype)
+        if kept is None:
+            padded = [(_padded_t(w), bias) for w, bias in projections]
+        for (a, b, q0, tiles), seg_stats in zip(segs, stats):
+            if kept is None:
+                # This segment's q, k and v again, by the forward's own ops on its own operands.
+                qd, kd, vd = ((_times(rows[a:b], wt, len(bias)) + bias).reshape((b - a, *shape[1:]))
+                              for wt, bias in padded)
+                qd, kd = _rotate(qd, cos[a:b], sin[a:b]), _rotate(kd, cos[a:b], sin[a:b])
+            else:
+                qd, kd, vd = kept[0][q0:b - prefix], kept[1][a:b], kept[2][a:b]
+            qs, ks, vs = heads_first(qd, kd, vd)
+            gs, outs, gqs = heads_first(g[q0:b - prefix], out[q0:b - prefix], gq[q0:b - prefix])
+            gks, gvs = heads_first(gk[a:b], gv[a:b])
+            for tile, (row_max, row_sum) in zip(tiles, seg_stats):
+                s, e, _, t1 = tile
+                # The forward's weights again, by its own ops on its own operands.
+                ws = scores(qs, ks, *tile)
+                ws -= row_max
+                np.exp(ws, out=ws)
+                ws /= row_sum
+                go = gs[:, s:e]
+                gvs[:, :t1] += np.matmul(ws.transpose(0, 2, 1), go)
+                # d(scores) = w * (g v^T - rowsum(w * g v^T)), and that row sum is g . out.
+                gw = np.matmul(go, vs[:, :t1].transpose(0, 2, 1))
+                gw -= (go * outs[:, s:e]).sum(axis=-1, keepdims=True)
+                gw *= ws
+                np.matmul(gw, ks[:, :t1], out=gqs[:, s:e])
+                gks[:, :t1] += np.matmul(gw.transpose(0, 2, 1), qs[:, s:e])
+                del ws, gw  # before the next tile is scored: two blocks at a time, not three
         gq *= scale
         gk *= scale
         return gq, gk, gv
@@ -789,26 +850,31 @@ def mixture(x: Tensor, experts: list, cols: np.ndarray, gates: Tensor) -> Tensor
 
     def vjp(g):
         # A group's tokens are distinct, so each adds its row gradients
-        # straight into theirs, and a token's sum runs in group order. Each
-        # temporary is dropped once read, so backward holds one group's
-        # workspace at a time and stays under the forward's peak.
+        # straight into theirs, and a token's sum runs in group order. A group
+        # is walked in blocks of _BLOCK rows, the blocks _times sums a weight
+        # gradient over, and each temporary is dropped once read, so backward
+        # holds one block's workspace at a time.
         gx, g_gates = np.zeros_like(x_data), np.zeros_like(gate_data)
         grads = [None] * (3 * len(weights))
         for a, b, i, wgt, wut, wdt in saved:
             w_gate, w_up, w_down = weights[i]
-            tokens = order[a:b]
-            rows, go = x_data[tokens], g[tokens]
-            pre, s, up = _gated_hidden(rows, wgt, wut, w_gate.shape[0])
-            hidden = pre * s * up
-            g_gates[tokens, i] = (go * _times(hidden, wdt, d)).sum(axis=1)
-            go *= gate_data[tokens, i, None]
-            g_down = _times(go.T, hidden)
-            del hidden
-            g_pre, g_up, _ = _gated_hidden_grads(_times(go, w_down.data), pre, s, up)
-            del pre, s, up
-            gx[tokens] += _times(g_pre, w_gate.data) + _times(g_up, w_up.data)
-            grads[3 * i: 3 * i + 3] = _times(g_pre.T, rows), _times(g_up.T, rows), g_down
-            del rows, go, g_pre, g_up
+            for start in range(a, b, _BLOCK):
+                tokens = order[start:min(start + _BLOCK, b)]
+                rows, go = x_data[tokens], g[tokens]
+                pre, s, up = _gated_hidden(rows, wgt, wut, w_gate.shape[0])
+                hidden = pre * s * up
+                g_gates[tokens, i] = (go * _times(hidden, wdt, d)).sum(axis=1)
+                go *= gate_data[tokens, i, None]
+                g_down = _times(go.T, hidden)
+                del hidden
+                g_pre, g_up, _ = _gated_hidden_grads(_times(go, w_down.data), pre, s, up)
+                del pre, s, up
+                gx[tokens] += _times(g_pre, w_gate.data) + _times(g_up, w_up.data)
+                parts = (_times(g_pre.T, rows), _times(g_up.T, rows), g_down)
+                del rows, go, g_pre, g_up
+                if start > a:
+                    parts = [held + part for held, part in zip(grads[3 * i: 3 * i + 3], parts)]
+                grads[3 * i: 3 * i + 3] = parts
         return (gx, g_gates, *grads)
 
     return _finish("mixture", out, inputs, vjp)

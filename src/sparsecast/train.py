@@ -6,14 +6,15 @@ forward, one target table per head) and averages a masked robust (Huber)
 term per forecast head — over all valid anchor positions and over the
 head's horizon elements, so long heads are not overweighted — then averages
 across heads and adds alpha times the expert-balance penalty, itself
-averaged over mixture layers. Every term is one constant-weighted sum, the
-weights holding the mask and the averaging. An anchor is valid for a head
-of horizon p when the p following tokens exist, stay inside the anchor's
-packed sequence, and are not padding. train_step is the one optimization
-step, shared by pre-training (train_loop) and fine-tuning. AdamW.step takes
-the global gradient norm in one pass over the gradients; from that number
-it rejects a step with a non-finite gradient and clips to grad_clip, and it
-returns it for the step record.
+averaged over mixture layers. Every term is one op with constant weights
+that hold the mask and the averaging: tensor.head_loss per head, which
+runs the head itself, and tensor.weighted_sum per balance term. An anchor
+is valid for a head of horizon p when the p following tokens exist, stay
+inside the anchor's packed sequence, and are not padding. train_step is
+the one optimization step, shared by pre-training (train_loop) and
+fine-tuning. AdamW.step takes the global gradient norm in one pass over
+the gradients; from that number it rejects a step with a non-finite
+gradient and clips to grad_clip, and it returns it for the step record.
 
 Checkpoints are a seekable little-endian binary format (version 2): magic
 "TMOE", a version word, the JSON-encoded model configuration, the training
@@ -82,8 +83,8 @@ class TrainConfig(ConfigCodec):
                 raise ValueError("betas must lie in (0, 1)")
         if self.steps < 1 or self.batch < 1 or self.context < 2:
             raise ValueError("steps and batch must be >= 1, context >= 2")
-        if not all(v >= 0 for v in (self.lr, self.weight_decay, self.warmup_steps)):
-            raise ValueError("lr, weight_decay and warmup_steps must be >= 0")
+        if not all(0 <= v < math.inf for v in (self.lr, self.weight_decay, self.warmup_steps)):
+            raise ValueError("lr, weight_decay and warmup_steps must be finite and >= 0")
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise ValueError(f"grad_clip must be > 0 when set, got {self.grad_clip}")
         if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
@@ -158,16 +159,16 @@ def flat_batch(batch: PackedBatch) -> tuple:
     return batch.tokens[:, :, 0].reshape(-1), ids.reshape(-1), batch.pad_mask.reshape(-1)
 
 
-def _head_term(pred: T.Tensor, tokens: np.ndarray, bounds: np.ndarray, pad_mask: np.ndarray,
-               heads: int, delta: float) -> T.Tensor:
+def _head_term(hidden: T.Tensor, w: T.Tensor, tokens: np.ndarray, bounds: np.ndarray,
+               pad_mask: np.ndarray, heads: int, delta: float) -> T.Tensor:
     """One head's Huber term: its cells weigh 1 / (valid anchors * horizon *
     heads) where valid and 0 elsewhere, one weight column broadcast over the
     horizon."""
-    targets, valid = head_targets(tokens, bounds, pad_mask, pred.shape[1])
-    column = np.zeros((len(valid), 1), dtype=pred.data.dtype)
-    column[valid] = 1.0 / (int(valid.sum()) * pred.shape[1] * heads)
-    return T.weighted_sum(T.huber(pred, T.constant(targets, pred.dtype), delta),
-                          np.broadcast_to(column, pred.shape))
+    horizon = w.shape[0]
+    targets, valid = head_targets(tokens, bounds, pad_mask, horizon)
+    column = np.zeros((len(valid), 1), dtype=hidden.data.dtype)
+    column[valid] = 1.0 / (int(valid.sum()) * horizon * heads)
+    return T.head_loss(hidden, w, targets, np.broadcast_to(column, targets.shape), delta)
 
 
 def batch_loss(model: Forecaster, batch: PackedBatch, config: TrainConfig) -> tuple:
@@ -176,16 +177,19 @@ def batch_loss(model: Forecaster, batch: PackedBatch, config: TrainConfig) -> tu
     The B rows are laid end to end (flat_batch), so one forward serves the
     batch, and each head takes one target table; since a row end is a
     segment bound, the targets and valid cells are those of the rows taken
-    one by one. Each term of the loss is one weighted_sum whose constant
-    weights carry its mask and averaging: a head's Huber cells weigh
-    1 / (valid anchors * horizon * heads kept) where valid and 0 elsewhere,
-    so every valid position in the batch carries equal weight and heads
-    are averaged. A head with no valid cell in the batch drops out of the
-    head average; when every head is empty the batch is degenerate and
-    raises TrainingError. With alpha > 0, each mixture layer adds alpha
-    times its balance penalty N * sum_i f_i * mean_t(scores[t, i]),
-    averaged over layers: routed score i weighs alpha * N * f_i / (T *
-    layers), the shared gate 0, and f enters as a constant. A batch row
+    one by one. The forward's head outputs are never read: each head is
+    one head_loss op on the final-norm rows, which runs the head's product
+    and its Huber cells 256 rows at a time and keeps no prediction. Each
+    term's constant weights carry its mask and averaging: a head's Huber
+    cells weigh 1 / (valid anchors * horizon * heads kept) where valid and
+    0 elsewhere, so every valid position in the batch carries equal weight
+    and heads are averaged. A head with no valid cell in the batch drops
+    out of the head average; when every head is empty the batch is
+    degenerate and raises TrainingError. With alpha > 0, each mixture
+    layer adds alpha times its balance penalty N * sum_i f_i *
+    mean_t(scores[t, i]), averaged over layers: routed score i weighs
+    alpha * N * f_i / (T * layers), the shared gate 0, and f enters as a
+    constant. A batch row
     shorter than the largest horizon raises ConfigError. Returns (loss
     tensor, info dict of diagnostics: the losses, f per layer, and f_min /
     f_max of its layer mean).
@@ -194,7 +198,7 @@ def batch_loss(model: Forecaster, batch: PackedBatch, config: TrainConfig) -> tu
     _check_horizon(batch.length, horizons[-1])
     tokens, seq_ids, pad_mask = flat_batch(batch)
     result = model.forward(tokens, seq_ids=seq_ids)
-    preds, layers = result.head_outputs, result.routing
+    hidden, layers = result.hidden, result.routing
     del result
     bounds = segment_bounds(seq_ids)
     # Horizons ascend, so the heads with a valid anchor are the first `kept`.
@@ -203,9 +207,8 @@ def batch_loss(model: Forecaster, batch: PackedBatch, config: TrainConfig) -> tu
     if not kept:
         raise TrainingError("degenerate batch: every position is masked for every head")
     loss = None
-    for _ in range(kept):
-        # Popped, so each prediction is freed once its term is recorded.
-        term = _head_term(preds.pop(0), tokens, bounds, pad_mask, kept, config.delta)
+    for w in model.params.heads[:kept]:
+        term = _head_term(hidden, w, tokens, bounds, pad_mask, kept, config.delta)
         loss = term if loss is None else T.add(loss, term)
 
     info = {"loss_ar": float(loss.data)}

@@ -762,7 +762,7 @@ def routed_gates(routing) -> np.ndarray:
 
 def scalar_huber(x: float, x_hat: float, delta: float = 1.0) -> float:
     """Scalar robust loss: quadratic inside |r| <= delta, linear outside. The
-    loss runs tensor.huber; this one-value form is kept as its oracle."""
+    loss runs tensor.head_loss; this one-value form is kept as its oracle."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     r = abs(x - x_hat)
@@ -771,11 +771,30 @@ def scalar_huber(x: float, x_hat: float, delta: float = 1.0) -> float:
 
 def reference_huber(r: np.ndarray, delta: float) -> tuple:
     """(values, slope) of the Huber loss at residuals r: the where/sign chain
-    that tensor.huber's clipped slope and in-place values replaced, kept as
+    that tensor.head_loss's clipped slope and in-place values replaced, kept as
     their oracle."""
     small = np.abs(r) <= delta
     values = np.where(small, 0.5 * r * r, delta * (np.abs(r) - 0.5 * delta))
     return values, np.where(small, r, delta * np.sign(r))
+
+
+def huber(pred: Tensor, targets: np.ndarray, delta: float) -> Tensor:
+    """Elementwise Huber loss of pred against constant targets by
+    reference_huber: with linear before it and weighted_sum after it, the
+    chain that tensor.head_loss runs as one op, kept as its oracle."""
+    values, slope = reference_huber(pred.data - np.asarray(targets, pred.data.dtype), delta)
+
+    def vjp(g):
+        return (g * slope,)
+
+    return _finish("huber", values, (pred,), vjp)
+
+
+def reference_head_loss(hidden: Tensor, w: Tensor, targets: np.ndarray, weights: np.ndarray,
+                        delta: float) -> Tensor:
+    """tensor.head_loss as the three ops it replaced: the head's linear, the
+    Huber loss and a weighted sum."""
+    return T.weighted_sum(huber(T.linear(hidden, w), targets, delta), weights)
 
 
 def reference_gather_entries(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
@@ -904,7 +923,7 @@ def masked_head_loss(pred: Tensor, targets: np.ndarray, valid: np.ndarray,
     """(sum of Huber over valid cells as a tensor, number of valid cells)."""
     horizon = pred.shape[1]
     cells = valid[:, None] & np.ones((1, horizon), dtype=bool)
-    elementwise = T.huber(pred, T.constant(targets, pred.dtype), delta)
+    elementwise = huber(pred, targets, delta)
     masked = mul(elementwise, T.constant(cells.astype(pred.data.dtype), pred.dtype))
     return sum_all(masked), int(cells.sum())
 

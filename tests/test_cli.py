@@ -267,6 +267,11 @@ BAD_TRAIN_DOCS = {
     "nan_delta": ({"model": model_doc(), "train": {"delta": float("nan")}}, "delta must be > 0"),
     "nan_alpha": ({"model": model_doc(), "train": {"alpha": float("nan")}}, "alpha must be"),
     "inf_alpha": ({"model": model_doc(), "train": {"alpha": float("inf")}}, "alpha must be"),
+    # An infinite lr or weight decay filled every parameter with NaN in the first step.
+    "inf_lr": ({"model": model_doc(), "train": {"lr": float("inf")}},
+               "weight_decay and warmup_steps must be finite"),
+    "inf_weight_decay": ({"model": model_doc(), "train": {"weight_decay": float("inf")}},
+                         "weight_decay and warmup_steps must be finite"),
 }
 
 

@@ -19,12 +19,14 @@ from helpers import (
     concat_rows,
     dispatch_rows,
     gather_rows,
+    huber,
     matmul,
     max_rel_err,
     mean_all,
     mul,
     reference_attention,
     reference_gather_entries,
+    reference_head_loss,
     reference_huber,
     reference_mixture,
     reference_sigmoid,
@@ -53,7 +55,7 @@ from sparsecast.tensor import (
     add,
     constant,
     glu,
-    huber,
+    head_loss,
     linear,
     masked_attention,
     mixture,
@@ -298,31 +300,75 @@ def test_branch_free_sigmoid_matches_masked_form_bitwise(dtype):
     assert _sigmoid(np.array([-0.0, 0.0], dtype=dtype)).tolist() == [0.5, 0.5]
 
 
+def _head_loss_and_grads(kernel, hidden, w, targets, weights, delta):
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in (hidden, w)]
+    with Graph() as graph:
+        loss = kernel(*leaves, targets, weights, delta)
+    graph.backward(loss)
+    return [loss.data] + [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("horizon", [1, 64])
+@pytest.mark.parametrize("t", [1, 255, 256, 257, 1024])
+def test_head_loss_matches_linear_huber_weighted_sum_bitwise(t, horizon, dtype):
+    # One op against the chain it replaced, linear, the where/sign Huber
+    # chain and weighted_sum: the loss and the gradients of hidden and w
+    # bit for bit, on both sides of a 256-row block and with a one-row
+    # tail. Every third row is invalid (weight 0), as a masked anchor is,
+    # and many residuals lie past delta.
+    rng = np.random.default_rng([t, horizon])
+    d = 32
+    hidden = rng.normal(size=(t, d)).astype(dtype)
+    w = rng.normal(scale=0.3, size=(horizon, d)).astype(dtype)
+    targets = rng.normal(size=(t, horizon)).astype(dtype)
+    column = np.where(np.arange(t) % 3 == 2, 0.0, 1.0 / t).astype(dtype)
+    weights = np.broadcast_to(column[:, None], targets.shape)
+    got, want = (_head_loss_and_grads(kernel, hidden, w, targets, weights, 1.0)
+                 for kernel in (head_loss, reference_head_loss))
+    for name, a, b in zip(("loss", "d_hidden", "d_w"), got, want):
+        assert a.dtype == dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("delta", [1.0, 0.1, 2.5])
 def test_huber_matches_where_sign_chain_bitwise(dtype, delta):
+    # head_loss's in-place Huber cells and clipped slope against the
+    # where/sign chain at the knee and across magnitudes: a one-wide head of
+    # weight 1, so each row's residual is its value.
     edge = float(dtype(delta))
     near = [edge, float(np.nextafter(dtype(edge), 0)), float(np.nextafter(dtype(edge), 10))]
     grid = np.concatenate([[0.0, 1e-40, 1e-30, 0.5], near, np.linspace(-50, 50, 20001),
                            np.geomspace(1e-6, 1e6, 501)])
-    r = np.concatenate([grid, -grid]).astype(dtype)
-    pred = Tensor(r.copy(), requires_grad=True)
-    with Graph() as g:
-        values = huber(pred, np.zeros_like(r), delta)
-        loss = weighted_sum(values, np.ones_like(r))
-    g.backward(loss)
-    want_values, want_slope = reference_huber(r, delta)
-    assert values.data.dtype == dtype
-    assert values.data.tobytes() == want_values.tobytes()
-    assert pred.grad.tobytes() == want_slope.tobytes()
+    r = np.concatenate([grid, -grid]).astype(dtype)[:, None]
+    got, want = (_head_loss_and_grads(kernel, r, np.ones((1, 1), dtype), np.zeros_like(r),
+                                      np.ones_like(r), delta)
+                 for kernel in (head_loss, reference_head_loss))
+    for name, a, b in zip(("loss", "slope", "d_w"), got, want):
+        assert a.dtype == dtype, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("delta", [1.0, 0.1, 2.5])
 def test_huber_matches_scalar_huber_elementwise(delta):
     r = np.concatenate([[0.0, delta, float(np.nextafter(delta, 10))],
                         np.linspace(-50, 50, 2001), np.geomspace(1e-6, 1e6, 101)])
-    values = huber(Tensor(r), np.zeros_like(r), delta)
-    assert values.data.tolist() == [scalar_huber(x, 0.0, delta) for x in r]
+    one = Tensor(np.ones((1, 1)))
+    values = [head_loss(Tensor([[x]]), one, [[0.0]], [[1.0]], delta).item() for x in r]
+    assert values == [scalar_huber(x, 0.0, delta) for x in r]
+
+
+def test_head_loss_rejects_bad_operands():
+    hidden, w = Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 2)))
+    cells = np.zeros((3, 4))
+    for bad in ((hidden, Tensor(np.zeros((4, 3))), cells, cells),
+                (hidden, w, np.zeros((3, 1)), cells), (hidden, w, cells, np.zeros((3, 1)))):
+        with pytest.raises(ShapeError):
+            head_loss(*bad, 1.0)
+    for delta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="delta"):
+            head_loss(hidden, w, cells, cells, delta)
 
 
 # --- elementwise rules -----------------------------------------------------------
@@ -587,14 +633,15 @@ def _(rng):
     )
 
 
-@op_case("huber")
+@op_case("head_loss")
 def _(rng):
     # Residuals kept away from the |r| = delta knee so FD stays two-sided smooth.
-    pred = _rand(rng, (8,))
-    target = pred + np.where(rng.random(8) < 0.5, 0.4, 2.0) * np.sign(_rand(rng, (8,)))
-    leaves = {"p": t64(pred, requires_grad=True)}
-    tgt = constant(target, np.float64)
-    return leaves, lambda: sum_all(huber(leaves["p"], tgt, delta=1.0))
+    leaves = _leafify(rng, {"hidden": (5, 3), "w": (4, 3)})
+    pred = leaves["hidden"].data @ leaves["w"].data.T
+    targets = pred + np.where(rng.random((5, 4)) < 0.5, 0.4, 2.0) * np.sign(_rand(rng, (5, 4)))
+    weights = _rand(rng, (5, 4))
+    weights[1] = 0.0
+    return leaves, lambda: head_loss(leaves["hidden"], leaves["w"], targets, weights, delta=1.0)
 
 
 @op_case("gather_rows")
@@ -802,12 +849,14 @@ def test_attention_replay_matches_keep_the_weights_kernel_bitwise(segments, n_q,
         np.testing.assert_array_equal(a, b, err_msg=name)
 
 
-@pytest.mark.parametrize("segments", [[0, 200], [0, 64, 65, 200]])
+@pytest.mark.parametrize("segments", [[0, 200], [0, 64, 65, 200], [0, 300, 301, 401]])
 def test_attention_given_its_source_rebuilds_q_k_v_bitwise_and_keeps_none(segments):
     # Given the rows and weights that q, k and v were projected from, a
-    # recorded call keeps none of the three: its vjp rebuilds them by
-    # linear's, reshape's and rope's own ops, so the output and every
-    # gradient equal those of the call that kept them, bit for bit.
+    # recorded call keeps none of the three: its vjp rebuilds them one
+    # segment at a time by linear's, reshape's and rope's own ops, so the
+    # output and every gradient equal, bit for bit, those of the call that
+    # kept them and of the kernel that kept every tile's weights
+    # (reference_tiled_attention), a one-row segment included.
     t, heads, d_head = segments[-1], 4, 8
     d = heads * d_head
     rng = np.random.default_rng(t)
@@ -816,7 +865,7 @@ def test_attention_given_its_source_rebuilds_q_k_v_bitwise_and_keeps_none(segmen
     w = constant(rng.normal(size=(t, heads, d_head)))
     tables = rope_tables(np.arange(t), heads, d_head)
     runs = []
-    for given in (False, True):
+    for run in ("reference", "kept", "given"):
         x = Tensor(x0.copy(), requires_grad=True)
         params = [Tensor(p.copy(), requires_grad=True) for p in p0]
         pairs = list(zip(params[0::2], params[1::2]))
@@ -824,14 +873,19 @@ def test_attention_given_its_source_rebuilds_q_k_v_bitwise_and_keeps_none(segmen
             q, k, v = (reshape(linear(x, wp, b), (t, heads, d_head)) for wp, b in pairs)
             q, k = rope(q, tables), rope(k, tables)
             held = [weakref.ref(q.data), weakref.ref(k.data), weakref.ref(v.data.base)]
-            out = masked_attention(q, k, v, np.array(segments),
-                                   source=(x, pairs, tables) if given else None)
+            if run == "reference":
+                out = reference_tiled_attention(q, k, v, np.array(segments))
+            else:
+                out = masked_attention(q, k, v, np.array(segments),
+                                       source=(x, pairs, tables) if run == "given" else None)
             del q, k, v
             loss = sum_all(mul(out, w))
-        assert [ref() is not None for ref in held] == [not given] * 3
+        if run != "reference":
+            assert [ref() is not None for ref in held] == [run == "kept"] * 3
         graph.backward(loss)
         runs.append([out.data.tobytes()] + [a.grad.tobytes() for a in [x] + params])
-    assert runs[0] == runs[1]
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 def test_attention_source_must_fit_its_operands():
@@ -946,6 +1000,31 @@ def test_mixture_matches_swiglu_and_combine_rows_bitwise(dtype, k, idle, one_gro
         assert a.dtype == dtype, name
         assert a.tobytes() == b.tobytes(), name
     assert sum(a is None for a in got) == 3 * len(idle)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mixture_walks_each_group_in_row_blocks_bitwise(dtype):
+    # The vjp walks a group 256 rows at a time and sums its weight gradients
+    # over the same blocks _times sums over. Groups of 513 (the shared
+    # expert), 257 and 256 rows, the first two ending in a one-row block,
+    # give the output and every gradient of the whole-group vjp
+    # (reference_mixture) bit for bit.
+    rng = np.random.default_rng(11)
+    tokens, d, hidden = 513, 32, 32
+    cols = np.stack((np.full(tokens, 2), (np.arange(tokens) >= 257).astype(np.intp)), axis=1)
+    x, g = (rng.normal(size=(tokens, d)).astype(dtype) for _ in range(2))
+    gates = rng.random(size=(tokens, 3)).astype(dtype)
+    weights = [tuple(rng.normal(scale=0.3, size=shape).astype(dtype)
+                     for shape in ((hidden, d), (hidden, d), (d, hidden)))
+               for _ in range(3)]
+    got, want = (_mixture_and_grads(lambda x, ws, gates: kernel(x, ws, cols, gates),
+                                    x, weights, gates, g)
+                 for kernel in (mixture, reference_mixture))
+    names = ["out", "dx", "d_gates"] + [f"{n}{e}" for e in range(3)
+                                        for n in ("d_gate", "d_up", "d_down")]
+    for name, a, b in zip(names, got, want):
+        assert a.dtype == dtype, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1218,6 +1297,7 @@ def test_every_public_tensor_op_has_a_caller_in_src():
                 reached.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "tensor":
                 reached.update(alias.name for alias in node.names)
+    assert "head_loss" in public and "huber" not in public
     assert len(public) > 15
     assert sorted(public - reached) == []
 
@@ -1232,4 +1312,5 @@ def test_one_training_step_records_every_public_tensor_op(tmp_path):
         batch_loss(model, batch, TrainConfig(batch=4, context=256))
     recorded = {vjp.__qualname__.split(".")[0] for _, _, vjp in graph._nodes}
     exempt = {"Tensor", "Graph", "ShapeError", "NumericError", "constant", "rope_tables"}
+    assert "head_loss" in recorded
     assert sorted(_public_tensor_names() - exempt - recorded) == []
