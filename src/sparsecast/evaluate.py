@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import CsvSchema, load_csv, PackedBatch
 from .heads import autoregressive_forecast
-from .model import ConfigCodec, Forecaster, ModelConfig, count_params, int_items
+from .model import ConfigCodec, DataError, Forecaster, ModelConfig, count_params, int_items
 from .train import AdamW, TrainConfig, train_loop, train_step
 
 # Canonical (train, val, test) row counts of the long-horizon benchmark files.
@@ -39,20 +39,20 @@ class WindowError(ValueError):
     """Requested context/horizon cannot be tiled onto the available rows."""
 
 
-def mse(x, x_hat) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
+def _errors(x, x_hat, metric: str) -> np.ndarray:
+    """x - x_hat in float64; metric names the caller in the error."""
+    x, x_hat = np.asarray(x, dtype=np.float64), np.asarray(x_hat, dtype=np.float64)
     if x.shape != x_hat.shape or x.size == 0:
-        raise ValueError(f"mse needs matching non-empty arrays, got {x.shape} vs {x_hat.shape}")
-    return float(np.mean((x - x_hat) ** 2))
+        raise ValueError(f"{metric} needs matching non-empty arrays, got {x.shape} vs {x_hat.shape}")
+    return x - x_hat
+
+
+def mse(x, x_hat) -> float:
+    return float(np.mean(_errors(x, x_hat, "mse") ** 2))
 
 
 def mae(x, x_hat) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x.shape != x_hat.shape or x.size == 0:
-        raise ValueError(f"mae needs matching non-empty arrays, got {x.shape} vs {x_hat.shape}")
-    return float(np.mean(np.abs(x - x_hat)))
+    return float(np.mean(np.abs(_errors(x, x_hat, "mae"))))
 
 
 @dataclass
@@ -64,9 +64,15 @@ class Standardizer:
 
     @classmethod
     def fit(cls, train_values: np.ndarray) -> "Standardizer":
+        """Each channel's mean and std (at least 1e-8); a channel whose mean or
+        std is not finite in float64, such as values near 1e300, is a DataError."""
         values = np.asarray(train_values, dtype=np.float64)
-        std = values.std(axis=0)
-        return cls(mean=values.mean(axis=0), std=np.maximum(std, 1e-8))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = values.mean(axis=0), values.std(axis=0)
+        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+        if bad.size:
+            raise DataError(f"channel {bad[0]}: values too large to standardize, std {std[bad[0]]}")
+        return cls(mean=mean, std=np.maximum(std, 1e-8))
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         # Divided in place: one new array, not two.
@@ -206,7 +212,14 @@ def eval_model(model, spec: EvalSpec, fine_tune_config: TrainConfig | None = Non
     and windows_per_s the windows forecast per second, each window counted
     once per channel. A fine-tune report adds fine_tune_steps, fine_tune_loss
     (the last step's loss, None when the split holds no crop) and
-    fine_tune_seconds."""
+    fine_tune_seconds.
+
+    A Forecaster's rollout slides a context longer than its max_context down
+    to max_context points, so such a pair is a WindowError before anything
+    runs."""
+    if isinstance(model, Forecaster) and max(spec.contexts) > model.config.max_context:
+        raise WindowError(f"context {max(spec.contexts)} exceeds the model's max_context "
+                          f"{model.config.max_context}")
     loaded = load_csv(spec.dataset, CsvSchema(columns=spec.columns, splits=spec.splits))
     # Only the split sizes outlive this: the raw array goes once it is standardized.
     values, splits = loaded.values, loaded.splits

@@ -355,19 +355,17 @@ def causal_self_attention(x: Tensor, params: AttentionParams, config: ModelConfi
     head_dim = d // heads
     x_q = T.constant(x.data[-1:], x.dtype) if last_row else x
     n_q = x_q.shape[0]
-    q = T.reshape(T.linear(x_q, params.wq, params.bq), (n_q, heads, head_dim))
-    k = T.reshape(T.linear(x, params.wk, params.bk), (t, heads, head_dim))
-    v = T.reshape(T.linear(x, params.wv, params.bv), (t, heads, head_dim))
+    pairs = ((params.wq, params.bq), (params.wk, params.bk), (params.wv, params.bv))
+    q, k, v = (T.reshape(T.linear(rows, w, b), (rows.shape[0], heads, head_dim))
+               for rows, (w, b) in zip((x_q, x, x), pairs))
     cos, sin = rotary
     q = T.rope(q, (cos[t - n_q:], sin[t - n_q:]))
     k = T.rope(k, rotary)
-    source = None
     if cache is not None:
         k, v = cache.extend(layer, k, v)
-    else:
-        # A recorded call rebuilds q, k and v from these in its vjp rather than keep them.
-        source = (x, ((params.wq, params.bq), (params.wk, params.bk), (params.wv, params.bv)),
-                  rotary)
+    # A recorded call rebuilds q, k and v from their source in its vjp rather than
+    # keep them; a cached call is never recorded and passes none.
+    source = (x, pairs, rotary) if cache is None else None
     attended = T.masked_attention(q, k, v, bounds, source=source)
     return T.linear(T.reshape(attended, (n_q, d)), params.wo)
 

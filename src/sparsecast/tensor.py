@@ -16,10 +16,10 @@ holds keys, not outputs: a node is its own serial key, its inputs' keys
 vjp reads, such as a projection that rope rotates or a residual branch that
 add sums, is freed as soon as the forward drops it. Attention keeps its
 output and each tile's row max and row sum, not its weights, and its vjp
-replays the forward's ops to rebuild them bit for bit; given the rows and
-weights its q, k and v were projected from, as the model's attention
-gives them, it keeps none of q, k and v either and rebuilds them too, one
-segment at a time, by linear's, reshape's and rope's own array math. glu
+replays the forward's ops to rebuild them bit for bit. A recorded call is
+given the rows and weights its q, k and v were projected from, keeps none
+of the three, and rebuilds them too, one segment at a time, by linear's,
+reshape's and rope's own array math. glu
 and mixture keep no activation, only their transposed weight copies:
 their vjps rebuild the gate pre-activation, its sigmoid and the up
 projection by the forward's own ops, and mixture gathers its rows from
@@ -51,13 +51,13 @@ and a weight gradient does not depend on the BLAS thread count:
   width in float64;
 - a forward product is by a contiguous transposed copy of the weight,
   never by the transposed view, zero-padded to a multiple of 16 weight
-  rows and sliced back, since OpenBLAS rounds a product of another width
-  by the row count.
+  rows and sliced back, and an x-gradient product by the weight
+  zero-padded to a multiple of 16 columns and sliced back, since OpenBLAS
+  rounds a product of another output width by the row count.
 linear, glu, mixture and head_loss follow it. mixture's vjp and head_loss
 walk their rows in blocks of 256, adding a weight gradient's parts in the
-order _times adds them; a row of a padded forward product, or of an
-x-gradient whose width is a multiple of 16, has the same bits in a block
-as in the whole call.
+order _times adds them; a row of a padded product has the same bits in a
+block as in the whole call, at every width.
 
 Attention is blocked by segment and tiled by query. A packed row of T
 tokens is cut into segments given by their bounds [0, b_1, ..., T]; tokens
@@ -69,7 +69,8 @@ and sum (an online softmax). A segment packed into a row therefore computes
 bit for bit what it computes alone, at about half of n^2 per segment and
 with no [T, T] mask. Every call, recorded or not, holds one tile's
 workspace at a time. The same kernel serves cached decoding, where keys
-and values run longer than the queries by a cached prefix.
+and values run longer than the queries by a cached prefix; nothing records
+a cached call.
 
 Expert dispatch is dropless and expert-sorted: mixture takes the token
 rows, the router scores and each token's experts, cols[T, K], and groups
@@ -308,17 +309,17 @@ def add(a: Tensor, b) -> Tensor:
     return _finish("add", a.data + b.data, (a, b), vjp)
 
 
-# Forward products zero-pad a weight to a multiple of this many rows.
-_PAD_ROWS = 16
+# Weight products zero-pad a weight to a multiple of this many output columns.
+_PAD = 16
 # _times contracts whole up to this width and in order over blocks of it above.
 _BLOCK = 256
 
 
 def _padded_t(w: np.ndarray) -> np.ndarray:
     """w [n, k] as a contiguous transposed copy [k, n'], zero-padded to
-    n' = n rounded up to a multiple of _PAD_ROWS."""
+    n' = n rounded up to a multiple of _PAD."""
     n = w.shape[0]
-    wt = np.zeros((w.shape[1], n + -n % _PAD_ROWS), dtype=w.dtype)
+    wt = np.zeros((w.shape[1], n + -n % _PAD), dtype=w.dtype)
     wt[:, :n] = w.T
     return wt
 
@@ -332,6 +333,12 @@ def _times(a: np.ndarray, b: np.ndarray, n: int | None = None) -> np.ndarray:
     for j in range(_BLOCK, a.shape[1], _BLOCK):
         out += a[:, j:j + _BLOCK] @ b[j:j + _BLOCK]
     return out if n in (None, out.shape[1]) else np.ascontiguousarray(out[:, :n])
+
+
+def _x_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """g [m, n] @ w [n, k], an x-gradient product, by the product rule: by w
+    zero-padded to a multiple of _PAD columns, which are sliced off again."""
+    return _times(g, _padded_t(w.T) if w.shape[1] % _PAD else w, w.shape[1])
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -353,7 +360,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         inputs = (x, w, b)
 
     def vjp(g):
-        grads = (_times(g, w_data), _times(g.T, x_data))
+        grads = (_x_grad(g, w_data), _times(g.T, x_data))
         return grads if b is None else grads + (g.sum(axis=0),)
 
     return _finish("linear", out, inputs, vjp)
@@ -433,7 +440,7 @@ def glu(x: Tensor, w: Tensor, v: Tensor) -> Tensor:
 
     def vjp(g):
         g_pre, g_up, _ = _gated_hidden_grads(g, *_gated_hidden(x_data, wt, vt, n))
-        gx = _times(g_pre, w.data) + _times(g_up, v.data) if x_grad else None
+        gx = _x_grad(g_pre, w.data) + _x_grad(g_up, v.data) if x_grad else None
         return gx, _times(g_pre.T, x_data), _times(g_up.T, x_data)
 
     return _finish("glu", pre * s * up, (x, w, v), vjp)
@@ -511,7 +518,7 @@ def head_loss(hidden: Tensor, w: Tensor, targets, weights, delta: float) -> Tens
         for span, r in residuals():
             g_pred = g * weights[span]
             g_pred *= np.clip(r, -delta, delta, out=r)
-            gx[span] = _times(g_pred, w_data)
+            gx[span] = _x_grad(g_pred, w_data)
             part = _times(g_pred.T, x_data[span])
             gw = part if gw is None else gw + part
         return gx, gw
@@ -613,7 +620,8 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments, source=None) -> 
     k and v are [n_k, heads, d_head]; q is [n_q, heads, d_head] with
     n_q <= n_k, and its rows are the last n_q key positions: query i sits at
     key position n_k - n_q + i. n_q == n_k is the training case; n_q < n_k
-    is a decode step whose first n_k - n_q keys and values come from a cache.
+    is a decode step whose first n_k - n_q keys and values come from a
+    cache, which no graph records.
 
     segments are the bounds [0, b_1, ..., n_k] of the packed segments over
     key positions: a token in [b_i, b_i+1) attends to itself and the earlier
@@ -641,21 +649,21 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments, source=None) -> 
     their gradient at a time. A logsumexp or online softmax would round
     differently.
 
-    source, when given, is (x, ((wq, bq), (wk, bk), (wv, bv)), tables): the
-    rows x [n_k, heads * d_head] and the weights that q, k and v were
-    projected from, with q = rope(reshape(linear(x, wq, bq)), tables), k
-    the same by wk and bk, and v = reshape(linear(x, wv, bv)), n_q == n_k.
-    A recorded call given a source keeps only its output and the row
-    statistics, not q, k or v: its vjp rebuilds the three by those ops' own
-    array math (linear's padded product plus the bias, the reshape, rope's
-    rotation by the same tables), bit for bit, and the linear nodes keep x
-    anyway. It rebuilds them one segment at a time, just before that
-    segment's tiles, so backward holds one segment's q, k and v, not the
-    row's. Without a source a recorded call keeps q, k and v. With it, a
-    training step of the benchmark model at 4 x 256 peaks at about 3.2 MB
-    traced (3.9 MB before the heads' loss and mixture's vjp were
-    row-blocked, 4.6 MB when attention kept q, k and v, 0.79 MB of them),
-    and a one-segment 4096-point step at about 18.7 MB.
+    source is (x, ((wq, bq), (wk, bk), (wv, bv)), tables): the rows
+    x [n_k, heads * d_head] and the weights that q, k and v were projected
+    from, with q = rope(reshape(linear(x, wq, bq)), tables), k the same by
+    wk and bk, and v = reshape(linear(x, wv, bv)), so n_q == n_k. A call
+    that a graph records must carry it (ShapeError otherwise), so it has no
+    cached prefix. It keeps only its output and the row statistics, not q,
+    k or v: its vjp rebuilds the three by those ops' own array math
+    (linear's padded product plus the bias, the reshape, rope's rotation by
+    the same tables), bit for bit, and the linear nodes keep x anyway. It
+    rebuilds them one segment at a time, just before that segment's tiles,
+    so backward holds one segment's q, k and v, not the row's. A call that
+    nothing records needs no source. A training step of the benchmark model
+    at 4 x 256 peaks at about 3.2 MB traced (3.9 MB before the heads' loss
+    and mixture's vjp were row-blocked, 4.6 MB when attention kept q, k and
+    v, 0.79 MB of them), and a one-segment 4096-point step at about 18.7 MB.
     """
     if (q.data.ndim != 3 or k.shape != v.shape or k.data.ndim != 3
             or q.shape[1:] != k.shape[1:] or q.shape[0] > k.shape[0]):
@@ -679,17 +687,15 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments, source=None) -> 
             tiles.append((max(t0, p0) - p0, t1 - p0, t0, t1))
         segs.append((a, b, a + p0 - prefix, tiles))
     k, v = _as_operand(k, q), _as_operand(v, q)
-    if source is None:
-        kept = q.data, k.data, v.data
-    else:
+    keep = _recording((q, k, v)) is not None
+    if keep and source is None:
+        raise ShapeError("a recorded attention call needs the source of its q, k and v")
+    if source is not None:
         x, projections, (cos, sin) = source
         if n_q != n_k or x.shape[0] != n_k:
             raise ShapeError(f"attention source rows {x.shape} do not fit q {q.shape} and "
                              f"k {k.shape}")
         rows, projections = x.data, [(w.data, b.data) for w, b in projections]
-        kept = None
-
-    keep = _recording((q, k, v)) is not None
     scale = float(1.0 / np.sqrt(d_head))
     out = np.empty_like(q.data)
 
@@ -725,21 +731,17 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments, source=None) -> 
         stats.append(seg_stats)
 
     def vjp(g):
-        # Tiles add into the key and value gradients; keys no query reaches get 0.
+        # A recorded call has no cached prefix, so a segment's queries and keys are
+        # both a:b. Tiles add into the key and value gradients.
         gq, gk, gv = np.empty_like(g), np.zeros(shape, g.dtype), np.zeros(shape, g.dtype)
-        if kept is None:
-            padded = [(_padded_t(w), bias) for w, bias in projections]
-        for (a, b, q0, tiles), seg_stats in zip(segs, stats):
-            if kept is None:
-                # This segment's q, k and v again, by the forward's own ops on its own operands.
-                qd, kd, vd = ((_times(rows[a:b], wt, len(bias)) + bias).reshape((b - a, *shape[1:]))
-                              for wt, bias in padded)
-                qd, kd = _rotate(qd, cos[a:b], sin[a:b]), _rotate(kd, cos[a:b], sin[a:b])
-            else:
-                qd, kd, vd = kept[0][q0:b - prefix], kept[1][a:b], kept[2][a:b]
-            qs, ks, vs = heads_first(qd, kd, vd)
-            gs, outs, gqs = heads_first(g[q0:b - prefix], out[q0:b - prefix], gq[q0:b - prefix])
-            gks, gvs = heads_first(gk[a:b], gv[a:b])
+        padded = [(_padded_t(w), bias) for w, bias in projections]
+        for (a, b, _, tiles), seg_stats in zip(segs, stats):
+            # This segment's q, k and v again, by the forward's own ops on its own operands.
+            qd, kd, vd = ((_times(rows[a:b], wt, len(bias)) + bias).reshape((b - a, *shape[1:]))
+                          for wt, bias in padded)
+            qs, ks, vs = heads_first(_rotate(qd, cos[a:b], sin[a:b]),
+                                     _rotate(kd, cos[a:b], sin[a:b]), vd)
+            gs, outs, gqs, gks, gvs = heads_first(g[a:b], out[a:b], gq[a:b], gk[a:b], gv[a:b])
             for tile, (row_max, row_sum) in zip(tiles, seg_stats):
                 s, e, _, t1 = tile
                 # The forward's weights again, by its own ops on its own operands.
@@ -867,9 +869,9 @@ def mixture(x: Tensor, experts: list, cols: np.ndarray, gates: Tensor) -> Tensor
                 go *= gate_data[tokens, i, None]
                 g_down = _times(go.T, hidden)
                 del hidden
-                g_pre, g_up, _ = _gated_hidden_grads(_times(go, w_down.data), pre, s, up)
+                g_pre, g_up, _ = _gated_hidden_grads(_x_grad(go, w_down.data), pre, s, up)
                 del pre, s, up
-                gx[tokens] += _times(g_pre, w_gate.data) + _times(g_up, w_up.data)
+                gx[tokens] += _x_grad(g_pre, w_gate.data) + _x_grad(g_up, w_up.data)
                 parts = (_times(g_pre.T, rows), _times(g_up.T, rows), g_down)
                 del rows, go, g_pre, g_up
                 if start > a:

@@ -231,6 +231,30 @@ def reference_tiled_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tens
     return _finish("attention", out, (q, k, v), vjp)
 
 
+def attention_from_rows(kernel, x: Tensor, weights: list, heads: int,
+                        n_q: int | None = None) -> Tensor:
+    """kernel(q, k, v, source) on q, k and v projected from the rows x [T, D]
+    as model.causal_self_attention projects them: linear by the pairs
+    (wq, bq), (wk, bk) and (wv, bv) of weights, a reshape to
+    [T, heads, D / heads], and rope at positions 0..T-1 for q and k.
+
+    q comes from the last n_q rows only (every row by default), as a cached
+    decode step's does. source is (x, the pairs, the rope tables) when q
+    has every row and None otherwise, as the model passes it without and
+    with a cache.
+    """
+    t, d = x.shape
+    n_q = t if n_q is None else n_q
+    pairs = list(zip(weights[0::2], weights[1::2]))
+    cos, sin = T.rope_tables(np.arange(t), heads, d // heads, dtype=x.dtype)
+    x_q = x if n_q == t else T.constant(x.data[t - n_q:], x.dtype)
+    q, k, v = (T.reshape(T.linear(rows, w, b), (rows.shape[0], heads, d // heads))
+               for rows, (w, b) in zip((x_q, x, x), pairs))
+    q = T.rope(q, (cos[t - n_q:], sin[t - n_q:]))
+    k = T.rope(k, (cos, sin))
+    return kernel(q, k, v, (x, pairs, (cos, sin)) if n_q == t else None)
+
+
 def reference_rollout(model, context, h: int, ensemble: bool = False) -> np.ndarray:
     """Forecast h future points of a univariate context.
 
@@ -638,16 +662,25 @@ def rule_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return rule_product(x, wt)[:, :n]
 
 
+def rule_x_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """g @ w by tensor's product rule for an x-gradient: by w with zero
+    columns up to a multiple of 16, the padding sliced off again."""
+    n, k = w.shape
+    wp = np.concatenate((w, np.zeros((n, -k % 16), dtype=w.dtype)), axis=1)
+    return rule_product(g, wp)[:, :k]
+
+
 def reference_swiglu(x: Tensor, experts: list, bounds) -> Tensor:
     """Gated feed-forward nets down(silu(gate(x)) * up(x)), one per group of rows.
 
     experts[i] is (w_gate [hidden, D], w_up [hidden, D], w_down [D, hidden])
     and applies to rows bounds[i]:bounds[i+1] of x[R, D], bounds running
     from 0 to R. An empty group is skipped, and its weights get no gradient.
-    Each product and gradient is by rule_forward or rule_product, so a row
-    comes out bit for bit the same whatever else shares the call. While a
-    graph records, each group keeps gate(x), its sigmoid and up(x), and the
-    vjp rebuilds the gated product from them by the forward's ops.
+    Each product and gradient is by rule_forward, rule_x_grad or
+    rule_product, so a row comes out bit for bit the same whatever else
+    shares the call. While a graph records, each group keeps gate(x), its
+    sigmoid and up(x), and the vjp rebuilds the gated product from them by
+    the forward's ops.
     """
     r, d = x.data.shape
     bounds = [int(b) for b in bounds]
@@ -683,10 +716,10 @@ def reference_swiglu(x: Tensor, experts: list, bounds) -> Tensor:
             w_gate, w_up, w_down = weights[i]
             rows, go = x.data[a:b], g[a:b]
             gate = pre * s
-            g_hidden = rule_product(go, w_down.data)
+            g_hidden = rule_x_grad(go, w_down.data)
             g_up = g_hidden * gate
             g_pre = g_hidden * up * (s + pre * s * (1.0 - s))
-            gx[a:b] = rule_product(g_pre, w_gate.data) + rule_product(g_up, w_up.data)
+            gx[a:b] = rule_x_grad(g_pre, w_gate.data) + rule_x_grad(g_up, w_up.data)
             grads[3 * i: 3 * i + 3] = (rule_product(g_pre.T, rows), rule_product(g_up.T, rows),
                                        rule_product(go.T, gate * up))
         return (gx, *grads)

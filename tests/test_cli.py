@@ -297,6 +297,18 @@ def test_forecast_that_overflows_is_a_typed_error(tmp_path):
                                       "--horizon", "4", "--no-standardize"), "non-finite")
 
 
+def test_forecast_of_values_too_large_to_standardize_is_a_typed_error(tmp_path):
+    # A column alternating +-1e300 has an infinite std: forecast warned
+    # "overflow encountered in square" and wrote nan rows with exit 0.
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, Forecaster.init(ModelConfig(**model_doc()), seed=0))
+    huge = tmp_path / "huge.csv"
+    write_csv(huge, np.stack((np.ones(32), np.resize([1e300, -1e300], 32)), axis=1),
+              ["ch0", "ch1"])
+    assert_clean_failure(*run_process("forecast", "--ckpt", str(ckpt), "--input", str(huge),
+                                      "--horizon", "4"), "channel 1")
+
+
 def bad_eval_docs(dataset):
     spec = {"dataset": dataset, "horizons": [4], "contexts": [16], "splits": [360, 120, 120]}
     return {

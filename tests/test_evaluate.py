@@ -24,7 +24,7 @@ from sparsecast.evaluate import (
     one_epoch_fine_tune,
     parity_gap,
 )
-from sparsecast.model import ConfigError, Forecaster, ModelConfig, count_params
+from sparsecast.model import ConfigError, DataError, Forecaster, ModelConfig, count_params
 from sparsecast.synthetic import build_regime_store
 from sparsecast.evaluate import mae, mse
 from sparsecast.train import TrainConfig
@@ -224,6 +224,46 @@ def test_eval_model_holds_one_copy_of_the_dataset_while_it_forecasts(tmp_path):
     assert probe.held < 1.25 * dataset_bytes, \
         f"{probe.held / 1e6:.2f} MB held, dataset {dataset_bytes / 1e6:.2f} MB"
     assert peak < 2.5 * dataset_bytes, f"peak {peak / 1e6:.2f} MB, dataset {dataset_bytes / 1e6:.2f} MB"
+
+
+def _small_model(max_context=64):
+    return Forecaster.init(ModelConfig(num_layers=1, num_heads=2, num_experts=2, top_k=1,
+                                       d_model=8, d_ff=16, d_expert=8, head_horizons=(1, 4),
+                                       max_context=max_context), seed=3)
+
+
+def test_values_too_large_to_standardize_are_a_data_error(tmp_path):
+    # A channel alternating +-1e300 has an infinite std: standardizing it
+    # warned "overflow encountered in square" and eval_model went on to report
+    # errors on a channel divided down to zeros.
+    values = np.random.default_rng(4).normal(size=(240, 2))
+    values[:, 1] = np.resize([1e300, -1e300], 240)
+    with pytest.raises(DataError, match="channel 1"):
+        Standardizer.fit(values)
+    path = tmp_path / "huge.csv"
+    write_csv(path, values, ["ch0", "ch1"])
+    spec = EvalSpec(dataset=str(path), horizons=(4,), contexts=(16,), splits=(144, 48, 48),
+                    stride=8)
+    with pytest.raises(DataError, match="channel 1"):
+        eval_model(_small_model(), spec)
+
+
+def test_context_above_max_context_is_a_window_error_before_any_forecast(tmp_path, monkeypatch):
+    # The rollout slid each window down to max_context points, so contexts
+    # 64, 70 and 79 reported the same errors under their own labels.
+    path = synthetic_csv(tmp_path, rows=240)
+    spec = EvalSpec(dataset=str(path), horizons=(4, 4), contexts=(64, 70),
+                    splits=(144, 48, 48), stride=8)
+    model = _small_model()
+    calls = []
+    monkeypatch.setattr("sparsecast.evaluate.autoregressive_forecast",
+                        lambda *args: calls.append(args))
+    with pytest.raises(WindowError, match="max_context 64"):
+        eval_model(model, spec)
+    assert calls == []
+    monkeypatch.undo()
+    report = eval_model(_small_model(max_context=70), spec)
+    assert [row["context"] for row in report.rows] == [64, 70]
 
 
 def test_standardizer_transform_matches_one_expression_bitwise():

@@ -13,6 +13,7 @@ import pytest
 import sparsecast
 
 from helpers import (
+    attention_from_rows,
     benchmark_model_and_batch,
     check_against_fd,
     combine_rows,
@@ -35,6 +36,7 @@ from helpers import (
     row_scale,
     rule_forward,
     rule_product,
+    rule_x_grad,
     scalar_huber,
     sigmoid,
     silu,
@@ -137,10 +139,10 @@ def _linear_and_grads(fn, x, w, g):
 @pytest.mark.parametrize("rows", [3, 1024])
 def test_linear_matches_matmul_by_transposed_copy_bitwise(rows):
     # linear replaced matmul(x, transpose(w)); the output keeps its bits.
-    # Both gradients follow the product rule, rule_product: dx is g @ w
-    # whole (48 terms), and dw is g.T @ x, whole up to 256 rows and summed
-    # over 256-row blocks in order above, whose bits do not depend on the
-    # BLAS thread count. The matmul's g @ (transposed copy).T and
+    # Both gradients follow the product rule: dx is g @ w whole (48 terms,
+    # rule_x_grad), and dw is g.T @ x (rule_product), whole up to 256 rows
+    # and summed over 256-row blocks in order above, whose bits do not
+    # depend on the BLAS thread count. The matmul's g @ (transposed copy).T and
     # (x.T @ g).T round in other orders, so each gradient of both is held to
     # the float32 error bound of its dot products, which every order meets:
     # |got - exact| <= terms * eps * (|a| @ |b|), exact product in float64.
@@ -150,7 +152,7 @@ def test_linear_matches_matmul_by_transposed_copy_bitwise(rows):
     out, dx, dw = _linear_and_grads(linear, x, w, g)
     want_out, want_dx, want_dw = _linear_and_grads(lambda a, b: matmul(a, transpose(b)), x, w, g)
     assert out.tobytes() == want_out.tobytes()
-    assert dx.tobytes() == rule_product(g, w).tobytes()
+    assert dx.tobytes() == rule_x_grad(g, w).tobytes()
     assert dw.tobytes() == rule_product(g.T, x).tobytes()
     eps = np.finfo(np.float32).eps
     for got, want, (a, b) in ((dx, want_dx, (g, w)), (dw, want_dw, (g.T, x))):
@@ -625,11 +627,12 @@ def _(rng):
 
 @op_case("attention")
 def _(rng):
-    leaves = _leafify(rng, {"q": (4, 2, 4), "k": (4, 2, 4), "v": (4, 2, 4)})
-    segments = np.array([0, 1, 4])
+    leaves = _leafify(rng, {"x": (4, 8), "wq": (8, 8), "bq": (8,), "wk": (8, 8), "bk": (8,),
+                            "wv": (8, 8), "bv": (8,)})
+    weights = [leaves[name] for name in _PROJECTIONS]
     w = constant(_rand(rng, (4, 2, 4)), np.float64)
     return leaves, lambda: sum_all(
-        mul(masked_attention(leaves["q"], leaves["k"], leaves["v"], segments), w)
+        mul(attention_from_rows(_masked([0, 1, 4]), leaves["x"], weights, 2), w)
     )
 
 
@@ -754,13 +757,52 @@ def _segment_ids(segments):
     return np.repeat(np.arange(len(segments) - 1), np.diff(segments))
 
 
-def _attention_and_grads(kernel, q, k, v, w, mask):
-    leaves = [Tensor(x.copy(), requires_grad=True) for x in (q, k, v)]
+# The projection weights attention_from_rows takes, in its order.
+_PROJECTIONS = ("wq", "bq", "wk", "bk", "wv", "bv")
+_ATTENTION_GRADS = ("out", "dx") + tuple(f"d{name}" for name in _PROJECTIONS)
+
+
+def _masked(segments):
+    """masked_attention as an attention_from_rows kernel."""
+    return lambda q, k, v, source: masked_attention(q, k, v, np.array(segments), source=source)
+
+
+def _dense(segments):
+    """The dense oracle, reference_attention, as an attention_from_rows kernel."""
+    bias = attention_bias(_segment_ids(segments))
+    return lambda q, k, v, source: reference_attention(q, k, v, bias)
+
+
+def _tiled(segments):
+    """The kernel that keeps every tile's weights as an attention_from_rows kernel."""
+    return lambda q, k, v, source: reference_tiled_attention(q, k, v, np.array(segments))
+
+
+def _rows_and_weights(rng, t, heads, d_head, dtype):
+    """Rows x [t, heads * d_head], the projection weights in _PROJECTIONS
+    order, scaled so q, k and v are about unit normal, and loss weights
+    [t, heads, d_head]."""
+    d = heads * d_head
+    x = rng.normal(size=(t, d)).astype(dtype)
+    weights = [rng.normal(scale=d ** -0.5, size=shape).astype(dtype)
+               for shape in ((d, d), (d,)) * 3]
+    return x, weights, rng.normal(size=(t, heads, d_head)).astype(dtype)
+
+
+def _attention_and_grads(kernel, x, weights, w):
+    """The output of kernel on q, k and v projected from leaf copies of x and
+    weights, then the gradients of x and each weight of sum(out * w)."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, *weights)]
     with Graph() as g:
-        out = kernel(*leaves, mask)
+        out = attention_from_rows(kernel, leaves[0], leaves[1:], w.shape[1])
         loss = sum_all(mul(out, constant(w, w.dtype)))
     g.backward(loss)
     return [out.data] + [leaf.grad for leaf in leaves]
+
+
+def _attention(kernel, x, weights, heads, n_q=None):
+    """The output of kernel on the last n_q queries, outside a graph."""
+    return attention_from_rows(kernel, Tensor(x), [Tensor(a) for a in weights], heads, n_q).data
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
@@ -770,15 +812,13 @@ def _attention_and_grads(kernel, q, k, v, w, mask):
                          ids=["T1", "one", "two", "five", "63", "64", "65", "200", "333",
                               "mixed5"])
 def test_attention_matches_dense_oracle(segments, dtype, tol):
-    # Segments shorter than, equal to, one past and several times one query tile.
-    segments = np.array(segments)
-    t = int(segments[-1])
-    ids = _segment_ids(segments)
-    rng = np.random.default_rng(t)
-    q, k, v, w = (rng.normal(size=(t, 3, 4)).astype(dtype) for _ in range(4))
-    got = _attention_and_grads(masked_attention, q, k, v, w, segments)
-    want = _attention_and_grads(reference_attention, q, k, v, w, attention_bias(ids))
-    for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
+    # Segments shorter than, equal to, one past and several times one query
+    # tile: the output and the gradients of the rows and the projections.
+    t = segments[-1]
+    x, weights, w = _rows_and_weights(np.random.default_rng(t), t, 3, 4, dtype)
+    got = _attention_and_grads(_masked(segments), x, weights, w)
+    want = _attention_and_grads(_dense(segments), x, weights, w)
+    for name, a, b in zip(_ATTENTION_GRADS, got, want):
         assert a.dtype == dtype, name
         np.testing.assert_allclose(a, b, rtol=tol, atol=tol, err_msg=name)
 
@@ -788,21 +828,14 @@ def test_attention_matches_dense_oracle(segments, dtype, tol):
                                            ([0, 4, 9], 7), ([0, 1, 4, 5, 6, 11], 8)],
                          ids=["one-last", "one-4", "two-skip-first", "two-7", "five-8"])
 def test_attention_with_kv_prefix_matches_last_rows_of_full_call(segments, n_q, dtype, tol):
-    # Queries for the last n_q key positions only: the output and dq are the
-    # last n_q rows of the full call's, and dk, dv are the full call's when
-    # only those rows reach the loss.
-    segments = np.array(segments)
-    t = int(segments[-1])
-    rng = np.random.default_rng([t, n_q])
-    q, k, v, w = (rng.normal(size=(t, 3, 4)).astype(dtype) for _ in range(4))
-    w[:t - n_q] = 0.0
-    full = _attention_and_grads(masked_attention, q, k, v, w, segments)
-    cached = _attention_and_grads(masked_attention, q[t - n_q:], k, v, w[t - n_q:], segments)
-    for name, a, b in zip(("out", "dq"), cached[:2], full[:2]):
-        assert a.shape == (n_q, 3, 4), name
-        np.testing.assert_allclose(a, b[t - n_q:], rtol=tol, atol=tol, err_msg=name)
-    for name, a, b in zip(("dk", "dv"), cached[2:], full[2:]):
-        np.testing.assert_allclose(a, b, rtol=tol, atol=tol, err_msg=name)
+    # Queries for the last n_q key positions only, as a cached decode step
+    # projects them: the output is the last n_q rows of the full call's.
+    t = segments[-1]
+    x, weights, _ = _rows_and_weights(np.random.default_rng([t, n_q]), t, 3, 4, dtype)
+    full = _attention(_masked(segments), x, weights, 3)
+    cached = _attention(_masked(segments), x, weights, 3, n_q)
+    assert cached.shape == (n_q, 3, 4)
+    np.testing.assert_allclose(cached, full[t - n_q:], rtol=tol, atol=tol)
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
@@ -812,18 +845,12 @@ def test_attention_with_kv_prefix_matches_last_rows_of_full_call(segments, n_q, 
                               "one-before-segment"])
 def test_tiled_attention_with_kv_prefix_matches_dense_oracle(segments, n_q, dtype, tol):
     # The first query sits inside a tile, so that tile scores only its last
-    # rows; the loss reads only the queried rows of the dense oracle.
-    segments = np.array(segments)
-    t = int(segments[-1])
-    rng = np.random.default_rng([t, n_q])
-    q, k, v, w = (rng.normal(size=(t, 3, 4)).astype(dtype) for _ in range(4))
-    w[:t - n_q] = 0.0
-    want = _attention_and_grads(reference_attention, q, k, v, w,
-                                attention_bias(_segment_ids(segments)))
-    got = _attention_and_grads(masked_attention, q[t - n_q:], k, v, w[t - n_q:], segments)
-    want[:2] = [x[t - n_q:] for x in want[:2]]
-    for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
-        np.testing.assert_allclose(a, b, rtol=tol, atol=tol, err_msg=name)
+    # rows: they match the queried rows of the dense oracle.
+    t = segments[-1]
+    x, weights, _ = _rows_and_weights(np.random.default_rng([t, n_q]), t, 3, 4, dtype)
+    want = _attention(_dense(segments), x, weights, 3)[t - n_q:]
+    got = _attention(_masked(segments), x, weights, 3, n_q)
+    np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -834,58 +861,49 @@ def test_tiled_attention_with_kv_prefix_matches_dense_oracle(segments, n_q, dtyp
                          ids=["63", "64", "65", "128", "mixed5", "mid-first-tile",
                               "straddle-segment-end", "straddle-128", "one-before-segment"])
 def test_attention_replay_matches_keep_the_weights_kernel_bitwise(segments, n_q, dtype):
-    # The vjp rebuilds each tile's weights from its row max and sum by the
-    # forward's own ops, so output and gradients equal those of the kernel
-    # that kept the weights, bit for bit, on tile edges and cached prefixes.
-    segments = np.array(segments)
-    t = int(segments[-1])
-    rng = np.random.default_rng([t, n_q, 1])
-    q, k, v, w = (rng.normal(size=(t, 3, 8)).astype(dtype) for _ in range(4))
-    got = _attention_and_grads(masked_attention, q[t - n_q:], k, v, w[t - n_q:], segments)
-    want = _attention_and_grads(reference_tiled_attention, q[t - n_q:], k, v, w[t - n_q:],
-                                segments)
-    for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
+    # The vjp rebuilds q, k and v from the source and each tile's weights
+    # from its row max and sum by the forward's own ops, so the output and
+    # the gradients of the rows and projections equal those of the kernel
+    # that kept the weights, bit for bit, on tile edges. A call with a
+    # cached prefix records nothing, so there the outputs alone.
+    t = segments[-1]
+    x, weights, w = _rows_and_weights(np.random.default_rng([t, n_q, 1]), t, 3, 8, dtype)
+    if n_q == t:
+        got, want = (_attention_and_grads(kernel(segments), x, weights, w)
+                     for kernel in (_masked, _tiled))
+    else:
+        got, want = ([_attention(kernel(segments), x, weights, 3, n_q)]
+                     for kernel in (_masked, _tiled))
+    for name, a, b in zip(_ATTENTION_GRADS, got, want):
         assert a.dtype == dtype, name
-        np.testing.assert_array_equal(a, b, err_msg=name)
+        assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("segments", [[0, 200], [0, 64, 65, 200], [0, 300, 301, 401]])
 def test_attention_given_its_source_rebuilds_q_k_v_bitwise_and_keeps_none(segments):
-    # Given the rows and weights that q, k and v were projected from, a
-    # recorded call keeps none of the three: its vjp rebuilds them one
+    # A recorded call keeps none of q, k and v: its vjp rebuilds them one
     # segment at a time by linear's, reshape's and rope's own ops, so the
-    # output and every gradient equal, bit for bit, those of the call that
-    # kept them and of the kernel that kept every tile's weights
-    # (reference_tiled_attention), a one-row segment included.
+    # output and every gradient equal, bit for bit, those of the kernel that
+    # kept q, k, v and every tile's weights (reference_tiled_attention), a
+    # one-row segment included.
     t, heads, d_head = segments[-1], 4, 8
-    d = heads * d_head
-    rng = np.random.default_rng(t)
-    x0 = rng.normal(size=(t, d)).astype(np.float32)
-    p0 = [(0.3 * rng.normal(size=shape)).astype(np.float32) for shape in ((d, d), (d,)) * 3]
-    w = constant(rng.normal(size=(t, heads, d_head)))
-    tables = rope_tables(np.arange(t), heads, d_head)
-    runs = []
-    for run in ("reference", "kept", "given"):
-        x = Tensor(x0.copy(), requires_grad=True)
-        params = [Tensor(p.copy(), requires_grad=True) for p in p0]
-        pairs = list(zip(params[0::2], params[1::2]))
-        with Graph() as graph:
-            q, k, v = (reshape(linear(x, wp, b), (t, heads, d_head)) for wp, b in pairs)
-            q, k = rope(q, tables), rope(k, tables)
-            held = [weakref.ref(q.data), weakref.ref(k.data), weakref.ref(v.data.base)]
-            if run == "reference":
-                out = reference_tiled_attention(q, k, v, np.array(segments))
-            else:
-                out = masked_attention(q, k, v, np.array(segments),
-                                       source=(x, pairs, tables) if run == "given" else None)
-            del q, k, v
-            loss = sum_all(mul(out, w))
-        if run != "reference":
-            assert [ref() is not None for ref in held] == [run == "kept"] * 3
-        graph.backward(loss)
-        runs.append([out.data.tobytes()] + [a.grad.tobytes() for a in [x] + params])
-    assert runs[1] == runs[0]
-    assert runs[2] == runs[0]
+    x, weights, w = _rows_and_weights(np.random.default_rng(t), t, heads, d_head, np.float32)
+    held = []
+
+    def kernel(q, k, v, source):
+        held.extend(weakref.ref(a) for a in (q.data, k.data, v.data.base))
+        return _masked(segments)(q, k, v, source)
+
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, *weights)]
+    with Graph() as graph:
+        out = attention_from_rows(kernel, leaves[0], leaves[1:], heads)
+        loss = sum_all(mul(out, constant(w)))
+    assert [ref() for ref in held] == [None] * 3
+    graph.backward(loss)
+    got = [out.data] + [leaf.grad for leaf in leaves]
+    want = _attention_and_grads(_tiled(segments), x, weights, w)
+    for name, a, b in zip(_ATTENTION_GRADS, got, want):
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_attention_source_must_fit_its_operands():
@@ -900,20 +918,35 @@ def test_attention_source_must_fit_its_operands():
             masked_attention(q, x, x, np.array([0, 4]), source=source)
 
 
+def test_recorded_attention_needs_its_source():
+    # Outside a recording graph no source is needed; inside one, a call
+    # without it has nothing to rebuild q, k and v from.
+    x = Tensor(np.zeros((4, 1, 2), dtype=np.float32), requires_grad=True)
+    masked_attention(x, x, x, np.array([0, 4]))
+    with Graph(), pytest.raises(ShapeError, match="source"):
+        masked_attention(x, x, x, np.array([0, 4]))
+
+
 def test_recorded_attention_keeps_row_statistics_not_tile_weights():
     t, heads, d_head = 2048, 4, 8
-    rng = np.random.default_rng(0)
-    q, k, v = (Tensor(rng.normal(size=(t, heads, d_head)).astype(np.float32), requires_grad=True)
-               for _ in range(3))
+    x, weights, _ = _rows_and_weights(np.random.default_rng(0), t, heads, d_head, np.float32)
     tile_bytes = heads * ATTENTION_TILE * t * 4
     stats_bytes = 2 * heads * t * 4  # a row max and a row sum per query and head
-    tracemalloc.start()
-    try:
-        with Graph():
-            out = masked_attention(q, k, v, np.array([0, t]))
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    traced = []
+
+    def kernel(q, k, v, source):
+        tracemalloc.start()
+        try:
+            out = masked_attention(q, k, v, np.array([0, t]), source=source)
+            traced.extend(tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        return out
+
+    with Graph():
+        out = attention_from_rows(kernel, Tensor(x, requires_grad=True),
+                                  [Tensor(a, requires_grad=True) for a in weights], heads)
+    held, peak = traced
     # Kept tile weights would hold heads * T^2 / 2 floats: 33.6 MB, or 16 tiles.
     kept = held - out.data.nbytes
     assert kept < 2 * stats_bytes, \
@@ -1028,6 +1061,41 @@ def test_mixture_walks_each_group_in_row_blocks_bitwise(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [24, 40])
+def test_row_blocked_vjps_match_whole_calls_at_widths_off_16(d, dtype):
+    # An x-gradient product multiplies by its weight zero-padded to 16
+    # columns, so head_loss's and mixture's 256-row blocks give the whole
+    # calls' bits at widths that are no multiple of 16 too. Unpadded,
+    # OpenBLAS rounded float32 rows of g [m, 32 or 64] @ w [., 24 or 40] by
+    # the row count.
+    rng = np.random.default_rng([d, np.dtype(dtype).itemsize])
+    t, hidden = 1025, 64
+    x = rng.normal(size=(t, d)).astype(dtype)
+    for horizon in (32, 64):
+        w = rng.normal(scale=0.3, size=(horizon, d)).astype(dtype)
+        targets = rng.normal(size=(t, horizon)).astype(dtype)
+        weights = np.full(targets.shape, 1.0 / t, dtype=dtype)
+        got, want = (_head_loss_and_grads(kernel, x, w, targets, weights, 1.0)
+                     for kernel in (head_loss, reference_head_loss))
+        for name, a, b in zip(("loss", "d_hidden", "d_w"), got, want):
+            assert a.tobytes() == b.tobytes(), f"head_loss, horizon {horizon}: {name}"
+    # The shared expert 2 takes every token, so its group runs four blocks and a one-row tail.
+    cols = np.stack((np.full(t, 2), (np.arange(t) >= 300).astype(np.intp)), axis=1)
+    gates = rng.random(size=(t, 3)).astype(dtype)
+    experts = [tuple(rng.normal(scale=0.3, size=shape).astype(dtype)
+                     for shape in ((hidden, d), (hidden, d), (d, hidden)))
+               for _ in range(3)]
+    g = rng.normal(size=(t, d)).astype(dtype)
+    got, want = (_mixture_and_grads(lambda x, ws, gates: kernel(x, ws, cols, gates),
+                                    x, experts, gates, g)
+                 for kernel in (mixture, reference_mixture))
+    names = ["out", "dx", "d_gates"] + [f"{n}{e}" for e in range(3)
+                                        for n in ("d_gate", "d_up", "d_down")]
+    for name, a, b in zip(names, got, want):
+        assert a.tobytes() == b.tobytes(), f"mixture: {name}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [8, 32])
 @pytest.mark.parametrize("x_grad", [False, True])
 def test_glu_matches_silu_mul_of_linears_bitwise(dtype, n, x_grad):
@@ -1103,20 +1171,19 @@ def test_inference_attention_holds_one_tile_workspace():
 
 def test_recorded_attention_backpropagates_after_later_calls():
     # What a recorded call keeps for its vjp must survive the calls that follow it.
-    segments = np.array([0, 150, 333])
+    segments = [0, 150, 333]
     rng = np.random.default_rng(7)
-    q, k, v, w = (rng.normal(size=(333, 3, 4)) for _ in range(4))
-    leaves = [Tensor(x.copy(), requires_grad=True) for x in (q, k, v)]
+    x, weights, w = _rows_and_weights(rng, 333, 3, 4, np.float64)
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, *weights)]
     with Graph() as g:
-        out = masked_attention(*leaves, segments)
+        out = attention_from_rows(_masked(segments), leaves[0], leaves[1:], 3)
         loss = sum_all(mul(out, constant(w, np.float64)))
     for _ in range(2):
         other = Tensor(rng.normal(size=(333, 3, 4)))
-        masked_attention(other, other, other, segments)
+        masked_attention(other, other, other, np.array(segments))
     g.backward(loss)
-    want = _attention_and_grads(reference_attention, q, k, v, w,
-                                attention_bias(_segment_ids(segments)))
-    for name, a, b in zip(("out", "dq", "dk", "dv"), [out.data] + [x.grad for x in leaves], want):
+    want = _attention_and_grads(_dense(segments), x, weights, w)
+    for name, a, b in zip(_ATTENTION_GRADS, [out.data] + [leaf.grad for leaf in leaves], want):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10, err_msg=name)
 
 
