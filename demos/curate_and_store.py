@@ -8,7 +8,6 @@ Run:  python3 demos/curate_and_store.py
 """
 
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -55,7 +54,7 @@ for seg in segments:
 
 with tempfile.TemporaryDirectory() as tmp:
     store = SequenceStore.write(segments, tmp, name="demo")
-    reopened = SequenceStore.open(Path(tmp) / "demo.meta.json")
+    reopened = SequenceStore.open(tmp)
     print(f"\nstore: {len(reopened)} sequences, {reopened.total_points} points, "
           f"domains {reopened.domains()}")
     first = reopened.read(0)

@@ -114,10 +114,9 @@ def cmd_pack(args) -> int:
                 and is_bare_file_name(doc.get("file"))):
             raise FormatError(f"{manifest_path}: segment {idx} must be an object with a str "
                               f"domain and a file that is a bare file name, got {doc!r}")
-    series = []
-    for doc in segments:
-        loaded = load_csv(clean_dir / doc["file"], CsvSchema(splits=(1.0, 0.0, 0.0)))
-        series.append(CleanSeries(values=loaded.values[:, 0], domain=doc["domain"]))
+    series = (CleanSeries(values=load_csv(clean_dir / doc["file"],
+                                          CsvSchema(splits=(1.0, 0.0, 0.0))).values[:, 0],
+                          domain=doc["domain"]) for doc in segments)
     store = SequenceStore.write(series, args.store)
     print(f"packed {len(store)} sequences ({store.total_points} points) into {args.store}")
     return 0

@@ -11,33 +11,42 @@ one run-finder (_runs) cuts a per-point mask into its maximal runs, the
 finite points for the first stage and the points of passing windows for
 the second.
 
-Cleaned sequences live in flat binary files of little-endian float32 points,
-indexed by a JSON metafile of {file, offset_points, length_points, domain}.
-A store holds finite values only, and each entry names a file in the
-metafile's own directory. Opening or writing a store maps each data file
-read-only once and indexes, per domain, the sequences a crop can start in;
-a read is then a view of the map, with no open, seek or copy, and only the
-pages a crop touches are ever loaded. write puts each file in place by a
-rename, so a store that is open keeps reading the files it mapped. No data
-file may be truncated in place while a store that maps it is open: reading
-a page past the new end kills the process with SIGBUS.
+Cleaned sequences live in one flat file of little-endian float32 points,
+<name>.bin, indexed by <name>.idx: a small header (magic, version 2, the
+domain names, the sequence count), then each sequence's length and domain
+id as fixed-width little-endian arrays. The sequences tile <name>.bin end to
+end in index order, so the offsets are the running sum of the lengths and
+4 x sum(lengths) is the file's size. A store holds finite values only.
+open checks the index in whole-array passes, maps the data file read-only
+once and indexes, per domain, the sequences a crop can start in; a read is
+then a view of the map, with no open, seek or copy, and only the pages a
+crop touches are ever loaded. write streams its sequences in one pass and
+puts each file in place by a rename, so a store that is open keeps reading
+the file it mapped. No data file may be truncated in place while a store
+that maps it is open: reading a page past the new end kills the process
+with SIGBUS.
 """
 
 from __future__ import annotations
 
+import array
 import csv
 import itertools
 import json
 import math
 import numbers
 import os
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-META_VERSION = 1
 STORE_DTYPE = "<f4"
+INDEX_MAGIC = b"SPCSTIDX"
+INDEX_VERSION = 2
+# magic, version, byte length of the domain names, sequence count
+INDEX_HEADER = struct.Struct("<8sIIQ")
 # write_csv formats this many rows per string, about 33 KB for 7 repr
 # columns; the whole body at once held about 7 MB of Python objects for a
 # 14 307 x 7 file. load_csv counts line ends in pieces of READ_BLOCK_BYTES.
@@ -50,7 +59,7 @@ READ_BLOCK_BYTES = 1 << 16
 
 
 class FormatError(ValueError):
-    """Malformed store metafile, data file, or CSV input."""
+    """Malformed store index, data file, or CSV input."""
 
 
 @dataclass
@@ -196,155 +205,147 @@ def clean_series(raw: RawSeries, config: CleanConfig | None = None):
 
 def is_bare_file_name(name) -> bool:
     """Whether name is a str naming a file in the directory it is read from:
-    not empty, not "..", and with no directory part. A metafile entry or a
-    manifest segment names its file so; anything else could reach outside."""
+    not empty, not "..", and with no directory part. A manifest segment
+    names its file so; anything else could reach outside."""
     return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
 
 
-@dataclass
-class StoreEntry:
-    file: str
-    offset_points: int
-    length_points: int
-    domain: str
-
-
-def _map(path: Path) -> np.ndarray:
-    """The whole points of a data file, mapped read-only."""
-    points = path.stat().st_size // 4
-    if not points:  # an empty file cannot be mapped
-        return np.empty(0, dtype=STORE_DTYPE)
-    return np.memmap(path, dtype=STORE_DTYPE, mode="r", shape=(points,))
-
-
 class SequenceStore:
-    """Cleaned sequences in flat f32-LE binary files plus a JSON metafile.
+    """Cleaned sequences in one flat f32-LE file, <name>.bin, indexed by
+    <name>.idx.
 
-    write lays the sequences end to end in one file, <name>.bin, and renames
-    it and the metafile into place from .tmp names, so a store that maps the
-    old file keeps it whole; open maps every file the metafile names,
-    checking each entry's span. maps holds each data file's points;
-    croppable lists per domain, in index order, the sequences of two points
-    or more, where a crop can start.
+    The index is a header, INDEX_HEADER (magic, version, the byte length of
+    the domain names, the sequence count) followed by the domain names as a
+    JSON list of distinct str, then two little-endian arrays with one entry
+    per sequence: its length in points (u8) and its domain id (u4), an
+    index into the names. The sequences tile <name>.bin end to end in index
+    order, so sequence i starts at the sum of the lengths before it and
+    4 x sum(lengths) is the size of <name>.bin. open checks the index in
+    whole-array passes, and the constructor checks that tiling. points maps
+    the data file, bounds holds the n + 1 sequence boundaries, and croppable
+    lists per domain, in index order, the sequences of two points or more,
+    where a crop can start.
     """
 
-    def __init__(self, directory: Path, entries: list, name: str, maps: dict):
-        self.directory = Path(directory)
-        self.entries = entries
-        self.name = name
-        self.maps = maps
-        self.croppable: dict[str, list] = {}
-        for i, e in enumerate(entries):
-            if e.length_points >= 2:
-                self.croppable.setdefault(e.domain, []).append(i)
+    def __init__(self, index: Path, names: list, lengths: np.ndarray, domain_ids: np.ndarray):
+        self.directory, self.name = index.parent, index.stem
+        self.data_file, self.names, self.domain_ids = index.with_suffix(".bin"), names, domain_ids
+        bounds = np.zeros(len(lengths) + 1, dtype=np.uint64)
+        np.cumsum(lengths, out=bounds[1:])
+        if not self.data_file.exists():
+            raise FormatError(f"{index}: missing data file {self.data_file.name}")
+        size = self.data_file.stat().st_size
+        # The running sum of the lengths can only fall where it wrapped past 2**64.
+        if 4 * int(bounds[-1]) != size or (bounds[1:] < bounds[:-1]).any():
+            raise FormatError(f"{index}: the sequence lengths do not tile "
+                              f"{self.data_file.name}: they sum to {int(bounds[-1])} points, "
+                              f"the file holds {size / 4} points")
+        self.bounds = bounds.view(np.int64)  # the same values: a tiling ends below 2**62
+        points = int(bounds[-1])  # an empty file cannot be mapped
+        self.points = (np.memmap(self.data_file, dtype=STORE_DTYPE, mode="r", shape=(points,))
+                       if points else np.empty(0, dtype=STORE_DTYPE))
+        keep = np.flatnonzero(np.diff(self.bounds) >= 2)
+        keep = keep[np.argsort(domain_ids[keep], kind="stable")]
+        parts = np.split(keep, np.cumsum(np.bincount(domain_ids[keep], minlength=len(names)))[:-1])
+        self.croppable = {d: part for d, part in zip(names, parts) if len(part)}
 
     @classmethod
-    def write(cls, series: list, directory, name: str = "store") -> "SequenceStore":
-        if not series:
-            raise ValueError("refusing to write an empty store")
-        with np.errstate(over="ignore"):
-            for i, s in enumerate(series):
-                if not isinstance(s.domain, str):
-                    raise FormatError(f"sequence {i}: domain must be a str, got {s.domain!r}")
-                if not np.isfinite(np.asarray(s.values, dtype=STORE_DTYPE)).all():
-                    raise FormatError(f"sequence {i} holds NaN or Inf as float32; "
-                                      f"a store keeps finite values only")
+    def write(cls, series, directory, name: str = "store") -> "SequenceStore":
+        """Stream series, any iterable of CleanSeries, into a new store in one
+        pass: each sequence is checked, appended to <name>.bin.tmp and
+        recorded as it arrives. Both files are renamed into place, <name>.bin
+        first, only once every sequence passed; on any error both temp files
+        go, and the directory too if write made it."""
         directory = Path(directory)
+        made = not directory.exists()
         directory.mkdir(parents=True, exist_ok=True)
-        file = f"{name}.bin"
-        lengths = [len(s.values) for s in series]
-        entries = [StoreEntry(file, offset, n, s.domain) for s, offset, n
-                   in zip(series, itertools.accumulate(lengths, initial=0), lengths)]
-        tmp = directory / f"{file}.tmp", directory / f"{name}.meta.json.tmp"
-        with open(tmp[0], "wb") as handle:
-            for s in series:
-                handle.write(np.asarray(s.values, dtype=STORE_DTYPE).tobytes())
-        meta = {"version": META_VERSION, "sequences": [vars(e) for e in entries]}
-        tmp[1].write_text(json.dumps(meta, indent=1))
+        tmp = directory / f"{name}.bin.tmp", directory / f"{name}.idx.tmp"
+        names: dict[str, int] = {}
+        lengths, domain_ids = array.array("Q"), array.array("I")
+        try:
+            with open(tmp[0], "wb") as handle, np.errstate(over="ignore"):
+                for i, s in enumerate(series):
+                    if not isinstance(s.domain, str):
+                        raise FormatError(f"sequence {i}: domain must be a str, got {s.domain!r}")
+                    values = np.asarray(s.values, dtype=STORE_DTYPE)
+                    if not np.isfinite(values).all():
+                        raise FormatError(f"sequence {i} holds NaN or Inf as float32; "
+                                          f"a store keeps finite values only")
+                    handle.write(values.tobytes())
+                    lengths.append(values.size)
+                    domain_ids.append(names.setdefault(s.domain, len(names)))
+            if not lengths:
+                raise ValueError("refusing to write an empty store")
+            lengths, domain_ids = np.asarray(lengths, "<u8"), np.asarray(domain_ids, "<u4")
+            header = json.dumps(list(names)).encode()
+            tmp[1].write_bytes(b"".join((INDEX_HEADER.pack(INDEX_MAGIC, INDEX_VERSION,
+                                                           len(header), len(lengths)),
+                                         header, lengths, domain_ids)))
+        except BaseException:
+            for path in tmp:
+                path.unlink(missing_ok=True)
+            if made:
+                directory.rmdir()
+            raise
         for path in tmp:
             os.replace(path, path.with_suffix(""))
-        return cls(directory, entries, name, {file: _map(directory / file)})
+        return cls(directory / f"{name}.idx", list(names), lengths, domain_ids)
 
     @classmethod
     def open(cls, path) -> "SequenceStore":
+        """The store of a <name>.idx, or of the one *.idx in a directory."""
         path = Path(path)
         if path.is_dir():
-            metas = sorted(path.glob("*.meta.json"))
-            if len(metas) != 1:
-                raise FormatError(f"expected exactly one metafile in {path}, found {len(metas)}")
-            path = metas[0]
+            found = sorted(path.glob("*.idx"))
+            if len(found) != 1:
+                old = (" It holds a version-1 store (*.meta.json): re-run `sparsecast pack` "
+                       "to rebuild it." if not found and any(path.glob("*.meta.json")) else "")
+                raise FormatError(f"expected exactly one *.idx in {path}, "
+                                  f"found {len(found)}.{old}")
+            path = found[0]
+        raw = path.read_bytes()
+        # A file shorter than the header is padded with zeros, which fail a check below.
+        magic, version, names_size, count = INDEX_HEADER.unpack_from(
+            raw.ljust(INDEX_HEADER.size, b"\0"))
+        if (magic, version) != (INDEX_MAGIC, INDEX_VERSION):
+            raise FormatError(f"{path} is not a store index of version {INDEX_VERSION}; "
+                              f"re-run `sparsecast pack` to rebuild an older store")
+        start = INDEX_HEADER.size + names_size
+        if len(raw) != start + 12 * count:
+            raise FormatError(f"{path} holds {len(raw)} bytes, but its header and "
+                              f"{count} sequences take {start + 12 * count}")
         try:
-            meta = json.loads(path.read_text())
-        except json.JSONDecodeError as e:
-            raise FormatError(f"unreadable metafile {path}: {e}") from e
-        if not isinstance(meta, dict):
-            raise FormatError(f"{path}: expected a JSON object, got a JSON {type(meta).__name__}")
-        if meta.get("version") != META_VERSION:
-            raise FormatError(f"unsupported store version {meta.get('version')!r}")
-        sequences = meta.get("sequences", [])
-        if not isinstance(sequences, list):
-            raise FormatError(f"{path}: sequences must be a list, got {sequences!r}")
-        directory = path.parent
-        name = path.name[: -len(".meta.json")]
-        entries = []
-        maps: dict[str, np.ndarray] = {}  # one per data file, each stat-ed once
-        spans: dict[str, list] = {}
-        for idx, doc in enumerate(sequences):
-            try:
-                entry = StoreEntry(**doc)
-            except TypeError as e:
-                raise FormatError(f"metafile entry {idx} malformed: {e}") from e
-            # A file outside the store's directory is a fault, not a path to
-            # follow. A name already in maps passed the check: each distinct
-            # name is checked once.
-            if (any(isinstance(v, bool) or not isinstance(v, int)
-                    for v in (entry.offset_points, entry.length_points))
-                    or not isinstance(entry.domain, str)
-                    or not (isinstance(entry.file, str) and entry.file in maps
-                            or is_bare_file_name(entry.file))):
-                raise FormatError(f"metafile entry {idx} malformed: offset_points and "
-                                  f"length_points must be ints, domain a str and file a "
-                                  f"bare file name, got {doc}")
-            if entry.file not in maps:
-                if not (directory / entry.file).exists():
-                    raise FormatError(f"metafile entry {idx}: missing data file {entry.file}")
-                maps[entry.file] = _map(directory / entry.file)
-            file_points = len(maps[entry.file])
-            if entry.offset_points < 0 or entry.length_points < 0 or \
-                    entry.offset_points + entry.length_points > file_points:
-                raise FormatError(
-                    f"metafile entry {idx}: span [{entry.offset_points}, "
-                    f"{entry.offset_points + entry.length_points}) outside {entry.file} "
-                    f"({file_points} points)")
-            spans.setdefault(entry.file, []).append((entry.offset_points,
-                                                     entry.offset_points + entry.length_points, idx))
-            entries.append(entry)
-        for file, file_spans in spans.items():
-            file_spans.sort()
-            for (_, stop_a, idx_a), (start_b, _, idx_b) in zip(file_spans, file_spans[1:]):
-                if start_b < stop_a:
-                    raise FormatError(f"metafile entries {idx_a} and {idx_b} overlap in {file}")
-        return cls(directory, entries, name, maps)
+            names = json.loads(raw[INDEX_HEADER.size:start].decode())
+        except ValueError as e:
+            raise FormatError(f"{path}: unreadable domain names ({e})") from None
+        if not (isinstance(names, list) and all(isinstance(d, str) for d in names)
+                and len(set(names)) == len(names)):
+            raise FormatError(f"{path}: domain names must be a list of distinct str, "
+                              f"got {names!r:.200}")
+        lengths = np.frombuffer(raw, "<u8", count, start)
+        domain_ids = np.frombuffer(raw, "<u4", count, start + 8 * count)
+        if count and domain_ids.max() >= len(names):
+            raise FormatError(f"{path}: domain id {domain_ids.max()} out of range for "
+                              f"{len(names)} domain names")
+        return cls(path, names, lengths, domain_ids)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.domain_ids)
 
     @property
     def total_points(self) -> int:
-        return sum(e.length_points for e in self.entries)
+        return int(self.bounds[-1])
 
     def domains(self) -> list:
-        return sorted({e.domain for e in self.entries})
+        return sorted(self.names)
 
     def read(self, index: int) -> CleanSeries:
-        """Sequence index as a read-only view of its file's map."""
-        if not 0 <= index < len(self.entries):
-            raise IndexError(f"sequence index {index} out of range [0, {len(self.entries)})")
-        entry = self.entries[index]
-        start = entry.offset_points
-        values = self.maps[entry.file][start: start + entry.length_points]
-        return CleanSeries(values=values, domain=entry.domain,
-                           origin=SeriesOrigin(source=str(self.directory / entry.file)))
+        """Sequence index as a read-only view of the data file's map."""
+        if not 0 <= index < len(self):
+            raise IndexError(f"sequence index {index} out of range [0, {len(self)})")
+        return CleanSeries(values=self.points[self.bounds[index]: self.bounds[index + 1]],
+                           domain=self.names[self.domain_ids[index]],
+                           origin=SeriesOrigin(source=str(self.data_file)))
 
 
 # --- batch packing ----------------------------------------------------------------
@@ -457,6 +458,8 @@ class LoadedCsv:
 def _resolve_splits(splits, rows: int) -> tuple:
     if len(splits) != 3:
         raise FormatError(f"splits must have three entries, got {splits}")
+    if any(s < 0 for s in splits):
+        raise FormatError(f"split sizes must be >= 0, got {splits}")
     if all(isinstance(s, (int, np.integer)) for s in splits):
         if sum(splits) != rows:
             raise FormatError(f"explicit splits {splits} do not sum to {rows} rows")

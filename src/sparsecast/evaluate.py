@@ -117,8 +117,9 @@ class EvalSpec(ConfigCodec):
         self.splits = tuple(self.splits)
         if len(self.horizons) != len(self.contexts):
             raise ValueError("horizons and contexts must pair up one-to-one")
-        if not self.horizons:
-            raise ValueError("horizons and contexts must hold at least one pair")
+        if not self.horizons or min(self.horizons + self.contexts) < 1:
+            raise ValueError(f"horizons and contexts must hold at least one pair, all >= 1, "
+                             f"got {self.horizons} and {self.contexts}")
         if self.mode not in ("zero_shot", "fine_tune"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.stride < 1:

@@ -2,7 +2,10 @@
 slow reference kernels that fast paths are checked against."""
 
 import csv
+import itertools
+import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -398,28 +401,42 @@ def benchmark_model_and_batch(tmp_path):
 
 
 # --- the sampler that indexed the store and read each crop's whole sequence
-# from its file on every call, kept as the oracle of sample_batch -------------
+# from its file on every call, kept as the oracle of sample_batch. It parses
+# <name>.idx field by field with struct, not through sparsecast.data ----------
 
 
-def indices_by_domain(store) -> dict:
+def reference_index(store) -> list:
+    """(offset, length, domain) of each sequence of the store's <name>.idx,
+    whose sequences tile <name>.bin in index order."""
+    raw = (store.directory / f"{store.name}.idx").read_bytes()
+    magic, version, names_size, count = struct.unpack_from("<8sIIQ", raw)
+    assert (magic, version) == (b"SPCSTIDX", 2), (magic, version)
+    names = json.loads(raw[24:24 + names_size])
+    lengths = struct.unpack_from(f"<{count}Q", raw, 24 + names_size)
+    domain_ids = struct.unpack_from(f"<{count}I", raw, 24 + names_size + 8 * count)
+    return list(zip(itertools.accumulate(lengths, initial=0), lengths,
+                    [names[d] for d in domain_ids]))
+
+
+def indices_by_domain(index: list) -> dict:
     out: dict[str, list] = {}
-    for i, e in enumerate(store.entries):
-        out.setdefault(e.domain, []).append(i)
+    for i, (_, _, domain) in enumerate(index):
+        out.setdefault(domain, []).append(i)
     return out
 
 
-def reference_read(store, index: int) -> CleanSeries:
-    if not 0 <= index < len(store.entries):
-        raise IndexError(f"sequence index {index} out of range [0, {len(store.entries)})")
-    entry = store.entries[index]
-    with open(store.directory / entry.file, "rb") as f:
-        f.seek(entry.offset_points * 4)
-        buf = f.read(entry.length_points * 4)
-    if len(buf) != entry.length_points * 4:
-        raise FormatError(f"short read for entry {index} in {entry.file}")
+def reference_read(store, index: list, i: int) -> CleanSeries:
+    if not 0 <= i < len(index):
+        raise IndexError(f"sequence index {i} out of range [0, {len(index)})")
+    offset, length, domain = index[i]
+    path = store.directory / f"{store.name}.bin"
+    with open(path, "rb") as f:
+        f.seek(offset * 4)
+        buf = f.read(length * 4)
+    if len(buf) != length * 4:
+        raise FormatError(f"short read for sequence {i} in {path.name}")
     values = np.frombuffer(buf, dtype=STORE_DTYPE).copy()
-    return CleanSeries(values=values, domain=entry.domain,
-                       origin=SeriesOrigin(source=str(store.directory / entry.file)))
+    return CleanSeries(values=values, domain=domain, origin=SeriesOrigin(source=str(path)))
 
 
 def reference_sample_batch(store, rng: np.random.Generator, batch_size: int,
@@ -431,8 +448,9 @@ def reference_sample_batch(store, rng: np.random.Generator, batch_size: int,
     row as remains. Sequences shorter than two points are skipped. Leftover
     positions carry a fresh sequence id and the pad flag.
     """
-    by_domain = {d: [i for i in idxs if store.entries[i].length_points >= 2]
-                 for d, idxs in indices_by_domain(store).items()}
+    index = reference_index(store)
+    by_domain = {d: [i for i in idxs if index[i][1] >= 2]
+                 for d, idxs in indices_by_domain(index).items()}
     by_domain = {d: idxs for d, idxs in by_domain.items() if idxs}
     if not by_domain:
         raise ValueError("store has no sequences of length >= 2")
@@ -450,7 +468,7 @@ def reference_sample_batch(store, rng: np.random.Generator, batch_size: int,
         while context_len - pos >= 2:
             domain = draw_domain(rng, names, probs)
             seq_index = by_domain[domain][rng.integers(len(by_domain[domain]))]
-            values = reference_read(store, seq_index).values
+            values = reference_read(store, index, seq_index).values
             start = int(rng.integers(0, len(values) - 1))  # start <= len - 2
             crop = values[start: start + (context_len - pos)]
             tokens[b, pos: pos + len(crop), 0] = crop

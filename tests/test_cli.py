@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -319,6 +321,11 @@ def bad_eval_docs(dataset):
         "json_array": ([spec], "JSON object"),
         # Exited 0 with NaN averages after two "Mean of empty slice" warnings.
         "no_pairs": ({**spec, "horizons": [], "contexts": []}, "at least one pair"),
+        # An IndexError traceback once the CSV had loaded.
+        "zero_context": ({**spec, "contexts": [0]}, "all >= 1"),
+        # Loaded as given: the test windows' targets fell inside the rows the
+        # standardizer was fitted on.
+        "negative_split": ({**spec, "splits": [500, -20, 120]}, "split sizes must be >= 0"),
         "unknown_fine_tune_key": ({**spec, "mode": "fine_tune", "fine_tune": {"bogus": 1}},
                                   "TrainConfig"),
     }
@@ -362,42 +369,46 @@ def test_badly_typed_run_input_is_a_typed_error(tmp_path, case):
     assert_clean_failure(*run_process(*argv), mentions)
 
 
-def with_entry(**fields):
-    """A metafile edit that overrides fields of the first sequence entry."""
-    def edit(meta):
-        return {**meta, "sequences": [{**meta["sequences"][0], **fields}, *meta["sequences"][1:]]}
-    return edit
+def store_index(magic=b"SPCSTIDX", version=2, names=b'["d"]', count=2, lengths=(64, 64),
+                domain_ids=(0, 0), tail=b""):
+    """The bytes of a version-2 <name>.idx, field by field."""
+    return (struct.pack("<8sIIQ", magic, version, len(names), count) + names
+            + struct.pack(f"<{len(lengths)}Q", *lengths)
+            + struct.pack(f"<{len(domain_ids)}I", *domain_ids) + tail)
 
 
-# Faulty store metafiles: an AttributeError or TypeError at open or at the first
-# read, or (the file cases) a store that read a file outside its directory.
-BAD_METAFILES = {
-    "json_list": (lambda meta: [meta], "JSON object"),
-    "null_sequences": (lambda meta: {**meta, "sequences": None}, "sequences must be a list"),
-    "string_offset": (with_entry(offset_points="0"), "entry 0"),
-    "bool_offset": (with_entry(offset_points=True, length_points=32), "entry 0"),
-    "float_length": (with_entry(length_points=2.5), "entry 0"),
-    "int_domain": (with_entry(domain=5), "entry 0"),
-    "int_file": (with_entry(file=5), "entry 0"),
-    "parent_file": (with_entry(file="../good/store.bin"), "entry 0"),
-    "dot_file": (with_entry(file="."), "entry 0"),
-    "dot_dot_file": (with_entry(file=".."), "entry 0"),
-    "empty_file": (with_entry(file=""), "entry 0"),
+# Faulty store indexes, each of two 64-point sequences in domain "d", and a
+# store of version 1, whose JSON metafile v2 no longer reads.
+BAD_INDEXES = {
+    "bad_magic": (store_index(magic=b"SPCSTIDY"), "not a store index of version 2"),
+    "bad_version": (store_index(version=3), "not a store index of version 2"),
+    "names_not_json": (store_index(names=b'["d"'), "unreadable domain names"),
+    "int_domain": (store_index(names=b"[5]"), "domain names must be a list of distinct str"),
+    "count_past_the_end": (store_index(count=3), "its header and 3 sequences take"),
+    "trailing_bytes": (store_index(tail=b"\0"), "holds 54 bytes, but its header and 2 "
+                                                "sequences take 53"),
+    "domain_id_out_of_range": (store_index(domain_ids=(0, 1)), "domain id 1 out of range"),
+    "version_1": (None, "version-1 store (*.meta.json): re-run `sparsecast pack`"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_METAFILES))
+@pytest.mark.parametrize("case", sorted(BAD_INDEXES))
 def test_bad_store_metafile_is_a_typed_error(tmp_path, case):
-    edit, mentions = BAD_METAFILES[case]
+    index, mentions = BAD_INDEXES[case]
     rng = np.random.default_rng(0)
     good = SequenceStore.write([CleanSeries(values=rng.normal(size=64), domain="d")
                                 for _ in range(2)], tmp_path / "good")
+    assert (good.directory / "store.idx").read_bytes() == store_index()
     bad = tmp_path / "bad"
     bad.mkdir()
     (bad / "store.bin").write_bytes((good.directory / "store.bin").read_bytes())
-    meta = json.loads((good.directory / "store.meta.json").read_text())
-    (bad / "store.meta.json").write_text(json.dumps(edit(meta)))
-    with pytest.raises(FormatError, match=mentions):
+    if index is None:
+        (bad / "store.meta.json").write_text(json.dumps({"version": 1, "sequences": [
+            {"file": "store.bin", "offset_points": 64 * i, "length_points": 64, "domain": "d"}
+            for i in range(2)]}))
+    else:
+        (bad / "store.idx").write_bytes(index)
+    with pytest.raises(FormatError, match=re.escape(mentions)):
         SequenceStore.open(bad)
     config = write_train_config(tmp_path / "config.json")
     assert_clean_failure(*run_process("train", "--config", str(config), "--store", str(bad),

@@ -1,22 +1,24 @@
 """Cleaning pipeline, binary store, packing, and CSV ingestion."""
 
-import json
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import reference_load_csv, reference_sample_batch, reference_write_csv
+from helpers import (reference_index, reference_load_csv, reference_sample_batch,
+                     reference_write_csv)
 
 import sparsecast
 from sparsecast.data import (
     CleanConfig,
     CleanSeries,
     CsvSchema,
-    META_VERSION,
+    INDEX_HEADER,
     FormatError,
     RawSeries,
     SequenceStore,
@@ -298,8 +300,9 @@ def test_store_total_points_bookkeeping(tmp_path):
     series = [make_series(rng, n) for n in (10, 20, 30)]
     store = SequenceStore.write(series, tmp_path)
     assert store.total_points == 60
-    meta = json.loads((tmp_path / "store.meta.json").read_text())
-    assert sum(e["length_points"] for e in meta["sequences"]) == 60
+    assert [(offset, n) for offset, n, _ in reference_index(store)] == [(0, 10), (10, 20),
+                                                                        (30, 30)]
+    assert (tmp_path / "store.bin").stat().st_size == 4 * 60
 
 
 def test_store_read_out_of_range(tmp_path):
@@ -309,65 +312,145 @@ def test_store_read_out_of_range(tmp_path):
         store.read(1)
 
 
-def test_store_sharding(tmp_path):
-    # write makes one data file; open reads a store whose metafile names several.
-    rng = np.random.default_rng(9)
-    series = [make_series(rng, 50) for _ in range(5)]
-    docs = []
-    for k, part in enumerate((series[:2], series[2:4], series[4:])):
-        SequenceStore.write(part, tmp_path, name=f"part{k}")
-        meta_path = tmp_path / f"part{k}.meta.json"
-        docs += json.loads(meta_path.read_text())["sequences"]
-        meta_path.unlink()
-    (tmp_path / "store.meta.json").write_text(json.dumps({"version": META_VERSION, "sequences": docs}))
-    reopened = SequenceStore.open(tmp_path)
-    assert len({e.file for e in reopened.entries}) == 3
-    for i, s in enumerate(series):
-        np.testing.assert_array_equal(reopened.read(i).values, s.values)
+def edit_index(path, offset, fmt, value):
+    """Overwrite one field of an index file in place."""
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(bytes(raw))
 
 
-def test_store_open_checks_each_file_name_once(tmp_path, monkeypatch):
-    # A store names few files and many sequences: open checks each distinct
-    # name, not each metafile entry.
-    rng = np.random.default_rng(19)
-    SequenceStore.write([make_series(rng, 4) for _ in range(1000)], tmp_path)
-    names, check = [], sparsecast.data.is_bare_file_name
-    monkeypatch.setattr(sparsecast.data, "is_bare_file_name",
-                        lambda name: names.append(name) or check(name))
-    assert len(SequenceStore.open(tmp_path)) == 1000
-    assert names == ["store.bin"]
+def records_start(path):
+    """Byte offset of the length array: the header plus the domain names."""
+    return INDEX_HEADER.size + INDEX_HEADER.unpack_from(path.read_bytes())[2]
 
 
 def test_store_detects_corrupt_offsets(tmp_path):
     rng = np.random.default_rng(10)
     SequenceStore.write([make_series(rng, 10)], tmp_path)
-    meta_path = tmp_path / "store.meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta["sequences"][0]["length_points"] = 99
-    meta_path.write_text(json.dumps(meta))
-    with pytest.raises(FormatError, match="entry 0"):
+    index = tmp_path / "store.idx"
+    edit_index(index, records_start(index), "<Q", 99)
+    with pytest.raises(FormatError, match="sum to 99 points, the file holds 10.0 points"):
         SequenceStore.open(tmp_path)
 
 
 def test_store_detects_overlap(tmp_path):
+    # Lengths whose running sum wraps past 2**64 back to the file's size would
+    # make the sequences overlap: the first spans the whole file, the second
+    # starts near 2**64.
     rng = np.random.default_rng(11)
     SequenceStore.write([make_series(rng, 10), make_series(rng, 10)], tmp_path)
-    meta_path = tmp_path / "store.meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta["sequences"][1]["offset_points"] = 5
-    meta_path.write_text(json.dumps(meta))
-    with pytest.raises(FormatError, match="overlap"):
+    index = tmp_path / "store.idx"
+    edit_index(index, records_start(index), "<Q", 2**64 - 5)
+    edit_index(index, records_start(index) + 8, "<Q", 25)
+    with pytest.raises(FormatError, match="do not tile store.bin"):
+        SequenceStore.open(tmp_path)
+
+
+def test_store_open_takes_the_index_or_its_directory(tmp_path):
+    rng = np.random.default_rng(20)
+    SequenceStore.write([make_series(rng, 10)], tmp_path / "one", name="x.y")
+    assert sorted(p.name for p in (tmp_path / "one").iterdir()) == ["x.y.bin", "x.y.idx"]
+    for path in (tmp_path / "one", tmp_path / "one" / "x.y.idx"):
+        store = SequenceStore.open(path)
+        assert (store.name, len(store), store.data_file.name) == ("x.y", 1, "x.y.bin")
+    SequenceStore.write([make_series(rng, 10)], tmp_path / "one", name="z")
+    with pytest.raises(FormatError, match="exactly one"):
+        SequenceStore.open(tmp_path / "one")
+
+
+def corruption_cases(path: Path):
+    """(label, bytes) of path with each byte XORed by 0x01, 0x80 and 0xff,
+    and of path cut at every offset."""
+    raw = path.read_bytes()
+    for i in range(len(raw)):
+        for mask in (0x01, 0x80, 0xFF):
+            yield f"flip {i} ^ {mask:#x}", raw[:i] + bytes([raw[i] ^ mask]) + raw[i + 1:]
+    for i in range(len(raw)):
+        yield f"cut at {i}", raw[:i]
+
+
+def test_store_corruption_sweep_ends_in_a_clean_open_or_a_format_error(tmp_path):
+    rng = np.random.default_rng(22)
+    SequenceStore.write([make_series(rng, 3, "a"), make_series(rng, 0, "b"),
+                         make_series(rng, 5, "a")], tmp_path)
+    index, data_file = tmp_path / "store.idx", tmp_path / "store.bin"
+    good_index, good_data = index.read_bytes(), data_file.read_bytes()
+    opened = 0
+    for label, raw in corruption_cases(index):
+        index.write_bytes(raw)
+        try:
+            store = SequenceStore.open(tmp_path)
+        except FormatError:
+            continue
+        opened += 1  # a clean open must read and sample without an error
+        assert store.total_points == 8, label
+        for i in range(len(store)):
+            store.read(i)
+        sample_batch(store, np.random.default_rng(0), 2, 8)
+    assert opened < 10  # nearly every fault is caught, not read past
+    index.write_bytes(good_index)
+    # A data file cut by 1-4 bytes, or with a partial point appended, which
+    # a store that counted whole points in the file read without a word.
+    for raw in [good_data[:-cut] for cut in range(1, 5)] + [good_data + b"\0" * 2]:
+        data_file.write_bytes(raw)
+        with pytest.raises(FormatError, match="do not tile"):
+            SequenceStore.open(tmp_path)
+    data_file.unlink()
+    with pytest.raises(FormatError, match="missing data file store.bin"):
         SequenceStore.open(tmp_path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
 def test_store_write_rejects_non_finite_values(tmp_path, bad):
     # 1e39 is finite in float64 but overflows to inf as a stored float32.
+    # The bad sequence sits mid-stream: nothing written before it is left,
+    # not even a temp file, nor the directory where write made it.
     rng = np.random.default_rng(12)
-    with pytest.raises(FormatError, match="sequence 1 holds NaN or Inf"):
-        SequenceStore.write([make_series(rng, 10), CleanSeries(values=np.array([1.0, bad]))],
-                            tmp_path)
-    assert not tmp_path.joinpath("store.bin").exists()
+    for directory in (tmp_path, tmp_path / "store"):
+        series = (s for s in [make_series(rng, 10), CleanSeries(values=np.array([1.0, bad])),
+                              make_series(rng, 10)])
+        with pytest.raises(FormatError, match="sequence 1 holds NaN or Inf"):
+            SequenceStore.write(series, directory)
+        assert next(series).values.size == 10  # the stream stopped at the bad sequence
+    assert not any(tmp_path.iterdir())
+
+
+def test_store_write_consumes_its_iterable_once(tmp_path):
+    class Once:
+        def __init__(self, items):
+            self.items, self.iterations = items, 0
+
+        def __iter__(self):
+            self.iterations += 1
+            return iter(self.items)
+
+    rng = np.random.default_rng(23)
+    series = [make_series(rng, n, d) for n, d in ((5, "b"), (0, "a"), (7, "b"))]
+    source = Once(series)
+    store = SequenceStore.write(source, tmp_path)
+    assert source.iterations == 1 and len(store) == 3 and store.domains() == ["a", "b"]
+    for i, s in enumerate(series):
+        assert store.read(i).values.tobytes() == s.values.tobytes()
+        assert store.read(i).domain == s.domain
+
+
+def test_store_write_peak_memory_does_not_grow_with_the_corpus(tmp_path):
+    # Each sequence is 4 KB as float32; only the 12-byte index record of a
+    # sequence may stay behind, so 10x the corpus adds well under its data.
+    def peak(count):
+        rng = np.random.default_rng(24)
+        series = (CleanSeries(values=rng.normal(size=1024), domain="abc"[i % 3])
+                  for i in range(count))
+        tracemalloc.start()
+        try:
+            SequenceStore.write(series, tmp_path / str(count))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(100), peak(1000)
+    assert large - small < 64 * 900, (small, large)
+    assert large < 4096 * 1000 / 10, (small, large)
 
 
 def test_store_write_rejects_a_domain_that_is_not_a_str(tmp_path):
@@ -380,6 +463,7 @@ def test_store_write_rejects_a_domain_that_is_not_a_str(tmp_path):
 def test_store_rejects_empty_write(tmp_path):
     with pytest.raises(ValueError):
         SequenceStore.write([], tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_store_read_is_a_read_only_view_of_the_map(tmp_path):
@@ -389,7 +473,7 @@ def test_store_read_is_a_read_only_view_of_the_map(tmp_path):
     store = SequenceStore.open(tmp_path)
     values = store.read(1).values
     assert not values.flags.writeable
-    assert np.shares_memory(values, store.maps["store.bin"])
+    assert np.shares_memory(values, store.points)
     assert values.tobytes() == series[1].values.tobytes()
 
 
@@ -414,7 +498,7 @@ def test_store_rewritten_while_open_keeps_its_own_values(tmp_path):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, (proc.returncode, proc.stderr)
     assert proc.stdout.strip() == "ok"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.bin", "store.meta.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.bin", "store.idx"]
 
 
 def test_store_of_empty_sequences_opens_and_has_nothing_to_sample(tmp_path):
@@ -474,27 +558,19 @@ def test_sample_batch_requires_weight_coverage(tmp_path):
         sample_batch(store, np.random.default_rng(2), 1, 16, domain_weights={"A": 1.0})
 
 
-def sharded_store(tmp_path, rng):
-    """Sequences of 0, 1, 2 and up to about 900 points in four domains, over
-    three data files; domain "d" has no sequence a crop can start in."""
+def mixed_store(tmp_path, rng):
+    """Sequences of 0, 1, 2 and up to about 900 points in four domains;
+    domain "d" has no sequence a crop can start in."""
     lengths = [0, 1, 2, 3, 17, 64, 255, 256, 257, 511, 900, 2, 0, 130, 1, 880]
-    series = [make_series(rng, n, "abc"[k % 3] if n >= 2 else "d")
-              for k, n in enumerate(lengths)]
-    docs = []
-    for k, part in enumerate((series[:5], series[5:11], series[11:])):
-        SequenceStore.write(part, tmp_path, name=f"part{k}")
-        meta_path = tmp_path / f"part{k}.meta.json"
-        docs += json.loads(meta_path.read_text())["sequences"]
-        meta_path.unlink()
-    (tmp_path / "store.meta.json").write_text(json.dumps({"version": META_VERSION,
-                                                          "sequences": docs}))
-    return SequenceStore.open(tmp_path)
+    return SequenceStore.write([make_series(rng, n, "abc"[k % 3] if n >= 2 else "d")
+                                for k, n in enumerate(lengths)], tmp_path)
 
 
 @pytest.mark.parametrize("weights", [None, {"a": 1.0, "b": 0.0, "c": 2.5}])
 def test_sample_batch_matches_the_per_call_index_and_whole_sequence_reads(tmp_path, weights):
-    store = sharded_store(tmp_path, np.random.default_rng(19))
-    assert len({e.file for e in store.entries}) == 3 and store.domains() == ["a", "b", "c", "d"]
+    store = mixed_store(tmp_path, np.random.default_rng(19))
+    assert len(store) == 16 and store.domains() == ["a", "b", "c", "d"]
+    assert "d" not in store.croppable
     for seed in range(40):
         got = sample_batch(store, np.random.default_rng(seed), 3, 256, weights)
         want = reference_sample_batch(store, np.random.default_rng(seed), 3, 256, weights)
@@ -565,6 +641,15 @@ def test_csv_bad_splits_rejected(tmp_path):
     path.write_text("a\n1\n2\n3\n")
     with pytest.raises(FormatError):
         load_csv(path, CsvSchema(splits=(5, 1, 1)))
+
+
+@pytest.mark.parametrize("splits", [(40, -5, 15), (1.2, -0.2, 0.0), (0.6, 0.6, -0.2)])
+def test_csv_negative_splits_rejected(tmp_path, splits):
+    # Each loaded before: (1.2, -0.2, 0.0) as (60, -10, 0) rows.
+    path = tmp_path / "s.csv"
+    write_csv(path, np.arange(50.0), ["a"])
+    with pytest.raises(FormatError, match="split sizes must be >= 0"):
+        load_csv(path, CsvSchema(splits=splits))
 
 
 # --- CSV: the np.loadtxt parser against the cell-by-cell oracle -------------------

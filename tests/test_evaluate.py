@@ -175,6 +175,10 @@ def test_eval_spec_validation():
         EvalSpec(dataset="x", horizons=(96,), contexts=(512, 1024))
     with pytest.raises(ValueError):
         EvalSpec(dataset="x", mode="few_shot")
+    # A context or horizon below 1 was a bare IndexError in eval_model.
+    for horizons, contexts in (((96,), (0,)), ((96,), (-4,)), ((0, 96), (512, 512))):
+        with pytest.raises(ValueError, match="all >= 1"):
+            EvalSpec(dataset="x", horizons=horizons, contexts=contexts)
     spec = EvalSpec(dataset="x", horizons=(96,), contexts=(512,))
     assert EvalSpec.from_dict(spec.to_dict()) == spec
 
