@@ -255,9 +255,9 @@ class SequenceStore:
         pass: each sequence is checked, appended to <name>.bin.tmp and
         recorded as it arrives. Both files are renamed into place, <name>.bin
         first, only once every sequence passed; on any error both temp files
-        go, and the directory too if write made it."""
+        go, and so does every directory write made, deepest first."""
         directory = Path(directory)
-        made = not directory.exists()
+        made = [d for d in (directory, *directory.parents) if not d.exists()]
         directory.mkdir(parents=True, exist_ok=True)
         tmp = directory / f"{name}.bin.tmp", directory / f"{name}.idx.tmp"
         names: dict[str, int] = {}
@@ -284,8 +284,8 @@ class SequenceStore:
         except BaseException:
             for path in tmp:
                 path.unlink(missing_ok=True)
-            if made:
-                directory.rmdir()
+            for made_dir in made:
+                made_dir.rmdir()
             raise
         for path in tmp:
             os.replace(path, path.with_suffix(""))

@@ -15,21 +15,22 @@ holds keys, not outputs: a node is its own serial key, its inputs' keys
 (or the Tensor of a requires_grad leaf), and its vjp, so an output that no
 vjp reads, such as a projection that rope rotates or a residual branch that
 add sums, is freed as soon as the forward drops it. Attention keeps its
-output and each tile's row max and row sum, not its weights, and its vjp
-replays the forward's ops to rebuild them bit for bit. A recorded call is
-given the rows and weights its q, k and v were projected from, keeps none
-of the three, and rebuilds them too, one segment at a time, by linear's,
-reshape's and rope's own array math. glu
-and mixture keep no activation, only their transposed weight copies:
-their vjps rebuild the gate pre-activation, its sigmoid and the up
-projection by the forward's own ops, and mixture gathers its rows from
-the token rows again and rebuilds its expert outputs for the gates'
-gradient rather than keep them, 256 rows of a group at a time. head_loss
+output and one log-sum-exp per query row and head, not its weights, and its
+vjp rebuilds the weights from it. A recorded call is given the rows and
+weights its q, k and v were projected from, keeps none of the three, and
+rebuilds them too, one segment at a time, by linear's, reshape's and
+rope's own array math. glu and mixture keep no activation, only their
+transposed weight copies: their vjps rebuild the gate pre-activation, its
+sigmoid and the up projection by the forward's own ops, and mixture
+gathers its rows from the token rows again and rebuilds its expert outputs
+for the gates' gradient rather than keep them, 256 rows of a group at a
+time. head_loss
 keeps only its operands and runs the head's product, its residuals and
 their gradients 256 rows at a time. Graph.backward drops each node as its
 vjp runs, so each saved array is freed once backward has passed its
 node. A training step of the benchmark model at 4 x 256 peaks at about
-3.2 MB traced, in the second mixture's forward (3.9 MB when each head ran
+3.1 MB traced (3.2 MB with the exp form of the sigmoid and a row max and
+a row sum kept per attention tile, 3.9 MB when each head ran
 a linear, a Huber op and a weighted sum on whole [1024, p] tables and
 mixture's vjp rebuilt each group whole, 4.6 MB when attention kept q, k
 and v, 6.5 MB when the gated ops also kept their sigmoids and the expert
@@ -65,9 +66,11 @@ attend causally within their own segment only, and each segment is cut into
 query tiles counted from its own start. A tile scores its queries against
 the keys up to its own last query only, in one block, so the masked
 triangle above it is never computed and its softmax needs no running max
-and sum (an online softmax). A segment packed into a row therefore computes
-bit for bit what it computes alone, at about half of n^2 per segment and
-with no [T, T] mask. Every call, recorded or not, holds one tile's
+and sum (an online softmax). A tile makes three elementwise passes over
+its [heads, m, keys] block (row max, subtract, exp) besides its products,
+and its replay in the vjp two. A segment packed into a row therefore
+computes bit for bit what it computes alone, at about half of n^2 per
+segment and with no [T, T] mask. Every call, recorded or not, holds one tile's
 workspace at a time. The same kernel serves cached decoding, where keys
 and values run longer than the queries by a cached prefix; nothing records
 a cached call.
@@ -92,6 +95,7 @@ gradient-checking headroom. Mixing precisions in one expression is an error.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 
 import numpy as np
@@ -367,7 +371,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
-    if int(np.prod(shape)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     in_shape = a.data.shape
 
@@ -395,12 +399,18 @@ def weighted_sum(x: Tensor, weights) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows. The numerator is 1 where x >= 0 (e <= 1
-    # there) and e below 0: the bits of choosing 1 / d or e / d by sign, at
-    # under half the cost of np.where, whose select mispredicts on random
-    # signs, so the gated ops can run it again in their vjps.
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    """1 / (1 + exp(-x)) as 0.5 + 0.5 tanh(x / 2).
+
+    tanh never overflows and saturates to exactly -1 and 1, so the result
+    saturates to exactly 0 and 1, with no warning. Its absolute error is
+    within one unit in the last place of 0.5 (6e-8 in float32); far below
+    zero it keeps no relative precision (sigmoid(-20), 2e-9, is 0 in
+    float32). At about half the cost of the exp(-|x|) form, the gated ops
+    run it again in their vjps."""
+    s = np.tanh(x * 0.5)
+    s *= 0.5
+    s += 0.5
+    return s
 
 
 def _gated_hidden(rows: np.ndarray, wgt: np.ndarray, wut: np.ndarray, n: int) -> tuple:
@@ -614,6 +624,15 @@ def _segment_spans(segments, t: int) -> list:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _with_last(a: np.ndarray, last) -> np.ndarray:
+    """A copy of a [heads, T, d_head] with one more column, last: a scalar
+    or a [heads, T, 1] array."""
+    aug = np.empty((*a.shape[:2], a.shape[2] + 1), dtype=a.dtype)
+    aug[..., :-1] = a
+    aug[..., -1:] = last
+    return aug
+
+
 def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments, source=None) -> Tensor:
     """Causal scaled dot-product attention, blocked by segment and tiled by query.
 
@@ -638,32 +657,47 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments, source=None) -> 
     running max and sum across key blocks of an online softmax. A tile that
     ends inside the cached prefix holds no query and is skipped.
 
+    The passes over a tile's [heads, m, key range] block are few, after
+    FlashAttention-2 (Dao, 2023, arXiv 2307.08691, section 3.1): the queries
+    are scaled once per segment, the row max comes from np.fmax.reduce, and
+    the exp stays unnormalised. The value product and a product by a column
+    of ones give the output rows and the row sums, so only the [heads, m,
+    d_head] output is divided. That is three elementwise passes over the
+    block (max, subtract, exp) and three products (scores, values, row
+    sums), where scaling and normalising the block took six passes.
     Each tile's weights are dropped before the next tile is scored, so a
-    call holds one tile's workspace, never [heads, n_q, n_k]. While a graph
-    is recording, each tile keeps its row max and row sum ([heads, m, 1]
-    each) for the vjp, which walks the same tiles, rebuilds each tile's
-    weights by the forward's own ops (the same matmul on the same slices,
-    the scale, the diagonal mask, minus the saved max, exp, over the saved
-    sum), so they and every gradient match bit for bit, and sums the key
-    and value gradients over the tiles, holding one tile's weights and
-    their gradient at a time. A logsumexp or online softmax would round
-    differently.
+    call holds one tile's workspace, never [heads, n_q, n_k].
+
+    While a graph is recording, the call keeps one log-sum-exp per query row
+    and head, lse = max + log(sum), a [heads, n, 1] array per segment. The
+    vjp walks the same tiles on per-segment operands with one more column,
+    [q * scale | -lse], [k | 1] and [v | 1], and [g | -rowsum(g * out)] for
+    the output gradient g, so both subtractions happen inside the products:
+    a tile's weights are exp([q * scale | -lse] [k | 1]^T) under the
+    diagonal mask, and its score gradient ([g | -rowsum(g * out)]
+    [v | 1]^T) * weights. That is two elementwise passes (exp and the
+    product by the weights) and five products per tile. The key and value
+    gradients are summed over the tiles, holding one tile's weights and its
+    score gradient at a time.
 
     source is (x, ((wq, bq), (wk, bk), (wv, bv)), tables): the rows
     x [n_k, heads * d_head] and the weights that q, k and v were projected
     from, with q = rope(reshape(linear(x, wq, bq)), tables), k the same by
     wk and bk, and v = reshape(linear(x, wv, bv)), so n_q == n_k. A call
     that a graph records must carry it (ShapeError otherwise), so it has no
-    cached prefix. It keeps only its output and the row statistics, not q,
+    cached prefix. It keeps only its output and the log-sum-exp, not q,
     k or v: its vjp rebuilds the three by those ops' own array math
     (linear's padded product plus the bias, the reshape, rope's rotation by
     the same tables), bit for bit, and the linear nodes keep x anyway. It
     rebuilds them one segment at a time, just before that segment's tiles,
-    so backward holds one segment's q, k and v, not the row's. A call that
-    nothing records needs no source. A training step of the benchmark model
-    at 4 x 256 peaks at about 3.2 MB traced (3.9 MB before the heads' loss
-    and mixture's vjp were row-blocked, 4.6 MB when attention kept q, k and
-    v, 0.79 MB of them), and a one-segment 4096-point step at about 18.7 MB.
+    so backward holds one segment's augmented q, k and v, built in place of
+    the plain ones, not the row's. A call that nothing records needs no
+    source. A training step of the benchmark model at 4 x 256 peaks at about
+    3.1 MB traced (3.2 MB with a row max and a row sum kept per tile and
+    the exp form of the sigmoid, 3.9 MB before the heads' loss and mixture's
+    vjp were row-blocked, 4.6 MB when attention kept q, k and v, 0.79 MB of
+    them), and a one-segment 4096-point step at about 18.7 MB (19.7 MB when
+    the vjp normalised each tile's block by a kept row max and row sum).
     """
     if (q.data.ndim != 3 or k.shape != v.shape or k.data.ndim != 3
             or q.shape[1:] != k.shape[1:] or q.shape[0] > k.shape[0]):
@@ -699,10 +733,8 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments, source=None) -> 
     scale = float(1.0 / np.sqrt(d_head))
     out = np.empty_like(q.data)
 
-    def scores(qs, ks, s, e, t0, t1):
-        """One tile's scaled scores, its future keys at -inf: [heads, e - s, t1]."""
-        ws = np.matmul(qs[:, s:e], ks[:, :t1].transpose(0, 2, 1))
-        ws *= scale
+    def masked(ws, s, e, t0, t1):
+        """ws [heads, e - s, t1], one tile's block, with its future keys at -inf."""
         m = t1 - t0
         np.copyto(ws[:, :, t0:], -np.inf, where=_FUTURE[m - (e - s):m, :m])
         return ws
@@ -711,55 +743,62 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments, source=None) -> 
         """[heads, T, d_head] views of [T, heads, d_head] arrays."""
         return (a.transpose(1, 0, 2) for a in arrays)
 
-    stats = []
+    lses = []
     for a, b, q0, tiles in segs:
-        qs, outs = heads_first(q.data[q0:b - prefix], out[q0:b - prefix])
+        qs, outs = heads_first(q.data[q0:b - prefix] * scale, out[q0:b - prefix])
         ks, vs = heads_first(k.data[a:b], v.data[a:b])
-        seg_stats = []
+        ones = np.ones((b - a, 1), dtype=qs.dtype)
+        lse = np.empty((*qs.shape[:2], 1), dtype=qs.dtype) if keep else None
         for tile in tiles:
             s, e, _, t1 = tile
-            ws = scores(qs, ks, *tile)
-            row_max = ws.max(axis=-1, keepdims=True)
+            ws = masked(np.matmul(qs[:, s:e], ks[:, :t1].transpose(0, 2, 1)), *tile)
+            row_max = np.fmax.reduce(ws, axis=-1, keepdims=True)
             ws -= row_max
             np.exp(ws, out=ws)
-            row_sum = ws.sum(axis=-1, keepdims=True)
-            ws /= row_sum
+            # The row sums as a product too: ws @ 1 takes no elementwise pass.
+            row_sum = np.matmul(ws, ones[:t1])
             np.matmul(ws, vs[:, :t1], out=outs[:, s:e])
-            if keep:
-                seg_stats.append((row_max, row_sum))
             del ws
-        stats.append(seg_stats)
+            outs[:, s:e] /= row_sum
+            if keep:
+                np.add(np.log(row_sum), row_max, out=lse[:, s:e])
+        lses.append(lse)
 
     def vjp(g):
         # A recorded call has no cached prefix, so a segment's queries and keys are
         # both a:b. Tiles add into the key and value gradients.
         gq, gk, gv = np.empty_like(g), np.zeros(shape, g.dtype), np.zeros(shape, g.dtype)
         padded = [(_padded_t(w), bias) for w, bias in projections]
-        for (a, b, _, tiles), seg_stats in zip(segs, stats):
-            # This segment's q, k and v again, by the forward's own ops on its own operands.
-            qd, kd, vd = ((_times(rows[a:b], wt, len(bias)) + bias).reshape((b - a, *shape[1:]))
-                          for wt, bias in padded)
-            qs, ks, vs = heads_first(_rotate(qd, cos[a:b], sin[a:b]),
-                                     _rotate(kd, cos[a:b], sin[a:b]), vd)
-            gs, outs, gqs, gks, gvs = heads_first(g[a:b], out[a:b], gq[a:b], gk[a:b], gv[a:b])
-            for tile, (row_max, row_sum) in zip(tiles, seg_stats):
+
+        def rebuilt(i, a, b):
+            """Projection i of rows a:b again, by the forward's own ops."""
+            wt, bias = padded[i]
+            return (_times(rows[a:b], wt, len(bias)) + bias).reshape((b - a, *shape[1:]))
+
+        for (a, b, _, tiles), lse in zip(segs, lses):
+            # [q * scale | -lse], [k | 1] and [v | 1], heads first, so the products
+            # subtract lse from the scores and g . out from g v^T.
+            qa = _with_last(*heads_first(_rotate(rebuilt(0, a, b), cos[a:b], sin[a:b]) * scale),
+                            -lse)
+            ka = _with_last(*heads_first(_rotate(rebuilt(1, a, b), cos[a:b], sin[a:b])), 1.0)
+            va = _with_last(*heads_first(rebuilt(2, a, b)), 1.0)
+            gs, outs = heads_first(g[a:b], out[a:b])
+            ga = _with_last(gs, -(gs * outs).sum(axis=-1, keepdims=True))
+            gqs, gks, gvs = heads_first(gq[a:b], gk[a:b], gv[a:b])
+            for tile in tiles:
                 s, e, _, t1 = tile
-                # The forward's weights again, by its own ops on its own operands.
-                ws = scores(qs, ks, *tile)
-                ws -= row_max
+                # The forward's weights exp(S - lse), zero above the diagonal.
+                ws = masked(np.matmul(qa[:, s:e], ka[:, :t1].transpose(0, 2, 1)), *tile)
                 np.exp(ws, out=ws)
-                ws /= row_sum
-                go = gs[:, s:e]
-                gvs[:, :t1] += np.matmul(ws.transpose(0, 2, 1), go)
+                gvs[:, :t1] += np.matmul(ws.transpose(0, 2, 1), gs[:, s:e])
                 # d(scores) = w * (g v^T - rowsum(w * g v^T)), and that row sum is g . out.
-                gw = np.matmul(go, vs[:, :t1].transpose(0, 2, 1))
-                gw -= (go * outs[:, s:e]).sum(axis=-1, keepdims=True)
+                gw = np.matmul(ga[:, s:e], va[:, :t1].transpose(0, 2, 1))
                 gw *= ws
-                np.matmul(gw, ks[:, :t1], out=gqs[:, s:e])
-                gks[:, :t1] += np.matmul(gw.transpose(0, 2, 1), qs[:, s:e])
-                del ws, gw  # before the next tile is scored: two blocks at a time, not three
+                del ws
+                np.matmul(gw, ka[:, :t1, :-1], out=gqs[:, s:e])
+                gks[:, :t1] += np.matmul(gw.transpose(0, 2, 1), qa[:, s:e, :-1])
+                del gw  # before the next tile is scored: two blocks at a time, not three
         gq *= scale
-        gk *= scale
         return gq, gk, gv
 
     return _finish("attention", out, (q, k, v), vjp)

@@ -170,65 +170,83 @@ def reference_attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray) -> Te
 def reference_tiled_attention(q: Tensor, k: Tensor, v: Tensor, segments) -> Tensor:
     """Causal scaled dot-product attention, blocked by segment and tiled by query.
 
-    This is the kernel that keeps every tile's softmax weights for the vjp,
-    which tensor.masked_attention's replay of the weights from each tile's
-    row max and row sum replaced, kept as its oracle. Its contract is
-    tensor.masked_attention's.
+    This is the kernel that keeps, per segment, q * scale, k and v with
+    their augmented last columns (-lse, 1 and 1) and every tile's softmax
+    weights exp(S - lse) for the vjp, which tensor.masked_attention's replay
+    of q, k, v and the weights from one log-sum-exp per row replaced, kept
+    as its oracle. Its tile math and vjp products are masked_attention's,
+    and its contract too.
     """
     if (q.data.ndim != 3 or k.shape != v.shape or k.data.ndim != 3
             or q.shape[1:] != k.shape[1:] or q.shape[0] > k.shape[0]):
         raise ShapeError(f"attention expects q [n_q, heads, d_head] and k, v [n_k >= n_q, heads, "
                          f"d_head], got {q.shape}, {k.shape}, {v.shape}")
-    n_q, _, d_head = q.shape
+    n_q, heads, d_head = q.shape
     n_k = k.shape[0]
     prefix = n_k - n_q
-    # (first query row, end query row, segment start, tile start, tile end) per
-    # tile that holds a query: from the tile of a segment's first query on.
-    tiles = []
-    for a, b in _segment_spans(segments, n_k):
-        if b <= prefix:
-            continue
-        for t0 in range(a + max(prefix - a, 0) // ATTENTION_TILE * ATTENTION_TILE, b,
-                        ATTENTION_TILE):
-            t1 = min(t0 + ATTENTION_TILE, b)
-            tiles.append((max(t0, prefix) - prefix, t1 - prefix, a, t0, t1))
     k, v = _as_operand(k, q), _as_operand(v, q)
     keep = _active_graph() is not None and any(x.requires_grad for x in (q, k, v))
     scale = float(1.0 / np.sqrt(d_head))
-    # [heads, T, d_head] views of the [T, heads, d_head] operands.
-    qh, kh, vh = (x.data.transpose(1, 0, 2) for x in (q, k, v))
     out = np.empty_like(q.data)
-    oh = out.transpose(1, 0, 2)
-    weights = []
-    for s, e, a, t0, t1 in tiles:
-        ws = np.matmul(qh[:, s:e], kh[:, a:t1].transpose(0, 2, 1))
-        ws *= scale
+
+    def heads_first(a):
+        return a.transpose(1, 0, 2)
+
+    def masked_block(ws, s, e, t0, t1):
         m = t1 - t0
-        np.copyto(ws[:, :, t0 - a:], -np.inf, where=_FUTURE[m - (e - s):m, :m])
-        ws -= ws.max(axis=-1, keepdims=True)
-        np.exp(ws, out=ws)
-        ws /= ws.sum(axis=-1, keepdims=True)
-        np.matmul(ws, vh[:, a:t1], out=oh[:, s:e])
+        np.copyto(ws[:, :, t0:], -np.inf, where=_FUTURE[m - (e - s):m, :m])
+        return ws
+
+    # Per segment with a query: (a, b, tiles, q * scale | -lse, k | 1, v | 1,
+    # each tile's weights), tiles (s, e, t0, t1) holding query rows s:e and
+    # key positions t0:t1, both counted from the segment's first query and key.
+    kept = []
+    for a, b in _segment_spans(segments, n_k):
+        if b <= prefix:
+            continue
+        p0 = max(prefix - a, 0)  # the first query's key position, counted from a
+        q0 = a + p0 - prefix
+        qh = heads_first(q.data[q0:b - prefix] * scale)
+        kh, vh = heads_first(k.data[a:b]), heads_first(v.data[a:b])
+        oh = heads_first(out[q0:b - prefix])
+        ones = np.ones((heads, b - a, 1), dtype=q.dtype)
+        lse = np.empty((heads, b - a - p0, 1), dtype=q.dtype)
+        tiles = []
+        for t0 in range(p0 // ATTENTION_TILE * ATTENTION_TILE, b - a, ATTENTION_TILE):
+            t1 = min(t0 + ATTENTION_TILE, b - a)
+            s, e = max(t0, p0) - p0, t1 - p0
+            ws = masked_block(np.matmul(qh[:, s:e], kh[:, :t1].transpose(0, 2, 1)), s, e, t0, t1)
+            row_max = np.fmax.reduce(ws, axis=-1, keepdims=True)
+            ws -= row_max
+            np.exp(ws, out=ws)
+            row_sum = np.matmul(ws, ones[0, :t1])
+            np.matmul(ws, vh[:, :t1], out=oh[:, s:e])
+            oh[:, s:e] /= row_sum
+            lse[:, s:e] = np.log(row_sum) + row_max
+            tiles.append((s, e, t0, t1))
         if keep:
-            weights.append(ws)
-        del ws
+            qa = np.concatenate((qh, -lse), axis=-1)
+            k1, v1 = (np.concatenate((x, ones), axis=-1) for x in (kh, vh))
+            weights = [np.exp(masked_block(np.matmul(qa[:, s:e], k1[:, :t1].transpose(0, 2, 1)),
+                                           s, e, t0, t1))
+                       for s, e, t0, t1 in tiles]
+            kept.append((a, b, tiles, qa, k1, v1, weights))
 
     def vjp(g):
-        gh = g.transpose(1, 0, 2)
         # Tiles add into the key and value gradients; keys no query reaches get 0.
         gq, gk, gv = np.empty_like(g), np.zeros_like(k.data), np.zeros_like(v.data)
-        gqh, gkh, gvh = (x.transpose(1, 0, 2) for x in (gq, gk, gv))
-        for (s, e, a, _, t1), ws in zip(tiles, weights):
-            go = gh[:, s:e]
-            gvh[:, a:t1] += np.matmul(ws.transpose(0, 2, 1), go)
-            # d(scores) = w * (g v^T - rowsum(w * g v^T)), and that row sum is g . out.
-            gw = np.matmul(go, vh[:, a:t1].transpose(0, 2, 1))
-            gw -= (go * oh[:, s:e]).sum(axis=-1, keepdims=True)
-            gw *= ws
-            np.matmul(gw, kh[:, a:t1], out=gqh[:, s:e])
-            gkh[:, a:t1] += np.matmul(gw.transpose(0, 2, 1), qh[:, s:e])
+        for a, b, tiles, qa, k1, v1, weights in kept:
+            gh, oh = heads_first(g[a:b]), heads_first(out[a:b])
+            ga = np.concatenate((gh, -(gh * oh).sum(axis=-1, keepdims=True)), axis=-1)
+            gqh, gkh, gvh = heads_first(gq[a:b]), heads_first(gk[a:b]), heads_first(gv[a:b])
+            for (s, e, _, t1), ws in zip(tiles, weights):
+                gvh[:, :t1] += np.matmul(ws.transpose(0, 2, 1), gh[:, s:e])
+                # d(scores) = w * (g v^T - g . out): [g | -g . out] [v | 1]^T.
+                gw = np.matmul(ga[:, s:e], v1[:, :t1].transpose(0, 2, 1))
+                gw *= ws
+                np.matmul(gw, k1[:, :t1, :-1], out=gqh[:, s:e])
+                gkh[:, :t1] += np.matmul(gw.transpose(0, 2, 1), qa[:, s:e, :-1])
         gq *= scale
-        gk *= scale
         return gq, gk, gv
 
     return _finish("attention", out, (q, k, v), vjp)
@@ -609,15 +627,10 @@ def silu(x: Tensor) -> Tensor:
 
 
 def reference_sigmoid(x: np.ndarray) -> np.ndarray:
-    """The boolean-mask sigmoid that tensor._sigmoid's branch-free form
-    replaced, kept as its oracle."""
-    # Branch on sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + exp(-x)) in float64, the oracle of tensor._sigmoid's tanh form;
+    exp overflows to inf, and the quotient to 0, far below zero."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
 
 
 # --- grouped dispatch as a copy of the routed rows plus a swiglu that keeps

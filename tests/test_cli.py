@@ -426,6 +426,21 @@ def test_pack_rejects_a_non_finite_segment(tmp_path, capsys):
     assert not (tmp_path / "store").exists()
 
 
+def test_pack_failure_leaves_no_directory_it_made(tmp_path):
+    # A store path whose parents are missing: pack makes them, the second
+    # segment is not finite, and the command fails with nothing new on disk.
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    write_csv(clean / "ok.csv", np.arange(8.0), ["x"])
+    write_csv(clean / "bad.csv", np.array([1.0, float("nan"), 2.0]), ["x"])
+    (clean / "manifest.json").write_text(json.dumps(
+        {"segments": [{"file": "ok.csv", "domain": "d"}, {"file": "bad.csv", "domain": "d"}]}))
+    before = sorted(tmp_path.rglob("*"))
+    store = tmp_path / "made" / "deeper" / "store"
+    assert_clean_failure(*run_process("pack", str(clean), str(store)), "sequence 1 holds NaN")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # Faulty pack manifests: a KeyError or TypeError traceback, or (the outside
 # case) a segment packed from a file outside the clean directory.
 BAD_MANIFESTS = {

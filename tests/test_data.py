@@ -415,6 +415,20 @@ def test_store_write_rejects_non_finite_values(tmp_path, bad):
     assert not any(tmp_path.iterdir())
 
 
+def test_store_write_failure_removes_every_directory_it_made(tmp_path):
+    # Into a store three levels below the last directory that exists: a
+    # failed write removes all three, deepest first, and nothing that was
+    # there before, not even an empty directory beside them.
+    (tmp_path / "kept").mkdir()
+    rng = np.random.default_rng(13)
+    series = [make_series(rng, 10), CleanSeries(values=np.array([1.0, np.nan]))]
+    with pytest.raises(FormatError, match="sequence 1 holds NaN or Inf"):
+        SequenceStore.write(series, tmp_path / "made" / "deeper" / "store")
+    with pytest.raises(FormatError, match="sequence 1 holds NaN or Inf"):
+        SequenceStore.write(series, tmp_path / "kept" / "store")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept"]
+
+
 def test_store_write_consumes_its_iterable_once(tmp_path):
     class Once:
         def __init__(self, items):
