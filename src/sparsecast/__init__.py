@@ -33,7 +33,7 @@ from .evaluate import (
     match_dense_config,
     mse,
 )
-from .heads import ForecastPlan, autoregressive_forecast, forecast_multivariate, plan_horizons
+from .heads import autoregressive_forecast, plan_horizons
 from .model import ConfigError, DataError, Forecaster, ModelConfig, count_params
 from .moe import ExpertFFN, MoeParams, RouterOutput, load_stats, moe_forward, route_topk
 from .tensor import Graph, NumericError, ShapeError, Tensor

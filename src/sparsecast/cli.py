@@ -35,7 +35,7 @@ from .evaluate import (
     eval_model,
     match_dense_config,
 )
-from .heads import forecast_multivariate
+from .heads import autoregressive_forecast
 from .model import ConfigError, Forecaster, ModelConfig, count_params
 from .synthetic import build_regime_store
 from .tensor import NumericError
@@ -149,12 +149,10 @@ def cmd_forecast(args) -> int:
     context = loaded.values
     if args.standardize:
         scaler = Standardizer.fit(context)
-        prediction = scaler.invert(
-            forecast_multivariate(model, scaler.transform(context), args.horizon,
-                                  ensemble=args.ensemble))
-    else:
-        prediction = forecast_multivariate(model, context, args.horizon,
-                                           ensemble=args.ensemble)
+        context = scaler.transform(context)
+    prediction = autoregressive_forecast(model, context, args.horizon, ensemble=args.ensemble)
+    if args.standardize:
+        prediction = scaler.invert(prediction)
     if args.out:
         write_csv(args.out, prediction, loaded.columns)
         print(f"wrote {args.horizon} rows x {len(loaded.columns)} channels to {args.out}")

@@ -11,6 +11,7 @@ leak into any model input. Metrics are computed on the standardized scale
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import time
@@ -85,17 +86,17 @@ class Standardizer:
 
 
 class LastValueBaseline:
-    """Predicts the last observed value forever; the floor any model must beat."""
+    """Predicts the last observed value forever; the floor any model must beat.
+
+    Same contract as autoregressive_forecast: [T] gives [h], [T, C] gives
+    [h, C], and any other rank or an empty context is a ValueError."""
 
     def forecast(self, context, h: int) -> np.ndarray:
-        context = np.asarray(context, dtype=np.float64).reshape(-1)
-        return np.full(h, context[-1])
-
-
-def _forecast(model, context: np.ndarray, h: int) -> np.ndarray:
-    if hasattr(model, "forecast"):
-        return np.asarray(model.forecast(context, h), dtype=np.float64)
-    return autoregressive_forecast(model, context, h)
+        context = np.asarray(context, dtype=np.float64)
+        if context.ndim not in (1, 2) or context.size == 0:
+            raise ValueError(f"context must be a non-empty [T] or [T, C] array, got "
+                             f"{context.shape}")
+        return np.repeat(context[-1:], h, axis=0)
 
 
 @dataclass
@@ -238,6 +239,11 @@ def eval_model(model, spec: EvalSpec, fine_tune_config: TrainConfig | None = Non
         tuning = {"fine_tune_seed": fine_tune_config.seed, "fine_tune_steps": len(records),
                   "fine_tune_loss": records[-1]["loss"] if records else None,
                   "fine_tune_seconds": time.perf_counter() - began}
+    # Resolved once per call. An object with its own forecast (a baseline) is
+    # asked directly; a model goes to the rollout, whose name is read here at
+    # call time, so a wrapper installed on it is the one that runs.
+    forecast = (model.forecast if hasattr(model, "forecast")
+                else functools.partial(autoregressive_forecast, model))
     began = time.perf_counter()
     rows = []
     channels = values.shape[1]
@@ -250,7 +256,7 @@ def eval_model(model, spec: EvalSpec, fine_tune_config: TrainConfig | None = Non
                                                     context, horizon, spec.stride):
             windows += 1
             for ch in range(channels):
-                pred = _forecast(model, values[c0:c1, ch], horizon)
+                pred = forecast(values[c0:c1, ch], horizon)
                 err = pred - values[t0:t1, ch]
                 se_sum += float(np.sum(err ** 2))
                 ae_sum += float(np.sum(np.abs(err)))

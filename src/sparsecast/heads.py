@@ -3,8 +3,14 @@
 A model carries one linear head per configured horizon p_j. An arbitrary
 request H is served by greedily picking the largest head that still fits the
 remaining length, appending its prediction to the context, and repeating;
-since the smallest head is always 1, every H is reachable. Multivariate
-inputs are forecast channel by channel and never mix.
+since the smallest head is always 1, every H is reachable.
+
+autoregressive_forecast is the one rollout. A [T] context gives [H]; a
+[T, C] context gives [H, C], each channel rolled out on its own cache and
+window, so channels never mix:
+
+    autoregressive_forecast(model, series, 96)          # [512]    -> [96]
+    autoregressive_forecast(model, table, 96)           # [512, 7] -> [96, 7]
 
 The rollout decodes with a KV cache: the context is prefilled once, and
 each later pick pushes only the p values just predicted, at the rotary
@@ -18,32 +24,15 @@ for pick, as recomputing the whole window every time.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ConfigError, KVCache
 
 
-@dataclass
-class ForecastPlan:
-    """Ordered head picks whose sum is exactly the requested horizon."""
-
-    picks: list
-
-    def __iter__(self):
-        return iter(self.picks)
-
-    def __len__(self):
-        return len(self.picks)
-
-    @property
-    def total(self) -> int:
-        return sum(self.picks)
-
-
-def plan_horizons(h: int, horizons) -> ForecastPlan:
-    """Greedy schedule: repeatedly take the largest horizon that still fits."""
+def plan_horizons(h: int, horizons) -> list:
+    """Greedy schedule: the head picks, each the largest horizon that still
+    fits, whose sum is exactly h."""
     if isinstance(h, bool) or not isinstance(h, numbers.Integral) or h < 1:
         raise ValueError(f"forecast horizon must be an integer >= 1, got {h!r}")
     horizons = list(horizons)
@@ -57,11 +46,15 @@ def plan_horizons(h: int, horizons) -> ForecastPlan:
                 picks.append(p)
                 done += p
                 break
-    return ForecastPlan(picks=picks)
+    return picks
 
 
 def autoregressive_forecast(model, context, h: int, ensemble: bool = False) -> np.ndarray:
-    """Forecast h future points of a univariate context.
+    """Forecast h future points: a [T] context gives [h], a [T, C] context
+    gives [h, C]. Any other rank, or an empty context, is a ValueError.
+
+    Each channel of a [T, C] context is rolled out alone, exactly as its
+    own [T] call, so channels never mix.
 
     Per plan pick p: read head p's prediction at the last position and
     append those p values. The first pick prefills a KV cache with the
@@ -74,9 +67,12 @@ def autoregressive_forecast(model, context, h: int, ensemble: bool = False) -> n
     With ensemble=True each predicted offset is averaged over every head
     whose horizon reaches it, instead of trusting the scheduled head alone.
     """
-    context = np.asarray(context, dtype=np.float64).reshape(-1)
-    if context.size < 1:
-        raise ValueError("cannot forecast from an empty context")
+    context = np.asarray(context, dtype=np.float64)
+    if context.ndim not in (1, 2) or context.size == 0:
+        raise ValueError(f"context must be a non-empty [T] or [T, C] array, got {context.shape}")
+    if context.ndim == 2:
+        return np.stack([autoregressive_forecast(model, channel, h, ensemble)
+                         for channel in context.T], axis=1)
     config = model.config
     horizons = config.head_horizons
     plan = plan_horizons(h, horizons)
@@ -101,16 +97,4 @@ def autoregressive_forecast(model, context, h: int, ensemble: bool = False) -> n
         steps.append(pending)
     out = np.concatenate(steps)
     assert out.size == h
-    return out
-
-
-def forecast_multivariate(model, context: np.ndarray, h: int, ensemble: bool = False) -> np.ndarray:
-    """Channel-independent forecast: context [T, C] -> [H, C]."""
-    context = np.asarray(context, dtype=np.float64)
-    if context.ndim == 1:
-        context = context[:, None]
-    channels = context.shape[1]
-    out = np.empty((h, channels), dtype=np.float64)
-    for c in range(channels):
-        out[:, c] = autoregressive_forecast(model, context[:, c], h, ensemble=ensemble)
     return out

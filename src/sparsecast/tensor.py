@@ -24,19 +24,13 @@ transposed weight copies: their vjps rebuild the gate pre-activation, its
 sigmoid and the up projection by the forward's own ops, and mixture
 gathers its rows from the token rows again and rebuilds its expert outputs
 for the gates' gradient rather than keep them, 256 rows of a group at a
-time. head_loss
-keeps only its operands and runs the head's product, its residuals and
-their gradients 256 rows at a time. Graph.backward drops each node as its
-vjp runs, so each saved array is freed once backward has passed its
-node. A training step of the benchmark model at 4 x 256 peaks at about
-3.1 MB traced (3.2 MB with the exp form of the sigmoid and a row max and
-a row sum kept per attention tile, 3.9 MB when each head ran
-a linear, a Huber op and a weighted sum on whole [1024, p] tables and
-mixture's vjp rebuilt each group whole, 4.6 MB when attention kept q, k
-and v, 6.5 MB when the gated ops also kept their sigmoids and the expert
-outputs were kept for the gates' gradient, 8.9 MB when the
-pre-activations, up projections and a copy of the routed rows were kept
-too).
+time. head_loss keeps only its operands and runs the head's product, its
+residuals and their gradients 256 rows at a time. Graph.backward drops
+each node as its vjp runs, so each saved array is freed once backward has
+passed its node. A training step of the benchmark model at 4 x 256 so
+peaks at about 3.1 MB traced: the activations the vjps rebuild, and the
+[1024, p] head tables and whole expert groups they walk in blocks, are
+never held at once.
 
 Every product of a weight with an activation or a gradient (forward,
 x-gradient and weight gradient) goes through one helper, _times, by one
@@ -664,9 +658,8 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments, source=None) -> 
     of ones give the output rows and the row sums, so only the [heads, m,
     d_head] output is divided. That is three elementwise passes over the
     block (max, subtract, exp) and three products (scores, values, row
-    sums), where scaling and normalising the block took six passes.
-    Each tile's weights are dropped before the next tile is scored, so a
-    call holds one tile's workspace, never [heads, n_q, n_k].
+    sums). Each tile's weights are dropped before the next tile is scored,
+    so a call holds one tile's workspace, never [heads, n_q, n_k].
 
     While a graph is recording, the call keeps one log-sum-exp per query row
     and head, lse = max + log(sum), a [heads, n, 1] array per segment. The
@@ -693,11 +686,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, segments, source=None) -> 
     so backward holds one segment's augmented q, k and v, built in place of
     the plain ones, not the row's. A call that nothing records needs no
     source. A training step of the benchmark model at 4 x 256 peaks at about
-    3.1 MB traced (3.2 MB with a row max and a row sum kept per tile and
-    the exp form of the sigmoid, 3.9 MB before the heads' loss and mixture's
-    vjp were row-blocked, 4.6 MB when attention kept q, k and v, 0.79 MB of
-    them), and a one-segment 4096-point step at about 18.7 MB (19.7 MB when
-    the vjp normalised each tile's block by a kept row max and row sum).
+    3.1 MB traced, and a one-segment 4096-point step at about 18.7 MB.
     """
     if (q.data.ndim != 3 or k.shape != v.shape or k.data.ndim != 3
             or q.shape[1:] != k.shape[1:] or q.shape[0] > k.shape[0]):

@@ -212,7 +212,7 @@ def batch_loss(model: Forecaster, batch: PackedBatch, config: TrainConfig) -> tu
         loss = term if loss is None else T.add(loss, term)
 
     info = {"loss_ar": float(loss.data)}
-    if model.config.use_moe and layers:
+    if layers:
         info["loss_aux"] = float(np.mean([aux_loss(r.f, r.r) for r in layers]))
         info["f"] = [r.f.tolist() for r in layers]
         mean_f = np.mean([r.f for r in layers], axis=0)

@@ -1103,3 +1103,14 @@ def reference_optimizer_step(model, optimizer, lr: float) -> float:
     norm = clip_global_norm(model, math.inf if clip is None else clip)
     reference_adamw_step(optimizer, lr)
     return norm
+
+
+def corruption_cases(path: Path, masks=(0x01, 0x80, 0xFF)):
+    """(label, bytes) of path with each byte XORed by each mask, and of path
+    cut at every offset."""
+    raw = path.read_bytes()
+    for i in range(len(raw)):
+        for mask in masks:
+            yield f"flip {i} ^ {mask:#x}", raw[:i] + bytes([raw[i] ^ mask]) + raw[i + 1:]
+    for i in range(len(raw)):
+        yield f"cut at {i}", raw[:i]

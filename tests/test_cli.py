@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import corruption_cases
 
 import sparsecast
 from sparsecast.cli import main
@@ -286,6 +287,23 @@ def test_train_bad_config_is_a_typed_error(tmp_path, case):
     code, err = run_process("train", "--config", str(config), "--store",
                             str(tmp_path / "store"), "--out", str(tmp_path / "m.ckpt"))
     assert_clean_failure(code, err, mentions)
+
+
+def test_config_corruption_sweep_ends_in_exit_0_or_a_typed_error(tmp_path, capsys):
+    # Every byte of a train config XORed three ways and every cut, through
+    # params and train; main raising here is the traceback a user would see.
+    # The store does not exist, so train stops once its config has parsed.
+    config = write_train_config(tmp_path / "config.json")
+    bad = tmp_path / "bad.json"
+    commands = (["params", "--config", str(bad)],
+                ["train", "--config", str(bad), "--store", str(tmp_path / "no-store"),
+                 "--out", str(tmp_path / "m.ckpt")])
+    for label, raw in corruption_cases(config):
+        bad.write_bytes(raw)
+        for argv in commands:
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 0 or (code == 1 and err.startswith("error:")), (label, argv[0], err)
 
 
 def test_forecast_that_overflows_is_a_typed_error(tmp_path):

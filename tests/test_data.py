@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import (reference_index, reference_load_csv, reference_sample_batch,
-                     reference_write_csv)
+from helpers import (corruption_cases, reference_index, reference_load_csv,
+                     reference_sample_batch, reference_write_csv)
 
 import sparsecast
 from sparsecast.data import (
@@ -356,17 +356,6 @@ def test_store_open_takes_the_index_or_its_directory(tmp_path):
     SequenceStore.write([make_series(rng, 10)], tmp_path / "one", name="z")
     with pytest.raises(FormatError, match="exactly one"):
         SequenceStore.open(tmp_path / "one")
-
-
-def corruption_cases(path: Path):
-    """(label, bytes) of path with each byte XORed by 0x01, 0x80 and 0xff,
-    and of path cut at every offset."""
-    raw = path.read_bytes()
-    for i in range(len(raw)):
-        for mask in (0x01, 0x80, 0xFF):
-            yield f"flip {i} ^ {mask:#x}", raw[:i] + bytes([raw[i] ^ mask]) + raw[i + 1:]
-    for i in range(len(raw)):
-        yield f"cut at {i}", raw[:i]
 
 
 def test_store_corruption_sweep_ends_in_a_clean_open_or_a_format_error(tmp_path):

@@ -141,6 +141,15 @@ def test_last_value_on_constant_series_is_exact(tmp_path):
         assert row["mae"] == 0.0
 
 
+def test_last_value_baseline_keeps_the_rollout_shape_contract():
+    ctx = np.arange(30.0).reshape(10, 3)
+    np.testing.assert_array_equal(LastValueBaseline().forecast(ctx, 5), np.tile(ctx[-1], (5, 1)))
+    np.testing.assert_array_equal(LastValueBaseline().forecast(ctx[:, 1], 5), np.full(5, 28.0))
+    for bad in (np.ones((0,)), np.ones((0, 3)), np.ones((10, 3, 2))):
+        with pytest.raises(ValueError, match=r"non-empty \[T\] or \[T, C\]"):
+            LastValueBaseline().forecast(bad, 5)
+
+
 def test_report_has_one_row_per_horizon(tmp_path):
     path = synthetic_csv(tmp_path)
     spec = EvalSpec(dataset=str(path), horizons=(4, 8, 12), contexts=(16, 16, 32),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import reference_rollout
-from sparsecast.heads import ForecastPlan, autoregressive_forecast, forecast_multivariate, plan_horizons
+from sparsecast.heads import autoregressive_forecast, plan_horizons
 from sparsecast.model import ConfigError, Forecaster, ModelConfig, head_forward
 from sparsecast.tensor import Tensor
 
@@ -47,15 +47,15 @@ class ConstantModel:
 
 
 def test_plan_96_is_64_plus_32():
-    assert plan_horizons(96, HORIZONS).picks == [64, 32]
+    assert plan_horizons(96, HORIZONS) == [64, 32]
 
 
 def test_plan_base_case():
-    assert plan_horizons(1, HORIZONS).picks == [1]
+    assert plan_horizons(1, HORIZONS) == [1]
 
 
 def test_plan_100_trace():
-    assert plan_horizons(100, HORIZONS).picks == [64, 32, 1, 1, 1, 1]
+    assert plan_horizons(100, HORIZONS) == [64, 32, 1, 1, 1, 1]
 
 
 def test_plan_rejects_bad_inputs():
@@ -75,7 +75,7 @@ def test_plan_rejects_a_horizon_that_is_not_an_int(h):
 def test_plan_sums_exactly_for_all_horizons_to_1000():
     for h in range(1, 1001):
         plan = plan_horizons(h, HORIZONS)
-        assert plan.total == h
+        assert sum(plan) == h
         assert all(p in HORIZONS for p in plan)
 
 
@@ -239,7 +239,7 @@ def test_single_channel_reduces_to_univariate():
     model = tiny_model()
     ctx = np.random.default_rng(7).normal(size=30)
     uni = autoregressive_forecast(model, ctx, 12)
-    multi = forecast_multivariate(model, ctx[:, None], 12)
+    multi = autoregressive_forecast(model, ctx[:, None], 12)
     np.testing.assert_array_equal(multi[:, 0], uni)
 
 
@@ -247,8 +247,8 @@ def test_channel_permutation_permutes_forecasts():
     model = tiny_model()
     ctx = np.random.default_rng(8).normal(size=(30, 3))
     perm = [2, 0, 1]
-    base = forecast_multivariate(model, ctx, 9)
-    shuffled = forecast_multivariate(model, ctx[:, perm], 9)
+    base = autoregressive_forecast(model, ctx, 9)
+    shuffled = autoregressive_forecast(model, ctx[:, perm], 9)
     np.testing.assert_array_equal(shuffled, base[:, perm])
 
 
@@ -257,22 +257,34 @@ def test_duplicated_channel_duplicates_forecast():
     rng = np.random.default_rng(9)
     ctx = rng.normal(size=(25, 2))
     doubled = np.concatenate([ctx, ctx[:, :1]], axis=1)
-    out = forecast_multivariate(model, doubled, 11)
+    out = autoregressive_forecast(model, doubled, 11)
     np.testing.assert_array_equal(out[:, 2], out[:, 0])
 
 
 def test_zeroing_one_channel_leaves_others_untouched():
     model = tiny_model()
     ctx = np.random.default_rng(10).normal(size=(25, 3))
-    base = forecast_multivariate(model, ctx, 10)
+    base = autoregressive_forecast(model, ctx, 10)
     ctx2 = ctx.copy()
     ctx2[:, 1] = 0.0
-    out = forecast_multivariate(model, ctx2, 10)
+    out = autoregressive_forecast(model, ctx2, 10)
     np.testing.assert_array_equal(out[:, 0], base[:, 0])
     np.testing.assert_array_equal(out[:, 2], base[:, 2])
 
 
-def test_plan_dataclass_iteration():
-    plan = ForecastPlan(picks=[64, 32])
-    assert list(plan) == [64, 32]
-    assert plan.total == 96
+@pytest.mark.parametrize("ensemble", [False, True])
+def test_multichannel_context_gives_one_column_per_channel_bit_equal_to_univariate(ensemble):
+    model = tiny_model(num_layers=2)
+    ctx = np.random.default_rng(13).normal(size=(40, 3))
+    out = autoregressive_forecast(model, ctx, 70, ensemble=ensemble)
+    assert out.shape == (70, 3)
+    for c in range(3):
+        np.testing.assert_array_equal(
+            out[:, c], autoregressive_forecast(model, ctx[:, c], 70, ensemble=ensemble))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (30, 0), (), (30, 3, 2)],
+                         ids=["no-rows", "no-channels", "scalar", "3-d"])
+def test_context_that_is_empty_or_not_1d_or_2d_is_rejected(shape):
+    with pytest.raises(ValueError, match=r"non-empty \[T\] or \[T, C\]"):
+        autoregressive_forecast(ConstantModel(1.0), np.ones(shape), 4)

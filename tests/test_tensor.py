@@ -936,7 +936,7 @@ def test_recorded_attention_keeps_row_statistics_not_tile_weights():
     t, heads, d_head = 2048, 4, 8
     x, weights, _ = _rows_and_weights(np.random.default_rng(0), t, heads, d_head, np.float32)
     tile_bytes = heads * ATTENTION_TILE * t * 4
-    stats_bytes = 2 * heads * t * 4  # a row max and a row sum per query and head
+    stats_bytes = heads * t * 4  # one log-sum-exp per query and head
     traced = []
 
     def kernel(q, k, v, source):

@@ -20,6 +20,7 @@ from helpers import (
     ReferenceGraph,
     benchmark_model_and_batch,
     check_against_fd,
+    corruption_cases,
     max_rel_err,
     reference_batch_loss,
     reference_head_targets,
@@ -981,6 +982,21 @@ def test_flipped_checkpoint_byte_is_checkpoint_error_at_every_offset(tmp_path):
     bad.write_bytes(blob + b"\x00")
     with pytest.raises(CheckpointError, match="unexpected bytes"):
         load_checkpoint(bad)
+
+
+def test_checkpoint_corruption_sweep_is_a_checkpoint_error_in_every_case(tmp_path):
+    # The store's sweep, on the smallest model: every byte XORed by 0xff and
+    # every cut. A CRC32 guards every block, so no case may load.
+    model = Forecaster.init(toy_config(num_heads=1, num_experts=1, d_model=2, d_ff=2,
+                                       d_expert=1, head_horizons=(1,), max_context=8), seed=16)
+    path = tmp_path / "tiny.ckpt"
+    save_checkpoint(path, model, AdamW(model, toy_train()), step=3)
+    bad = tmp_path / "bad.ckpt"
+    for label, raw in corruption_cases(path, masks=(0xFF,)):
+        bad.write_bytes(raw)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
+            pytest.fail(f"{label} loaded")
 
 
 def test_version_1_checkpoint_is_unsupported(tmp_path):
