@@ -57,7 +57,9 @@ def _read_json(path: Path) -> dict:
     if not path.exists():
         raise FormatError(f"no such file: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e})") from None
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: invalid JSON ({e})") from e
     if not isinstance(doc, dict):
@@ -125,10 +127,9 @@ def cmd_pack(args) -> int:
 def cmd_train(args) -> int:
     doc = _read_json(Path(args.config))
     model_config = ModelConfig.from_dict(doc.get("model", {}))
-    train_doc = dict(doc.get("train", {}))
+    train_config = TrainConfig.from_dict(doc.get("train", {}))
     if args.seed is not None:
-        train_doc["seed"] = args.seed
-    train_config = TrainConfig.from_dict(train_doc)
+        train_config.seed = args.seed
     domain_weights = doc.get("domain_weights")
     store = SequenceStore.open(args.store)
     model = Forecaster.init(model_config, seed=train_config.seed)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .data import CsvSchema, load_csv, PackedBatch
 from .heads import autoregressive_forecast
-from .model import ConfigCodec, DataError, Forecaster, ModelConfig, count_params, int_items
+from .model import (ConfigCodec, DataError, Forecaster, ModelConfig, count_params, init_params,
+                    int_items)
 from .train import AdamW, TrainConfig, train_loop, train_step
 
 # Canonical (train, val, test) row counts of the long-horizon benchmark files.
@@ -282,35 +283,27 @@ def eval_model(model, spec: EvalSpec, fine_tune_config: TrainConfig | None = Non
 
 
 def flops_per_token(config: ModelConfig, context_len: int = 1024) -> float:
-    """Analytic multiply-add count (x2) per token at a given context length.
-
-    Counts the embedding, per-layer attention projections and score/value
-    matmuls, the mixture (router plus the K routed and one shared expert, or
-    the dense FFN), and the forecast heads.
+    """Analytic multiply-add count (x2) per token at a given context length,
+    read off init_params' placeholder tree: 2 x the activated weights of
+    every 2-D tensor (count_params' activated, less the 1-D norm gains and
+    biases), plus each layer's 2 * 2 * context_len * d_model for the scores
+    and the value mix.
     """
-    d = config.d_model
-    embed = 2 * 2 * d
-    attn = 2 * 4 * d * d + 2 * 2 * context_len * d
-    if config.use_moe:
-        mixture = 2 * (config.num_experts + 1) * d \
-            + (config.top_k + 1) * 2 * 3 * d * config.d_expert
-    else:
-        mixture = 2 * 3 * d * config.d_ff
-    heads = 2 * d * sum(config.head_horizons)
-    return float(embed + config.num_layers * (attn + mixture) + heads)
+    vectors = sum(t.size for t in Forecaster(config, init_params(config)).parameters()
+                  if t.data.ndim == 1)
+    matrices = count_params(config)["activated"] - vectors
+    return float(2 * matrices + config.num_layers * 2 * 2 * context_len * config.d_model)
 
 
 def match_dense_config(moe_config: ModelConfig) -> ModelConfig:
     """Dense variant whose parameter count matches the activated parameters
-    of the mixture model, by solving for its FFN hidden size."""
-    if not moe_config.use_moe:
-        raise ValueError("expected a mixture configuration")
+    of moe_config, by solving for its FFN hidden size: a dense count is
+    linear in d_ff, so its counts at widths 1 and 2 fix the line."""
     target = count_params(moe_config)["activated"]
-    doc = moe_config.to_dict()
-    doc["use_moe"] = False
-    base = ModelConfig.from_dict({**doc, "d_ff": 1})
-    without_ffn = count_params(base)["total"] - moe_config.num_layers * 3 * moe_config.d_model
-    d_ff = round((target - without_ffn) / (moe_config.num_layers * 3 * moe_config.d_model))
+    doc = {**moe_config.to_dict(), "use_moe": False}
+    at_1, at_2 = (count_params(ModelConfig.from_dict({**doc, "d_ff": w}))["total"]
+                  for w in (1, 2))
+    d_ff = round((target - (2 * at_1 - at_2)) / (at_2 - at_1))
     return ModelConfig.from_dict({**doc, "d_ff": max(1, int(d_ff))})
 
 

@@ -66,24 +66,25 @@ class ConfigCodec:
     """Plain-dict codec of a dataclass config. to_dict is asdict in field
     order, with tuple fields as lists, so the dict equals its own JSON round
     trip; from_dict checks each value against its field's type, then builds
-    cls(**doc), so an unknown or missing field, a wrongly typed value, or one
-    that breaks validation is a ConfigError."""
+    cls(**doc), so a doc that is not a dict, an unknown or missing field, a
+    wrongly typed value, or one that breaks validation is a ConfigError."""
 
     def to_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, doc: dict):
-        if isinstance(doc, dict):
-            hints = typing.get_type_hints(cls)
-            declared = {f.name: f.type for f in fields(cls)}
-            for name, value in doc.items():
-                if name not in hints:
-                    continue  # cls(**doc) names the unknown field
-                kinds = typing.get_args(hints[name]) or (hints[name],)
-                if not any(_accepts(kind, value) for kind in kinds):
-                    raise ConfigError(f"invalid {cls.__name__}: {name} must be "
-                                      f"{declared[name]}, got {value!r}")
+        if not isinstance(doc, dict):
+            raise ConfigError(f"invalid {cls.__name__}: expected a JSON object, got {doc!r}")
+        hints = typing.get_type_hints(cls)
+        declared = {f.name: f.type for f in fields(cls)}
+        for name, value in doc.items():
+            if name not in hints:
+                continue  # cls(**doc) names the unknown field
+            kinds = typing.get_args(hints[name]) or (hints[name],)
+            if not any(_accepts(kind, value) for kind in kinds):
+                raise ConfigError(f"invalid {cls.__name__}: {name} must be "
+                                  f"{declared[name]}, got {value!r}")
         try:
             return cls(**doc)
         except TypeError as e:
@@ -145,12 +146,12 @@ class ModelConfig(ConfigCodec):
 @dataclass
 class AttentionParams:
     wq: Tensor
-    bq: Tensor
     wk: Tensor
-    bk: Tensor
     wv: Tensor
-    bv: Tensor
     wo: Tensor
+    bq: Tensor
+    bk: Tensor
+    bv: Tensor
 
 
 @dataclass
@@ -222,17 +223,17 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD,
     return out.astype(dtype)
 
 
-def _param(rng, shape, dtype, std=INIT_STD) -> Tensor:
-    data = np.zeros(shape, dtype=dtype) if rng is None else trunc_normal(rng, shape, std, dtype)
+def _param(rng, shape, dtype, fill=None) -> Tensor:
+    """A learnable tensor: truncated-normal draws from rng, or fill (0 for a
+    bias, 1 for a norm gain) where given. With rng None it is a read-only
+    zero-stride view of fill, or of 0, that allocates nothing."""
+    if rng is None:
+        data = np.broadcast_to(np.array(fill or 0, dtype), shape)
+    elif fill is None:
+        data = trunc_normal(rng, shape, INIT_STD, dtype)
+    else:
+        data = np.full(shape, fill, dtype)
     return Tensor(data, requires_grad=True)
-
-
-def _zeros(shape, dtype) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-
-def _ones(shape, dtype) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
 
 
 def _init_ffn(rng, d_model: int, hidden: int, dtype) -> ExpertFFN:
@@ -252,21 +253,28 @@ class ModelParams:
     heads: list  # one [p_j, D] projection per configured horizon
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator | None,
+def init_params(config: ModelConfig, rng: np.random.Generator | None = None,
                 dtype=np.float32) -> ModelParams:
-    """Fresh parameters; with rng None the weight matrices are zero placeholders
-    (norm gains one, biases zero) for a loader to replace, and nothing is drawn."""
+    """The model's parameter tree, the one statement of its composition:
+    count_params, flops_per_token and match_dense_config read every shape
+    off it, and named_parameters its names.
+
+    With rng, fresh parameters: weights drawn in a fixed order, biases 0 and
+    norm gains 1. With rng None, placeholders that allocate nothing (each a
+    read-only zero-stride view, see _param), for a loader to replace or a
+    count to read; nothing is drawn.
+    """
     d = config.d_model
     blocks = []
     for _ in range(config.num_layers):
         attn = AttentionParams(
-            wq=_param(rng, (d, d), dtype), bq=_zeros((d,), dtype),
-            wk=_param(rng, (d, d), dtype), bk=_zeros((d,), dtype),
-            wv=_param(rng, (d, d), dtype), bv=_zeros((d,), dtype),
+            wq=_param(rng, (d, d), dtype), bq=_param(rng, (d,), dtype, 0),
+            wk=_param(rng, (d, d), dtype), bk=_param(rng, (d,), dtype, 0),
+            wv=_param(rng, (d, d), dtype), bv=_param(rng, (d,), dtype, 0),
             wo=_param(rng, (d, d), dtype),
         )
-        block = BlockParams(attn_norm=_ones((d,), dtype), attn=attn,
-                            ffn_norm=_ones((d,), dtype))
+        block = BlockParams(attn_norm=_param(rng, (d,), dtype, 1), attn=attn,
+                            ffn_norm=_param(rng, (d,), dtype, 1))
         if config.use_moe:
             block.moe = MoeParams(
                 router=_param(rng, (config.num_experts + 1, d), dtype),
@@ -281,9 +289,31 @@ def init_params(config: ModelConfig, rng: np.random.Generator | None,
         embed_w=_param(rng, (d, 1), dtype),
         embed_v=_param(rng, (d, 1), dtype),
         blocks=blocks,
-        final_norm=_ones((d,), dtype),
+        final_norm=_param(rng, (d,), dtype, 1),
         heads=[_param(rng, (p, d), dtype) for p in config.head_horizons],
     )
+
+
+# Checkpoint keys of the parameter-tree fields not keyed by their own name.
+_KEYS = {"embed_w": "embed.w", "embed_v": "embed.v", "blocks": "layers",
+         "attn_norm": "attn_norm.weight", "ffn_norm": "ffn_norm.weight",
+         "final_norm": "final_norm.weight"}
+
+
+def _named_tensors(node, key: str = ""):
+    """(checkpoint key, tensor) of every tensor under node, in field order. A
+    field that is None holds none, and a tensor that is a list item is keyed
+    <index>.weight."""
+    if isinstance(node, Tensor):
+        yield key, node
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            suffix = ".weight" if isinstance(item, Tensor) else ""
+            yield from _named_tensors(item, f"{key}.{i}{suffix}")
+    elif node is not None:
+        for f in fields(node):
+            name = _KEYS.get(f.name, f.name)
+            yield from _named_tensors(getattr(node, f.name), f"{key}.{name}" if key else name)
 
 
 # --- forward pieces ------------------------------------------------------------
@@ -476,37 +506,18 @@ class Forecaster:
         return ForwardResult(hidden=hidden, routing=routing, heads=self.params.heads)
 
     def named_parameters(self):
-        """Yield (name, tensor, decays) for every learnable tensor.
-
-        Norm gains and attention biases are excluded from weight decay.
+        """Iterate (name, tensor, decays) over every learnable tensor, in the
+        parameter tree's field order. Exactly the 1-D tensors, the norm
+        gains and attention biases, are excluded from weight decay.
         """
-        yield "embed.w", self.params.embed_w, True
-        yield "embed.v", self.params.embed_v, True
-        for i, block in enumerate(self.params.blocks):
-            prefix = f"layers.{i}"
-            yield f"{prefix}.attn_norm.weight", block.attn_norm, False
-            attn = block.attn
-            for nm, tns in (("wq", attn.wq), ("wk", attn.wk), ("wv", attn.wv), ("wo", attn.wo)):
-                yield f"{prefix}.attn.{nm}", tns, True
-            for nm, tns in (("bq", attn.bq), ("bk", attn.bk), ("bv", attn.bv)):
-                yield f"{prefix}.attn.{nm}", tns, False
-            yield f"{prefix}.ffn_norm.weight", block.ffn_norm, False
-            if block.moe is not None:
-                yield f"{prefix}.moe.router", block.moe.router, True
-                for j, exp in enumerate(block.moe.experts):
-                    yield f"{prefix}.moe.experts.{j}.w_gate", exp.w_gate, True
-                    yield f"{prefix}.moe.experts.{j}.w_up", exp.w_up, True
-                    yield f"{prefix}.moe.experts.{j}.w_down", exp.w_down, True
-                yield f"{prefix}.moe.shared.w_gate", block.moe.shared.w_gate, True
-                yield f"{prefix}.moe.shared.w_up", block.moe.shared.w_up, True
-                yield f"{prefix}.moe.shared.w_down", block.moe.shared.w_down, True
-            else:
-                yield f"{prefix}.ffn.w_gate", block.ffn.w_gate, True
-                yield f"{prefix}.ffn.w_up", block.ffn.w_up, True
-                yield f"{prefix}.ffn.w_down", block.ffn.w_down, True
-        yield "final_norm.weight", self.params.final_norm, False
-        for j, w in enumerate(self.params.heads):
-            yield f"heads.{j}.weight", w, True
+        return iter(self._named)
+
+    @functools.cached_property
+    def _named(self) -> list:
+        # Walked once per model, not once per step: a tensor of the tree is
+        # updated in place (tensor.data), never rebound.
+        return [(name, tensor, tensor.data.ndim > 1)
+                for name, tensor in _named_tensors(self.params)]
 
     def parameters(self):
         for _, tensor, _ in self.named_parameters():
@@ -523,25 +534,14 @@ class Forecaster:
 
 
 def count_params(config: ModelConfig) -> dict:
-    """Analytic parameter counts, no allocation.
+    """Parameter counts read off init_params' placeholder tree, which
+    allocates nothing.
 
-    total covers every stored tensor; activated excludes the (N - K) routed
-    experts a token never touches. Composition per layer: QKV with bias plus
-    bias-free output projection, two norm gains, and either the mixture
-    (router of (N+1) x D, N routed plus one shared gated FFN at d_expert) or
-    a dense gated FFN at d_ff. Embedding contributes 2 D, the final norm D,
-    and each head p_j x D.
+    total is the size of every stored tensor; activated is total less the
+    (N - K) / N share of the routed experts, which a token never touches.
     """
-    d = config.d_model
-    attn = 3 * (d * d + d) + d * d
-    norms = 2 * d
-    ffn = lambda hidden: 3 * d * hidden
-    if config.use_moe:
-        mixture = (config.num_experts + 1) * d + (config.num_experts + 1) * ffn(config.d_expert)
-        unused = (config.num_experts - config.top_k) * ffn(config.d_expert)
-    else:
-        mixture = ffn(config.d_ff)
-        unused = 0
-    per_layer = attn + norms + mixture
-    total = 2 * d + config.num_layers * per_layer + d + d * sum(config.head_horizons)
-    return {"total": total, "activated": total - config.num_layers * unused}
+    named = list(_named_tensors(init_params(config)))
+    total = sum(tensor.size for _, tensor in named)
+    routed = sum(tensor.size for name, tensor in named if ".moe.experts." in name)
+    idle = routed * (config.num_experts - config.top_k) // config.num_experts
+    return {"total": total, "activated": total - idle}

@@ -1114,3 +1114,52 @@ def corruption_cases(path: Path, masks=(0x01, 0x80, 0xFF)):
             yield f"flip {i} ^ {mask:#x}", raw[:i] + bytes([raw[i] ^ mask]) + raw[i + 1:]
     for i in range(len(raw)):
         yield f"cut at {i}", raw[:i]
+
+
+def reference_count_params(config: ModelConfig) -> dict:
+    """count_params as a closed form per layer: QKV with bias plus a bias-free
+    output projection, two norm gains, and either the mixture (router of
+    (N+1) x D, N routed plus one shared gated FFN at d_expert) or a dense
+    gated FFN at d_ff. The embedding adds 2 D, the final norm D, and each
+    head p_j x D; activated drops the (N - K) routed experts per layer."""
+    d = config.d_model
+    attn = 3 * (d * d + d) + d * d
+    norms = 2 * d
+    ffn = lambda hidden: 3 * d * hidden
+    if config.use_moe:
+        mixture = (config.num_experts + 1) * d + (config.num_experts + 1) * ffn(config.d_expert)
+        unused = (config.num_experts - config.top_k) * ffn(config.d_expert)
+    else:
+        mixture = ffn(config.d_ff)
+        unused = 0
+    per_layer = attn + norms + mixture
+    total = 2 * d + config.num_layers * per_layer + d + d * sum(config.head_horizons)
+    return {"total": total, "activated": total - config.num_layers * unused}
+
+
+def reference_flops_per_token(config: ModelConfig, context_len: int = 1024) -> float:
+    """flops_per_token as a closed form: the embedding, per layer the attention
+    projections and score/value products and the mixture (router plus K
+    routed and one shared expert) or dense FFN, and the heads, each x2."""
+    d = config.d_model
+    embed = 2 * 2 * d
+    attn = 2 * 4 * d * d + 2 * 2 * context_len * d
+    if config.use_moe:
+        mixture = 2 * (config.num_experts + 1) * d \
+            + (config.top_k + 1) * 2 * 3 * d * config.d_expert
+    else:
+        mixture = 2 * 3 * d * config.d_ff
+    heads = 2 * d * sum(config.head_horizons)
+    return float(embed + config.num_layers * (attn + mixture) + heads)
+
+
+def reference_match_dense_config(moe_config: ModelConfig) -> ModelConfig:
+    """match_dense_config as a closed form: the dense FFN width whose total
+    count is nearest the mixture's activated count, at least 1."""
+    target = reference_count_params(moe_config)["activated"]
+    doc = {**moe_config.to_dict(), "use_moe": False}
+    base = ModelConfig.from_dict({**doc, "d_ff": 1})
+    per_width = moe_config.num_layers * 3 * moe_config.d_model
+    without_ffn = reference_count_params(base)["total"] - per_width
+    d_ff = round((target - without_ffn) / per_width)
+    return ModelConfig.from_dict({**doc, "d_ff": max(1, int(d_ff))})

@@ -275,6 +275,9 @@ BAD_TRAIN_DOCS = {
                "weight_decay and warmup_steps must be finite"),
     "inf_weight_decay": ({"model": model_doc(), "train": {"weight_decay": float("inf")}},
                          "weight_decay and warmup_steps must be finite"),
+    # A train section that is no JSON object was a TypeError traceback.
+    "int_train": ({"model": model_doc(), "train": 5}, "TrainConfig"),
+    "list_train": ({"model": model_doc(), "train": [1, 2]}, "TrainConfig"),
 }
 
 
@@ -287,6 +290,19 @@ def test_train_bad_config_is_a_typed_error(tmp_path, case):
     code, err = run_process("train", "--config", str(config), "--store",
                             str(tmp_path / "store"), "--out", str(tmp_path / "m.ckpt"))
     assert_clean_failure(code, err, mentions)
+
+
+@pytest.mark.parametrize("command", ["params", "train"])
+def test_config_that_is_not_utf8_is_an_error_naming_the_file(tmp_path, capsys, command):
+    # The decode error was raised outside the JSON handler and named no file.
+    config = write_train_config(tmp_path / "config.json")
+    config.write_bytes(b"\x80" + config.read_bytes())
+    argv = {"params": ["params", "--config", str(config)],
+            "train": ["train", "--config", str(config), "--store", str(tmp_path / "no-store"),
+                      "--out", str(tmp_path / "m.ckpt")]}[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"error: {config}: not UTF-8 text"), err
 
 
 def test_config_corruption_sweep_ends_in_exit_0_or_a_typed_error(tmp_path, capsys):

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import (reference_count_params, reference_flops_per_token,
+                     reference_match_dense_config)
 
 from sparsecast.data import CsvSchema, write_csv
 from sparsecast.evaluate import (
@@ -352,6 +354,47 @@ def test_fine_tune_mode_requires_config(tmp_path):
 
 
 # --- flops and parity -----------------------------------------------------------------
+
+
+# The paper's base, large and ultra shapes (arXiv 2409.16040), each routed
+# expert d_ff / 2 wide, with their (total, activated) counts.
+PAPER_SHAPES = {
+    "base": (dict(num_layers=12, num_heads=12, d_model=384, d_ff=1536), 102_735_360, 39_034_368),
+    "large": (dict(num_layers=12, num_heads=12, d_model=768, d_ff=3072), 410_729_472, 155_925_504),
+    "ultra": (dict(num_layers=36, num_heads=16, d_model=1024, d_ff=4096),
+              2_190_053_376, 831_098_880),
+}
+
+
+def paper_config(name: str) -> ModelConfig:
+    shape = PAPER_SHAPES[name][0]
+    return ModelConfig(**shape, d_expert=shape["d_ff"] // 2, num_experts=8, top_k=2)
+
+
+def test_counts_flops_and_dense_width_equal_their_closed_forms():
+    grid = [ModelConfig(num_layers=layers, num_heads=2, d_model=16, num_experts=n, top_k=k,
+                        d_ff=d_ff, d_expert=8, use_moe=use_moe)
+            for layers in (1, 2, 3) for n in (1, 4, 8) for k in range(1, n + 1)
+            for d_ff in (8, 40) for use_moe in (True, False)]
+    for name, (_, total, activated) in PAPER_SHAPES.items():
+        moe = paper_config(name)
+        assert count_params(moe) == {"total": total, "activated": activated}
+        grid += [moe, match_dense_config(moe)]
+    for config in grid:
+        assert count_params(config) == reference_count_params(config), config
+        for context in (48, 1024):
+            assert flops_per_token(config, context) \
+                == reference_flops_per_token(config, context), config
+        assert match_dense_config(config) == reference_match_dense_config(config), config
+    # Read off placeholders: real arrays of the ultra model would take 8.8 GB.
+    tracemalloc.start()
+    try:
+        ultra = paper_config("ultra")
+        count_params(ultra), flops_per_token(ultra), match_dense_config(ultra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_flops_moe_below_same_width_dense():

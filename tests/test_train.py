@@ -285,12 +285,30 @@ def test_adamw_step_accepts_float64_gradients_whose_squares_overflow(grad_clip):
     assert optimizer_state(opt) == optimizer_state(ref)
 
 
+# The names are checkpoint keys and their order is AdamW's slot order, which
+# fixes grad_norm's float64 sum; both are pinned as they stood.
+LAYER_0_ATTENTION = ["layers.0.attn_norm.weight", "layers.0.attn.wq", "layers.0.attn.wk",
+                     "layers.0.attn.wv", "layers.0.attn.wo", "layers.0.attn.bq",
+                     "layers.0.attn.bk", "layers.0.attn.bv", "layers.0.ffn_norm.weight"]
+TAIL = ["final_norm.weight", "heads.0.weight", "heads.1.weight"]
+PARAMETER_NAMES = {
+    True: ["embed.w", "embed.v", *LAYER_0_ATTENTION, "layers.0.moe.router",
+           *(f"layers.0.moe.{expert}.{w}" for expert in ("experts.0", "experts.1", "shared")
+             for w in ("w_gate", "w_up", "w_down")), *TAIL],
+    False: ["embed.w", "embed.v", *LAYER_0_ATTENTION, "layers.0.ffn.w_gate",
+            "layers.0.ffn.w_up", "layers.0.ffn.w_down", *TAIL],
+}
+
+
 def test_norm_gains_and_biases_not_decayed():
-    model = Forecaster.init(toy_config(), seed=0)
-    exempt = [name for name, _, decays in model.named_parameters() if not decays]
-    assert all(("norm" in n) or (".b" in n) for n in exempt)
-    assert any("attn_norm" in n for n in exempt)
-    assert any(".bq" in n for n in exempt)
+    # A 1-layer mixture model and its dense ablation: the names in order, and
+    # exactly the 1-D tensors, the norm gains and attention biases, undecayed.
+    for use_moe, names in PARAMETER_NAMES.items():
+        named = list(Forecaster.init(toy_config(use_moe=use_moe), seed=0).named_parameters())
+        assert [name for name, _, _ in named] == names
+        exempt = [name for name, _, decays in named if not decays]
+        assert exempt == [n for n in names if "norm" in n or ".attn.b" in n]
+        assert exempt == [name for name, tensor, _ in named if tensor.data.ndim == 1]
 
 
 # --- targets and loss --------------------------------------------------------------

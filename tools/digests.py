@@ -9,7 +9,12 @@ keep, each computed from fixed seeds at the benchmark model (d_model 32,
             an ETTh1-shaped CSV (14 307 rows, 7 channels, 1 window);
 - forecast: the CSV bytes `sparsecast forecast` writes for 96 steps of
             that CSV's last 512 rows, all 7 channels;
-- rollout:  a univariate (720, 3072) rollout, as float64 bytes.
+- rollout:  a univariate (720, 3072) rollout, as float64 bytes;
+- params:   count_params, flops_per_token at contexts 48 and 1024, and
+            match_dense_config's d_ff of PARAMS_CONFIGS (the benchmark
+            model, the paper's base, large and ultra shapes with each routed
+            expert d_ff / 2 wide, and small edge cases), and the counts and
+            FLOPs of each one's dense twin.
 
 Run the same command on two checkouts and compare the lines; equal
 digests mean equal bits. Uses the standard library, numpy and the package
@@ -31,10 +36,19 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sparsecast import cli, data, evaluate, heads, synthetic, train  # noqa: E402
-from sparsecast.model import Forecaster, ModelConfig  # noqa: E402
+from sparsecast.model import Forecaster, ModelConfig, count_params  # noqa: E402
 
 MODEL_CONFIG = dict(d_model=32, num_layers=2, num_heads=4, num_experts=4, top_k=2,
                     d_expert=32, head_horizons=(1, 8, 32, 64))
+PARAMS_CONFIGS = [
+    MODEL_CONFIG,
+    dict(num_layers=12, num_heads=12, d_model=384, d_ff=1536, d_expert=768, num_experts=8),
+    dict(num_layers=12, num_heads=12, d_model=768, d_ff=3072, d_expert=1536, num_experts=8),
+    dict(num_layers=36, num_heads=16, d_model=1024, d_ff=4096, d_expert=2048, num_experts=8),
+    dict(num_layers=1, num_experts=1, top_k=1, d_model=8, d_expert=8, d_ff=8),
+    dict(num_layers=3, num_experts=8, top_k=8, d_model=16, d_expert=24, d_ff=40,
+         head_horizons=(1, 4)),
+]
 ETT_SPLITS = (8545, 2881, 2881)
 ETT_COLUMNS = ["HUFL", "HULL", "MUFL", "MULL", "LUFL", "LULL", "OT"]
 
@@ -92,6 +106,17 @@ def rollout_digest() -> str:
     return sha(heads.autoregressive_forecast(model(), context, 720).tobytes())
 
 
+def params_digest() -> str:
+    rows = []
+    for doc in PARAMS_CONFIGS:
+        config = ModelConfig(**doc)
+        dense = evaluate.match_dense_config(config)
+        rows += [[count_params(c), evaluate.flops_per_token(c, 48),
+                  evaluate.flops_per_token(c, 1024)] for c in (config, dense)]
+        rows.append(dense.d_ff)
+    return sha(json.dumps(rows, sort_keys=True).encode())
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="sparsecast-digests-") as tmp:
         workdir = Path(tmp)
@@ -102,6 +127,7 @@ def main() -> None:
         print(f"eval      {eval_digest(csv_path)}")
         print(f"forecast  {forecast_digest(workdir, values)}")
         print(f"rollout   {rollout_digest()}")
+        print(f"params    {params_digest()}")
 
 
 if __name__ == "__main__":
