@@ -1,4 +1,4 @@
-"""Command-line surface: clean, pack, train, forecast, eval, params, bench.
+"""Command-line surface: clean, train, forecast, eval, params, bench.
 
 Every subcommand is deterministic given --seed. Faults (missing files,
 malformed configs, degenerate data) print a message to stderr and exit
@@ -18,13 +18,11 @@ import numpy as np
 
 from .data import (
     CleanConfig,
-    CleanSeries,
     CsvSchema,
     FormatError,
     RawSeries,
     SequenceStore,
     clean_series,
-    is_bare_file_name,
     load_csv,
     write_csv,
 )
@@ -71,56 +69,18 @@ def cmd_clean(args) -> int:
     src = Path(args.input)
     config = CleanConfig(window_size=args.window, zero_threshold=args.threshold,
                          min_len=args.min_len)
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = sorted(src.glob("*.csv")) if src.is_dir() else [src]
     if not files:
         raise FormatError(f"no CSV files under {src}")
-    manifest = []
-    kept = 0
-    for file in files:
-        loaded = load_csv(file, CsvSchema(splits=(1.0, 0.0, 0.0)))
-        for ch, column in enumerate(loaded.columns):
-            raw = RawSeries(values=loaded.values[:, ch], domain=args.domain,
-                            source=f"{file.name}:{column}")
-            for segment in clean_series(raw, config):
-                name = f"seg_{kept:05d}.csv"
-                write_csv(out_dir / name, segment.values, [column])
-                manifest.append({"file": name, "domain": segment.domain,
-                                 "source": segment.origin.source,
-                                 "length": len(segment)})
-                kept += 1
-    (out_dir / "manifest.json").write_text(json.dumps({"segments": manifest}, indent=1))
-    if kept == 0:
-        print("warning: no sequences survived cleaning; wrote an empty manifest",
-              file=sys.stderr)
-    else:
-        print(f"kept {kept} segments ({sum(m['length'] for m in manifest)} points) "
-              f"in {out_dir}")
-    return 0
 
+    def segments():
+        for file in files:
+            loaded = load_csv(file, CsvSchema(splits=(1.0, 0.0, 0.0)))
+            for values in loaded.values.T:
+                yield from clean_series(RawSeries(values=values, domain=args.domain), config)
 
-def cmd_pack(args) -> int:
-    clean_dir = Path(args.cleandir)
-    manifest_path = clean_dir / "manifest.json"
-    manifest = _read_json(manifest_path)
-    segments = manifest.get("segments", [])
-    if not isinstance(segments, list):
-        raise FormatError(f"{manifest_path}: segments must be a list, got a JSON "
-                          f"{type(segments).__name__}")
-    if not segments:
-        raise FormatError(f"{manifest_path} lists no segments")
-    # Checked whole before any file is read, so a bad entry never leaves a store.
-    for idx, doc in enumerate(segments):
-        if not (isinstance(doc, dict) and isinstance(doc.get("domain"), str)
-                and is_bare_file_name(doc.get("file"))):
-            raise FormatError(f"{manifest_path}: segment {idx} must be an object with a str "
-                              f"domain and a file that is a bare file name, got {doc!r}")
-    series = (CleanSeries(values=load_csv(clean_dir / doc["file"],
-                                          CsvSchema(splits=(1.0, 0.0, 0.0))).values[:, 0],
-                          domain=doc["domain"]) for doc in segments)
-    store = SequenceStore.write(series, args.store)
-    print(f"packed {len(store)} sequences ({store.total_points} points) into {args.store}")
+    store = SequenceStore.write(segments(), args.store)
+    print(f"kept {len(store)} segments ({store.total_points} points) in {args.store}")
     return 0
 
 
@@ -231,19 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sparse mixture-of-experts time-series forecasting toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("clean", help="run the curation pipeline over CSV data")
+    p = sub.add_parser("clean", help="clean CSV series into a binary sequence store")
     p.add_argument("input", help="CSV file or directory of CSV files")
-    p.add_argument("output", help="directory for cleaned segments")
+    p.add_argument("store", help="directory for the store")
     p.add_argument("--window", type=int, default=128)
     p.add_argument("--threshold", type=float, default=0.2)
     p.add_argument("--min-len", type=int, default=256, dest="min_len")
     p.add_argument("--domain", default="default")
     p.set_defaults(fn=cmd_clean)
-
-    p = sub.add_parser("pack", help="pack cleaned segments into a binary store")
-    p.add_argument("cleandir")
-    p.add_argument("store")
-    p.set_defaults(fn=cmd_pack)
 
     p = sub.add_parser("train", help="train a model on a packed store")
     p.add_argument("--config", required=True)

@@ -203,13 +203,6 @@ def clean_series(raw: RawSeries, config: CleanConfig | None = None):
 # --- binary store ----------------------------------------------------------------
 
 
-def is_bare_file_name(name) -> bool:
-    """Whether name is a str naming a file in the directory it is read from:
-    not empty, not "..", and with no directory part. A manifest segment
-    names its file so; anything else could reach outside."""
-    return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
-
-
 class SequenceStore:
     """Cleaned sequences in one flat f32-LE file, <name>.bin, indexed by
     <name>.idx.
@@ -298,7 +291,7 @@ class SequenceStore:
         if path.is_dir():
             found = sorted(path.glob("*.idx"))
             if len(found) != 1:
-                old = (" It holds a version-1 store (*.meta.json): re-run `sparsecast pack` "
+                old = (" It holds a version-1 store (*.meta.json): re-run `sparsecast clean` "
                        "to rebuild it." if not found and any(path.glob("*.meta.json")) else "")
                 raise FormatError(f"expected exactly one *.idx in {path}, "
                                   f"found {len(found)}.{old}")
@@ -309,7 +302,7 @@ class SequenceStore:
             raw.ljust(INDEX_HEADER.size, b"\0"))
         if (magic, version) != (INDEX_MAGIC, INDEX_VERSION):
             raise FormatError(f"{path} is not a store index of version {INDEX_VERSION}; "
-                              f"re-run `sparsecast pack` to rebuild an older store")
+                              f"re-run `sparsecast clean` to rebuild an older store")
         start = INDEX_HEADER.size + names_size
         if len(raw) != start + 12 * count:
             raise FormatError(f"{path} holds {len(raw)} bytes, but its header and "
@@ -458,6 +451,8 @@ class LoadedCsv:
 def _resolve_splits(splits, rows: int) -> tuple:
     if len(splits) != 3:
         raise FormatError(f"splits must have three entries, got {splits}")
+    if any(isinstance(s, bool) or not isinstance(s, numbers.Real) for s in splits):
+        raise FormatError(f"splits must hold numbers, got {splits!r}")
     if any(s < 0 for s in splits):
         raise FormatError(f"split sizes must be >= 0, got {splits}")
     if all(isinstance(s, (int, np.integer)) for s in splits):

@@ -66,9 +66,12 @@ class Standardizer:
 
     @classmethod
     def fit(cls, train_values: np.ndarray) -> "Standardizer":
-        """Each channel's mean and std (at least 1e-8); a channel whose mean or
-        std is not finite in float64, such as values near 1e300, is a DataError."""
+        """Each channel's mean and std (at least 1e-8); no rows, or a channel
+        whose mean or std is not finite in float64, such as values near 1e300,
+        is a DataError."""
         values = np.asarray(train_values, dtype=np.float64)
+        if not len(values):
+            raise DataError("the train split is empty: no rows to fit the standardizer on")
         with np.errstate(over="ignore", invalid="ignore"):
             mean, std = values.mean(axis=0), values.std(axis=0)
         bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))

@@ -6,14 +6,16 @@ import itertools
 import json
 import math
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from sparsecast import tensor as T
 from sparsecast.data import (STORE_DTYPE, CleanSeries, CsvSchema, FormatError, LoadedCsv,
-                             PackedBatch, SeriesOrigin, _resolve_splits, draw_domain,
-                             normalize_weights, sample_batch)
+                             PackedBatch, RawSeries, SequenceStore, SeriesOrigin, _resolve_splits,
+                             clean_series, draw_domain, load_csv, normalize_weights, sample_batch,
+                             write_csv)
 from sparsecast.heads import plan_horizons
 from sparsecast.model import Forecaster, ModelConfig, segment_bounds
 from sparsecast.moe import RouterOutput, load_stats, topk_indices
@@ -408,6 +410,25 @@ def reference_write_csv(path, values: np.ndarray, columns: list | None = None) -
         writer.writerow(columns)
         for row in values:
             writer.writerow([repr(float(v)) for v in row])
+
+
+def reference_clean_pack(files, directory, config, domain: str):
+    """The store of curation in two steps, clean then pack, kept as the oracle
+    of `sparsecast clean`: each segment clean_series keeps, file by file and
+    channel by channel, goes out through write_csv as its own one-column CSV,
+    comes back through load_csv, and the read-back values go to
+    SequenceStore.write in that order."""
+    whole = CsvSchema(splits=(1.0, 0.0, 0.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for file in files:
+            loaded = load_csv(file, whole)
+            for ch, column in enumerate(loaded.columns):
+                for segment in clean_series(RawSeries(values=loaded.values[:, ch]), config):
+                    paths.append(Path(tmp) / f"seg_{len(paths):05d}.csv")
+                    write_csv(paths[-1], segment.values, [column])
+        return SequenceStore.write([CleanSeries(values=load_csv(path, whole).values[:, 0],
+                                                domain=domain) for path in paths], directory)
 
 
 def benchmark_model_and_batch(tmp_path):

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import corruption_cases
+from helpers import corruption_cases, reference_clean_pack
 
 import sparsecast
 from sparsecast.cli import main
-from sparsecast.data import CleanSeries, FormatError, SequenceStore, load_csv, write_csv
+from sparsecast.data import (CleanConfig, CleanSeries, FormatError, SequenceStore, load_csv,
+                             write_csv)
 from sparsecast.model import Forecaster, ModelConfig
 from sparsecast.synthetic import build_regime_store
 from sparsecast.train import load_checkpoint, save_checkpoint
@@ -67,28 +68,38 @@ def test_params_prints_counts(tmp_path, capsys):
 
 def test_clean_pack_roundtrip(tmp_path, capsys):
     raw = noisy_csv(tmp_path / "raw.csv")
-    code, out, err = run(capsys, "clean", str(raw), str(tmp_path / "cleaned"),
+    code, out, err = run(capsys, "clean", str(raw), str(tmp_path / "store"),
                          "--window", "32", "--min-len", "64", "--domain", "demo")
-    assert code == 0 and "kept" in out
-    manifest = json.loads((tmp_path / "cleaned" / "manifest.json").read_text())
-    assert len(manifest["segments"]) == 2  # one segment per clean channel
-
-    code, out, _ = run(capsys, "pack", str(tmp_path / "cleaned"), str(tmp_path / "store"))
-    assert code == 0
+    assert code == 0 and "kept 2 segments" in out  # one segment per clean channel
     store = SequenceStore.open(tmp_path / "store")
     assert len(store) == 2
     assert store.domains() == ["demo"]
 
 
-def test_clean_all_nan_warns_and_writes_empty_manifest(tmp_path, capsys):
-    path = tmp_path / "bad.csv"
-    path.write_text("a\n" + "nan\n" * 50)
-    code, _, err = run(capsys, "clean", str(path), str(tmp_path / "out"),
-                       "--window", "8", "--min-len", "8")
-    assert code == 0
-    assert "warning" in err
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["segments"] == []
+def messy_csv(path, seed):
+    """Three noisy channels with a NaN gap, an Inf and a flatline to cut out."""
+    rng = np.random.default_rng(seed)
+    values = np.cumsum(rng.normal(size=(700, 3)), axis=0) + 10
+    values[100:120, 0] = np.nan
+    values[400, 1] = np.inf
+    values[300:500, 2] = values[299, 2]
+    write_csv(path, values, ["a", "b", "c"])
+    return path
+
+
+def test_clean_writes_the_store_clean_then_pack_wrote(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    files = [messy_csv(raw / f"{name}.csv", seed) for seed, name in enumerate("xy")]
+    code, out, _ = run(capsys, "clean", str(raw), str(tmp_path / "store"), "--window", "32",
+                       "--min-len", "64", "--domain", "demo")
+    assert code == 0, out
+    oracle = reference_clean_pack(files, tmp_path / "oracle",
+                                  CleanConfig(window_size=32, min_len=64), "demo")
+    assert len(oracle) > 6  # more than one segment per channel survives
+    for suffix in (".bin", ".idx"):
+        assert ((tmp_path / "store" / "store").with_suffix(suffix).read_bytes()
+                == oracle.data_file.with_suffix(suffix).read_bytes())
 
 
 @pytest.mark.parametrize("flag,value", [("--window", "0"), ("--window", "-5"),
@@ -102,9 +113,8 @@ def test_clean_bad_option_is_a_typed_error(tmp_path, capsys, flag, value):
 
 def test_train_forecast_eval_pipeline(tmp_path, capsys):
     raw = noisy_csv(tmp_path / "raw.csv", rows=600)
-    run(capsys, "clean", str(raw), str(tmp_path / "cleaned"), "--window", "32",
+    run(capsys, "clean", str(raw), str(tmp_path / "store"), "--window", "32",
         "--min-len", "64")
-    run(capsys, "pack", str(tmp_path / "cleaned"), str(tmp_path / "store"))
     config = write_train_config(tmp_path / "train.json")
     ckpt = tmp_path / "model.ckpt"
     log = tmp_path / "metrics.ndjson"
@@ -143,8 +153,7 @@ def test_train_forecast_eval_pipeline(tmp_path, capsys):
 def test_forecast_to_stdout(tmp_path, capsys):
     config = write_train_config(tmp_path / "t.json")
     raw = noisy_csv(tmp_path / "raw.csv", rows=500)
-    run(capsys, "clean", str(raw), str(tmp_path / "c"), "--window", "32", "--min-len", "64")
-    run(capsys, "pack", str(tmp_path / "c"), str(tmp_path / "s"))
+    run(capsys, "clean", str(raw), str(tmp_path / "s"), "--window", "32", "--min-len", "64")
     ckpt = tmp_path / "m.ckpt"
     run(capsys, "train", "--config", str(config), "--store", str(tmp_path / "s"),
         "--out", str(ckpt))
@@ -360,6 +369,11 @@ def bad_eval_docs(dataset):
         # Loaded as given: the test windows' targets fell inside the rows the
         # standardizer was fitted on.
         "negative_split": ({**spec, "splits": [500, -20, 120]}, "split sizes must be >= 0"),
+        # A TypeError traceback ('<' not supported ...), and true was read as 1 row.
+        "string_split": ({**spec, "splits": ["a", 120, 120]}, "splits must hold numbers"),
+        "bool_split": ({**spec, "splits": [True, 120, 479]}, "splits must hold numbers"),
+        # Two "Mean of empty slice" warnings, then "values too large to standardize".
+        "empty_train_split": ({**spec, "splits": [0, 120, 480]}, "train split is empty"),
         "unknown_fine_tune_key": ({**spec, "mode": "fine_tune", "fine_tune": {"bogus": 1}},
                                   "TrainConfig"),
     }
@@ -422,7 +436,7 @@ BAD_INDEXES = {
     "trailing_bytes": (store_index(tail=b"\0"), "holds 54 bytes, but its header and 2 "
                                                 "sequences take 53"),
     "domain_id_out_of_range": (store_index(domain_ids=(0, 1)), "domain id 1 out of range"),
-    "version_1": (None, "version-1 store (*.meta.json): re-run `sparsecast pack`"),
+    "version_1": (None, "version-1 store (*.meta.json): re-run `sparsecast clean`"),
 }
 
 
@@ -449,58 +463,30 @@ def test_bad_store_metafile_is_a_typed_error(tmp_path, case):
                                       "--out", str(tmp_path / "m.ckpt")), mentions)
 
 
-def test_pack_rejects_a_non_finite_segment(tmp_path, capsys):
-    clean = tmp_path / "clean"
-    clean.mkdir()
-    write_csv(clean / "seg.csv", np.array([1.0, float("nan"), 2.0]), ["x"])
-    (clean / "manifest.json").write_text(json.dumps(
-        {"segments": [{"file": "seg.csv", "domain": "d"}]}))
-    code, _, err = run(capsys, "pack", str(clean), str(tmp_path / "store"))
-    assert code == 1 and err.startswith("error: sequence 0 holds NaN or Inf"), err
-    assert not (tmp_path / "store").exists()
-
-
-def test_pack_failure_leaves_no_directory_it_made(tmp_path):
-    # A store path whose parents are missing: pack makes them, the second
-    # segment is not finite, and the command fails with nothing new on disk.
-    clean = tmp_path / "clean"
-    clean.mkdir()
-    write_csv(clean / "ok.csv", np.arange(8.0), ["x"])
-    write_csv(clean / "bad.csv", np.array([1.0, float("nan"), 2.0]), ["x"])
-    (clean / "manifest.json").write_text(json.dumps(
-        {"segments": [{"file": "ok.csv", "domain": "d"}, {"file": "bad.csv", "domain": "d"}]}))
-    before = sorted(tmp_path.rglob("*"))
-    store = tmp_path / "made" / "deeper" / "store"
-    assert_clean_failure(*run_process("pack", str(clean), str(store)), "sequence 1 holds NaN")
-    assert sorted(tmp_path.rglob("*")) == before
-
-
-# Faulty pack manifests: a KeyError or TypeError traceback, or (the outside
-# case) a segment packed from a file outside the clean directory.
-BAD_MANIFESTS = {
-    "missing_domain": ({"segments": [{"file": "seg.csv"}]}, "segment 0"),
-    "int_domain": ({"segments": [{"file": "seg.csv", "domain": 5}]}, "segment 0"),
-    "dict_segments": ({"segments": {"file": "seg.csv", "domain": "d"}},
-                      "segments must be a list, got a JSON dict"),
-    "string_segments": ({"segments": ["seg.csv"]}, "segment 0"),
-    "int_file": ({"segments": [{"file": 5, "domain": "d"}]}, "segment 0"),
-    "outside_file": ({"segments": [{"file": "seg.csv", "domain": "d"},
-                                   {"file": "../outside/evil.csv", "domain": "d"}]},
-                     "segment 1"),
+# Failing cleans of a directory of two CSVs, a.csv good and b.csv holding a bad
+# cell: (the cell, the store path, --min-len, what the error names). Each must
+# leave nothing on disk: no store, no temp file, no parent directory it made.
+CLEAN_FAILURES = {
+    "bad_second_csv": ("oops", "store", "64", "b.csv"),
+    "too_large_for_float32": ("1e39", "store", "64", "sequence 2 holds NaN or Inf as float32"),
+    "nothing_survives": ("1", "store", "1000", "empty store"),
+    "missing_parents": ("1e39", "made/deeper/store", "64", "sequence 2 holds NaN or Inf"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
-def test_pack_bad_manifest_is_a_typed_error(tmp_path, case):
-    doc, mentions = BAD_MANIFESTS[case]
-    for directory in ("clean", "outside"):
-        (tmp_path / directory).mkdir()
-    write_csv(tmp_path / "clean" / "seg.csv", np.arange(8.0), ["x"])
-    write_csv(tmp_path / "outside" / "evil.csv", np.arange(8.0), ["x"])
-    (tmp_path / "clean" / "manifest.json").write_text(json.dumps(doc))
-    assert_clean_failure(*run_process("pack", str(tmp_path / "clean"), str(tmp_path / "store")),
-                         mentions)
-    assert not (tmp_path / "store").exists()
+@pytest.mark.parametrize("case", sorted(CLEAN_FAILURES))
+def test_clean_failure_leaves_nothing_on_disk(tmp_path, case):
+    cell, store, min_len, mentions = CLEAN_FAILURES[case]
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    noisy_csv(raw / "a.csv")
+    lines = noisy_csv(raw / "b.csv", seed=1).read_text().splitlines()
+    lines[200] = f"{cell},{cell}"
+    (raw / "b.csv").write_text("\n".join(lines) + "\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert_clean_failure(*run_process("clean", str(raw), str(tmp_path / store), "--window",
+                                      "32", "--min-len", min_len), mentions)
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # Badly shaped bench pair files: each ended in a KeyError, AttributeError or TypeError.

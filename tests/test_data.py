@@ -655,6 +655,15 @@ def test_csv_negative_splits_rejected(tmp_path, splits):
         load_csv(path, CsvSchema(splits=splits))
 
 
+@pytest.mark.parametrize("splits", [("a", 0, 0), (None, 0.5, 0.5), ([1], 0, 0), (True, 25, 24)])
+def test_csv_splits_that_are_not_numbers_rejected(tmp_path, splits):
+    # ("a", 0, 0) was a TypeError ('<' not supported), (True, 25, 24) a 1-row train split.
+    path = tmp_path / "s.csv"
+    write_csv(path, np.arange(50.0), ["a"])
+    with pytest.raises(FormatError, match="splits must hold numbers"):
+        load_csv(path, CsvSchema(splits=splits))
+
+
 # --- CSV: the np.loadtxt parser against the cell-by-cell oracle -------------------
 
 

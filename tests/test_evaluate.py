@@ -247,6 +247,15 @@ def _small_model(max_context=64):
                                        max_context=max_context), seed=3)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(0, 3), (0,)])
+def test_standardizer_refuses_an_empty_train_split_without_a_warning(shape):
+    # Warned "Mean of empty slice" and "Degrees of freedom <= 0", then blamed
+    # channel 0 for values too large to standardize, std nan.
+    with pytest.raises(DataError, match="train split is empty"):
+        Standardizer.fit(np.empty(shape))
+
+
 def test_values_too_large_to_standardize_are_a_data_error(tmp_path):
     # A channel alternating +-1e300 has an infinite std: standardizing it
     # warned "overflow encountered in square" and eval_model went on to report
